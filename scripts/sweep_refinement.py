@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from aliaslab.cli import crt_preset, grt_preset
+from aliaslab.experiment_config import crt_preset, grt_preset
 from aliaslab.pipeline import run_experiment
 
 

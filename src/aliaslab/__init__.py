@@ -47,8 +47,6 @@ from aliaslab.pipeline import (
 )
 from aliaslab.predictor import (
     ComparisonMetrics,
-    PredictionConfig,
-    ProbeSpec,
     compare,
     fill_prediction,
     predict_at,
@@ -58,7 +56,6 @@ from aliaslab.reconstruction import (
     AliasProfile,
     FilteredView,
     ImageGrid,
-    ReconConfig,
     ReconstructionRun,
     backproject,
     filter_view,
@@ -81,72 +78,3 @@ from aliaslab.special_functions import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # special functions
-    "MollifierSpec",
-    "PsiEvalConfig",
-    "DEFAULT_MOLLIFIER",
-    "DEFAULT_PSI_CONFIG",
-    "w_eval",
-    "w_prime_eval",
-    "psi_eval",
-    "psi_eval_quadrature_oracle",
-    "delta_psi",
-    "hurwitz_tail",
-    "big_psi",
-    # geometry
-    "RadonFamily",
-    "DiskPhantom",
-    "SamplingScheme",
-    "TangencyDescriptor",
-    "line_family",
-    "circle_family",
-    "phi_eval",
-    "grad_phi",
-    "tangent_p",
-    "tangency_enumerate",
-    "mu0_closed_form",
-    "mu0_numeric",
-    # forward model
-    "sinogram_line_disk",
-    "sinogram_circle_disk",
-    "SinogramSampler",
-    "SemiDiscreteData",
-    # reconstruction
-    "ReconConfig",
-    "FilteredView",
-    "pv_filter_uniform",
-    "filter_view",
-    "view_values_at",
-    "backproject",
-    "ReconstructionRun",
-    "ImageGrid",
-    "AliasProfile",
-    "scaled_difference_profile",
-    # prediction and comparison
-    "ProbeSpec",
-    "PredictionConfig",
-    "ComparisonMetrics",
-    "predict_at",
-    "predict_profile",
-    "fill_prediction",
-    "compare",
-    # experiment plumbing
-    "ExperimentConfig",
-    "ConfigError",
-    "parse_config_text",
-    "load_config_file",
-    "ExperimentResult",
-    "run_experiment",
-    "resolve_theta",
-    "query_range",
-    "report_text",
-    "write_artifacts",
-    "PROFILE_HEADER",
-    "write_profile_csv",
-    "read_profile_csv",
-    "write_psi_table_csv",
-    "write_pgm16",
-]

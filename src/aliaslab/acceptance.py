@@ -1,9 +1,10 @@
 """Acceptance criteria for the laboratory, runnable as a registry.
 
 Each criterion is a function of a shared context (which memoizes the
-expensive reconstruction runs) returning a CriterionResult with the
-measured quantities, so both `aliaslab verify` and the test suite print
-the same per-criterion lines.
+expensive reconstruction runs) returning its verdict, a detail line and
+the measured quantities; ``run_criteria`` wraps them in a CriterionResult
+with the number and slug from the registry table, so both `aliaslab
+verify` and the test suite print the same per-criterion lines.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.special
 
-from .cli import crt_preset, grt_preset
-from .experiment_config import ExperimentConfig
+from .experiment_config import ExperimentConfig, crt_preset, grt_preset
 from .forward_model import sinogram_circle_disk, sinogram_line_disk
 from .geometry import (
     DiskPhantom,
@@ -91,7 +91,7 @@ def _grt_profile(epsilon: float, n_views: int, eta: int = 16) -> ExperimentConfi
 # -- criteria ------------------------------------------------------------
 
 
-def _c01_psi_identities(ctx) -> CriterionResult:
+def _c01_psi_identities(ctx) -> tuple[bool, str, dict]:
     rng = np.random.default_rng(101)
     n = 1000
     hs = rng.uniform(-8.0, 8.0, n)
@@ -114,10 +114,10 @@ def _c01_psi_identities(ctx) -> CriterionResult:
         f"n={n} periodicity={worst['periodicity']:.2e} shift={worst['shift']:.2e} "
         f"reflection={worst['reflection']:.2e} zero={worst['zero']:.1e}"
     )
-    return CriterionResult(1, "psi-identities", passed, detail, worst)
+    return passed, detail, worst
 
 
-def _c02_psi_oracle(ctx) -> CriterionResult:
+def _c02_psi_oracle(ctx) -> tuple[bool, str, dict]:
     qs = np.linspace(-50.0, 2.0, 1000)
     closed = psi_eval(qs)
     oracle = np.array([psi_eval_quadrature_oracle(float(q)) for q in qs])
@@ -127,10 +127,10 @@ def _c02_psi_oracle(ctx) -> CriterionResult:
     passed = max_diff <= 1e-10 and at_zero <= 1e-12 and beyond == 0.0
     detail = f"max|closed-oracle|={max_diff:.2e} |psi(0)-2/3|={at_zero:.1e} beyond_support={beyond:.1e}"
     measured = {"max_diff": max_diff, "at_zero": at_zero, "beyond_support": beyond}
-    return CriterionResult(2, "psi-oracle", passed, detail, measured)
+    return passed, detail, measured
 
 
-def _c03_psi_asymptotics(ctx) -> CriterionResult:
+def _c03_psi_asymptotics(ctx) -> tuple[bool, str, dict]:
     measured = {}
     passed = True
     parts = []
@@ -139,10 +139,10 @@ def _c03_psi_asymptotics(ctx) -> CriterionResult:
         measured[f"T={T:g}"] = dev
         passed = passed and dev <= 2.0 / T
         parts.append(f"dev(T={T:g})={dev:.2e}")
-    return CriterionResult(3, "psi-asymptotics", passed, " ".join(parts), measured)
+    return passed, " ".join(parts), measured
 
 
-def _c04_psi_decay(ctx) -> CriterionResult:
+def _c04_psi_decay(ctx) -> tuple[bool, str, dict]:
     hp = np.linspace(0.0, 1.0, 201)
 
     def sup_amp(a: float) -> float:
@@ -162,10 +162,10 @@ def _c04_psi_decay(ctx) -> CriterionResult:
         + " sup(1,2,4)=" + ",".join(f"{s:.3f}" for s in large)
     )
     measured = {"sups_small": small, "ratios": ratios, "sups_large": large}
-    return CriterionResult(4, "psi-decay", passed, detail, measured)
+    return passed, detail, measured
 
 
-def _c05_hurwitz_tail(ctx) -> CriterionResult:
+def _c05_hurwitz_tail(ctx) -> tuple[bool, str, dict]:
     measured = {}
     passed = True
     parts = []
@@ -175,7 +175,7 @@ def _c05_hurwitz_tail(ctx) -> CriterionResult:
         measured[f"K={K}"] = dev
         passed = passed and dev <= tol
         parts.append(f"dev(K={K})={dev:.2e}")
-    return CriterionResult(5, "hurwitz-tail", passed, " ".join(parts), measured)
+    return passed, " ".join(parts), measured
 
 
 def _fit_sqrt_slope(t: np.ndarray, g: np.ndarray) -> float:
@@ -184,7 +184,7 @@ def _fit_sqrt_slope(t: np.ndarray, g: np.ndarray) -> float:
     return float(np.polyfit(np.sqrt(t), g, 1)[0])
 
 
-def _c06_sqrt_coefficient(ctx) -> CriterionResult:
+def _c06_sqrt_coefficient(ctx) -> tuple[bool, str, dict]:
     t = np.linspace(1e-4, 1e-2, 50)
     crt_phantom = DiskPhantom((0.0, 0.0), 5.0)
     g_line = sinogram_line_disk(crt_phantom, 0.0, 5.0 - t)
@@ -209,10 +209,10 @@ def _c06_sqrt_coefficient(ctx) -> CriterionResult:
         f"grt_fit={grt_fit:.5f} (expect {grt_expected:.5f}, rel {grt_rel:.2e})"
     )
     measured = {"crt_fit": crt_fit, "crt_rel": crt_rel, "grt_fit": grt_fit, "grt_rel": grt_rel}
-    return CriterionResult(6, "sqrt-coefficient", passed, detail, measured)
+    return passed, detail, measured
 
 
-def _c07_tangency_geometry(ctx) -> CriterionResult:
+def _c07_tangency_geometry(ctx) -> tuple[bool, str, dict]:
     cfg = grt_preset()
     family, phantom, scheme = cfg.build_family(), cfg.build_phantom(), cfg.build_scheme()
     x0 = np.asarray(cfg.probe_x0)
@@ -275,10 +275,10 @@ def _c07_tangency_geometry(ctx) -> CriterionResult:
         "mu0_high": mus[1],
         "mu0_consistency": worst,
     }
-    return CriterionResult(7, "tangency-geometry", passed, detail, measured)
+    return passed, detail, measured
 
 
-def _c08_crt_fidelity(ctx) -> CriterionResult:
+def _c08_crt_fidelity(ctx) -> tuple[bool, str, dict]:
     res = ctx.run(_crt_profile(0.02, 200, 0.03))
     angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     interior = [(0.0, 0.0)]
@@ -294,10 +294,10 @@ def _c08_crt_fidelity(ctx) -> CriterionResult:
     passed = abs(mean_inside - 1.0) <= 0.05 and max_outside <= 0.05
     detail = f"mean_interior={mean_inside:.6f} max_exterior={max_outside:.4f}"
     measured = {"mean_interior": mean_inside, "max_exterior": max_outside}
-    return CriterionResult(8, "crt-fidelity", passed, detail, measured)
+    return passed, detail, measured
 
 
-def _c09_crt_convergence(ctx) -> CriterionResult:
+def _c09_crt_convergence(ctx) -> tuple[bool, str, dict]:
     parts = []
     measured = {}
     passed = True
@@ -307,15 +307,15 @@ def _c09_crt_convergence(ctx) -> CriterionResult:
         measured[f"delta={shift}"] = (coarse, fine)
         passed = passed and fine < coarse and fine <= 0.35
         parts.append(f"delta={shift}: rel {coarse:.3f} -> {fine:.3f}")
-    return CriterionResult(9, "crt-convergence", passed, " ".join(parts), measured)
+    return passed, " ".join(parts), measured
 
 
-def _c10_grt_convergence(ctx) -> CriterionResult:
+def _c10_grt_convergence(ctx) -> tuple[bool, str, dict]:
     coarse = ctx.run(_grt_profile(0.01, 500)).metrics.relative_mismatch
     fine = ctx.run(_grt_profile(0.005, 1000)).metrics.relative_mismatch
     passed = fine < coarse and fine <= 0.35
     detail = f"rel {coarse:.3f} -> {fine:.3f}"
-    return CriterionResult(10, "grt-convergence", passed, detail, {"coarse": coarse, "fine": fine})
+    return passed, detail, {"coarse": coarse, "fine": fine}
 
 
 def _all_profile_configs() -> list[ExperimentConfig]:
@@ -325,7 +325,7 @@ def _all_profile_configs() -> list[ExperimentConfig]:
     return configs
 
 
-def _c11_eta_robustness(ctx) -> CriterionResult:
+def _c11_eta_robustness(ctx) -> tuple[bool, str, dict]:
     worst = 0.0
     for cfg in _all_profile_configs():
         base = ctx.run(cfg)
@@ -334,10 +334,10 @@ def _c11_eta_robustness(ctx) -> CriterionResult:
         worst = max(worst, dev / base.metrics.peak_to_peak)
     passed = worst <= 0.01
     detail = f"max profile change eta 16->32 = {worst:.2e} of peak-to-peak"
-    return CriterionResult(11, "eta-robustness", passed, detail, {"worst": worst})
+    return passed, detail, {"worst": worst}
 
 
-def _c12_determinism(ctx) -> CriterionResult:
+def _c12_determinism(ctx) -> tuple[bool, str, dict]:
     identical = True
     parts = []
     for label, preset in (("crt", crt_preset), ("grt", grt_preset)):
@@ -352,41 +352,27 @@ def _c12_determinism(ctx) -> CriterionResult:
         same = payloads[0] == payloads[1]
         identical = identical and same
         parts.append(f"{label}: {'identical' if same else 'DIFFER'}")
-    return CriterionResult(12, "determinism", identical, " ".join(parts), {"identical": identical})
+    return identical, " ".join(parts), {"identical": identical}
 
 
-_CRITERIA = {
-    1: _c01_psi_identities,
-    2: _c02_psi_oracle,
-    3: _c03_psi_asymptotics,
-    4: _c04_psi_decay,
-    5: _c05_hurwitz_tail,
-    6: _c06_sqrt_coefficient,
-    7: _c07_tangency_geometry,
-    8: _c08_crt_fidelity,
-    9: _c09_crt_convergence,
-    10: _c10_grt_convergence,
-    11: _c11_eta_robustness,
-    12: _c12_determinism,
-}
-
-_SLUGS = {
-    1: "psi-identities",
-    2: "psi-oracle",
-    3: "psi-asymptotics",
-    4: "psi-decay",
-    5: "hurwitz-tail",
-    6: "sqrt-coefficient",
-    7: "tangency-geometry",
-    8: "crt-fidelity",
-    9: "crt-convergence",
-    10: "grt-convergence",
-    11: "eta-robustness",
-    12: "determinism",
-}
+# (number, slug, check); each check returns (passed, detail, measured)
+_CRITERIA = (
+    (1, "psi-identities", _c01_psi_identities),
+    (2, "psi-oracle", _c02_psi_oracle),
+    (3, "psi-asymptotics", _c03_psi_asymptotics),
+    (4, "psi-decay", _c04_psi_decay),
+    (5, "hurwitz-tail", _c05_hurwitz_tail),
+    (6, "sqrt-coefficient", _c06_sqrt_coefficient),
+    (7, "tangency-geometry", _c07_tangency_geometry),
+    (8, "crt-fidelity", _c08_crt_fidelity),
+    (9, "crt-convergence", _c09_crt_convergence),
+    (10, "grt-convergence", _c10_grt_convergence),
+    (11, "eta-robustness", _c11_eta_robustness),
+    (12, "determinism", _c12_determinism),
+)
 
 SUITES = {
-    "all": tuple(range(1, 13)),
+    "all": tuple(number for number, _, _ in _CRITERIA),
     "psi-properties": (1, 2, 3, 4, 5),
     "geometry": (6, 7),
     "crt-fidelity": (8,),
@@ -399,22 +385,23 @@ SUITES = {
 def select(selector: str) -> tuple[int, ...]:
     if selector in SUITES:
         return SUITES[selector]
-    for number, slug in _SLUGS.items():
+    for number, slug, _ in _CRITERIA:
         if selector == slug:
             return (number,)
-    options = sorted(set(SUITES) | set(_SLUGS.values()))
+    options = sorted(set(SUITES) | {slug for _, slug, _ in _CRITERIA})
     raise ValueError(f"unknown suite {selector!r}; choose from {', '.join(options)}")
 
 
 def run_criteria(numbers, threads: int = 1, context: AcceptanceContext | None = None):
     ctx = context if context is not None else AcceptanceContext(threads=threads)
+    checks = {number: (slug, check) for number, slug, check in _CRITERIA}
     results = []
     for n in sorted(numbers):
+        slug, check = checks[n]
         t0 = time.perf_counter()
-        result = _CRITERIA[n](ctx)
-        elapsed = time.perf_counter() - t0
-        result.measured["elapsed_s"] = elapsed
-        results.append(result)
+        passed, detail, measured = check(ctx)
+        measured["elapsed_s"] = time.perf_counter() - t0
+        results.append(CriterionResult(n, slug, passed, detail, measured))
     return results
 
 

@@ -13,60 +13,20 @@ config, then $ALIASLAB_OUT, then ./aliaslab-out.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
-from .experiment_config import ConfigError, ExperimentConfig, load_config_file
+from .experiment_config import ConfigError, ExperimentConfig, crt_preset, grt_preset, load_config_file
 from .outputs import write_psi_table_csv
 from .pipeline import run_experiment, write_artifacts
 from .special_functions import big_psi
 
-__all__ = ["main", "crt_preset", "grt_preset", "ENV_OUT"]
+__all__ = ["main", "ENV_OUT"]
 
 ENV_OUT = "ALIASLAB_OUT"
 _FALLBACK_OUT = "aliaslab-out"
-
-
-def crt_preset() -> ExperimentConfig:
-    """Full-angle line-family run: unit disk jump of radius 5 at the
-    origin, probe through x0 = (5, 7)."""
-    return ExperimentConfig(
-        family="line",
-        phantom_center=(0.0, 0.0),
-        phantom_radius=5.0,
-        epsilon=0.02,
-        n_views=200,
-        shift=0.03,
-        probe_x0=(5.0, 7.0),
-        theta_mode="radial",
-        h_max=11.0,
-        h_step=0.25,
-        artifacts=("profile", "report", "roi-image", "global-image"),
-    )
-
-
-def grt_preset() -> ExperimentConfig:
-    """Limited-angle circle-family run: vertices on |x| = 5, disk of
-    radius 2 at (1, 1), quarter-circle window around the tangent view."""
-    alpha_star = 0.53 * math.pi
-    return ExperimentConfig(
-        family="circle",
-        acquisition_radius=5.0,
-        phantom_center=(1.0, 1.0),
-        phantom_radius=2.0,
-        epsilon=0.01,
-        n_views=500,
-        shift=0.0,
-        window=(alpha_star - math.pi / 4.0, alpha_star + math.pi / 4.0),
-        probe_x0=(-1.42, 2.95),
-        theta_mode="minus-u0",
-        h_max=6.0,
-        h_step=0.25,
-        artifacts=("profile", "report", "roi-image", "global-image"),
-    )
 
 
 def _resolve_out(cli_out, config: ExperimentConfig | None) -> str:

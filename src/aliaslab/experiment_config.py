@@ -16,7 +16,9 @@ import numpy as np
 
 from .geometry import DiskPhantom, RadonFamily, SamplingScheme, circle_family, line_family
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config_file"]
+__all__ = [
+    "ConfigError", "ExperimentConfig", "parse_config_text", "load_config_file", "crt_preset", "grt_preset"
+]
 
 _ARTIFACTS = ("profile", "report", "roi-image", "global-image")
 _THETA_MODES = ("radial", "minus-u0", "explicit")
@@ -88,6 +90,11 @@ class ExperimentConfig:
         if self.family == "circle":
             if self.acquisition_radius is None or not self.acquisition_radius > 0:
                 raise ConfigError("acquisition.radius: required and positive for the circle family")
+            if self.build_family().vertex_meets(self.build_phantom()):
+                raise ConfigError(
+                    "acquisition.radius: the acquisition circle meets the phantom; "
+                    "need |radius - |phantom.center|| > phantom.radius"
+                )
         elif self.acquisition_radius is not None:
             raise ConfigError("acquisition.radius: meaningless for the line family")
         if self.theta_mode not in _THETA_MODES:
@@ -131,11 +138,10 @@ class ExperimentConfig:
         return DiskPhantom(self.phantom_center, self.phantom_radius, self.phantom_jump)
 
     def build_scheme(self) -> SamplingScheme:
-        span = math.pi if self.family == "line" else 2.0 * math.pi
         return SamplingScheme(
             epsilon=self.epsilon,
             n_views=self.n_views,
-            grid_span=span,
+            grid_span=self.build_family().angular_period,
             alpha_origin=self.alpha_origin,
             shift=self.shift,
             window=self.window,
@@ -307,6 +313,45 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def load_config_file(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as f:
         return parse_config_text(f.read())
+
+
+def crt_preset() -> ExperimentConfig:
+    """Full-angle line-family run: unit disk jump of radius 5 at the
+    origin, probe through x0 = (5, 7)."""
+    return ExperimentConfig(
+        family="line",
+        phantom_center=(0.0, 0.0),
+        phantom_radius=5.0,
+        epsilon=0.02,
+        n_views=200,
+        shift=0.03,
+        probe_x0=(5.0, 7.0),
+        theta_mode="radial",
+        h_max=11.0,
+        h_step=0.25,
+        artifacts=("profile", "report", "roi-image", "global-image"),
+    )
+
+
+def grt_preset() -> ExperimentConfig:
+    """Limited-angle circle-family run: vertices on |x| = 5, disk of
+    radius 2 at (1, 1), quarter-circle window around the tangent view."""
+    alpha_star = 0.53 * math.pi
+    return ExperimentConfig(
+        family="circle",
+        acquisition_radius=5.0,
+        phantom_center=(1.0, 1.0),
+        phantom_radius=2.0,
+        epsilon=0.01,
+        n_views=500,
+        shift=0.0,
+        window=(alpha_star - math.pi / 4.0, alpha_star + math.pi / 4.0),
+        probe_x0=(-1.42, 2.95),
+        theta_mode="minus-u0",
+        h_max=6.0,
+        h_step=0.25,
+        artifacts=("profile", "report", "roi-image", "global-image"),
+    )
 
 
 def _pair(value, key: str) -> tuple[float, float]:

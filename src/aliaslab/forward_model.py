@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import DiskPhantom, RadonFamily, SamplingScheme
+from .geometry import DiskPhantom, RadonFamily, SamplingScheme, phi_eval
 from .special_functions import DEFAULT_MOLLIFIER, MollifierSpec, w_eval, w_prime_eval
 
 __all__ = [
@@ -82,40 +82,35 @@ def sinogram_circle_disk(phantom: DiskPhantom, R: float, alpha, rho):
 @dataclass(frozen=True)
 class SinogramSampler:
     """Analytic sinogram of one phantom under one curve family, with the
-    per-view scalar support interval and kink locations."""
+    per-view scalar support interval and kink locations.
+
+    Circle-family curves need their vertex outside the phantom, so the
+    acquisition circle must not meet the disk."""
 
     family: RadonFamily
     phantom: DiskPhantom
+
+    def __post_init__(self) -> None:
+        if self.family.vertex_meets(self.phantom):
+            raise ValueError("acquisition circle meets the phantom: curve vertices must stay outside it")
 
     def value(self, alpha: float, p):
         if self.family.kind == "line":
             return sinogram_line_disk(self.phantom, alpha, p)
         return sinogram_circle_disk(self.phantom, self.family.acquisition_radius, alpha, p)
 
-    def _center_distance(self, alpha: float) -> float:
-        a = self.phantom.center_array
-        if self.family.kind == "line":
-            return math.cos(alpha) * a[0] + math.sin(alpha) * a[1]
-        R = self.family.acquisition_radius
-        return math.hypot(R * math.cos(alpha) - a[0], R * math.sin(alpha) - a[1])
+    def kinks(self, alpha: float) -> tuple[float, float]:
+        """Tangent levels d - r and d + r of the phantom for this view,
+        with d = Phi(alpha, center): the sinogram has square-root kinks
+        there."""
+        d = phi_eval(self.family, alpha, self.phantom.center_array)
+        r = self.phantom.radius
+        return d - r, d + r
 
     def support(self, alpha: float) -> tuple[float, float]:
-        """Closed interval of scalar values where the sinogram is nonzero."""
-        d = self._center_distance(alpha)
-        r = self.phantom.radius
-        if self.family.kind == "line":
-            return d - r, d + r
-        return max(d - r, 0.0), d + r
-
-    def kinks(self, alpha: float) -> tuple[float, ...]:
-        """Scalar values where the sinogram has square-root kinks (the
-        tangent levels of the phantom for this view)."""
-        d = self._center_distance(alpha)
-        r = self.phantom.radius
-        if self.family.kind == "line":
-            return (d - r, d + r)
-        lo = abs(d - r)
-        return (lo, d + r) if lo > 0 else (d + r,)
+        """Closed interval of scalar values where the sinogram is nonzero:
+        the span between the two tangent levels."""
+        return self.kinks(alpha)
 
 
 @lru_cache(maxsize=8)

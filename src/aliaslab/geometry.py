@@ -85,6 +85,13 @@ class RadonFamily:
         scalar is negated across the half turn)."""
         return math.pi if self.kind == "line" else _TWO_PI
 
+    def vertex_meets(self, phantom: DiskPhantom) -> bool:
+        """True when the acquisition circle meets the closed phantom disk,
+        so that some curve vertex lies in the phantom; lines have no
+        vertex."""
+        R = self.acquisition_radius
+        return R is not None and abs(R - math.hypot(*phantom.center)) <= phantom.radius
+
 
 def line_family() -> RadonFamily:
     return RadonFamily("line")
@@ -238,25 +245,16 @@ def tangent_p(family: RadonFamily, phantom: DiskPhantom, alpha, branch: int):
     phantom boundary; ``branch`` +1 gives the far-side value, -1 the
     near-side value.
 
-    For lines this is ``<alpha_vec, center> + branch * radius``; for
-    circles ``|vertex - center| + branch * radius`` with the vertex on
-    the acquisition circle (the vertex must lie outside the phantom).
+    This is ``Phi(alpha, center) + branch * radius`` for both families;
+    for circles the vertex on the acquisition circle must lie outside the
+    phantom.
     """
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
-    al = np.asarray(alpha, dtype=float)
-    a = phantom.center_array
-    if family.kind == "line":
-        out = np.cos(al) * a[0] + np.sin(al) * a[1] + branch * phantom.radius
-    else:
-        R = family.acquisition_radius
-        d = np.hypot(R * np.cos(al) - a[0], R * np.sin(al) - a[1])
-        if np.any(d <= phantom.radius):
-            raise ValueError("curve vertex inside the phantom: tangent level undefined")
-        out = d + branch * phantom.radius
-    if out.ndim == 0:
-        return float(out)
-    return out
+    d = phi_eval(family, alpha, phantom.center_array)
+    if family.kind == "circle" and np.any(d <= phantom.radius):
+        raise ValueError("curve vertex inside the phantom: tangent level undefined")
+    return d + branch * phantom.radius
 
 
 @dataclass(frozen=True)

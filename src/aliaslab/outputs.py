@@ -37,19 +37,14 @@ def write_profile_csv(path, profile: AliasProfile) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def read_profile_csv(path) -> AliasProfile:
+def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns (h, recon_scaled, predicted) of a profile CSV."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip()
         if header != PROFILE_HEADER:
             raise ValueError(f"unexpected profile header: {header!r}")
         rows = np.array([[float(c) for c in line.split(",")] for line in f if line.strip()])
-    return AliasProfile(
-        x0=(0.0, 0.0),
-        theta=(1.0, 0.0),
-        h=rows[:, 0],
-        recon_scaled=rows[:, 1],
-        predicted=rows[:, 2],
-    )
+    return rows[:, 0], rows[:, 1], rows[:, 2]
 
 
 def write_psi_table_csv(path, rows) -> None:

@@ -30,7 +30,6 @@ from .predictor import ComparisonMetrics, compare, fill_prediction
 from .reconstruction import (
     AliasProfile,
     ImageGrid,
-    ReconConfig,
     ReconstructionRun,
     filter_view,
     scaled_difference_profile,
@@ -138,12 +137,11 @@ def run_experiment(
 
     sampler = SinogramSampler(family, phantom)
     data = SemiDiscreteData(scheme, sampler, quad_order=config.quad_order)
-    recon_config = ReconConfig(eta=config.eta)
 
     t0 = time.perf_counter()
     view_indices = scheme.window_view_indices()
     views = tuple(
-        parallel_map(lambda k: filter_view(data, k, recon_config, q_range), view_indices, threads)
+        parallel_map(lambda k: filter_view(data, k, config.eta, q_range), view_indices, threads)
     )
     timings["filter_s"] = time.perf_counter() - t0
     run = ReconstructionRun(family, scheme, views)

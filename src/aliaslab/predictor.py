@@ -21,44 +21,12 @@ from .reconstruction import AliasProfile
 from .special_functions import DEFAULT_PSI_CONFIG, PsiEvalConfig, big_psi
 
 __all__ = [
-    "ProbeSpec",
-    "PredictionConfig",
     "ComparisonMetrics",
     "predict_at",
     "predict_profile",
     "fill_prediction",
     "compare",
 ]
-
-
-@dataclass(frozen=True)
-class ProbeSpec:
-    """Probe segment x = x0 + eps*h*theta for h in h_samples."""
-
-    x0: tuple[float, float]
-    theta: tuple[float, float]
-    h_samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        norm = math.hypot(*self.theta)
-        if not math.isclose(norm, 1.0, abs_tol=1e-9):
-            raise ValueError("theta must be a unit vector")
-        object.__setattr__(self, "h_samples", np.asarray(self.h_samples, dtype=float))
-
-
-@dataclass(frozen=True)
-class PredictionConfig:
-    descriptors: tuple[TangencyDescriptor, ...]
-    scheme: SamplingScheme
-    probe: ProbeSpec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "descriptors", tuple(self.descriptors))
-        for t in self.descriptors:
-            if not t.curvature_gap > 0:
-                raise ValueError("descriptor with nonpositive curvature gap")
-            if t.mu0 == 0.0:
-                raise ValueError("descriptor with zero sweep rate")
 
 
 @dataclass(frozen=True)
@@ -90,16 +58,25 @@ def predict_at(
 
 
 def predict_profile(
-    config: PredictionConfig,
+    descriptors: Sequence[TangencyDescriptor],
+    scheme: SamplingScheme,
+    theta,
+    h,
     psi_config: PsiEvalConfig = DEFAULT_PSI_CONFIG,
 ) -> np.ndarray:
-    """Predicted profile values over the probe's h samples."""
-    theta = np.asarray(config.probe.theta, dtype=float)
+    """Predicted profile values along a probe segment x0 + eps*h*theta
+    with unit direction ``theta``, one per sample of ``h``; the prediction
+    depends on the displacement h*theta only, not on x0."""
+    if not math.isclose(math.hypot(*theta), 1.0, abs_tol=1e-9):
+        raise ValueError("theta must be a unit vector")
+    for t in descriptors:
+        if not t.curvature_gap > 0:
+            raise ValueError("descriptor with nonpositive curvature gap")
+        if t.mu0 == 0.0:
+            raise ValueError("descriptor with zero sweep rate")
+    theta = np.asarray(theta, dtype=float)
     return np.array(
-        [
-            predict_at(config.descriptors, h * theta, config.scheme, psi_config)
-            for h in config.probe.h_samples
-        ]
+        [predict_at(descriptors, hv * theta, scheme, psi_config) for hv in np.asarray(h, dtype=float)]
     )
 
 
@@ -110,9 +87,7 @@ def fill_prediction(
     psi_config: PsiEvalConfig = DEFAULT_PSI_CONFIG,
 ) -> AliasProfile:
     """Attach the predicted side to a reconstructed profile in place."""
-    probe = ProbeSpec(profile.x0, profile.theta, profile.h)
-    config = PredictionConfig(tuple(descriptors), scheme, probe)
-    profile.predicted = predict_profile(config, psi_config)
+    profile.predicted = predict_profile(descriptors, scheme, profile.theta, profile.h, psi_config)
     return profile
 
 

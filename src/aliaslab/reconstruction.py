@@ -32,7 +32,6 @@ from scipy.signal import fftconvolve
 from .geometry import RadonFamily, SamplingScheme, phi_eval
 
 __all__ = [
-    "ReconConfig",
     "FilteredView",
     "pv_filter_uniform",
     "filter_view",
@@ -45,24 +44,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReconConfig:
-    """Reconstruction discretization knobs.
-
-    ``eta``: fine-grid oversampling, step = eps/eta.  ``margin_factor``:
-    the filtering interval extends this many eps beyond the smoothed
-    data support (the log endpoint term needs g = 0 at both ends).
-    """
-
-    eta: int = 16
-    margin_factor: float = 6.0
-
-    def __post_init__(self) -> None:
-        if int(self.eta) != self.eta or self.eta < 2:
-            raise ValueError("eta must be an integer >= 2")
-        object.__setattr__(self, "eta", int(self.eta))
-        if self.margin_factor < 4.0:
-            raise ValueError("margin_factor below 4 leaves no room for the log term")
+# the filtering interval extends this many eps beyond the smoothed data
+# support (the log endpoint term needs g = 0 at both ends)
+_MARGIN_FACTOR = 6.0
 
 
 @dataclass(frozen=True)
@@ -133,18 +117,21 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     return s1 - g * c + step * trap * gp + log_term
 
 
-def filter_view(data, k: int, config: ReconConfig = ReconConfig(), q_range=None) -> FilteredView:
+def filter_view(data, k: int, eta: int = 16, q_range=None) -> FilteredView:
     """Build the FilteredView of view ``k`` from a semi-discrete data
     object (anything with scheme, view_angle, grid_support and
     data_smooth_deriv).
 
-    ``q_range``: optional (lo, hi) of query values the view must cover,
-    e.g. the Phi-range of an image grid; the fine grid is the union of
-    this and the padded data support.
+    ``eta``: fine-grid oversampling, step = eps/eta.  ``q_range``:
+    optional (lo, hi) of query values the view must cover, e.g. the
+    Phi-range of an image grid; the fine grid is the union of this and
+    the padded data support.
     """
+    if int(eta) != eta or eta < 2:
+        raise ValueError("eta must be an integer >= 2")
     eps = data.scheme.epsilon
-    step = eps / config.eta
-    lo, hi = data.grid_support(k, margin=config.margin_factor * eps)
+    step = eps / int(eta)
+    lo, hi = data.grid_support(k, margin=_MARGIN_FACTOR * eps)
     if q_range is not None:
         lo = min(lo, q_range[0] - 2.0 * step)
         hi = max(hi, q_range[1] + 2.0 * step)

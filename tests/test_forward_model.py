@@ -171,15 +171,20 @@ class TestSamplerMetadata:
                 assert sampler.value(alpha, 0.5 * (lo + hi)) > 0.0
 
     def test_kinks_are_tangent_levels(self):
-        line_sampler = SinogramSampler(line_family(), CRT_PHANTOM)
-        assert line_sampler.kinks(0.9) == pytest.approx(
-            (tangent_p(line_family(), CRT_PHANTOM, 0.9, -1), tangent_p(line_family(), CRT_PHANTOM, 0.9, 1))
-        )
-        circle_sampler = SinogramSampler(circle_family(GRT_R), GRT_PHANTOM)
-        fam = circle_family(GRT_R)
-        assert circle_sampler.kinks(1.2) == pytest.approx(
-            (tangent_p(fam, GRT_PHANTOM, 1.2, -1), tangent_p(fam, GRT_PHANTOM, 1.2, 1))
-        )
+        # one formula, Phi(alpha, center) -/+ r, so the levels agree to the bit
+        for family, phantom in ((line_family(), CRT_PHANTOM), (circle_family(GRT_R), GRT_PHANTOM)):
+            sampler = SinogramSampler(family, phantom)
+            for alpha in np.linspace(-math.pi, math.pi, 2001):
+                expected = (tangent_p(family, phantom, alpha, -1), tangent_p(family, phantom, alpha, 1))
+                assert sampler.kinks(alpha) == expected, (family.kind, alpha)
+                assert sampler.support(alpha) == expected, (family.kind, alpha)
+
+    # crossing, touching and enclosing the acquisition circle |x| = 5
+    @pytest.mark.parametrize("center, radius", [((4.5, 0.0), 1.0), ((0.0, 3.0), 2.0), ((0.0, 0.0), 6.0)])
+    def test_circle_phantom_meeting_the_acquisition_circle_rejected(self, center, radius):
+        # a curve vertex inside the phantom has no tangent levels
+        with pytest.raises(ValueError, match="acquisition circle"):
+            SinogramSampler(circle_family(GRT_R), DiskPhantom(center, radius))
 
 
 class _ConstantSampler:

@@ -2,14 +2,19 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from aliaslab.cli import crt_preset, grt_preset, main
+import aliaslab
+from aliaslab.cli import main
 from aliaslab.experiment_config import (
     ConfigError,
     ExperimentConfig,
+    crt_preset,
+    grt_preset,
     load_config_file,
     parse_config_text,
 )
@@ -111,6 +116,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="acquisition.radius"):
             grt_preset().with_overrides(acquisition_radius=None)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # phantom covers the whole acquisition circle
+            dict(acquisition_radius=1.0, phantom_center=(0.0, 0.0), phantom_radius=2.0),
+            # phantom crosses the acquisition circle
+            dict(acquisition_radius=5.0, phantom_center=(4.5, 0.0), phantom_radius=1.0),
+        ],
+    )
+    def test_acquisition_circle_must_clear_the_phantom(self, overrides):
+        with pytest.raises(ConfigError, match="acquisition.radius"):
+            grt_preset().with_overrides(**overrides)
+
     def test_parse_errors_name_the_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("this is not a key value pair")
@@ -193,10 +211,10 @@ class TestArtifacts:
         write_profile_csv(path, tiny_crt_result.profile)
         with open(path, encoding="utf-8") as f:
             assert f.readline().rstrip("\n") == PROFILE_HEADER
-        back = read_profile_csv(path)
-        assert np.array_equal(back.h, tiny_crt_result.profile.h)
-        assert np.array_equal(back.recon_scaled, tiny_crt_result.profile.recon_scaled)
-        assert np.array_equal(back.predicted, tiny_crt_result.profile.predicted)
+        h, recon_scaled, predicted = read_profile_csv(path)
+        assert np.array_equal(h, tiny_crt_result.profile.h)
+        assert np.array_equal(recon_scaled, tiny_crt_result.profile.recon_scaled)
+        assert np.array_equal(predicted, tiny_crt_result.profile.predicted)
 
     def test_profile_csv_needs_prediction(self, tmp_path):
         profile = AliasProfile((0.0, 0.0), (1.0, 0.0), np.zeros(3), np.zeros(3))
@@ -316,6 +334,16 @@ class TestCli:
         rc = main(["verify", "everything", "--out", str(tmp_path)])
         assert rc == 2
         assert "unknown suite" in capsys.readouterr().err
+
+
+class TestLayering:
+    def test_acceptance_does_not_import_the_cli(self):
+        # the registry is library code; the CLI sits on top of it
+        src = os.path.dirname(os.path.dirname(aliaslab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, aliaslab.acceptance; print('aliaslab.cli' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestDeterminism:

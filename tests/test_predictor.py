@@ -7,12 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aliaslab.cli import crt_preset, grt_preset
+from aliaslab.experiment_config import crt_preset, grt_preset
 from aliaslab.geometry import DiskPhantom, SamplingScheme, line_family, tangency_enumerate
 from aliaslab.predictor import (
     ComparisonMetrics,
-    PredictionConfig,
-    ProbeSpec,
     compare,
     fill_prediction,
     predict_at,
@@ -101,9 +99,7 @@ class TestProfileAndMetrics:
     def test_zero_amplitude_descriptors_predict_zero(self):
         descs, scheme = _crt_setup()
         silent = [replace(d, amplitude=0.0) for d in descs]
-        probe = ProbeSpec((5.0, 7.0), (0.6, 0.8), np.arange(-3.0, 3.1, 0.5))
-        config = PredictionConfig(tuple(silent), scheme, probe)
-        assert np.all(predict_profile(config) == 0.0)
+        assert np.all(predict_profile(silent, scheme, (0.6, 0.8), np.arange(-3.0, 3.1, 0.5)) == 0.0)
 
     def test_fill_prediction_attaches_values(self):
         descs, scheme = _grt_setup()
@@ -151,19 +147,18 @@ class TestProfileAndMetrics:
 
 class TestValidation:
     def test_probe_requires_unit_theta(self):
+        descs, scheme = _crt_setup()
         with pytest.raises(ValueError, match="unit"):
-            ProbeSpec((0.0, 0.0), (0.5, 0.5), np.array([0.0]))
+            predict_profile(descs, scheme, (0.5, 0.5), np.array([0.0]))
 
     def test_config_rejects_nonpositive_curvature_gap(self):
         descs, scheme = _crt_setup()
         bad = [replace(d, curvature_gap=-0.1) for d in descs]
-        probe = ProbeSpec((5.0, 7.0), (0.6, 0.8), np.array([0.0]))
         with pytest.raises(ValueError, match="curvature"):
-            PredictionConfig(tuple(bad), scheme, probe)
+            predict_profile(bad, scheme, (0.6, 0.8), np.array([0.0]))
 
     def test_config_rejects_zero_mu0(self):
         descs, scheme = _crt_setup()
         bad = (replace(descs[0], mu0=0.0),) + tuple(descs[1:])
-        probe = ProbeSpec((5.0, 7.0), (0.6, 0.8), np.array([0.0]))
         with pytest.raises(ValueError, match="sweep rate"):
-            PredictionConfig(bad, scheme, probe)
+            predict_profile(bad, scheme, (0.6, 0.8), np.array([0.0]))

@@ -16,7 +16,6 @@ from aliaslab.geometry import (
 from aliaslab.reconstruction import (
     FilteredView,
     ImageGrid,
-    ReconConfig,
     ReconstructionRun,
     backproject,
     filter_view,
@@ -152,10 +151,9 @@ class TestValidation:
             FilteredView(0, 0.0, 0.0, 0.1, bad)
 
     def test_recon_config_bounds(self):
+        data = SemiDiscreteData(SamplingScheme.half_circle(0.05, 4), _ZeroSampler())
         with pytest.raises(ValueError, match="eta"):
-            ReconConfig(eta=1)
-        with pytest.raises(ValueError, match="margin"):
-            ReconConfig(margin_factor=3.0)
+            filter_view(data, 0, eta=1)
 
     def test_image_grid_validation(self):
         with pytest.raises(ValueError, match="shape"):
@@ -202,8 +200,7 @@ class _SumSampler:
 def _build_run(sampler, scheme, q_range, eta=8):
     family = line_family()
     data = SemiDiscreteData(scheme, sampler, quad_order=16)
-    config = ReconConfig(eta=eta)
-    views = tuple(filter_view(data, k, config, q_range) for k in scheme.window_view_indices())
+    views = tuple(filter_view(data, k, eta, q_range) for k in scheme.window_view_indices())
     return ReconstructionRun(family, scheme, views)
 
 
