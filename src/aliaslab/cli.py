@@ -37,19 +37,12 @@ def _resolve_out(cli_out, config: ExperimentConfig | None) -> str:
     return os.environ.get(ENV_OUT) or _FALLBACK_OUT
 
 
-def _load_demo_config(args, preset, expected_family: str) -> ExperimentConfig:
-    config = load_config_file(args.config) if args.config else preset()
-    if config.family != expected_family:
-        raise ConfigError(
-            f"family: this subcommand needs family = {expected_family}, got {config.family}"
-        )
+def _cmd_demo(args) -> int:
+    config = load_config_file(args.config) if args.config else args.preset()
+    if config.family != args.family:
+        raise ConfigError(f"family: this subcommand needs family = {args.family}, got {config.family}")
     if args.eta is not None:
         config = config.with_overrides(eta=args.eta)
-    return config
-
-
-def _cmd_demo(args, preset, expected_family: str) -> int:
-    config = _load_demo_config(args, preset, expected_family)
     result = run_experiment(config, threads=args.threads)
     out_dir = _resolve_out(args.out, config)
     written = write_artifacts(result, out_dir)
@@ -61,14 +54,6 @@ def _cmd_demo(args, preset, expected_family: str) -> int:
     for name in config.artifacts:
         print(f"wrote {written[name]}")
     return 0
-
-
-def _cmd_crt_demo(args) -> int:
-    return _cmd_demo(args, crt_preset, "line")
-
-
-def _cmd_grt_demo(args) -> int:
-    return _cmd_demo(args, grt_preset, "circle")
 
 
 def _cmd_psi_table(args) -> int:
@@ -115,16 +100,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_psi.add_argument("--out", help="output directory")
     p_psi.set_defaults(func=_cmd_psi_table)
 
-    for name, handler, blurb in (
-        ("crt-demo", _cmd_crt_demo, "full-angle line-family experiment"),
-        ("grt-demo", _cmd_grt_demo, "limited-angle circle-family experiment"),
+    for name, preset, family, blurb in (
+        ("crt-demo", crt_preset, "line", "full-angle line-family experiment"),
+        ("grt-demo", grt_preset, "circle", "limited-angle circle-family experiment"),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="experiment config file (default: built-in preset)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--threads", type=int, default=1, help="worker threads")
         p.add_argument("--eta", type=int, help="override filtering oversampling factor")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_demo, preset=preset, family=family)
 
     p_ver = sub.add_parser("verify", help="run acceptance criteria")
     p_ver.add_argument("suite", nargs="?", default="all", help="criterion slug or suite name (default all)")

@@ -2,6 +2,8 @@
 sections, a normalized dataclass form, and builders for the domain
 objects.
 
+The dataclass fields are the schema: each carries its text key and the
+kind of its value, and the text form reads and writes through them.
 Run reports echo the resolved configuration as ``config.<key>`` lines;
 the loader recognizes those, so a report file can be fed back as a
 config and reproduces the run.
@@ -10,7 +12,7 @@ config and reproduces the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,50 +37,53 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the field."""
 
 
-@dataclass(frozen=True)
+def _key(key: str, kind: str, default=MISSING):
+    """A config field with its text key and value kind (see ``_PARSE``)."""
+    return field(default=default, metadata={"key": key, "kind": kind})
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    family: str
-    phantom_center: tuple[float, float]
-    phantom_radius: float
-    epsilon: float
-    n_views: int
-    probe_x0: tuple[float, float]
-    h_max: float
-    phantom_jump: float = 1.0
-    acquisition_radius: float | None = None
-    shift: float = 0.0
-    alpha_origin: float | None = None
-    window: tuple[float, float] | None = None
-    theta_mode: str = "radial"
-    probe_theta: tuple[float, float] | None = None
-    h_step: float = 0.25
-    eta: int = 16
-    quad_order: int = 32
-    out_dir: str | None = None
-    artifacts: tuple[str, ...] = ("profile", "report")
-    image_half_extent: float | None = None
-    image_pixel_size: float | None = None
+    # in the order of the text form
+    family: str = _key("family", "str")
+    phantom_center: tuple[float, float] = _key("phantom.center", "pair")
+    phantom_radius: float = _key("phantom.radius", "num")
+    phantom_jump: float = _key("phantom.jump", "num", default=1.0)
+    acquisition_radius: float | None = _key("acquisition.radius", "num", default=None)
+    epsilon: float = _key("scheme.epsilon", "num")
+    n_views: int = _key("scheme.n_views", "int")
+    shift: float = _key("scheme.shift", "num", default=0.0)
+    alpha_origin: float | None = _key("scheme.alpha_origin", "num", default=None)
+    window: tuple[float, float] | None = _key("scheme.window", "window", default=None)
+    probe_x0: tuple[float, float] = _key("probe.x0", "pair")
+    theta_mode: str = _key("probe.theta_mode", "str", default="radial")
+    probe_theta: tuple[float, float] | None = _key("probe.theta", "pair", default=None)
+    h_max: float = _key("probe.h_max", "num")
+    h_step: float = _key("probe.h_step", "num", default=0.25)
+    eta: int = _key("recon.eta", "int", default=16)
+    quad_order: int = _key("recon.quad_order", "int", default=32)
+    artifacts: tuple[str, ...] = _key("outputs.artifacts", "list", default=("profile", "report"))
+    image_half_extent: float | None = _key("image.half_extent", "num", default=None)
+    image_pixel_size: float | None = _key("image.pixel_size", "num", default=None)
+    out_dir: str | None = _key("outputs.directory", "str", default=None)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            key, kind, value = f.metadata["key"], f.metadata["kind"], getattr(self, f.name)
+            if value is None or kind in ("list", "str"):
+                continue
+            if kind in ("pair", "window"):
+                value = _pair(value, key)
+                object.__setattr__(self, f.name, value)
+            if not all(math.isfinite(x) for x in np.ravel(value)):
+                raise ConfigError(f"{key}: must be finite, got {value!r}")
         if self.family not in ("line", "circle"):
             raise ConfigError(f"family: unknown value {self.family!r}")
-        defaults = _FAMILY_DEFAULTS[self.family]
-        for name, key in (
-            ("alpha_origin", "alpha_origin"),
-            ("image_half_extent", "image_half_extent"),
-            ("image_pixel_size", "image_pixel_size"),
-        ):
+        for name, default in _FAMILY_DEFAULTS[self.family].items():
             if getattr(self, name) is None:
-                object.__setattr__(self, name, defaults[key])
-        object.__setattr__(self, "phantom_center", _pair(self.phantom_center, "phantom.center"))
-        object.__setattr__(self, "probe_x0", _pair(self.probe_x0, "probe.x0"))
-        if self.probe_theta is not None:
-            object.__setattr__(self, "probe_theta", _pair(self.probe_theta, "probe.theta"))
-        if self.window is not None:
-            lo, hi = float(self.window[0]), float(self.window[1])
-            if not hi > lo:
-                raise ConfigError("scheme.window: empty angular window")
-            object.__setattr__(self, "window", (lo, hi))
+                object.__setattr__(self, name, default)
+        if self.window is not None and not self.window[1] > self.window[0]:
+            raise ConfigError("scheme.window: empty angular window")
 
         if not self.phantom_radius > 0:
             raise ConfigError("phantom.radius: must be positive")
@@ -153,46 +158,11 @@ class ExperimentConfig:
 
     # -- text form ------------------------------------------------------
     def to_mapping(self) -> dict[str, str]:
-        def num(x: float) -> str:
-            return repr(float(x))
-
-        def pair(p: tuple[float, float]) -> str:
-            return f"{num(p[0])},{num(p[1])}"
-
-        out = {
-            "family": self.family,
-            "phantom.center": pair(self.phantom_center),
-            "phantom.radius": num(self.phantom_radius),
-            "phantom.jump": num(self.phantom_jump),
-        }
-        if self.family == "circle":
-            out["acquisition.radius"] = num(self.acquisition_radius)
-        out.update(
-            {
-                "scheme.epsilon": num(self.epsilon),
-                "scheme.n_views": str(self.n_views),
-                "scheme.shift": num(self.shift),
-                "scheme.alpha_origin": num(self.alpha_origin),
-                "scheme.window": pair(self.window) if self.window is not None else "full",
-                "probe.x0": pair(self.probe_x0),
-                "probe.theta_mode": self.theta_mode,
-            }
-        )
-        if self.probe_theta is not None:
-            out["probe.theta"] = pair(self.probe_theta)
-        out.update(
-            {
-                "probe.h_max": num(self.h_max),
-                "probe.h_step": num(self.h_step),
-                "recon.eta": str(self.eta),
-                "recon.quad_order": str(self.quad_order),
-                "outputs.artifacts": ",".join(self.artifacts),
-                "image.half_extent": num(self.image_half_extent),
-                "image.pixel_size": num(self.image_pixel_size),
-            }
-        )
-        if self.out_dir is not None:
-            out["outputs.directory"] = self.out_dir
+        out = {}
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.metadata["kind"]
+            if value is not None or kind == "window":
+                out[f.metadata["key"]] = _FORMAT[kind](value)
         return out
 
     def to_text(self) -> str:
@@ -200,85 +170,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ExperimentConfig":
+        """Config from text values; a key left out takes the field default."""
         data = dict(mapping)
-
-        def take(key: str, default=None):
-            return data.pop(key, default)
-
-        def fnum(key: str, default=None):
-            raw = take(key)
-            if raw is None:
-                return default
-            try:
-                return float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: not a number: {raw!r}") from exc
-
-        def fpair(key: str, default=None):
-            raw = take(key)
-            if raw is None:
-                return default
-            parts = raw.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"{key}: expected two comma-separated numbers")
-            try:
-                return (float(parts[0]), float(parts[1]))
-            except ValueError as exc:
-                raise ConfigError(f"{key}: not numeric: {raw!r}") from exc
-
-        family = take("family")
-        if family is None:
-            raise ConfigError("family: missing")
-        window_raw = take("scheme.window", "full")
-        if window_raw == "full":
-            window = None
-        else:
-            parts = window_raw.split(",")
-            if len(parts) != 2:
-                raise ConfigError("scheme.window: expected 'full' or 'lo,hi'")
-            window = (float(parts[0]), float(parts[1]))
-        artifacts_raw = take("outputs.artifacts", "profile,report")
-        artifacts = tuple(a.strip() for a in artifacts_raw.split(",") if a.strip())
-
-        kwargs = dict(
-            family=family,
-            phantom_center=fpair("phantom.center"),
-            phantom_radius=fnum("phantom.radius"),
-            phantom_jump=fnum("phantom.jump", 1.0),
-            acquisition_radius=fnum("acquisition.radius"),
-            epsilon=fnum("scheme.epsilon"),
-            n_views=int(fnum("scheme.n_views", 0)),
-            shift=fnum("scheme.shift", 0.0),
-            alpha_origin=fnum("scheme.alpha_origin"),
-            window=window,
-            probe_x0=fpair("probe.x0"),
-            theta_mode=take("probe.theta_mode", "radial"),
-            probe_theta=fpair("probe.theta"),
-            h_max=fnum("probe.h_max"),
-            h_step=fnum("probe.h_step", 0.25),
-            eta=int(fnum("recon.eta", 16)),
-            quad_order=int(fnum("recon.quad_order", 32)),
-            out_dir=take("outputs.directory"),
-            artifacts=artifacts,
-        )
-        half = fnum("image.half_extent")
-        px = fnum("image.pixel_size")
-        if half is not None:
-            kwargs["image_half_extent"] = half
-        if px is not None:
-            kwargs["image_pixel_size"] = px
+        kwargs = {}
+        for f in fields(cls):
+            key = f.metadata["key"]
+            if key in data:
+                kwargs[f.name] = _PARSE[f.metadata["kind"]](key, data.pop(key))
+            elif f.default is MISSING:
+                raise ConfigError(f"{key}: missing")
         if data:
             raise ConfigError(f"unknown config key(s): {sorted(data)}")
-        for key in ("phantom.center", "phantom.radius", "scheme.epsilon", "probe.x0", "probe.h_max"):
-            attr = {
-                "phantom.center": "phantom_center",
-                "phantom.radius": "phantom_radius",
-                "scheme.epsilon": "epsilon",
-                "probe.x0": "probe_x0",
-                "probe.h_max": "h_max",
-            }[key]
-            if kwargs[attr] is None:
-                raise ConfigError(f"{key}: missing")
         return cls(**kwargs)
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
@@ -360,3 +262,46 @@ def _pair(value, key: str) -> tuple[float, float]:
         return (float(a), float(b))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: expected a pair of numbers") from exc
+
+
+def _parse_num(key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+
+
+def _parse_pair(key: str, raw: str) -> tuple[float, float]:
+    parts = raw.split(",")
+    if len(parts) != 2:
+        raise ConfigError(f"{key}: expected two comma-separated numbers")
+    return (_parse_num(key, parts[0]), _parse_num(key, parts[1]))
+
+
+def _format_num(x: float) -> str:
+    return repr(float(x))
+
+
+def _format_pair(p: tuple[float, float]) -> str:
+    return f"{_format_num(p[0])},{_format_num(p[1])}"
+
+
+# per value kind: text -> value (raising a ConfigError that names the key)
+# and value -> text.  An int is parsed as a float, so that __post_init__
+# rejects a fraction instead of truncating it.
+_PARSE = {
+    "num": _parse_num,
+    "int": _parse_num,
+    "pair": _parse_pair,
+    "window": lambda key, raw: None if raw == "full" else _parse_pair(key, raw),
+    "list": lambda key, raw: tuple(a.strip() for a in raw.split(",") if a.strip()),
+    "str": lambda key, raw: raw,
+}
+_FORMAT = {
+    "num": _format_num,
+    "int": str,
+    "pair": _format_pair,
+    "window": lambda w: "full" if w is None else _format_pair(w),
+    "list": ",".join,
+    "str": str,
+}

@@ -492,11 +492,10 @@ def tangency_enumerate(
     phantom: DiskPhantom,
     x0,
     scheme: SamplingScheme,
-    window: tuple[float, float] | None = None,
 ) -> list[TangencyDescriptor]:
     """All tangencies of curves through ``x0`` with the phantom boundary
-    whose view angle falls in the angular window (defaulting to the
-    scheme's own window; None means no restriction).
+    whose view angle falls in the scheme's angular window (None means no
+    restriction).
 
     Returns an empty list when the probe point sits strictly inside the
     phantom (no curve through it is tangent to the boundary) and raises
@@ -506,15 +505,6 @@ def tangency_enumerate(
     probe = np.asarray(x0, dtype=float)
     if probe.shape != (2,):
         raise ValueError("x0 must be a 2-vector")
-    if window is not None:
-        scheme = SamplingScheme(
-            scheme.epsilon,
-            scheme.n_views,
-            scheme.grid_span,
-            scheme.alpha_origin,
-            scheme.shift,
-            window,
-        )
     if family.kind == "line":
         found = _line_descriptors(phantom, probe, scheme)
     else:

@@ -34,7 +34,6 @@ from .reconstruction import (
     filter_view,
     scaled_difference_profile,
 )
-from .special_functions import DEFAULT_PSI_CONFIG, PsiEvalConfig
 
 __all__ = [
     "ExperimentResult",
@@ -113,11 +112,7 @@ def _raster(run: ReconstructionRun, center, half_extent: float, pixel_size: floa
     return ImageGrid.from_values(center, half_extent, pixel_size, flat)
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    threads: int = 1,
-    psi_config: PsiEvalConfig = DEFAULT_PSI_CONFIG,
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     t_start = time.perf_counter()
     timings: dict = {}
 
@@ -151,7 +146,7 @@ def run_experiment(
     timings["profile_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fill_prediction(profile, descriptors, scheme, psi_config)
+    fill_prediction(profile, descriptors, scheme)
     metrics = compare(profile)
     timings["prediction_s"] = time.perf_counter() - t0
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import SamplingScheme, TangencyDescriptor
 from .reconstruction import AliasProfile
-from .special_functions import DEFAULT_PSI_CONFIG, PsiEvalConfig, big_psi
+from .special_functions import big_psi
 
 __all__ = [
     "ComparisonMetrics",
@@ -41,19 +41,14 @@ class ComparisonMetrics:
     degenerate: bool
 
 
-def predict_at(
-    descriptors: Sequence[TangencyDescriptor],
-    x_check,
-    scheme: SamplingScheme,
-    psi_config: PsiEvalConfig = DEFAULT_PSI_CONFIG,
-) -> float:
+def predict_at(descriptors: Sequence[TangencyDescriptor], x_check, scheme: SamplingScheme) -> float:
     """Sum of c_j * Psi(u0_j . xcheck; kappa*mu0_j, k_star_j)."""
     x_check = np.asarray(x_check, dtype=float)
     kappa = scheme.kappa
     total = 0.0
     for t in descriptors:
         h = float(np.asarray(t.u0) @ x_check)
-        total += t.amplitude * big_psi(h, kappa * t.mu0, t.k_star, config=psi_config)
+        total += t.amplitude * big_psi(h, kappa * t.mu0, t.k_star)
     return total
 
 
@@ -62,7 +57,6 @@ def predict_profile(
     scheme: SamplingScheme,
     theta,
     h,
-    psi_config: PsiEvalConfig = DEFAULT_PSI_CONFIG,
 ) -> np.ndarray:
     """Predicted profile values along a probe segment x0 + eps*h*theta
     with unit direction ``theta``, one per sample of ``h``; the prediction
@@ -75,19 +69,14 @@ def predict_profile(
         if t.mu0 == 0.0:
             raise ValueError("descriptor with zero sweep rate")
     theta = np.asarray(theta, dtype=float)
-    return np.array(
-        [predict_at(descriptors, hv * theta, scheme, psi_config) for hv in np.asarray(h, dtype=float)]
-    )
+    return np.array([predict_at(descriptors, hv * theta, scheme) for hv in np.asarray(h, dtype=float)])
 
 
 def fill_prediction(
-    profile: AliasProfile,
-    descriptors: Sequence[TangencyDescriptor],
-    scheme: SamplingScheme,
-    psi_config: PsiEvalConfig = DEFAULT_PSI_CONFIG,
+    profile: AliasProfile, descriptors: Sequence[TangencyDescriptor], scheme: SamplingScheme
 ) -> AliasProfile:
     """Attach the predicted side to a reconstructed profile in place."""
-    profile.predicted = predict_profile(descriptors, scheme, profile.theta, profile.h, psi_config)
+    profile.predicted = predict_profile(descriptors, scheme, profile.theta, profile.h)
     return profile
 
 

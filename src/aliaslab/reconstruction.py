@@ -110,8 +110,6 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     q = start + step * i
     log_term = np.zeros(n)
     inner = g != 0.0
-    if inner[0] or inner[-1]:  # unreachable given the endpoint check above
-        raise ValueError("nonzero data at the filter grid boundary")
     log_term[inner] = g[inner] * np.log((q[-1] - q[inner]) / (q[inner] - q[0]))
 
     return s1 - g * c + step * trap * gp + log_term

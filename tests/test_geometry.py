@@ -234,13 +234,8 @@ class TestLineTangencies:
 
     def test_window_filters_views(self):
         # window around alpha=0 keeps only the first tangency (alpha_phys = 0)
-        descs = tangency_enumerate(
-            line_family(),
-            DiskPhantom((0.0, 0.0), 5.0),
-            (5.0, 7.0),
-            crt_scheme(),
-            window=(-0.3, 0.3),
-        )
+        scheme = SamplingScheme.half_circle(0.02, 200, shift=0.03, window=(-0.3, 0.3))
+        descs = tangency_enumerate(line_family(), DiskPhantom((0.0, 0.0), 5.0), (5.0, 7.0), scheme)
         assert len(descs) == 1
         assert descs[0].mu0 == pytest.approx(-7.0, abs=1e-12)
 

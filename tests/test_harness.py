@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -43,6 +45,34 @@ TINY_CRT = crt_preset().with_overrides(
     image_half_extent=1.2,
     image_pixel_size=0.1,
 )
+
+# text key -> field of every number and number-pair config key
+NUMBER_FIELDS = {
+    "phantom.center": "phantom_center",
+    "phantom.radius": "phantom_radius",
+    "phantom.jump": "phantom_jump",
+    "acquisition.radius": "acquisition_radius",
+    "scheme.epsilon": "epsilon",
+    "scheme.n_views": "n_views",
+    "scheme.shift": "shift",
+    "scheme.alpha_origin": "alpha_origin",
+    "scheme.window": "window",
+    "probe.x0": "probe_x0",
+    "probe.theta": "probe_theta",
+    "probe.h_max": "h_max",
+    "probe.h_step": "h_step",
+    "recon.eta": "eta",
+    "recon.quad_order": "quad_order",
+    "image.half_extent": "image_half_extent",
+    "image.pixel_size": "image_pixel_size",
+}
+PAIR_KEYS = ("phantom.center", "scheme.window", "probe.x0", "probe.theta")
+
+
+def with_line(text: str, key: str, value: str) -> str:
+    """Config text with the ``key = ...`` line set to ``value``."""
+    return re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+
 
 TINY_GRT = grt_preset().with_overrides(
     epsilon=0.08,
@@ -140,6 +170,56 @@ class TestConfigValidation:
             parse_config_text("family = line\n")
         with pytest.raises(ConfigError, match="empty"):
             parse_config_text("# nothing here\n")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("scheme.n_views", "200.7"),
+            ("recon.eta", "16.9"),
+            ("recon.quad_order", "32.5"),
+            ("scheme.n_views", "inf"),
+            ("scheme.n_views", "nan"),
+            ("scheme.window", "a,b"),
+            ("probe.x0", "nan,7"),
+            ("phantom.jump", "nan"),
+            ("phantom.radius", "inf"),
+        ],
+    )
+    def test_text_numbers_fail_by_key(self, key, value):
+        text = with_line(crt_preset().to_text(), key, value)
+        assert f"{key} = {value}\n" in text
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config_text(text)
+
+    def test_missing_required_key_is_named(self):
+        lines = crt_preset().to_text().splitlines()
+        text = "\n".join(line for line in lines if not line.startswith("scheme.n_views"))
+        with pytest.raises(ConfigError, match=r"scheme\.n_views: missing"):
+            parse_config_text(text)
+
+    def test_keys_left_out_take_the_field_defaults(self):
+        text = (
+            "family = line\nphantom.center = 0,0\nphantom.radius = 5\nscheme.epsilon = 0.02\n"
+            "scheme.n_views = 200\nprobe.x0 = 5,7\nprobe.h_max = 11\n"
+        )
+        expected = ExperimentConfig(
+            family="line", phantom_center=(0.0, 0.0), phantom_radius=5.0, epsilon=0.02,
+            n_views=200, probe_x0=(5.0, 7.0), h_max=11.0,
+        )
+        assert parse_config_text(text) == expected
+
+    def test_number_table_covers_every_number_key(self):
+        keys = {f.metadata["key"] for f in fields(ExperimentConfig) if f.metadata["kind"] not in ("str", "list")}
+        assert keys == set(NUMBER_FIELDS)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", sorted(NUMBER_FIELDS))
+    def test_non_finite_number_names_the_key(self, key, bad):
+        preset = grt_preset() if key in ("acquisition.radius", "scheme.window") else crt_preset()
+        value = (0.6, bad) if key in PAIR_KEYS else bad
+        extra = {"theta_mode": "explicit"} if key == "probe.theta" else {}
+        with pytest.raises(ConfigError, match=re.escape(key) + ": must be finite"):
+            preset.with_overrides(**{NUMBER_FIELDS[key]: value}, **extra)
 
     def test_artifact_order_is_canonical(self):
         config = crt_preset().with_overrides(artifacts=("report", "profile"))
@@ -312,6 +392,13 @@ class TestCli:
         rc = main(["grt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "window" in capsys.readouterr().err
+
+    def test_non_finite_config_number_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "inf.cfg"
+        cfg_path.write_text(with_line(TINY_CRT.to_text(), "phantom.center", "inf,0.0"), encoding="utf-8")
+        rc = main(["crt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "phantom.center" in capsys.readouterr().err
 
     def test_out_dir_precedence(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"
