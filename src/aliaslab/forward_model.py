@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -113,10 +112,9 @@ class SinogramSampler:
         return self.kinks(alpha)
 
 
-@lru_cache(maxsize=8)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+def _at_kink(x: np.ndarray, kinks: np.ndarray) -> np.ndarray:
+    """Mask of the points of ``x`` within _KINK_TOL * max(1, |x|) of a kink."""
+    return np.any(np.abs(kinks - x[:, None]) <= _KINK_TOL * np.maximum(1.0, np.abs(x))[:, None], axis=1)
 
 
 @dataclass(frozen=True)
@@ -137,102 +135,78 @@ class SemiDiscreteData:
     def __post_init__(self) -> None:
         if self.quad_order < 8:
             raise ValueError("quadrature order below 8 is not supported")
+        # clean-window rule: f_eps(p) = sum val_w * fhat(p + eps*u) after the
+        # substitution s = p + eps*u over the kernel support u in [-half, half]
+        nodes, weights = np.polynomial.legendre.leggauss(self.quad_order)
+        half = float(self.mollifier.half_width)
+        u = half * nodes
+        self.__dict__.update(  # frozen: fixed once for the life of the data
+            _half=half, _u=u, _nodes_1=nodes + 1.0, _weights_2=weights * 2.0,
+            _val_w=half * weights * w_eval(-u, self.mollifier),
+            _der_w=half * weights * w_prime_eval(-u, self.mollifier) / self.scheme.epsilon,
+        )
 
     def view_angle(self, k: int) -> float:
         return self.scheme.alpha_origin + self.scheme.delta_alpha * (k + self.scheme.shift)
 
-    # clean-window rule: f_eps(p) = sum val_w * fhat(p + eps*u) after the
-    # substitution s = p + eps*u over the kernel support u in [-half, half]
-    def _window_rules(self):
-        nodes, weights = _gauss_rule(self.quad_order)
-        half = float(self.mollifier.half_width)
-        u = half * nodes
-        val_w = half * weights * w_eval(-u, self.mollifier)
-        der_w = half * weights * w_prime_eval(-u, self.mollifier) / self.scheme.epsilon
-        return u, val_w, der_w
-
     def _eval(self, k: int, p, derivative: bool):
         eps = self.scheme.epsilon
-        half = float(self.mollifier.half_width)
         alpha = self.view_angle(k)
         pv = np.atleast_1d(np.asarray(p, dtype=float))
         out = np.zeros(pv.shape)
 
-        kinks = np.array(self.sampler.kinks(alpha))
-        lo, hi = pv - eps * half, pv + eps * half
-        has_kink = np.zeros(pv.shape, dtype=bool)
-        for t in kinks:
-            has_kink |= (lo < t) & (t < hi)
+        kinks = np.sort(self.sampler.kinks(alpha))
+        lo, hi = pv - eps * self._half, pv + eps * self._half
+        has_kink = np.any((lo[:, None] < kinks) & (kinks < hi[:, None]), axis=1)
 
         # windows that miss the support entirely integrate zero; skip the
         # sampler there (kinks all lie inside the support, so no overlap)
         slo, shi = self.sampler.support(alpha)
         dead = (hi <= slo) | (lo >= shi)
 
-        u, val_w, der_w = self._window_rules()
         clean = ~has_kink & ~dead
         if np.any(clean):
-            weights = der_w if derivative else val_w
-            samples = self.sampler.value(alpha, pv[clean] + eps * u[:, None])
+            weights = self._der_w if derivative else self._val_w
+            samples = self.sampler.value(alpha, pv[clean] + eps * self._u[:, None])
             # fixed node order, not BLAS: samples @ weights sums in a batch-dependent order
             acc = samples[0] * weights[0]
             for row, weight in zip(samples[1:], weights[1:]):
                 acc += row * weight
             out[clean] = acc
-        for i in np.nonzero(has_kink)[0]:
-            out[i] = self._kinked_window(alpha, float(pv[i]), kinks, derivative)
+        if np.any(has_kink):
+            out[has_kink] = self._kinked(alpha, pv[has_kink], kinks, derivative)
         if np.asarray(p).ndim == 0:
             return float(out[0])
         return out
 
-    def _kernel(self, p: float, s: np.ndarray, derivative: bool) -> np.ndarray:
+    def _kinked(self, alpha: float, p: np.ndarray, kinks: np.ndarray, derivative: bool) -> np.ndarray:
+        """Windows with a kink inside, cut at the sorted kinks into the gaps
+        between consecutive kinks, clipped to the window and added in ascending
+        order; a piece with a kink at both ends is halved.  Each piece [a, b] is
+        integrated after s = a + u**2 from a kink end a, else s = b - u**2."""
         eps = self.scheme.epsilon
-        t = (p - s) / eps
-        if derivative:
-            return w_prime_eval(t, self.mollifier) / eps**2
-        return w_eval(t, self.mollifier) / eps
-
-    def _kinked_window(self, alpha: float, p: float, kinks: np.ndarray, derivative: bool) -> float:
-        eps = self.scheme.epsilon
-        half = float(self.mollifier.half_width)
-        lo, hi = p - eps * half, p + eps * half
-        cuts = [lo] + sorted(t for t in kinks if lo < t < hi) + [hi]
-        scale = eps * half
-        nodes, weights = _gauss_rule(self.quad_order)
-
-        def is_kink(x: float) -> bool:
-            return bool(np.any(np.abs(kinks - x) <= _KINK_TOL * max(1.0, abs(x))))
-
-        total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b - a <= _KINK_TOL * scale:
-                continue
-            pieces = [(a, b)]
-            if is_kink(a) and is_kink(b):
-                mid = 0.5 * (a + b)
-                pieces = [(a, mid), (mid, b)]
-            for pa, pb in pieces:
-                if is_kink(pa):
-                    # s = pa + u^2 turns the sqrt kink at pa analytic
-                    umax = math.sqrt(pb - pa)
-                    u = 0.5 * umax * (nodes + 1.0)
-                    s = pa + u * u
-                    total += 0.5 * umax * np.sum(
-                        weights * 2.0 * u * self._kernel(p, s, derivative) * self.sampler.value(alpha, s)
-                    )
-                elif is_kink(pb):
-                    umax = math.sqrt(pb - pa)
-                    u = 0.5 * umax * (nodes + 1.0)
-                    s = pb - u * u
-                    total += 0.5 * umax * np.sum(
-                        weights * 2.0 * u * self._kernel(p, s, derivative) * self.sampler.value(alpha, s)
-                    )
-                else:
-                    s = 0.5 * (pa + pb) + 0.5 * (pb - pa) * nodes
-                    total += 0.5 * (pb - pa) * np.sum(
-                        weights * self._kernel(p, s, derivative) * self.sampler.value(alpha, s)
-                    )
-        return float(total)
+        w, norm = (w_prime_eval, eps**2) if derivative else (w_eval, eps)
+        lo, hi = p - eps * self._half, p + eps * self._half
+        total = np.zeros(p.shape)
+        edges = np.concatenate(([-np.inf], kinks, [np.inf]))
+        for left, right in zip(edges[:-1], edges[1:]):
+            a, b = np.maximum(lo, left), np.minimum(hi, right)
+            live = b - a > _KINK_TOL * (eps * self._half)
+            from_a = _at_kink(a, kinks)
+            split = live & from_a & _at_kink(b, kinks)
+            mid = 0.5 * (a + b)
+            halves = ((live, a, np.where(split, mid, b), from_a), (split, mid, b, _at_kink(mid, kinks)))
+            for rows, pa, pb, from_pa in halves:
+                if not np.any(rows):
+                    continue
+                pr, pa, pb = p[rows, None], pa[rows, None], pb[rows, None]
+                umax = np.sqrt(pb - pa)
+                u = 0.5 * umax * self._nodes_1
+                s = np.where(from_pa[rows, None], pa + u * u, pb - u * u)
+                kernel = w((pr - s) / eps, self.mollifier) / norm
+                terms = self._weights_2 * u * kernel * self.sampler.value(alpha, s)
+                total[rows] += 0.5 * umax[:, 0] * np.sum(terms, axis=1)
+        return total
 
     def data_smooth(self, k: int, p):
         """f_eps(alpha_k, p): mollified sinogram value(s).  Each value

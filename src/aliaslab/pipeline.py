@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiment_config import ExperimentConfig
+from .experiment_config import ConfigError, ExperimentConfig
 from .forward_model import SemiDiscreteData, SinogramSampler
 from .geometry import (
     DiskPhantom,
@@ -73,7 +73,7 @@ def resolve_theta(config: ExperimentConfig, descriptors) -> np.ndarray:
         x0 = np.asarray(config.probe_x0, dtype=float)
         norm = float(np.hypot(x0[0], x0[1]))
         if norm == 0.0:
-            raise ValueError("radial probe direction undefined at the origin")
+            raise ConfigError("probe.x0: radial probe direction undefined at the origin")
         return x0 / norm
     # minus-u0: against the first (lowest alpha_star) descriptor's normal
     if not descriptors:
@@ -123,7 +123,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
     descriptors = tangency_enumerate(family, phantom, x0, scheme)
     if not descriptors:
-        raise ValueError("probe point sees no tangency inside the angular window")
+        raise ConfigError("probe.x0: probe point sees no tangency inside the angular window (scheme.window)")
     theta = resolve_theta(config, descriptors)
 
     want_global = "global-image" in config.artifacts

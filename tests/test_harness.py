@@ -258,6 +258,18 @@ class TestPipelineWiring:
         with pytest.raises(ValueError, match="tangency"):
             run_experiment(config)
 
+    def test_probe_inside_phantom_is_config_error(self):
+        # no line through a point inside the disk is tangent to its boundary
+        with pytest.raises(ConfigError, match="probe.x0"):
+            run_experiment(crt_preset().with_overrides(probe_x0=(1.0, 1.0)))
+
+    def test_radial_probe_at_origin_is_config_error(self):
+        config = crt_preset().with_overrides(
+            phantom_center=(3.0, 3.0), phantom_radius=1.0, probe_x0=(0.0, 0.0)
+        )
+        with pytest.raises(ConfigError, match="probe.x0"):
+            run_experiment(config)
+
     def test_report_echo_reproduces_run_config(self, tiny_crt_result):
         assert parse_config_text(report_text(tiny_crt_result)) == TINY_CRT
 
@@ -400,6 +412,13 @@ class TestCli:
         assert rc == 2
         assert "phantom.center" in capsys.readouterr().err
 
+    def test_probe_without_tangency_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "inside.cfg"
+        cfg_path.write_text(with_line(TINY_CRT.to_text(), "probe.x0", "1.0,1.0"), encoding="utf-8")
+        rc = main(["crt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "probe.x0" in capsys.readouterr().err
+
     def test_out_dir_precedence(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"
         cli_dir = tmp_path / "cli"
@@ -431,6 +450,22 @@ class TestLayering:
         code = "import sys, aliaslab.acceptance; print('aliaslab.cli' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestScripts:
+    def test_sweep_refinement_smoke(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(aliaslab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        script = os.path.join(os.path.dirname(src), "scripts", "sweep_refinement.py")
+        args = ["--levels", "2", "--base-epsilon", "0.2", "--base-views", "20", "--threads", "1"]
+        out = subprocess.run(
+            [sys.executable, script, *args, "--out", str(tmp_path)], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert len([line for line in out.stdout.splitlines() if "contraction" in line]) == 1
+        rows = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "level,epsilon,n_views,sup_mismatch,peak_to_peak,relative_mismatch,seconds"
+        assert len(rows) == 3
 
 
 class TestDeterminism:
