@@ -17,6 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .geometry import DiskPhantom, RadonFamily, SamplingScheme, circle_family, line_family
+from .outputs import format_floats
 
 __all__ = [
     "ConfigError", "ExperimentConfig", "parse_config_text", "load_config_file", "crt_preset", "grt_preset"
@@ -278,14 +279,6 @@ def _parse_pair(key: str, raw: str) -> tuple[float, float]:
     return (_parse_num(key, parts[0]), _parse_num(key, parts[1]))
 
 
-def _format_num(x: float) -> str:
-    return repr(float(x))
-
-
-def _format_pair(p: tuple[float, float]) -> str:
-    return f"{_format_num(p[0])},{_format_num(p[1])}"
-
-
 # per value kind: text -> value (raising a ConfigError that names the key)
 # and value -> text.  An int is parsed as a float, so that __post_init__
 # rejects a fraction instead of truncating it.
@@ -298,10 +291,10 @@ _PARSE = {
     "str": lambda key, raw: raw,
 }
 _FORMAT = {
-    "num": _format_num,
+    "num": format_floats,
     "int": str,
-    "pair": _format_pair,
-    "window": lambda w: "full" if w is None else _format_pair(w),
+    "pair": lambda p: format_floats(*p),
+    "window": lambda w: "full" if w is None else format_floats(*w),
     "list": ",".join,
     "str": str,
 }

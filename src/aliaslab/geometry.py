@@ -37,10 +37,8 @@ __all__ = [
     "line_family",
     "circle_family",
     "phi_eval",
-    "grad_phi",
     "tangent_p",
     "tangency_enumerate",
-    "mu0_closed_form",
     "mu0_numeric",
 ]
 
@@ -226,20 +224,6 @@ def phi_eval(family: RadonFamily, alpha, x):
     return out
 
 
-def grad_phi(family: RadonFamily, alpha: float, x) -> np.ndarray:
-    """Unit spatial gradient of Phi at (alpha, x); shape (..., 2)."""
-    x = np.asarray(x, dtype=float)
-    if family.kind == "line":
-        g = np.broadcast_to(_unit(float(alpha)), x.shape).copy()
-        return g
-    R = family.acquisition_radius
-    d = x - R * _unit(float(alpha))
-    norm = np.hypot(d[..., 0], d[..., 1])
-    if np.any(norm == 0.0):
-        raise ValueError("gradient undefined at the curve vertex")
-    return d / norm[..., None]
-
-
 def tangent_p(family: RadonFamily, phantom: DiskPhantom, alpha, branch: int):
     """Scalar level at which the view-``alpha`` curve is tangent to the
     phantom boundary; ``branch`` +1 gives the far-side value, -1 the
@@ -270,12 +254,12 @@ class TangencyDescriptor:
         Tangency point on the phantom boundary.
     theta0
         Inward unit normal of the phantom at ``y0``.
+    u0
+        Unit gradient of the defining function at the probe point.
     curvature_gap
         Positive second-order separation rate between the curve and the
         boundary at ``y0`` (1/radius for lines; sum or difference of the
         two curvatures for circles).
-    u0
-        Unit gradient of the defining function at the probe point.
     mu0
         Rate at which the curve through the probe sweeps past the tangent
         level as the view angle moves off alpha_star.
@@ -296,8 +280,8 @@ class TangencyDescriptor:
     p_star: float
     y0: tuple[float, float]
     theta0: tuple[float, float]
-    curvature_gap: float
     u0: tuple[float, float]
+    curvature_gap: float
     mu0: float
     k_star: float
     amplitude: float
@@ -510,26 +494,6 @@ def tangency_enumerate(
     else:
         found = _circle_descriptors(family, phantom, probe, scheme)
     return sorted(found, key=lambda t: t.alpha_star)
-
-
-def mu0_closed_form(
-    descriptor: TangencyDescriptor,
-    family: RadonFamily,
-    phantom: DiskPhantom,
-    x0,
-) -> float:
-    """Closed-form sweep rate from the descriptor geometry.
-
-    Lines: perp(alpha_star) . (x0 - y0).  Circles:
-    -R * perp(alpha_star) . (u0 - theta0), which respects the recorded
-    orientation because both vectors flip together.
-    """
-    probe = np.asarray(x0, dtype=float)
-    perp = _perp(descriptor.alpha_star)
-    if family.kind == "line":
-        return float(perp @ (probe - np.asarray(descriptor.y0)))
-    R = family.acquisition_radius
-    return -R * float(perp @ (np.asarray(descriptor.u0) - np.asarray(descriptor.theta0)))
 
 
 def mu0_numeric(

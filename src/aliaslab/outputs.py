@@ -1,9 +1,8 @@
 """Artifact writers: profile CSV, 16-bit PGM images with text sidecars,
 and psi tables.
 
-All text outputs are UTF-8 with LF line endings; floats are written via
-repr (shortest decimal that round-trips), so identical runs produce
-byte-identical files.
+All text outputs are UTF-8 with LF line endings; floats are written by
+``format_floats``, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from .reconstruction import AliasProfile, ImageGrid
 
 __all__ = [
     "PROFILE_HEADER",
+    "format_floats",
     "write_profile_csv",
     "write_psi_table_csv",
     "write_pgm16",
@@ -23,8 +23,11 @@ __all__ = [
 PROFILE_HEADER = "h,recon_scaled_diff,prediction"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def format_floats(*values) -> str:
+    """The values as floats, comma-separated, each written via repr (the
+    shortest decimal that round-trips); the one number-to-text rule of
+    every text output and of the config text."""
+    return ",".join(repr(float(x)) for x in values)
 
 
 def write_profile_csv(path, profile: AliasProfile) -> None:
@@ -32,7 +35,7 @@ def write_profile_csv(path, profile: AliasProfile) -> None:
         raise ValueError("profile prediction not filled in")
     lines = [PROFILE_HEADER]
     for h, rec, pred in zip(profile.h, profile.recon_scaled, profile.predicted):
-        lines.append(f"{_fmt(h)},{_fmt(rec)},{_fmt(pred)}")
+        lines.append(format_floats(h, rec, pred))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -51,7 +54,7 @@ def write_psi_table_csv(path, rows) -> None:
     """rows: iterable of (h_prime, a, psi_value)."""
     lines = ["h_prime,a,psi_value"]
     for h_prime, a, value in rows:
-        lines.append(f"{_fmt(h_prime)},{_fmt(a)},{_fmt(value)}")
+        lines.append(format_floats(h_prime, a, value))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -72,12 +75,12 @@ def write_pgm16(path, image: ImageGrid) -> None:
         f.write(pixels.tobytes())
     sidecar = [
         "# image sidecar",
-        f"origin = {_fmt(image.origin[0])},{_fmt(image.origin[1])}",
-        f"pixel_size = {_fmt(image.pixel_size)}",
+        f"origin = {format_floats(*image.origin)}",
+        f"pixel_size = {format_floats(image.pixel_size)}",
         f"width = {image.width}",
         f"height = {image.height}",
-        f"value_min = {_fmt(vmin)}",
-        f"value_max = {_fmt(vmax)}",
+        f"value_min = {format_floats(vmin)}",
+        f"value_max = {format_floats(vmax)}",
         "row_order = first row at lowest y",
     ]
     with open(str(path) + ".txt", "w", encoding="utf-8", newline="\n") as f:

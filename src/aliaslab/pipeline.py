@@ -3,7 +3,8 @@
 Wires one ExperimentConfig through the full chain: analytic sinogram ->
 semi-discrete smoothed data -> per-view PV filtering -> FBP probes and
 optional rasters -> tangency prediction -> comparison metrics.  Work is
-split per view and per pixel block with order-preserving reductions, so
+split per view and per pixel block and mapped over a thread pool by
+``parallel_map``, in input order with order-preserving reductions, so
 results are identical for any worker count.
 """
 
@@ -11,32 +12,22 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import reconstruction
 from .experiment_config import ConfigError, ExperimentConfig
 from .forward_model import SemiDiscreteData, SinogramSampler
-from .geometry import (
-    DiskPhantom,
-    RadonFamily,
-    SamplingScheme,
-    TangencyDescriptor,
-    tangency_enumerate,
-)
-from .outputs import write_pgm16, write_profile_csv
-from .parallel import parallel_map
+from .geometry import RadonFamily, SamplingScheme, TangencyDescriptor, tangency_enumerate
+from .outputs import format_floats, write_pgm16, write_profile_csv
 from .predictor import ComparisonMetrics, compare, fill_prediction
-from .reconstruction import (
-    AliasProfile,
-    ImageGrid,
-    ReconstructionRun,
-    filter_view,
-    scaled_difference_profile,
-)
+from .reconstruction import AliasProfile, FilteredView, ImageGrid, filter_view, scaled_difference_profile
 
 __all__ = [
     "ExperimentResult",
+    "parallel_map",
     "resolve_theta",
     "query_range",
     "run_experiment",
@@ -52,17 +43,25 @@ _ROWS_PER_BLOCK = 50
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
-    family: RadonFamily
-    phantom: DiskPhantom
-    scheme: SamplingScheme
     descriptors: tuple[TangencyDescriptor, ...]
     theta: tuple[float, float]
-    run: ReconstructionRun
+    views: tuple[FilteredView, ...]
     profile: AliasProfile
     metrics: ComparisonMetrics
     global_image: ImageGrid | None
     roi_image: ImageGrid | None
     timings: dict
+
+
+def parallel_map(fn, items, threads: int = 1) -> list:
+    """[fn(item) for item in items] on up to ``threads`` worker threads,
+    in input order; each item is computed by a pure function, so the
+    result is identical for any worker count."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def resolve_theta(config: ExperimentConfig, descriptors) -> np.ndarray:
@@ -100,14 +99,17 @@ def _max_query_norm(config: ExperimentConfig, want_global: bool, want_roi: bool)
     return max(targets) + 1.0
 
 
-def _raster(run: ReconstructionRun, center, half_extent: float, pixel_size: float, threads: int) -> ImageGrid:
+def _raster(
+    views, family: RadonFamily, scheme: SamplingScheme, center, half_extent: float, pixel_size: float, threads: int
+) -> ImageGrid:
     points = ImageGrid.pixel_centers(center, half_extent, pixel_size)
     m = int(round(2.0 * half_extent / pixel_size))
     row_blocks = []
     for start in range(0, m, _ROWS_PER_BLOCK):
         stop = min(start + _ROWS_PER_BLOCK, m)
         row_blocks.append(points[start * m : stop * m])
-    values = parallel_map(run.evaluate, row_blocks, threads)
+    # looked up at call time: perfbench's tracer and stubs replace it
+    values = parallel_map(lambda block: reconstruction.backproject(views, block, family, scheme), row_blocks, threads)
     flat = np.concatenate([np.atleast_1d(v) for v in values])
     return ImageGrid.from_values(center, half_extent, pixel_size, flat)
 
@@ -139,10 +141,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         parallel_map(lambda k: filter_view(data, k, config.eta, q_range), view_indices, threads)
     )
     timings["filter_s"] = time.perf_counter() - t0
-    run = ReconstructionRun(family, scheme, views)
 
     t0 = time.perf_counter()
-    profile = scaled_difference_profile(run, x0, theta, config.h_samples())
+    profile = scaled_difference_profile(views, family, scheme, x0, theta, config.h_samples())
     timings["profile_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -154,26 +155,23 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     if want_global:
         t0 = time.perf_counter()
         global_image = _raster(
-            run, (0.0, 0.0), config.image_half_extent, config.image_pixel_size, threads
+            views, family, scheme, (0.0, 0.0), config.image_half_extent, config.image_pixel_size, threads
         )
         timings["global_image_s"] = time.perf_counter() - t0
     roi_image = None
     if want_roi:
         t0 = time.perf_counter()
         roi_image = _raster(
-            run, tuple(x0), 20.0 * config.epsilon, config.epsilon / 4.0, threads
+            views, family, scheme, tuple(x0), 20.0 * config.epsilon, config.epsilon / 4.0, threads
         )
         timings["roi_image_s"] = time.perf_counter() - t0
 
     timings["total_s"] = time.perf_counter() - t_start
     return ExperimentResult(
         config=config,
-        family=family,
-        phantom=phantom,
-        scheme=scheme,
         descriptors=tuple(descriptors),
         theta=(float(theta[0]), float(theta[1])),
-        run=run,
+        views=views,
         profile=profile,
         metrics=metrics,
         global_image=global_image,
@@ -184,38 +182,24 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
 def report_text(result: ExperimentResult) -> str:
     """Structured key = value report; the config echo re-parses as a config."""
-
-    def num(x) -> str:
-        return repr(float(x))
-
-    def pair(p) -> str:
-        return f"{num(p[0])},{num(p[1])}"
-
     lines = ["# aliaslab run report"]
     for key, value in result.config.to_mapping().items():
         lines.append(f"config.{key} = {value}")
-    lines.append(f"probe.theta_resolved = {pair(result.theta)}")
+    lines.append(f"probe.theta_resolved = {format_floats(*result.theta)}")
     lines.append(f"descriptor.count = {len(result.descriptors)}")
     for i, t in enumerate(result.descriptors):
-        lines.append(f"descriptor.{i}.alpha_star = {num(t.alpha_star)}")
-        lines.append(f"descriptor.{i}.p_star = {num(t.p_star)}")
-        lines.append(f"descriptor.{i}.y0 = {pair(t.y0)}")
-        lines.append(f"descriptor.{i}.theta0 = {pair(t.theta0)}")
-        lines.append(f"descriptor.{i}.u0 = {pair(t.u0)}")
-        lines.append(f"descriptor.{i}.curvature_gap = {num(t.curvature_gap)}")
-        lines.append(f"descriptor.{i}.mu0 = {num(t.mu0)}")
-        lines.append(f"descriptor.{i}.k_star = {num(t.k_star)}")
-        lines.append(f"descriptor.{i}.amplitude = {num(t.amplitude)}")
-        lines.append(f"descriptor.{i}.branch = {t.branch}")
-        lines.append(f"descriptor.{i}.flipped = {t.flipped}")
+        for f in fields(t):
+            value = getattr(t, f.name)
+            text = str(value) if f.type in ("int", "bool") else format_floats(*np.ravel(value))
+            lines.append(f"descriptor.{i}.{f.name} = {text}")
     m = result.metrics
-    lines.append(f"metrics.sup_mismatch = {num(m.sup_mismatch)}")
-    lines.append(f"metrics.peak_to_peak = {num(m.peak_to_peak)}")
-    lines.append(f"metrics.relative_mismatch = {num(m.relative_mismatch)}")
+    lines.append(f"metrics.sup_mismatch = {format_floats(m.sup_mismatch)}")
+    lines.append(f"metrics.peak_to_peak = {format_floats(m.peak_to_peak)}")
+    lines.append(f"metrics.relative_mismatch = {format_floats(m.relative_mismatch)}")
     lines.append(f"metrics.sample_count = {m.sample_count}")
     lines.append(f"metrics.degenerate = {m.degenerate}")
     for key in sorted(result.timings):
-        lines.append(f"timing.{key} = {num(result.timings[key])}")
+        lines.append(f"timing.{key} = {format_floats(result.timings[key])}")
     return "\n".join(lines) + "\n"
 
 

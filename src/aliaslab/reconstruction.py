@@ -37,7 +37,6 @@ __all__ = [
     "filter_view",
     "view_values_at",
     "backproject",
-    "ReconstructionRun",
     "ImageGrid",
     "AliasProfile",
     "scaled_difference_profile",
@@ -64,10 +63,6 @@ class FilteredView:
             raise ValueError("filtered view needs at least 4 grid values")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("filtered view contains non-finite samples")
-
-    @property
-    def end(self) -> float:
-        return self.start + self.step * (self.values.size - 1)
 
 
 def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
@@ -187,18 +182,6 @@ def backproject(views, x, family: RadonFamily, scheme: SamplingScheme):
 
 
 @dataclass(frozen=True)
-class ReconstructionRun:
-    """Bundle of filtered views ready for evaluation at points."""
-
-    family: RadonFamily
-    scheme: SamplingScheme
-    views: tuple[FilteredView, ...]
-
-    def evaluate(self, x):
-        return backproject(self.views, x, self.family, self.scheme)
-
-
-@dataclass(frozen=True)
 class ImageGrid:
     """Raster of reconstruction values; pixel (iy, ix) is centered at
     origin + pixel_size*(ix, iy)."""
@@ -242,25 +225,25 @@ class AliasProfile:
     """Scaled reconstruction difference along x = x0 + eps*h*theta, with
     the matching prediction once the predictor fills it in."""
 
-    x0: tuple[float, float]
     theta: tuple[float, float]
     h: np.ndarray
     recon_scaled: np.ndarray
     predicted: np.ndarray | None = None
 
 
-def scaled_difference_profile(run: ReconstructionRun, x0, theta, h_samples) -> AliasProfile:
+def scaled_difference_profile(
+    views, family: RadonFamily, scheme: SamplingScheme, x0, theta, h_samples
+) -> AliasProfile:
     """recon_scaled(h) = eps^(-1/2) (f_rec(x0 + eps*h*theta) - f_rec(x0))."""
     x0 = np.asarray(x0, dtype=float)
     theta = np.asarray(theta, dtype=float)
     h = np.asarray(h_samples, dtype=float)
-    eps = run.scheme.epsilon
+    eps = scheme.epsilon
     points = x0[None, :] + eps * h[:, None] * theta[None, :]
-    base = run.evaluate(x0)
-    values = run.evaluate(points)
+    base = backproject(views, x0, family, scheme)
+    values = backproject(views, points, family, scheme)
     recon_scaled = (values - base) / math.sqrt(eps)
     return AliasProfile(
-        x0=(float(x0[0]), float(x0[1])),
         theta=(float(theta[0]), float(theta[1])),
         h=h,
         recon_scaled=recon_scaled,

@@ -102,26 +102,27 @@ class PsiEvalConfig:
     tail_start
         Lattice index K at which the direct summation in big_psi stops and
         the Hurwitz zeta tail takes over.
-    tail_exponent
-        Decay exponent of the summand tail; 3/2 for the square-root edge
-        kernel.
+
+    The tail's decay exponent is fixed at 3/2 by psi's (1/2)|t|^(-1/2)
+    decay (see ``hurwitz_tail``).
     """
 
     t_asym: float = 50.0
     tail_start: int = 10_000
-    tail_exponent: float = 1.5
 
     def __post_init__(self) -> None:
         if not self.t_asym >= 10.0:
             raise ValueError("t_asym must be at least 10")
         if not self.tail_start >= 1000:
             raise ValueError("tail_start must be at least 1000")
-        if not 1.0 < self.tail_exponent < 2.0:
-            raise ValueError("tail_exponent must lie in (1, 2)")
 
 
 DEFAULT_MOLLIFIER = MollifierSpec()
 DEFAULT_PSI_CONFIG = PsiEvalConfig()
+
+# Most lattice terms big_psi sums directly (about tail_start + 1/|a|); a
+# smaller |a| is refused, not allocated: 2**20 terms take about 140 MB.
+_MAX_TERMS = 2**20
 
 # Far-field switch of psi_eval: below -_FAR_FACTOR*half_width the closed
 # polynomial antiderivative cancels catastrophically and a fixed
@@ -324,22 +325,22 @@ def delta_psi(
     return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
 
 
-def hurwitz_tail(start: int, offset: float = 0.0, exponent: float = 1.5) -> float:
-    """Asymptotic Hurwitz zeta tail zeta(s, start + offset) = sum_{k>=0} (k + start + offset)^-s.
+def hurwitz_tail(start: int, offset: float = 0.0) -> float:
+    """Asymptotic Hurwitz zeta tail zeta(s, start + offset) = sum_{k>=0} (k + start + offset)^-s
+    at s = 3/2, the decay exponent of the big_psi summand (psi decays like
+    (1/2)|t|^(-1/2), so its differences decay like |t|^(-3/2)).
 
     Three-term Euler-Maclaurin expansion
 
         t^(1-s)/(s-1) + t^(-s)/2 + s*t^(-s-1)/12,   t = start + offset,
 
-    with error O(t^(-s-3)); at s = 3/2 that is below 1e-10 already for
-    t = 100.  The two-term form would miss the 1e-6 agreement required
-    against direct summation at start = 100, hence the third term.
+    with error O(t^(-s-3)), below 1e-10 already for t = 100.  The
+    two-term form would miss the 1e-6 agreement required against direct
+    summation at start = 100, hence the third term.
     """
     if int(start) != start or start < 1:
         raise ValueError("start must be a positive integer")
-    s = float(exponent)
-    if not s > 1.0:
-        raise ValueError("exponent must exceed 1 for a convergent tail")
+    s = 1.5
     t = float(start) + float(offset)
     if t <= 0.0:
         raise ValueError("start + offset must be positive")
@@ -359,9 +360,12 @@ def big_psi(
     then h reduced to the centered period (-a/2, a/2], exploiting the
     exact symmetries of the sum.  After reduction the direct sum runs
     over k in [-K+1, ceil(r + 1/a)] with K = config.tail_start, and the
-    infinite far tail is closed by (h / (4 a^(3/2))) * zeta(3/2, K + r).
+    infinite far tail is closed by (h / (4 a^(3/2))) * zeta(3/2, K + r);
+    the exponent 3/2 comes from psi's (1/2)|t|^(-1/2) decay.
 
     a = 0 (continuum limit in the view angle) returns 0 by definition.
+    A nonzero |a| so small that the direct sum would need more than
+    2**20 terms raises ValueError before anything is allocated.
     """
     hv, av, rv = float(h), float(a), float(r)
     if not (math.isfinite(hv) and math.isfinite(av) and math.isfinite(rv)):
@@ -384,9 +388,11 @@ def big_psi(
 
     s = float(spec.half_width)
     K = config.tail_start
+    if K + rv + s / av > _MAX_TERMS:
+        raise ValueError(f"big_psi: |a| = {av!r} is too small; the sum would need more than {_MAX_TERMS} terms")
     top = math.ceil(rv + s / av)
     k = np.arange(-K + 1, top + 1, dtype=float)
     t = av * (k - rv)
     total = float(np.sum(delta_psi(t, hv, config, spec)))
-    total += hv / (4.0 * av**1.5) * hurwitz_tail(K, rv, config.tail_exponent)
+    total += hv / (4.0 * av**1.5) * hurwitz_tail(K, rv)
     return total

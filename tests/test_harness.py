@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -112,6 +112,10 @@ class TestConfigRoundTrip:
         path = tmp_path / "run.cfg"
         path.write_text(TINY_GRT.to_text(), encoding="utf-8")
         assert load_config_file(path) == TINY_GRT
+
+    def test_int_for_a_number_key_prints_as_float(self):
+        text = crt_preset().with_overrides(phantom_radius=5).to_text()
+        assert "phantom.radius = 5.0" in text.splitlines()
 
     def test_h_samples_symmetric_through_zero(self):
         h = TINY_CRT.h_samples()
@@ -281,6 +285,34 @@ class TestPipelineWiring:
         assert "probe.theta_resolved = " in text
 
 
+    @pytest.mark.parametrize("preset", [crt_preset, grt_preset])
+    def test_report_descriptor_block_is_pinned(self, preset, tiny_crt_result):
+        cfg = preset()
+        family, phantom, scheme = cfg.build_family(), cfg.build_phantom(), cfg.build_scheme()
+        descs = tuple(tangency_enumerate(family, phantom, np.asarray(cfg.probe_x0), scheme))
+        text = report_text(replace(tiny_crt_result, descriptors=descs))
+
+        def num(x):
+            return repr(float(x))
+
+        expected = [f"descriptor.count = {len(descs)}"]
+        for i, t in enumerate(descs):
+            expected += [
+                f"descriptor.{i}.alpha_star = {num(t.alpha_star)}",
+                f"descriptor.{i}.p_star = {num(t.p_star)}",
+                f"descriptor.{i}.y0 = {num(t.y0[0])},{num(t.y0[1])}",
+                f"descriptor.{i}.theta0 = {num(t.theta0[0])},{num(t.theta0[1])}",
+                f"descriptor.{i}.u0 = {num(t.u0[0])},{num(t.u0[1])}",
+                f"descriptor.{i}.curvature_gap = {num(t.curvature_gap)}",
+                f"descriptor.{i}.mu0 = {num(t.mu0)}",
+                f"descriptor.{i}.k_star = {num(t.k_star)}",
+                f"descriptor.{i}.amplitude = {num(t.amplitude)}",
+                f"descriptor.{i}.branch = -1",
+                f"descriptor.{i}.flipped = False",
+            ]
+        assert [line for line in text.splitlines() if line.startswith("descriptor.")] == expected
+
+
 @pytest.fixture(scope="module")
 def tiny_crt_result():
     return run_experiment(TINY_CRT, threads=2)
@@ -309,7 +341,7 @@ class TestArtifacts:
         assert np.array_equal(predicted, tiny_crt_result.profile.predicted)
 
     def test_profile_csv_needs_prediction(self, tmp_path):
-        profile = AliasProfile((0.0, 0.0), (1.0, 0.0), np.zeros(3), np.zeros(3))
+        profile = AliasProfile((1.0, 0.0), np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="prediction"):
             write_profile_csv(tmp_path / "p.csv", profile)
 
@@ -366,6 +398,12 @@ class TestCli:
         assert rc == 0
         lines = (tmp_path / "psi_table.csv").read_text().splitlines()[1:]
         assert all(float(line.split(",")[2]) == 0.0 for line in lines)
+
+    def test_psi_table_refuses_a_rate_too_small_to_sum(self, tmp_path, capsys):
+        rc = main(["psi-table", "--a", "1e-320", "--out", str(tmp_path), "--samples", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "|a| = " in err
 
     def test_crt_demo_runs_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.cfg"

