@@ -148,9 +148,10 @@ def _c04_psi_decay(ctx) -> tuple[bool, str, dict]:
     def sup_amp(a: float) -> float:
         return max(abs(big_psi(a * h, a, 1.0 / 3.0, config=ACCURATE_PSI)) for h in hp)
 
-    small = [sup_amp(a) for a in (1.0, 0.5, 0.25, 0.125)]
+    sups = {a: sup_amp(a) for a in (1.0, 0.5, 0.25, 0.125, 2.0, 4.0)}
+    small = [sups[a] for a in (1.0, 0.5, 0.25, 0.125)]
     ratios = [small[i + 1] / small[i] for i in range(3)]
-    large = [sup_amp(a) for a in (1.0, 2.0, 4.0)]
+    large = [sups[a] for a in (1.0, 2.0, 4.0)]
     passed = (
         all(r <= 0.5 for r in ratios)
         and all(small[i + 1] < small[i] for i in range(3))

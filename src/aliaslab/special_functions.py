@@ -129,6 +129,13 @@ _MAX_TERMS = 2**20
 # Gauss-Legendre rule on the bounded support is used instead.
 _FAR_FACTOR = 2.0
 _FAR_GL_ORDER = 48
+# Far-field points per (points x nodes) block: 1024 x 48 doubles (384 KiB)
+# stay in cache, where one block over a 10**4-point lattice does not.
+_FAR_BLOCK = 1024
+
+# (a, r) lattices big_psi keeps: enough for a few tangency descriptors
+# interleaved per probe offset; at most 17 bytes per lattice term.
+_LATTICE_CACHE = 4
 
 
 @lru_cache(maxsize=None)
@@ -163,43 +170,34 @@ def _far_field_rule(spec: MollifierSpec) -> tuple[np.ndarray, np.ndarray]:
     x, wts = np.polynomial.legendre.leggauss(_FAR_GL_ORDER)
     s = float(spec.half_width)
     tau = s * x
-    c = s * wts * _poly_bump(tau, spec)
+    c = s * wts * w_eval(tau, spec)
     return tau, c
-
-
-def _poly_bump(t: np.ndarray, spec: MollifierSpec) -> np.ndarray:
-    """Evaluate the bump polynomial with support masking, array in/out."""
-    coeffs = _float_coeffs(spec)
-    s = float(spec.half_width)
-    out = np.zeros_like(t, dtype=float)
-    inside = np.abs(t) < s
-    if np.any(inside):
-        out[inside] = np.polynomial.polynomial.polyval(t[inside], coeffs)
-    return out
 
 
 def _scalar_or_array(values: np.ndarray, scalar_input: bool):
     return float(values[()]) if scalar_input else values
 
 
+def _on_support(t, coeffs: np.ndarray, spec: MollifierSpec):
+    """Polynomial ``coeffs`` at t on the open support |t| < half_width, zero
+    outside; float for a scalar t, array of t's shape otherwise."""
+    arr = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(arr)
+    out = np.zeros_like(flat, dtype=float)
+    inside = np.abs(flat) < float(spec.half_width)
+    if np.any(inside):
+        out[inside] = np.polynomial.polynomial.polyval(flat[inside], coeffs)
+    return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
+
+
 def w_eval(t, spec: MollifierSpec = DEFAULT_MOLLIFIER):
     """Mollifier value w(t); zero outside the open support interval."""
-    arr = np.asarray(t, dtype=float)
-    out = _poly_bump(np.atleast_1d(arr), spec)
-    return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
+    return _on_support(t, _float_coeffs(spec), spec)
 
 
 def w_prime_eval(t, spec: MollifierSpec = DEFAULT_MOLLIFIER):
     """Derivative w'(t); zero outside the open support interval."""
-    arr = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(arr)
-    coeffs = _float_deriv_coeffs(spec)
-    s = float(spec.half_width)
-    out = np.zeros_like(flat, dtype=float)
-    inside = np.abs(flat) < s
-    if np.any(inside):
-        out[inside] = np.polynomial.polynomial.polyval(flat[inside], coeffs)
-    return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
+    return _on_support(t, _float_deriv_coeffs(spec), spec)
 
 
 def psi_eval(q, spec: MollifierSpec = DEFAULT_MOLLIFIER):
@@ -211,6 +209,9 @@ def psi_eval(q, spec: MollifierSpec = DEFAULT_MOLLIFIER):
     that antiderivative is evaluated as a difference of huge terms, so a
     fixed high-order Gauss-Legendre rule on the compact support is used
     there instead; both branches agree to machine accuracy at the seam.
+    The Gauss sum runs over blocks of 1024 far points at a time.  Nothing
+    is memoized here: each value depends only on its own argument, bit for
+    bit, not on the other points of the array or on where blocks fall.
 
     Parameters
     ----------
@@ -245,7 +246,11 @@ def psi_eval(q, spec: MollifierSpec = DEFAULT_MOLLIFIER):
     if np.any(far):
         tau, c = _far_field_rule(spec)
         qf = flat[far]
-        out[far] = 0.5 * np.sum(c / np.sqrt(tau[None, :] - qf[:, None]), axis=1)
+        vals = np.empty_like(qf)
+        for i in range(0, qf.size, _FAR_BLOCK):
+            q = qf[i : i + _FAR_BLOCK]
+            vals[i : i + _FAR_BLOCK] = 0.5 * np.sum(c / np.sqrt(tau[None, :] - q[:, None]), axis=1)
+        out[far] = vals
 
     return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
 
@@ -298,6 +303,23 @@ def psi_eval_quadrature_oracle(
     return total
 
 
+def _split(t: np.ndarray, config: PsiEvalConfig):
+    """The h-independent part of delta_psi at the points t: the mask of the
+    points below -config.t_asym, their shortcut denominators 4 |t|^(3/2),
+    and the other (exact) points."""
+    asym = t < -config.t_asym
+    return asym, 4.0 * np.abs(t[asym]) ** 1.5, t[~asym]
+
+
+def _differences(h: float, asym, denom, te, psi_te, spec: MollifierSpec) -> np.ndarray:
+    """psi(t + h) - psi(t) at the points _split took apart, in their order,
+    from psi_te = psi(te)."""
+    out = np.empty(asym.shape)
+    out[asym] = h / denom
+    out[~asym] = psi_eval(te + h, spec) - psi_te
+    return out
+
+
 def delta_psi(
     t,
     h: float,
@@ -312,16 +334,8 @@ def delta_psi(
     returns 0 whenever both t and t + h are past the support.
     """
     arr = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(arr).astype(float).ravel()
-    hv = float(h)
-    out = np.empty_like(flat)
-    asym = flat < -config.t_asym
-    if np.any(asym):
-        out[asym] = hv / (4.0 * np.abs(flat[asym]) ** 1.5)
-    exact = ~asym
-    if np.any(exact):
-        te = flat[exact]
-        out[exact] = psi_eval(te + hv, spec) - psi_eval(te, spec)
+    asym, denom, te = _split(np.atleast_1d(arr).astype(float).ravel(), config)
+    out = _differences(float(h), asym, denom, te, psi_eval(te, spec), spec)
     return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
 
 
@@ -347,6 +361,20 @@ def hurwitz_tail(start: int, offset: float = 0.0) -> float:
     return t ** (1.0 - s) / (s - 1.0) + 0.5 * t ** (-s) + (s / 12.0) * t ** (-s - 1.0)
 
 
+@lru_cache(maxsize=_LATTICE_CACHE)
+def _lattice(a: float, r: float, config: PsiEvalConfig, spec: MollifierSpec):
+    """_split of big_psi's lattice t = a*(k - r), k in [-K+1, ceil(r + s/a)],
+    for a reduced (a > 0, 0 <= r < 1), with psi at its exact points; the
+    arrays are read-only because every caller of these arguments shares them."""
+    top = math.ceil(r + float(spec.half_width) / a)
+    k = np.arange(-config.tail_start + 1, top + 1, dtype=float)
+    asym, denom, te = _split(a * (k - r), config)
+    parts = (asym, denom, te, psi_eval(te, spec))
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
 def big_psi(
     h: float,
     a: float,
@@ -362,6 +390,13 @@ def big_psi(
     over k in [-K+1, ceil(r + 1/a)] with K = config.tail_start, and the
     infinite far tail is closed by (h / (4 a^(3/2))) * zeta(3/2, K + r);
     the exponent 3/2 comes from psi's (1/2)|t|^(-1/2) decay.
+
+    The h-independent part of the direct sum (the lattice, its shortcut
+    denominators and psi at its exact points) is memoized per reduced
+    (a, r, config, spec), for the last 4 such keys.  An entry holds at
+    most 17 bytes per term, so the memo retains at most about 71 MB
+    (4 x 17 x 2**20 bytes) at the term cap below.  A value depends only
+    on the arguments, bit for bit, not on earlier calls.
 
     a = 0 (continuum limit in the view angle) returns 0 by definition.
     A nonzero |a| so small that the direct sum would need more than
@@ -386,13 +421,9 @@ def big_psi(
     if hv == 0.0:
         return 0.0
 
-    s = float(spec.half_width)
     K = config.tail_start
-    if K + rv + s / av > _MAX_TERMS:
+    if K + rv + float(spec.half_width) / av > _MAX_TERMS:
         raise ValueError(f"big_psi: |a| = {av!r} is too small; the sum would need more than {_MAX_TERMS} terms")
-    top = math.ceil(rv + s / av)
-    k = np.arange(-K + 1, top + 1, dtype=float)
-    t = av * (k - rv)
-    total = float(np.sum(delta_psi(t, hv, config, spec)))
+    total = float(np.sum(_differences(hv, *_lattice(av, rv, config, spec), spec)))
     total += hv / (4.0 * av**1.5) * hurwitz_tail(K, rv)
     return total

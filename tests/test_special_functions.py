@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aliaslab import special_functions
 from aliaslab.special_functions import (
     DEFAULT_PSI_CONFIG,
     MollifierSpec,
@@ -139,6 +140,21 @@ def test_psi_branch_seam_is_smooth():
         assert abs(psi_eval(q) - psi_eval_quadrature_oracle(q)) < 1e-12
 
 
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), far_share=st.floats(0.0, 1.0))
+def test_far_field_blocks_match_scalar_calls_bitwise(seed, far_share):
+    # psi_eval sums the far field over blocks of points; each value must
+    # depend on its own argument only, so one call over more than three
+    # blocks, near and far points mixed, equals one scalar call per point
+    rng = np.random.default_rng(seed)
+    n = 3 * special_functions._FAR_BLOCK + int(rng.integers(1, special_functions._FAR_BLOCK))
+    far = rng.random(n) < far_share
+    q = np.where(far, -(10.0 ** rng.uniform(0.31, 4.5, n)), rng.uniform(-2.0, 1.5, n))
+    whole = psi_eval(q)
+    one_by_one = np.array([psi_eval(float(x)) for x in q])
+    assert one_by_one.tobytes() == whole.tobytes(), np.max(np.abs(one_by_one - whole))
+
+
 def test_psi_far_field_asymptotic():
     for T in (1e2, 1e3, 1e4):
         assert abs(psi_eval(-T) * math.sqrt(T) - 0.5) <= 2.0 / T
@@ -256,6 +272,58 @@ def test_big_psi_default_config_stays_within_budget():
     for h, a, r in [(0.5, 1.0, 1 / 3), (0.2, 0.5, 0.8)]:
         err = big_psi(h, a, r) - big_psi(h, a, r, ACCURATE)
         assert abs(err) < 5e-4 * h * h / a + 1e-8
+
+
+def _rebuilt_big_psi(h, a, r, config):
+    """big_psi from its definition: the same argument reduction, then
+    delta_psi over a lattice built for this call alone, then the tail."""
+    if a < 0.0:
+        a, r = -a, -r
+    r %= 1.0
+    if r == 1.0:
+        r = 0.0
+    h %= a
+    if h > 0.5 * a:
+        h -= a
+    if h == 0.0:
+        return 0.0
+    K = config.tail_start
+    k = np.arange(-K + 1, math.ceil(r + 1.0 / a) + 1, dtype=float)
+    total = float(np.sum(delta_psi(a * (k - r), h, config)))
+    return total + h / (4.0 * a**1.5) * hurwitz_tail(K, r)
+
+
+def test_big_psi_bits_do_not_depend_on_call_history():
+    # big_psi memoizes its lattice per reduced (a, r); a value must not
+    # depend on which lattices earlier calls left in the memo, on the
+    # order of the calls, or on evictions
+    rng = np.random.default_rng(2024)
+    lattices = [
+        (float(rng.choice([-1.0, 1.0]) * 2.0 ** rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 4.0)))
+        for _ in range(8)
+    ]
+    lattices = [(a, r) for a, r in lattices if not 0.0 <= r < 1.0] + [(0.125, -0.75), (8.0, 2.5), (-1.0, 1.0)]
+    cases = [
+        (float(rng.uniform(-3.0, 3.0) * abs(a)), a, r, config)
+        for a, r in lattices
+        for config in (DEFAULT_PSI_CONFIG, ACCURATE)
+        for _ in range(3)
+    ]
+    expected = [_rebuilt_big_psi(*case) for case in cases]
+    assert any(v != 0.0 for v in expected)
+    for clear in (False, True):
+        if clear:
+            special_functions._lattice.cache_clear()
+        for i in rng.permutation(len(cases)):
+            assert big_psi(*cases[i]) == expected[i], cases[i]
+
+
+def test_memoized_lattice_is_read_only():
+    big_psi(0.3, 0.75, 0.2)
+    for part in special_functions._lattice(0.75, 0.2, DEFAULT_PSI_CONFIG, special_functions.DEFAULT_MOLLIFIER):
+        assert part.size > 0
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = part[-1]
 
 
 def test_big_psi_zero_offset_is_exact_zero():
