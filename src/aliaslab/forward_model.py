@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 _KINK_TOL = 1e-12
+# clean-window points per (nodes x points) sample block: 32 x 2048 doubles
+# (512 KiB) stay in cache, where one block over a 6*10**4-point view grid
+# (16 MB) does not
+_CLEAN_BLOCK = 2048
 
 
 def sinogram_line_disk(phantom: DiskPhantom, alpha, p):
@@ -124,7 +128,9 @@ class SemiDiscreteData:
     ``quad_order`` is the Gauss-Legendre order used per subinterval of
     the convolution window.  Each returned value depends only on (k, p):
     evaluating points one at a time, in one array or in any partition of
-    it gives the same bits.
+    it gives the same bits.  Clean windows are summed over blocks of
+    ``_CLEAN_BLOCK`` points, node by node in a fixed order, so where the
+    blocks fall does not change a bit either.
     """
 
     scheme: SamplingScheme
@@ -164,15 +170,17 @@ class SemiDiscreteData:
         slo, shi = self.sampler.support(alpha)
         dead = (hi <= slo) | (lo >= shi)
 
-        clean = ~has_kink & ~dead
-        if np.any(clean):
-            weights = self._der_w if derivative else self._val_w
-            samples = self.sampler.value(alpha, pv[clean] + eps * self._u[:, None])
+        clean = np.flatnonzero(~has_kink & ~dead)
+        weights = self._der_w if derivative else self._val_w
+        offsets = eps * self._u[:, None]
+        for i in range(0, clean.size, _CLEAN_BLOCK):
+            rows = clean[i : i + _CLEAN_BLOCK]
+            samples = self.sampler.value(alpha, pv[rows] + offsets)
             # fixed node order, not BLAS: samples @ weights sums in a batch-dependent order
             acc = samples[0] * weights[0]
             for row, weight in zip(samples[1:], weights[1:]):
                 acc += row * weight
-            out[clean] = acc
+            out[rows] = acc
         if np.any(has_kink):
             out[has_kink] = self._kinked(alpha, pv[has_kink], kinks, derivative)
         if np.asarray(p).ndim == 0:

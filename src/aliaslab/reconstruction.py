@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .geometry import RadonFamily, SamplingScheme, phi_eval
 
@@ -47,6 +48,18 @@ __all__ = [
 # support (the log endpoint term needs g = 0 at both ends)
 _MARGIN_FACTOR = 6.0
 
+# Most fine-grid points filter_view builds per view; a finer grid is refused
+# before anything is allocated.  Filtering one view takes about 120 bytes
+# per grid point (the FFT runs at length about 3n), so 2**22 points take
+# about 0.5 GB; the fine 400-view CRT level uses about 6.2*10**4.
+_MAX_GRID = 2**22
+
+# Grid lengths whose filter plan is kept: every view of a run whose q_range
+# covers the data support has the same length, so two entries serve two
+# runs at once.  A plan holds 32 bytes per grid point, so the memo retains
+# at most 256 MiB at _MAX_GRID.
+_PLAN_CACHE = 2
+
 
 @dataclass(frozen=True)
 class FilteredView:
@@ -65,6 +78,30 @@ class FilteredView:
             raise ValueError("filtered view contains non-finite samples")
 
 
+@lru_cache(maxsize=_PLAN_CACHE)
+def _filter_plan(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """What pv_filter_uniform needs of a grid of n points and not of its
+    data: the FFT length scipy.signal.fftconvolve would pick for the full
+    linear correlation, the real FFT of the odd kernel 1/(j - i) at that
+    length, and c_i = sum_{j != i} trap_j / (j - i).  The arrays are
+    read-only because every caller of this length shares them."""
+    m = np.arange(1, n, dtype=float)
+    kernel = np.concatenate([-1.0 / m[::-1], [0.0], 1.0 / m])
+    size = next_fast_len(3 * n - 2, True)
+    spectrum = rfftn(kernel, [size])
+
+    # c_i via harmonic numbers
+    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, n))])
+    i = np.arange(n)
+    c = harmonic[n - 1 - i] - harmonic[i]
+    c[1:] += 0.5 / i[1:]
+    c[:-1] -= 0.5 / (n - 1 - i[:-1])
+
+    spectrum.flags.writeable = False
+    c.flags.writeable = False
+    return size, spectrum, c
+
+
 def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     """PV Hilbert filter of grid samples g on the uniform grid
     q_i = start + i*step, returned at the same nodes.
@@ -72,7 +109,9 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     Requires g to vanish at both grid ends (the data support must lie
     strictly inside).  The j = i term of the trapezoid sum is the
     removable limit g'(q_i); the subtracted constant integrates to the
-    exact log endpoint term.
+    exact log endpoint term.  The kernel's FFT and the constants c are
+    planned once per grid length (``_filter_plan``); the correlation is
+    the same FFT product fftconvolve forms, bit for bit.
     """
     g = np.asarray(g, dtype=float)
     n = g.size
@@ -80,29 +119,21 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
         raise ValueError("need at least 4 samples")
     if g[0] != 0.0 or g[-1] != 0.0:
         raise ValueError("data support reaches the filter grid boundary; increase the margin")
+    size, spectrum, c = _filter_plan(n)
 
     trap = np.ones(n)
     trap[0] = trap[-1] = 0.5
     u = trap * g
 
     # S1_i = sum_{j != i} u_j / (j - i), an odd-kernel correlation
-    m = np.arange(1, n, dtype=float)
-    kernel = np.concatenate([-1.0 / m[::-1], [0.0], 1.0 / m])
-    s1 = -fftconvolve(u, kernel)[n - 1 : 2 * n - 1]
-
-    # c_i = sum_{j != i} trap_j / (j - i) via harmonic numbers
-    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, n))])
-    i = np.arange(n)
-    c = harmonic[n - 1 - i] - harmonic[i]
-    c[1:] += 0.5 / i[1:]
-    c[:-1] -= 0.5 / (n - 1 - i[:-1])
+    s1 = -irfftn(rfftn(u, [size]) * spectrum, [size])[n - 1 : 2 * n - 1]
 
     gp = np.empty(n)
     gp[1:-1] = (g[2:] - g[:-2]) / (2.0 * step)
     gp[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * step)
     gp[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * step)
 
-    q = start + step * i
+    q = start + step * np.arange(n)
     log_term = np.zeros(n)
     inner = g != 0.0
     log_term[inner] = g[inner] * np.log((q[-1] - q[inner]) / (q[inner] - q[0]))
@@ -118,7 +149,8 @@ def filter_view(data, k: int, eta: int = 16, q_range=None) -> FilteredView:
     ``eta``: fine-grid oversampling, step = eps/eta.  ``q_range``:
     optional (lo, hi) of query values the view must cover, e.g. the
     Phi-range of an image grid; the fine grid is the union of this and
-    the padded data support.
+    the padded data support.  A grid of more than ``_MAX_GRID`` points
+    raises ValueError before it is allocated.
     """
     if int(eta) != eta or eta < 2:
         raise ValueError("eta must be an integer >= 2")
@@ -129,6 +161,11 @@ def filter_view(data, k: int, eta: int = 16, q_range=None) -> FilteredView:
         lo = min(lo, q_range[0] - 2.0 * step)
         hi = max(hi, q_range[1] + 2.0 * step)
     count = int(math.ceil((hi - lo) / step)) + 1
+    if count > _MAX_GRID:
+        raise ValueError(
+            f"view {k} needs {count} fine-grid points of step scheme.epsilon / recon.eta = {step:.3g}, "
+            f"more than {_MAX_GRID}: raise scheme.epsilon or lower recon.eta"
+        )
     grid = lo + step * np.arange(max(count, 4))
     g = data.data_smooth_deriv(k, grid)
     return FilteredView(

@@ -132,6 +132,10 @@ _FAR_GL_ORDER = 48
 # Far-field points per (points x nodes) block: 1024 x 48 doubles (384 KiB)
 # stay in cache, where one block over a 10**4-point lattice does not.
 _FAR_BLOCK = 1024
+# Near-field points per block: about ten float arrays of this length (64 KiB
+# each) live at once.  Blocks of 1024 points spend their time in per-block
+# overhead (five polyval calls each); 4096-32768 run about equally fast.
+_NEAR_BLOCK = 8192
 
 # (a, r) lattices big_psi keeps: enough for a few tangency descriptors
 # interleaved per probe offset; at most 17 bytes per lattice term.
@@ -209,7 +213,7 @@ def psi_eval(q, spec: MollifierSpec = DEFAULT_MOLLIFIER):
     that antiderivative is evaluated as a difference of huge terms, so a
     fixed high-order Gauss-Legendre rule on the compact support is used
     there instead; both branches agree to machine accuracy at the seam.
-    The Gauss sum runs over blocks of 1024 far points at a time.  Nothing
+    Both branches run over blocks of points (8192 near, 1024 far).  Nothing
     is memoized here: each value depends only on its own argument, bit for
     bit, not on the other points of the array or on where blocks fall.
 
@@ -230,27 +234,31 @@ def psi_eval(q, spec: MollifierSpec = DEFAULT_MOLLIFIER):
     out = np.zeros_like(flat)
     s = float(spec.half_width)
 
-    near = (flat < s) & (flat >= -_FAR_FACTOR * s)
-    if np.any(near):
-        qn = flat[near]
+    near = np.flatnonzero((flat < s) & (flat >= -_FAR_FACTOR * s))
+    B = _shift_square_coeffs(spec)
+    for i in range(0, near.size, _NEAR_BLOCK):
+        rows = near[i : i + _NEAR_BLOCK]
+        qn = flat[rows]
         u_hi = np.sqrt(s - qn)
         u_lo = np.sqrt(np.maximum(-s - qn, 0.0))
-        B = _shift_square_coeffs(spec)
         acc = np.zeros_like(qn)
         for j in range(B.shape[0]):
             aj = np.polynomial.polynomial.polyval(qn, B[j])
             acc += aj * (u_hi ** (2 * j + 1) - u_lo ** (2 * j + 1)) / (2 * j + 1)
-        out[near] = acc
+        out[rows] = acc
 
-    far = flat < -_FAR_FACTOR * s
-    if np.any(far):
+    far = np.flatnonzero(flat < -_FAR_FACTOR * s)
+    if far.size:
         tau, c = _far_field_rule(spec)
-        qf = flat[far]
-        vals = np.empty_like(qf)
-        for i in range(0, qf.size, _FAR_BLOCK):
-            q = qf[i : i + _FAR_BLOCK]
-            vals[i : i + _FAR_BLOCK] = 0.5 * np.sum(c / np.sqrt(tau[None, :] - q[:, None]), axis=1)
-        out[far] = vals
+        # one (points x nodes) work array for every block, not three temporaries per block
+        work = np.empty((min(far.size, _FAR_BLOCK), tau.size))
+        for i in range(0, far.size, _FAR_BLOCK):
+            rows = far[i : i + _FAR_BLOCK]
+            terms = work[: rows.size]
+            np.subtract(tau, flat[rows, None], out=terms)
+            np.sqrt(terms, out=terms)
+            np.divide(c, terms, out=terms)
+            out[rows] = 0.5 * np.sum(terms, axis=1)
 
     return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
 

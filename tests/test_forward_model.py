@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
+from aliaslab import forward_model
 from aliaslab.forward_model import (
     SemiDiscreteData,
     SinogramSampler,
@@ -348,6 +349,40 @@ class TestSemiDiscreteData:
         whole = evaluate(k, points)
         joined = np.concatenate([evaluate(k, chunk) for chunk in np.split(points, cuts)])
         assert joined.tobytes() == whole.tobytes(), np.max(np.abs(joined - whole))
+
+    @pytest.mark.parametrize("make_data", [crt_data, grt_data], ids=["line", "circle"])
+    def test_full_view_grid_crosses_clean_blocks_bitwise(self, make_data):
+        # one call over a whole fine grid fills several clean-window blocks
+        # and a partial one; it must equal the unchunked node sum rebuilt
+        # here and calls on pieces whose ends fall across the block edges
+        data = make_data()
+        eps, k, block = data.scheme.epsilon, 3, forward_model._CLEAN_BLOCK
+        lo, hi = data.grid_support(k, margin=6.0 * eps)
+        grid = lo + (eps / 32.0) * np.arange(int((hi - lo) / (eps / 32.0)))
+        alpha = data.view_angle(k)
+        half = float(data.mollifier.half_width)
+        kinks = np.array(data.sampler.kinks(alpha))
+        kinked = np.any((grid[:, None] - eps * half < kinks) & (kinks < grid[:, None] + eps * half), axis=1)
+        clean = ~kinked & (grid + eps * half > kinks[0]) & (grid - eps * half < kinks[1])
+        n_clean = int(clean.sum())
+        assert n_clean > 3 * block and n_clean % block != 0
+
+        whole = data.data_smooth_deriv(k, grid)
+        nodes, weights = np.polynomial.legendre.leggauss(data.quad_order)
+        u = half * nodes
+        node_weights = half * weights * w_prime_eval(-u, data.mollifier) / eps
+        samples = data.sampler.value(alpha, grid[clean] + eps * u[:, None])
+        rebuilt = samples[0] * node_weights[0]
+        for row, weight in zip(samples[1:], node_weights[1:]):
+            rebuilt += row * weight
+        assert whole[clean].tobytes() == rebuilt.tobytes()
+
+        first = int(np.argmax(clean))
+        rng = np.random.default_rng(8)
+        edges = [first + m * block + d for m in (1, 2, 3) for d in (-1, 0, 1)]
+        cuts = sorted(set(edges) | set(rng.integers(1, grid.size, 5).tolist()))
+        pieces = np.concatenate([data.data_smooth_deriv(k, piece) for piece in np.split(grid, cuts)])
+        assert pieces.tobytes() == whole.tobytes()
 
     def test_smoothing_converges_pointwise(self):
         # at a fixed continuity point the mollified data approaches the

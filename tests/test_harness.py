@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -267,6 +269,20 @@ class TestPipelineWiring:
         with pytest.raises(ConfigError, match="probe.x0"):
             run_experiment(crt_preset().with_overrides(probe_x0=(1.0, 1.0)))
 
+    def test_too_fine_grid_refused_before_allocating(self):
+        # eps = 1e-7 asks for about 5*10**9 fine-grid points per view
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"scheme\.epsilon.*recon\.eta"):
+                run_experiment(crt_preset().with_overrides(epsilon=1e-7))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 1_000_000
+
     def test_radial_probe_at_origin_is_config_error(self):
         config = crt_preset().with_overrides(
             phantom_center=(3.0, 3.0), phantom_radius=1.0, probe_x0=(0.0, 0.0)
@@ -457,6 +473,14 @@ class TestCli:
         assert rc == 2
         assert "probe.x0" in capsys.readouterr().err
 
+    def test_too_fine_grid_exits_with_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "fine.cfg"
+        cfg_path.write_text(crt_preset().with_overrides(epsilon=1e-7).to_text(), encoding="utf-8")
+        rc = main(["crt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scheme.epsilon" in err and "recon.eta" in err
+
     def test_out_dir_precedence(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"
         cli_dir = tmp_path / "cli"
@@ -481,13 +505,22 @@ class TestCli:
 
 
 class TestLayering:
-    def test_acceptance_does_not_import_the_cli(self):
-        # the registry is library code; the CLI sits on top of it
+    @staticmethod
+    def _imports(code: str) -> str:
         src = os.path.dirname(os.path.dirname(aliaslab.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, aliaslab.acceptance; print('aliaslab.cli' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_acceptance_does_not_import_the_cli(self):
+        # the registry is library code; the CLI sits on top of it
+        assert self._imports("import sys, aliaslab.acceptance; print('aliaslab.cli' in sys.modules)") == "False"
+
+    def test_library_does_not_import_scipy_signal(self):
+        # scipy.signal costs about a second of import time; the PV filter
+        # uses scipy.fft directly
+        code = "import sys, aliaslab.pipeline, aliaslab.acceptance, aliaslab.cli; print('scipy.signal' in sys.modules)"
+        assert self._imports(code) == "False"
 
 
 class TestScripts:

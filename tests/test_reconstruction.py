@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
+from aliaslab import reconstruction
 from aliaslab.forward_model import SemiDiscreteData, SinogramSampler
 from aliaslab.geometry import (
     DiskPhantom,
@@ -48,6 +50,31 @@ def _pv_brute(g, step, start):
     return out
 
 
+def _pv_fftconvolve(g, step, start):
+    """pv_filter_uniform with the odd-kernel correlation done by
+    scipy.signal.fftconvolve and c rebuilt for this call alone."""
+    n = g.size
+    trap = np.ones(n)
+    trap[0] = trap[-1] = 0.5
+    m = np.arange(1, n, dtype=float)
+    kernel = np.concatenate([-1.0 / m[::-1], [0.0], 1.0 / m])
+    s1 = -fftconvolve(trap * g, kernel)[n - 1 : 2 * n - 1]
+    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, n))])
+    i = np.arange(n)
+    c = harmonic[n - 1 - i] - harmonic[i]
+    c[1:] += 0.5 / i[1:]
+    c[:-1] -= 0.5 / (n - 1 - i[:-1])
+    gp = np.empty(n)
+    gp[1:-1] = (g[2:] - g[:-2]) / (2.0 * step)
+    gp[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * step)
+    gp[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * step)
+    q = start + step * i
+    log_term = np.zeros(n)
+    inner = g != 0.0
+    log_term[inner] = g[inner] * np.log((q[-1] - q[inner]) / (q[inner] - q[0]))
+    return s1 - g * c + step * trap * gp + log_term
+
+
 def _pv_mollifier_derivative_oracle(v):
     """Closed form of PV int_{-1}^{1} w'(p)/(p - v) dp for the quartic
     mollifier, valid for any v != +-1 (polynomial continuation outside)."""
@@ -84,6 +111,33 @@ class TestPVFilter:
         away = np.abs(np.abs(q) - 1.0) >= 0.1
         assert np.max(err[away]) <= 1e-6
         assert np.max(err[~away]) <= 5e-3
+
+    def test_planned_lengths_match_fftconvolve_bitwise(self):
+        # the kernel spectrum and c are planned per grid length and kept
+        # for a few lengths; a value must not depend on which plans earlier
+        # calls left, on their order or on evictions
+        rng = np.random.default_rng(12)
+        lengths = [4, 5, 17, 64, 1000, 1001, 4097, 62150]
+        assert len(lengths) > reconstruction._PLAN_CACHE
+        cases = []
+        for n in lengths:
+            g = rng.standard_normal(n) * (rng.random(n) < 0.7)
+            g[0] = g[-1] = 0.0
+            step, start = float(rng.uniform(1e-4, 0.1)), float(rng.uniform(-5.0, 0.0))
+            cases.append((g, step, start, _pv_fftconvolve(g, step, start).tobytes()))
+        for clear in (False, True):
+            if clear:
+                reconstruction._filter_plan.cache_clear()
+            for i in np.concatenate([rng.permutation(len(cases)), rng.permutation(len(cases))]):
+                g, step, start, want = cases[i]
+                assert pv_filter_uniform(g, step, start).tobytes() == want, g.size
+
+    def test_plan_is_read_only(self):
+        pv_filter_uniform(np.zeros(64), 0.125, -4.0)
+        _, spectrum, c = reconstruction._filter_plan(64)
+        for part in (spectrum, c):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = part[-1]
 
     def test_zero_in_zero_out(self):
         out = pv_filter_uniform(np.zeros(64), 0.125, -4.0)

@@ -155,6 +155,20 @@ def test_far_field_blocks_match_scalar_calls_bitwise(seed, far_share):
     assert one_by_one.tobytes() == whole.tobytes(), np.max(np.abs(one_by_one - whole))
 
 
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_near_field_blocks_match_partitioned_calls_bitwise(seed):
+    # psi_eval runs the near field over blocks of points too; one call over
+    # more than three blocks equals calls on a random partition of it
+    rng = np.random.default_rng(seed)
+    block = special_functions._NEAR_BLOCK
+    q = rng.uniform(-2.0, 1.5, 3 * block + int(rng.integers(1, block)))
+    cuts = np.sort(rng.integers(0, q.size, int(rng.integers(1, 12))))
+    whole = psi_eval(q)
+    pieces = np.concatenate([psi_eval(piece) for piece in np.split(q, cuts)])
+    assert np.all(pieces == whole) and pieces.tobytes() == whole.tobytes()
+
+
 def test_psi_far_field_asymptotic():
     for T in (1e2, 1e3, 1e4):
         assert abs(psi_eval(-T) * math.sqrt(T) - 0.5) <= 2.0 / T
@@ -351,6 +365,22 @@ def test_big_psi_refuses_tiny_spacing_before_allocating():
             tracemalloc.stop()
         assert elapsed < 0.1
         assert peak < 1_000_000
+
+
+def test_big_psi_at_the_term_cap_stays_in_memory_budget():
+    # just under the cap every lattice point is in psi's near field; the
+    # memoized lattice is about 18 MB and blocks keep the rest small
+    a = 1.0 / (2**20 - 10002)
+    special_functions._lattice.cache_clear()
+    tracemalloc.start()
+    try:
+        value = big_psi(0.3 * a, a, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        special_functions._lattice.cache_clear()
+    assert math.isfinite(value)
+    assert peak <= 80_000_000
 
 
 def test_big_psi_rejects_non_finite():
