@@ -18,9 +18,11 @@ import numpy as np
 
 from .geometry import DiskPhantom, RadonFamily, SamplingScheme, circle_family, line_family
 from .outputs import format_floats
+from .reconstruction import ImageGrid
 
 __all__ = [
-    "ConfigError", "ExperimentConfig", "parse_config_text", "load_config_file", "crt_preset", "grt_preset"
+    "ConfigError", "ExperimentConfig", "MAX_IMAGE_PIXELS", "parse_config_text", "load_config_file", "crt_preset",
+    "grt_preset",
 ]
 
 _ARTIFACTS = ("profile", "report", "roi-image", "global-image")
@@ -32,6 +34,13 @@ _FAMILY_DEFAULTS = {
     "line": {"alpha_origin": -math.pi / 2, "image_half_extent": 10.0, "image_pixel_size": 0.02},
     "circle": {"alpha_origin": 0.0, "image_half_extent": 4.0, "image_pixel_size": 0.008},
 }
+
+# Most pixels a global image may have (ImageGrid.side squared); a finer
+# image.pixel_size, and one that leaves no pixel, is refused when the
+# config is built.  The raster peaks at about 35 bytes per pixel (pixel
+# centers, their meshgrid and the values), so 2**24 pixels (4096 x 4096)
+# take about 0.6 GB; both presets use 10**6.
+MAX_IMAGE_PIXELS = 2**24
 
 
 class ConfigError(ValueError):
@@ -133,6 +142,16 @@ class ExperimentConfig:
             raise ConfigError("image.half_extent: must be positive")
         if not self.image_pixel_size > 0:
             raise ConfigError("image.pixel_size: must be positive")
+        if "global-image" in self.artifacts:
+            try:
+                side = ImageGrid.side(self.image_half_extent, self.image_pixel_size)
+            except ValueError as exc:
+                raise ConfigError(f"image.pixel_size: {exc}") from None
+            if not 1 <= side**2 <= MAX_IMAGE_PIXELS:
+                raise ConfigError(
+                    f"image.pixel_size: a global image of {side} x {side} pixels; it needs at least one pixel and "
+                    f"at most MAX_IMAGE_PIXELS = {MAX_IMAGE_PIXELS}"
+                )
 
     # -- builders -------------------------------------------------------
     def build_family(self) -> RadonFamily:

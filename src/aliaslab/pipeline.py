@@ -103,7 +103,7 @@ def _raster(
     views, family: RadonFamily, scheme: SamplingScheme, center, half_extent: float, pixel_size: float, threads: int
 ) -> ImageGrid:
     points = ImageGrid.pixel_centers(center, half_extent, pixel_size)
-    m = int(round(2.0 * half_extent / pixel_size))
+    m = ImageGrid.side(half_extent, pixel_size)
     row_blocks = []
     for start in range(0, m, _ROWS_PER_BLOCK):
         stop = min(start + _ROWS_PER_BLOCK, m)

@@ -24,11 +24,11 @@ query point of the run.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .geometry import RadonFamily, SamplingScheme, phi_eval
 
@@ -60,6 +60,16 @@ _MAX_GRID = 2**22
 # at most 256 MiB at _MAX_GRID.
 _PLAN_CACHE = 2
 
+# Each thread's FFT work arrays (the zero-padded input, later the
+# correlation, and the spectrum) for the last FFT length it filtered at:
+# 16 bytes per FFT point, about 3 MB at the fine CRT level (n = 62150).
+# Fresh arrays on every call took about 270 more page faults per view
+# there, and crt-fine-profile's CPU time rose from 2.39 to 2.69 s.  Arrays
+# longer than _WORK_KEEP FFT points are made per call and not kept, so a
+# thread holds at most 16 MiB after a run (200 MB at _MAX_GRID otherwise).
+_work = threading.local()
+_WORK_KEEP = 2**20
+
 
 @dataclass(frozen=True)
 class FilteredView:
@@ -78,17 +88,34 @@ class FilteredView:
             raise ValueError("filtered view contains non-finite samples")
 
 
+def _fast_length(target: int) -> int:
+    """Smallest 5-smooth integer (2**i * 3**j * 5**k) >= target, the real-FFT
+    length scipy.fft.next_fast_len(target, True) picks, for target >= 1."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # least power of two that lifts p35 to at least target
+            length = p35 << max(0, -(-target // p35) - 1).bit_length()
+            best = min(best, length)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 @lru_cache(maxsize=_PLAN_CACHE)
 def _filter_plan(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """What pv_filter_uniform needs of a grid of n points and not of its
-    data: the FFT length scipy.signal.fftconvolve would pick for the full
-    linear correlation, the real FFT of the odd kernel 1/(j - i) at that
-    length, and c_i = sum_{j != i} trap_j / (j - i).  The arrays are
-    read-only because every caller of this length shares them."""
+    data: a 5-smooth FFT length for the full linear correlation (the one
+    scipy.signal.fftconvolve would pick), the real FFT of the odd kernel
+    1/(j - i) at that length, and c_i = sum_{j != i} trap_j / (j - i).
+    The arrays are read-only because every caller of this length shares
+    them."""
     m = np.arange(1, n, dtype=float)
     kernel = np.concatenate([-1.0 / m[::-1], [0.0], 1.0 / m])
-    size = next_fast_len(3 * n - 2, True)
-    spectrum = rfftn(kernel, [size])
+    size = _fast_length(3 * n - 2)
+    spectrum = np.fft.rfft(kernel, size)
 
     # c_i via harmonic numbers
     harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, n))])
@@ -102,6 +129,17 @@ def _filter_plan(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     return size, spectrum, c
 
 
+def _work_arrays(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's real array of ``size`` points and complex array of
+    ``size // 2 + 1``, reused while the FFT length stays the same and at
+    most ``_WORK_KEEP``."""
+    arrays = getattr(_work, "arrays", None)
+    if arrays is None or arrays[0].size != size:
+        arrays = (np.empty(size), np.empty(size // 2 + 1, dtype=complex))
+        _work.arrays = arrays if size <= _WORK_KEEP else None
+    return arrays
+
+
 def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     """PV Hilbert filter of grid samples g on the uniform grid
     q_i = start + i*step, returned at the same nodes.
@@ -111,7 +149,9 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     removable limit g'(q_i); the subtracted constant integrates to the
     exact log endpoint term.  The kernel's FFT and the constants c are
     planned once per grid length (``_filter_plan``); the correlation is
-    the same FFT product fftconvolve forms, bit for bit.
+    one real FFT of the zero-padded data, a product with the kernel's
+    spectrum and one inverse real FFT, both transforms writing into this
+    thread's work arrays (``_work_arrays``).
     """
     g = np.asarray(g, dtype=float)
     n = g.size
@@ -123,10 +163,16 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
 
     trap = np.ones(n)
     trap[0] = trap[-1] = 0.5
-    u = trap * g
 
-    # S1_i = sum_{j != i} u_j / (j - i), an odd-kernel correlation
-    s1 = -irfftn(rfftn(u, [size]) * spectrum, [size])[n - 1 : 2 * n - 1]
+    # S1_i = sum_{j != i} u_j / (j - i) with u = trap * g, an odd-kernel
+    # correlation; padded holds u, then the correlation at every lag
+    padded, product = _work_arrays(size)
+    np.multiply(trap, g, out=padded[:n])
+    padded[n:] = 0.0
+    np.fft.rfft(padded, out=product)
+    product *= spectrum
+    np.fft.irfft(product, size, out=padded)
+    s1 = -padded[n - 1 : 2 * n - 1]
 
     gp = np.empty(n)
     gp[1:-1] = (g[2:] - g[:-2]) / (2.0 * step)
@@ -237,10 +283,20 @@ class ImageGrid:
         if self.pixel_size <= 0:
             raise ValueError("pixel size must be positive")
 
+    @staticmethod
+    def side(half_extent: float, pixel_size: float) -> int:
+        """Pixels m a side of the square field of view of half-width
+        half_extent: 2*half_extent/pixel_size rounded to an integer.
+        Raises ValueError when that ratio is not finite."""
+        ratio = 2.0 * half_extent / pixel_size
+        if not math.isfinite(ratio):
+            raise ValueError(f"2 * half_extent / pixel_size = {ratio} is not finite")
+        return int(round(ratio))
+
     @classmethod
     def pixel_centers(cls, center, half_extent: float, pixel_size: float) -> np.ndarray:
         """(m*m, 2) pixel-center coordinates of a square field of view."""
-        m = int(round(2.0 * half_extent / pixel_size))
+        m = cls.side(half_extent, pixel_size)
         axis = np.arange(m) * pixel_size + (pixel_size / 2.0 - half_extent)
         xs = center[0] + axis
         ys = center[1] + axis
@@ -249,7 +305,7 @@ class ImageGrid:
 
     @classmethod
     def from_values(cls, center, half_extent: float, pixel_size: float, flat_values: np.ndarray) -> "ImageGrid":
-        m = int(round(2.0 * half_extent / pixel_size))
+        m = cls.side(half_extent, pixel_size)
         origin = (
             center[0] + pixel_size / 2.0 - half_extent,
             center[1] + pixel_size / 2.0 - half_extent,

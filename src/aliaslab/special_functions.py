@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "MollifierSpec",
@@ -89,6 +88,10 @@ class MollifierSpec:
                     "mollifier must vanish to first order at the support "
                     "boundary (C^1 on the whole line)"
                 )
+        object.__setattr__(self, "_hash", hash((coeffs, s)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -272,20 +275,32 @@ def psi_eval_quadrature_oracle(
 
     Integrates (1/2) w(q+p) p^(-1/2) adaptively over the support of the
     integrand; the integrable p^(-1/2) endpoint is removed by the local
-    substitution p = u^2.  Used as the reference for the closed form.
+    substitution p = u^2.  Used as the reference for the closed form; it
+    is the only caller of scipy in this module, which imports it here.
+    The integrand evaluates w by Horner's rule on Python floats, the same
+    operations in the same order as w_eval.
 
     Raises
     ------
     RuntimeError
         If the adaptive scheme does not reach ``abs_tol``.
     """
+    from scipy.integrate import quad
+
     qv = float(q)
     s = float(spec.half_width)
     if qv >= s:
         return 0.0
+    top, *rest = _float_coeffs(spec).tolist()[::-1]
 
     def bump(p: float) -> float:
-        return float(w_eval(qv + p, spec))
+        t = qv + p
+        if not abs(t) < s:
+            return 0.0
+        acc = top
+        for c in rest:
+            acc = c + acc * t
+        return acc
 
     p_lo = max(0.0, -s - qv)
     p_hi = s - qv

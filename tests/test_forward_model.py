@@ -24,7 +24,7 @@ from aliaslab.forward_model import (
     sinogram_line_disk,
 )
 from aliaslab.geometry import DiskPhantom, SamplingScheme, circle_family, line_family, tangent_p
-from aliaslab.special_functions import w_eval, w_prime_eval
+from aliaslab.special_functions import DEFAULT_MOLLIFIER, w_prime_eval
 
 CRT_PHANTOM = DiskPhantom((0.0, 0.0), 5.0)
 GRT_PHANTOM = DiskPhantom((1.0, 1.0), 2.0)
@@ -213,15 +213,42 @@ class _LinearSampler:
         return (-math.inf, math.inf)
 
 
+def _scalar_sinogram(sampler, alpha):
+    """The disk sinogram of one view as a function of one float, in plain
+    math: chord length for lines, arc length for circles."""
+    (cx, cy), r, jump = sampler.phantom.center, sampler.phantom.radius, sampler.phantom.jump
+    if sampler.family.kind == "line":
+        offset = math.cos(alpha) * cx + math.sin(alpha) * cy
+        return lambda s: jump * 2.0 * math.sqrt(max(r * r - (s - offset) ** 2, 0.0))
+    R = sampler.family.acquisition_radius
+    d = math.hypot(R * math.cos(alpha) - cx, R * math.sin(alpha) - cy)
+
+    def arc(rho):
+        if rho + d <= r:
+            return jump * 2.0 * math.pi * rho
+        if d < rho + r and rho < d + r and rho > 0.0:
+            cosang = (d * d + rho * rho - r * r) / (2.0 * d * rho)
+            return jump * 2.0 * rho * math.acos(min(1.0, max(-1.0, cosang)))
+        return 0.0
+
+    return arc
+
+
 def _quad_oracle(data, k, p, derivative):
-    """Adaptive-quadrature reference for the smoothed data."""
+    """Adaptive-quadrature reference for the smoothed data.  The integrand
+    is plain math on floats (the quartic bump w(t) = (15/16)(1 - t^2)^2 and
+    the disk sinogram), one scalar at a time as quad calls it."""
+    assert data.mollifier == DEFAULT_MOLLIFIER
     eps = data.scheme.epsilon
     alpha = data.view_angle(k)
+    sinogram = _scalar_sinogram(data.sampler, alpha)
 
     def integrand(s):
         t = (p - s) / eps
-        kernel = w_prime_eval(t) / eps**2 if derivative else w_eval(t) / eps
-        return kernel * data.sampler.value(alpha, s)
+        if not abs(t) < 1.0:
+            return 0.0
+        kernel = -3.75 * t * (1.0 - t * t) / eps**2 if derivative else 0.9375 * (1.0 - t * t) ** 2 / eps
+        return kernel * sinogram(s)
 
     pts = [t for t in data.sampler.kinks(alpha) if p - eps < t < p + eps]
     with warnings.catch_warnings():

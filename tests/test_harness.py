@@ -15,6 +15,7 @@ import pytest
 import aliaslab
 from aliaslab.cli import main
 from aliaslab.experiment_config import (
+    MAX_IMAGE_PIXELS,
     ConfigError,
     ExperimentConfig,
     crt_preset,
@@ -283,6 +284,36 @@ class TestPipelineWiring:
         assert elapsed < 0.1
         assert peak < 1_000_000
 
+    def test_too_fine_raster_refused_before_allocating(self):
+        # pixel_size = 1e-6 asks for a 2*10**7 x 2*10**7 global image
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ConfigError, match=r"image\.pixel_size.*MAX_IMAGE_PIXELS"):
+                run_experiment(TINY_CRT.with_overrides(image_pixel_size=1e-6))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 1_000_000
+
+    def test_raster_cap_counts_global_image_pixels(self):
+        side = math.isqrt(MAX_IMAGE_PIXELS)
+        at_cap = crt_preset().with_overrides(image_half_extent=side / 2.0, image_pixel_size=1.0)
+        assert ImageGrid.side(at_cap.image_half_extent, at_cap.image_pixel_size) ** 2 == MAX_IMAGE_PIXELS
+        with pytest.raises(ConfigError, match=r"image\.pixel_size"):
+            at_cap.with_overrides(image_half_extent=(side + 1) / 2.0)
+        # a pixel wider than the field of view leaves no pixel to raster
+        crt_preset().with_overrides(image_half_extent=1.0, image_pixel_size=2.0)
+        with pytest.raises(ConfigError, match=r"image\.pixel_size"):
+            crt_preset().with_overrides(image_half_extent=1.0, image_pixel_size=4.5)
+        # a side too large for a float is refused, not raised as OverflowError
+        with pytest.raises(ConfigError, match=r"image\.pixel_size"):
+            crt_preset().with_overrides(image_half_extent=1e308, image_pixel_size=1e-10)
+        # no global image, no raster to bound
+        TINY_CRT.with_overrides(artifacts=("profile", "roi-image"), image_pixel_size=1e-6)
+
     def test_radial_probe_at_origin_is_config_error(self):
         config = crt_preset().with_overrides(
             phantom_center=(3.0, 3.0), phantom_radius=1.0, probe_x0=(0.0, 0.0)
@@ -481,6 +512,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "scheme.epsilon" in err and "recon.eta" in err
 
+    def test_too_fine_raster_exits_with_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "fine.cfg"
+        cfg_path.write_text(with_line(TINY_CRT.to_text(), "image.pixel_size", "1e-6"), encoding="utf-8")
+        rc = main(["crt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "image.pixel_size" in err
+        assert not (tmp_path / "o").exists()
+
     def test_out_dir_precedence(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"
         cli_dir = tmp_path / "cli"
@@ -516,9 +556,23 @@ class TestLayering:
         # the registry is library code; the CLI sits on top of it
         assert self._imports("import sys, aliaslab.acceptance; print('aliaslab.cli' in sys.modules)") == "False"
 
+    def test_run_path_does_not_import_scipy(self):
+        # numpy alone imports in a fraction of scipy's time; scipy is loaded
+        # only inside the two verification oracles
+        code = (
+            "import sys, aliaslab.pipeline, aliaslab.cli, aliaslab.acceptance\n"
+            "from aliaslab.experiment_config import crt_preset\n"
+            "from aliaslab.special_functions import big_psi\n"
+            "config = crt_preset().with_overrides(epsilon=0.06, n_views=64, h_max=3.0, h_step=0.5, eta=8, "
+            "artifacts=('profile',))\n"
+            "aliaslab.pipeline.run_experiment(config)\n"
+            "big_psi(0.1, 0.5, 1.0 / 3.0)\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        assert self._imports(code) == "[]"
+
     def test_library_does_not_import_scipy_signal(self):
-        # scipy.signal costs about a second of import time; the PV filter
-        # uses scipy.fft directly
+        # scipy.signal costs about a second of import time
         code = "import sys, aliaslab.pipeline, aliaslab.acceptance, aliaslab.cli; print('scipy.signal' in sys.modules)"
         assert self._imports(code) == "False"
 

@@ -2,9 +2,12 @@
 properties (linearity, shift relabeling, grid refinement)."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from aliaslab import reconstruction
@@ -131,6 +134,65 @@ class TestPVFilter:
             for i in np.concatenate([rng.permutation(len(cases)), rng.permutation(len(cases))]):
                 g, step, start, want = cases[i]
                 assert pv_filter_uniform(g, step, start).tobytes() == want, g.size
+
+    def test_threads_share_no_work_arrays(self):
+        # each thread filters in its own work arrays; with more threads than
+        # cores, switching often and between FFT lengths, every value must
+        # be the one a single thread computes
+        rng = np.random.default_rng(14)
+        cases = []
+        for n in (300, 301, 1000, 300, 4097, 16001):
+            g = rng.standard_normal(n)
+            g[0] = g[-1] = 0.0
+            cases.append((g, pv_filter_uniform(g, 0.01, -1.0).tobytes()))
+
+        def worker(offset):
+            for i in range(60):
+                g, want = cases[(i + offset) % len(cases)]
+                assert pv_filter_uniform(g, 0.01, -1.0).tobytes() == want
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(worker, offset) for offset in range(6)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_long_work_arrays_are_not_kept(self):
+        # a thread keeps its work arrays only up to _WORK_KEEP FFT points;
+        # a longer filter allocates its own and drops what was kept
+        rng = np.random.default_rng(15)
+        for n in (1000, 400_000, 1000):
+            g = rng.standard_normal(n)
+            g[0] = g[-1] = 0.0
+            assert pv_filter_uniform(g, 0.01, -1.0).tobytes() == _pv_fftconvolve(g, 0.01, -1.0).tobytes(), n
+            kept = reconstruction._work.arrays
+            size = reconstruction._filter_plan(n)[0]
+            if size <= reconstruction._WORK_KEEP:
+                assert kept[0].size == size
+            else:
+                assert kept is None
+
+    def test_fast_length_matches_scipy(self):
+        # the FFT length must be scipy's pick for the bits to be fftconvolve's
+        for t in range(1, 2**16 + 1):
+            assert reconstruction._fast_length(t) == next_fast_len(t, True), t
+        top = 3 * reconstruction._MAX_GRID
+        smooth = sorted(
+            2**i * 3**j * 5**k
+            for i in range(top.bit_length() + 1)
+            for j in range(16)
+            for k in range(11)
+            if 2**i * 3**j * 5**k <= 2 * top
+        )
+        rng = np.random.default_rng(13)
+        targets = [t + d for t in smooth for d in (-1, 0, 1) if 2**16 < t + d <= top]
+        targets += [top, *rng.integers(2**16, top, size=2000, endpoint=True).tolist()]
+        for t in targets:
+            assert reconstruction._fast_length(t) == next_fast_len(t, True), t
 
     def test_plan_is_read_only(self):
         pv_filter_uniform(np.zeros(64), 0.125, -4.0)

@@ -98,6 +98,31 @@ def test_mollifier_spec_rejects_bad_bumps():
         MollifierSpec(half_width=Fraction(-1))
 
 
+def test_equal_specs_hash_equal_and_share_memos():
+    # the hash is computed once per spec; equal specs must still be one
+    # memo key, whether their coefficients were given as Fractions or ints
+    default = special_functions.DEFAULT_MOLLIFIER
+    ints = MollifierSpec(coefficients=(Fraction(15, 16), 0, Fraction(-15, 8), 0, Fraction(15, 16)), half_width=1)
+    fractions = MollifierSpec(coefficients=tuple(default.coefficients), half_width=Fraction(1))
+    for spec in (ints, fractions):
+        assert spec is not default and spec == default
+        assert hash(spec) == hash(default) == hash((default.coefficients, default.half_width))
+    narrow = MollifierSpec(coefficients=(Fraction(15, 8), 0, -15, 0, 30), half_width=Fraction(1, 2))
+    assert narrow != default and hash(narrow) == hash((narrow.coefficients, narrow.half_width))
+
+    want = w_eval(0.3, default)
+    before = special_functions._float_coeffs.cache_info()
+    assert w_eval(0.3, ints) == want
+    after = special_functions._float_coeffs.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    big_psi(0.3, 0.75, 0.2)
+    before = special_functions._lattice.cache_info()
+    assert big_psi(0.3, 0.75, 0.2, spec=fractions) == big_psi(0.3, 0.75, 0.2, spec=ints)
+    after = special_functions._lattice.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+
 @given(st.floats(min_value=-3, max_value=3, allow_nan=False))
 def test_mollifier_even_and_bounded(t):
     v = w_eval(t)
@@ -177,6 +202,37 @@ def test_psi_far_field_asymptotic():
 def test_psi_oracle_agrees_with_independent_reference():
     for q, ref in PSI_REFERENCE.items():
         assert abs(psi_eval_quadrature_oracle(q) - ref) < 1e-11, q
+
+
+def _w_eval_oracle(q, spec=special_functions.DEFAULT_MOLLIFIER):
+    """psi_eval_quadrature_oracle with its integrand calling w_eval."""
+    from scipy.integrate import quad
+
+    s = float(spec.half_width)
+    if q >= s:
+        return 0.0
+
+    def bump(p):
+        return float(w_eval(q + p, spec))
+
+    p_lo, p_hi = max(0.0, -s - q), s - q
+    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    if p_lo > 0.0:
+        return 0.5 * quad(lambda p: bump(p) * p**-0.5, p_lo, p_hi, **kw)[0]
+    mid = 0.5 * p_hi
+    v1 = quad(lambda u: bump(u * u), 0.0, math.sqrt(mid), **kw)[0]
+    v2 = quad(lambda p: bump(p) * p**-0.5, mid, p_hi, **kw)[0]
+    return v1 + 0.5 * v2
+
+
+def test_oracle_integrand_matches_w_eval_bitwise():
+    # the oracle evaluates w by Horner's rule on floats; on criterion 2's
+    # q-grid every quadrature must come out as with w_eval itself
+    qs = np.linspace(-50.0, 2.0, 1000).tolist()
+    assert [psi_eval_quadrature_oracle(q) for q in qs] == [_w_eval_oracle(q) for q in qs]
+    narrow = MollifierSpec(coefficients=(Fraction(15, 8), 0, -15, 0, 30), half_width=Fraction(1, 2))
+    qs = np.linspace(-3.0, 0.6, 37).tolist()
+    assert [psi_eval_quadrature_oracle(q, narrow) for q in qs] == [_w_eval_oracle(q, narrow) for q in qs]
 
 
 # ---------------------------------------------------------------------------
