@@ -223,25 +223,83 @@ def filter_view(data, k: int, eta: int = 16, q_range=None) -> FilteredView:
     )
 
 
+class _Interpolator:
+    """Catmull-Rom interpolation of filtered views at m points at a time,
+    into work arrays made once: a caller that interpolates many views at
+    the same points allocates per view only ``phi_eval``'s output and the
+    coefficients of the cells the points touch.
+
+    The cell of position pos (in grid steps) is i = clip(floor(pos), 1,
+    n - 3), with the coefficients
+
+        c0 = 2 p1,  c1 = p2 - p0,  c2 = 2 p0 - 5 p1 + 4 p2 - p3,
+        c3 = 3 p1 - p0 - 3 p2 + p3          (p_j = f[i - 1 + j]),
+
+    formed once per cell on the span of cells the m points touch, and the
+    value at s = pos - i is 0.5 * (((c0 + c1 s) + c2 s**2) + c3 s**3): the
+    pointwise formula with the same operations in the same order, so the
+    same bits for any m and any span.
+    """
+
+    def __init__(self, m: int):
+        self.cell = np.empty(m, dtype=np.intp)
+        self.term = np.empty(m)
+        self.power = np.empty(m)
+        self.out = np.empty(m)
+
+    def __call__(self, view: FilteredView, q: np.ndarray) -> np.ndarray:
+        """Values of ``view`` at the m queries q (1-D, overwritten: the grid
+        position, then s), in ``self.out``."""
+        n = view.values.size
+        pos = np.subtract(q, view.start, out=q)
+        np.divide(pos, view.step, out=pos)
+        # min/max settle the common case; NaN fails it and falls through
+        # to the pointwise test, which (like any comparison) lets NaN pass
+        low, high = pos.min(), pos.max()
+        if not (low >= -1e-9 and high <= n - 1 + 1e-9) and (
+            np.any(pos < -1e-9) or np.any(pos > n - 1 + 1e-9)
+        ):
+            raise ValueError(
+                "query outside the filtered q-grid; rebuild the views with a q_range covering the target points"
+            )
+        # the cast truncates, which after the clip equals floor on
+        # pos >= -1e-9; the clip acts only near the grid ends (or on NaN)
+        cell = self.cell
+        np.copyto(cell, pos, casting="unsafe")
+        if not (low >= 1.0 and high < n - 2):
+            np.clip(cell, 1, n - 3, out=cell)
+        s = np.subtract(pos, cell, out=pos)
+        first, last = cell.min(), cell.max()
+        f = view.values[first - 1 : last + 3]
+        p0, p1, p2, p3 = f[:-3], f[1:-2], f[2:-1], f[3:]
+        c0 = 2.0 * p1
+        c1 = p2 - p0
+        c2 = 2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3
+        c3 = 3.0 * p1 - p0 - 3.0 * p2 + p3
+        np.subtract(cell, first, out=cell)
+
+        # the cells lie in [0, span): mode="wrap" never wraps, and unlike
+        # the default it does not buffer the gather behind ``out``
+        out, term, power = self.out, self.term, self.power
+        np.take(c1, cell, out=out, mode="wrap")
+        np.multiply(out, s, out=out)
+        np.add(np.take(c0, cell, out=term, mode="wrap"), out, out=out)
+        np.square(s, out=power)
+        np.multiply(np.take(c2, cell, out=term, mode="wrap"), power, out=term)
+        np.add(out, term, out=out)
+        np.power(s, 3, out=power)
+        np.multiply(np.take(c3, cell, out=term, mode="wrap"), power, out=term)
+        np.add(out, term, out=out)
+        np.multiply(out, 0.5, out=out)
+        return out
+
+
 def view_values_at(view: FilteredView, q) -> np.ndarray:
-    """Cubic (Catmull-Rom) interpolation of the filtered samples."""
-    q = np.asarray(q, dtype=float)
-    n = view.values.size
-    pos = (q - view.start) / view.step
-    if np.any(pos < -1e-9) or np.any(pos > n - 1 + 1e-9):
-        raise ValueError(
-            "query outside the filtered q-grid; rebuild the views with a q_range covering the target points"
-        )
-    idx = np.clip(np.floor(pos).astype(int), 1, n - 3)
-    s = pos - idx
-    f = view.values
-    p0, p1, p2, p3 = f[idx - 1], f[idx], f[idx + 1], f[idx + 2]
-    return 0.5 * (
-        2.0 * p1
-        + (p2 - p0) * s
-        + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * s**2
-        + (3.0 * p1 - p0 - 3.0 * p2 + p3) * s**3
-    )
+    """Cubic (Catmull-Rom) interpolation of the filtered samples at q."""
+    q = np.array(q, dtype=float)
+    if not q.size:
+        return q
+    return _Interpolator(q.size)(view, q.reshape(-1)).reshape(q.shape)[()]
 
 
 def backproject(views, x, family: RadonFamily, scheme: SamplingScheme):
@@ -249,17 +307,20 @@ def backproject(views, x, family: RadonFamily, scheme: SamplingScheme):
 
     ``x`` is one point (shape (2,)) or many (shape (m, 2)); the view sum
     runs in the fixed order of ``views``, so results do not depend on
-    how callers partition the points.
+    how callers partition the points.  One set of work arrays of the
+    block's size serves every view (``_Interpolator``).
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != 2:
         raise ValueError("points must have shape (..., 2)")
-    total = np.zeros(pts.shape[0])
-    for view in views:
-        q = phi_eval(family, view.alpha, pts)
-        total += view_values_at(view, q)
+    m = pts.shape[0]
+    total = np.zeros(m)
+    if m:
+        interpolate = _Interpolator(m)
+        for view in views:
+            total += interpolate(view, phi_eval(family, view.alpha, pts))
     total *= -scheme.delta_alpha / (2.0 * math.pi**2)
     return float(total[0]) if single else total
 

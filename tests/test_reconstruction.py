@@ -4,9 +4,12 @@ properties (linearity, shift relabeling, grid refinement)."""
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
@@ -15,6 +18,7 @@ from aliaslab.forward_model import SemiDiscreteData, SinogramSampler
 from aliaslab.geometry import (
     DiskPhantom,
     SamplingScheme,
+    circle_family,
     line_family,
     phi_eval,
 )
@@ -343,6 +347,163 @@ class TestBackprojection:
         batched = backproject(views, pts, line_family(), scheme)
         singles = np.array([backproject(views, p, line_family(), scheme) for p in pts])
         assert np.array_equal(batched, singles)
+
+
+def _interpolate_pointwise(view, q):
+    """Reference interpolation: the cell clip(floor(pos), 1, n - 3) and the
+    Catmull-Rom polynomial of its four samples, gathered point by point."""
+    n = view.values.size
+    pos = (q - view.start) / view.step
+    if np.any(pos < -1e-9) or np.any(pos > n - 1 + 1e-9):
+        raise ValueError("outside")
+    idx = np.clip(np.floor(pos).astype(int), 1, n - 3)
+    s = pos - idx
+    f = view.values
+    p0, p1, p2, p3 = f[idx - 1], f[idx], f[idx + 1], f[idx + 2]
+    return 0.5 * (
+        2.0 * p1
+        + (p2 - p0) * s
+        + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * s**2
+        + (3.0 * p1 - p0 - 3.0 * p2 + p3) * s**3
+    )
+
+
+def _backproject_pointwise(views, x, family, scheme):
+    """Reference backprojection: phi_eval and the reference interpolation,
+    summed in view order."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    total = np.zeros(pts.shape[0])
+    for view in views:
+        total += _interpolate_pointwise(view, phi_eval(family, view.alpha, pts))
+    total *= -scheme.delta_alpha / (2.0 * math.pi**2)
+    return total
+
+
+class TestBackprojectionEdges:
+    """Bitwise agreement with the pointwise reference where the cell
+    clip, the range test and the coefficient span meet their ends.  All
+    views look at alpha = 0, where Phi(x, 0) is exactly x for lines and
+    exactly 5 - x for circles of radius 5, so the grid positions below are
+    hit exactly (start and step are powers of two)."""
+
+    N, START, STEP = 12, 1.0, 0.25
+    EDGES = (-4e-10, 0.0, 1.0, N - 3.0, N - 2.0, N - 1.0, N - 1.0 + 4e-10)
+
+    def _setup(self, kind):
+        rng = np.random.default_rng(7)
+        views = [FilteredView(k, 0.0, self.START, self.STEP, rng.standard_normal(self.N)) for k in range(3)]
+        family = line_family() if kind == "line" else circle_family(5.0)
+        return views, family, SamplingScheme.half_circle(0.05, 20)
+
+    def _points_at(self, kind, pos):
+        phi = self.START + self.STEP * np.asarray(pos, dtype=float)
+        x = phi if kind == "line" else 5.0 - phi
+        return np.column_stack([x, np.zeros_like(x)])
+
+    def _positions(self, family, pts):
+        return (phi_eval(family, 0.0, pts) - self.START) / self.STEP
+
+    @pytest.mark.parametrize("kind", ["line", "circle"])
+    def test_grid_ends_are_exact(self, kind):
+        views, family, scheme = self._setup(kind)
+        pts = self._points_at(kind, self.EDGES)
+        pos = self._positions(family, pts)
+        n = self.N
+        assert -1e-9 < pos[0] < 0.0
+        assert np.array_equal(pos[1:-1], [0.0, 1.0, n - 3.0, n - 2.0, n - 1.0])
+        assert n - 1.0 < pos[-1] <= n - 1.0 + 1e-9
+        expected = _backproject_pointwise(views, pts, family, scheme)
+        assert np.array_equal(backproject(views, pts, family, scheme), expected)
+        for point, value in zip(pts, expected):
+            single = backproject(views, point, family, scheme)
+            assert type(single) is float and single == value
+
+    @pytest.mark.parametrize("kind", ["line", "circle"])
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            # one cell: the coefficient span is 4 samples
+            (5.0, 5.1, 5.37, 5.99),
+            # every cell, both ends included
+            tuple(np.linspace(0.0, N - 1.0, 47)) + EDGES,
+        ],
+        ids=["one-cell", "whole-grid"],
+    )
+    def test_blocks_match_pointwise(self, kind, positions):
+        views, family, scheme = self._setup(kind)
+        pts = self._points_at(kind, positions)
+        cells = np.clip(np.floor(self._positions(family, pts)).astype(int), 1, self.N - 3)
+        if len(positions) == 4:
+            assert np.unique(cells).size == 1
+        else:
+            assert set(cells) == set(range(1, self.N - 2))
+        expected = _backproject_pointwise(views, pts, family, scheme)
+        assert np.array_equal(backproject(views, pts, family, scheme), expected)
+        q = phi_eval(family, 0.0, pts)
+        assert np.array_equal(view_values_at(views[0], q), _interpolate_pointwise(views[0], q))
+
+    @pytest.mark.parametrize("kind", ["line", "circle"])
+    def test_out_of_range_and_nan(self, kind):
+        views, family, scheme = self._setup(kind)
+        inside = self._points_at(kind, (0.5, 6.0))
+        for pos in (-2e-9, self.N - 1.0 + 2e-9):
+            with pytest.raises(ValueError, match="outside"):
+                backproject(views, np.vstack([inside, self._points_at(kind, [pos])]), family, scheme)
+        nan = np.array([[np.nan, 0.0]])
+        with np.errstate(invalid="ignore"):
+            # NaN passes the range test, as any comparison lets it; the
+            # other points keep their values
+            pts = np.vstack([inside, nan])
+            got = backproject(views, pts, family, scheme)
+            assert np.isnan(got[-1])
+            assert np.array_equal(got, _backproject_pointwise(views, pts, family, scheme), equal_nan=True)
+            # a NaN does not hide a point outside the grid
+            with pytest.raises(ValueError, match="outside"):
+                backproject(views, np.vstack([nan, self._points_at(kind, [-1.0])]), family, scheme)
+
+    def test_curve_vertex_raises(self):
+        views, family, scheme = self._setup("circle")
+        with pytest.raises(ValueError, match="vertex"):
+            backproject(views, np.array([[1.0, 1.0], [5.0, 0.0]]), family, scheme)
+
+
+@lru_cache(maxsize=None)
+def _small_run(kind):
+    """Filtered views of a small line or circle scan whose grids cover
+    every point of [-3, 3]^2."""
+    if kind == "line":
+        family, phantom, q_range = line_family(), DiskPhantom((0.5, -0.25), 1.5), (-4.5, 4.5)
+        scheme = SamplingScheme.half_circle(0.05, 24)
+    else:
+        family, phantom, q_range = circle_family(5.0), DiskPhantom((1.0, 0.5), 1.5), (0.5, 9.5)
+        scheme = SamplingScheme.full_circle(0.05, 24)
+    return _build_views(SinogramSampler(family, phantom), scheme, q_range), family, scheme
+
+
+class TestBatching:
+    @given(
+        kind=st.sampled_from(["line", "circle"]),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 60),
+        parts=st.integers(1, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_split_matches_one_call_bitwise(self, kind, seed, m, parts):
+        # each point's value depends on that point alone, although the
+        # coefficient span of a view follows the points of the call
+        views, family, scheme = _small_run(kind)
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-3.0, 3.0, (m, 2))
+        whole = backproject(views, pts, family, scheme)
+        labels = rng.integers(parts, size=m)
+        split = np.empty(m)
+        for part in range(parts):
+            chosen = labels == part
+            split[chosen] = backproject(views, pts[chosen], family, scheme)
+        assert np.array_equal(split, whole)
+        for i in rng.choice(m, size=min(m, 3), replace=False):
+            value = backproject(views, pts[i], family, scheme)
+            assert type(value) is float and value == whole[i]
 
 
 class TestPipelineProperties:
