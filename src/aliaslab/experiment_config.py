@@ -21,8 +21,8 @@ from .outputs import format_floats
 from .reconstruction import ImageGrid
 
 __all__ = [
-    "ConfigError", "ExperimentConfig", "MAX_IMAGE_PIXELS", "parse_config_text", "load_config_file", "crt_preset",
-    "grt_preset",
+    "ConfigError", "ExperimentConfig", "MAX_IMAGE_PIXELS", "MAX_PROFILE_SAMPLES", "MAX_VIEWS", "parse_config_text",
+    "load_config_file", "crt_preset", "grt_preset",
 ]
 
 _ARTIFACTS = ("profile", "report", "roi-image", "global-image")
@@ -41,6 +41,12 @@ _FAMILY_DEFAULTS = {
 # centers, their meshgrid and the values), so 2**24 pixels (4096 x 4096)
 # take about 0.6 GB; both presets use 10**6.
 MAX_IMAGE_PIXELS = 2**24
+# Most probe offsets a profile may have, 2*round(probe.h_max/probe.h_step) + 1,
+# and most views a scheme may have; more is refused when the config is built,
+# before anything is allocated.  The presets use 89 and 49 offsets and 200
+# and 500 views.
+MAX_PROFILE_SAMPLES = 2**16
+MAX_VIEWS = 2**20
 
 
 class ConfigError(ValueError):
@@ -71,7 +77,6 @@ class ExperimentConfig:
     h_max: float = _key("probe.h_max", "num")
     h_step: float = _key("probe.h_step", "num", default=0.25)
     eta: int = _key("recon.eta", "int", default=16)
-    quad_order: int = _key("recon.quad_order", "int", default=32)
     artifacts: tuple[str, ...] = _key("outputs.artifacts", "list", default=("profile", "report"))
     image_half_extent: float | None = _key("image.half_extent", "num", default=None)
     image_pixel_size: float | None = _key("image.pixel_size", "num", default=None)
@@ -102,6 +107,8 @@ class ExperimentConfig:
         if int(self.n_views) != self.n_views or self.n_views < 2:
             raise ConfigError("scheme.n_views: must be an integer >= 2")
         object.__setattr__(self, "n_views", int(self.n_views))
+        if self.n_views > MAX_VIEWS:
+            raise ConfigError(f"scheme.n_views: {self.n_views} views; at most MAX_VIEWS = {MAX_VIEWS}")
         if self.family == "circle":
             if self.acquisition_radius is None or not self.acquisition_radius > 0:
                 raise ConfigError("acquisition.radius: required and positive for the circle family")
@@ -125,14 +132,17 @@ class ExperimentConfig:
             raise ConfigError("probe.h_max: must be positive")
         if not self.h_step > 0:
             raise ConfigError("probe.h_step: must be positive")
-        if abs(round(self.h_max / self.h_step) * self.h_step - self.h_max) > 1e-9:
+        ratio = self.h_max / self.h_step
+        if not 2 * round(min(ratio, MAX_PROFILE_SAMPLES)) + 1 <= MAX_PROFILE_SAMPLES:
+            raise ConfigError(
+                f"probe.h_step: probe.h_max / probe.h_step = {ratio:.6g} asks for more than "
+                f"MAX_PROFILE_SAMPLES = {MAX_PROFILE_SAMPLES} profile samples"
+            )
+        if abs(round(ratio) * self.h_step - self.h_max) > 1e-9:
             raise ConfigError("probe.h_step: must divide probe.h_max (symmetric grid through 0)")
         if int(self.eta) != self.eta or self.eta < 2:
             raise ConfigError("recon.eta: must be an integer >= 2")
         object.__setattr__(self, "eta", int(self.eta))
-        if int(self.quad_order) != self.quad_order or self.quad_order < 8:
-            raise ConfigError("recon.quad_order: must be an integer >= 8")
-        object.__setattr__(self, "quad_order", int(self.quad_order))
         bad = [a for a in self.artifacts if a not in _ARTIFACTS]
         if bad:
             raise ConfigError(f"outputs.artifacts: unknown artifact(s) {bad}")

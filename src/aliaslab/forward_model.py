@@ -18,7 +18,8 @@ which removes the singularity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,6 +38,16 @@ _KINK_TOL = 1e-12
 # (512 KiB) stay in cache, where one block over a 6*10**4-point view grid
 # (16 MB) does not
 _CLEAN_BLOCK = 2048
+
+# The lab's one quadrature rule, 32-node Gauss-Legendre on [-1, 1], and its
+# clean-window form: after s = p + eps*u over the kernel support
+# u in [-half, half], f_eps(p) = sum _VAL_W * fhat(p + eps*_U) and
+# d/dp f_eps(p) = sum (_DER_W / eps) * fhat(p + eps*_U).
+_HALF = float(DEFAULT_MOLLIFIER.half_width)
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
+_U = _HALF * _NODES
+_VAL_W = _HALF * _WEIGHTS * w_eval(-_U)
+_DER_W = _HALF * _WEIGHTS * w_prime_eval(-_U)
 
 
 def sinogram_line_disk(phantom: DiskPhantom, alpha, p):
@@ -125,8 +136,9 @@ def _at_kink(x: np.ndarray, kinks: np.ndarray) -> np.ndarray:
 class SemiDiscreteData:
     """Smoothed view data of one phantom on one sampling scheme.
 
-    ``quad_order`` is the Gauss-Legendre order used per subinterval of
-    the convolution window.  Each returned value depends only on (k, p):
+    The data are smoothed by the lab's one bump (``mollifier``, read-only)
+    and integrated by its one rule, 32-node Gauss-Legendre per subinterval
+    of the convolution window.  Each returned value depends only on (k, p):
     evaluating points one at a time, in one array or in any partition of
     it gives the same bits.  Clean windows are summed over blocks of
     ``_CLEAN_BLOCK`` points, node by node in a fixed order, so where the
@@ -135,22 +147,7 @@ class SemiDiscreteData:
 
     scheme: SamplingScheme
     sampler: SinogramSampler
-    quad_order: int = 32
-    mollifier: MollifierSpec = field(default=DEFAULT_MOLLIFIER)
-
-    def __post_init__(self) -> None:
-        if self.quad_order < 8:
-            raise ValueError("quadrature order below 8 is not supported")
-        # clean-window rule: f_eps(p) = sum val_w * fhat(p + eps*u) after the
-        # substitution s = p + eps*u over the kernel support u in [-half, half]
-        nodes, weights = np.polynomial.legendre.leggauss(self.quad_order)
-        half = float(self.mollifier.half_width)
-        u = half * nodes
-        self.__dict__.update(  # frozen: fixed once for the life of the data
-            _half=half, _u=u, _nodes_1=nodes + 1.0, _weights_2=weights * 2.0,
-            _val_w=half * weights * w_eval(-u, self.mollifier),
-            _der_w=half * weights * w_prime_eval(-u, self.mollifier) / self.scheme.epsilon,
-        )
+    mollifier: ClassVar[MollifierSpec] = DEFAULT_MOLLIFIER
 
     def view_angle(self, k: int) -> float:
         return self.scheme.alpha_origin + self.scheme.delta_alpha * (k + self.scheme.shift)
@@ -162,7 +159,7 @@ class SemiDiscreteData:
         out = np.zeros(pv.shape)
 
         kinks = np.sort(self.sampler.kinks(alpha))
-        lo, hi = pv - eps * self._half, pv + eps * self._half
+        lo, hi = pv - eps * _HALF, pv + eps * _HALF
         has_kink = np.any((lo[:, None] < kinks) & (kinks < hi[:, None]), axis=1)
 
         # windows that miss the support entirely integrate zero; skip the
@@ -171,8 +168,8 @@ class SemiDiscreteData:
         dead = (hi <= slo) | (lo >= shi)
 
         clean = np.flatnonzero(~has_kink & ~dead)
-        weights = self._der_w if derivative else self._val_w
-        offsets = eps * self._u[:, None]
+        weights = _DER_W / eps if derivative else _VAL_W
+        offsets = eps * _U[:, None]
         for i in range(0, clean.size, _CLEAN_BLOCK):
             rows = clean[i : i + _CLEAN_BLOCK]
             samples = self.sampler.value(alpha, pv[rows] + offsets)
@@ -194,12 +191,12 @@ class SemiDiscreteData:
         integrated after s = a + u**2 from a kink end a, else s = b - u**2."""
         eps = self.scheme.epsilon
         w, norm = (w_prime_eval, eps**2) if derivative else (w_eval, eps)
-        lo, hi = p - eps * self._half, p + eps * self._half
+        lo, hi = p - eps * _HALF, p + eps * _HALF
         total = np.zeros(p.shape)
         edges = np.concatenate(([-np.inf], kinks, [np.inf]))
         for left, right in zip(edges[:-1], edges[1:]):
             a, b = np.maximum(lo, left), np.minimum(hi, right)
-            live = b - a > _KINK_TOL * (eps * self._half)
+            live = b - a > _KINK_TOL * (eps * _HALF)
             from_a = _at_kink(a, kinks)
             split = live & from_a & _at_kink(b, kinks)
             mid = 0.5 * (a + b)
@@ -209,10 +206,10 @@ class SemiDiscreteData:
                     continue
                 pr, pa, pb = p[rows, None], pa[rows, None], pb[rows, None]
                 umax = np.sqrt(pb - pa)
-                u = 0.5 * umax * self._nodes_1
+                u = 0.5 * umax * (_NODES + 1.0)
                 s = np.where(from_pa[rows, None], pa + u * u, pb - u * u)
-                kernel = w((pr - s) / eps, self.mollifier) / norm
-                terms = self._weights_2 * u * kernel * self.sampler.value(alpha, s)
+                kernel = w((pr - s) / eps) / norm
+                terms = (_WEIGHTS * 2.0) * u * kernel * self.sampler.value(alpha, s)
                 total[rows] += 0.5 * umax[:, 0] * np.sum(terms, axis=1)
         return total
 
@@ -229,5 +226,5 @@ class SemiDiscreteData:
     def grid_support(self, k: int, margin: float = 0.0) -> tuple[float, float]:
         """Support of the smoothed view data, widened by ``margin``."""
         lo, hi = self.sampler.support(self.view_angle(k))
-        pad = self.scheme.epsilon * float(self.mollifier.half_width) + margin
+        pad = self.scheme.epsilon * _HALF + margin
         return lo - pad, hi + pad

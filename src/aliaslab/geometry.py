@@ -189,19 +189,16 @@ class SamplingScheme:
         k = np.arange(self.n_views, dtype=float)
         return self.alpha_origin + self.delta_alpha * (k + self.shift)
 
-    def contains_angle(self, alpha: float) -> bool:
+    def contains_angle(self, alpha):
+        """Whether the view angle ``alpha`` lies in the closed window, i.e.
+        (alpha - lo) mod 2*pi <= (hi - lo) + 1e-12; elementwise for an array."""
         if self.window is None:
-            return True
+            return np.full(np.shape(alpha), True)
         lo, hi = self.window
-        return (float(alpha) - lo) % _TWO_PI <= (hi - lo) + 1e-12
+        return (alpha - lo) % _TWO_PI <= (hi - lo) + 1e-12
 
     def window_view_indices(self) -> np.ndarray:
-        angles = self.view_angles()
-        if self.window is None:
-            return np.arange(self.n_views)
-        lo, hi = self.window
-        keep = (angles - lo) % _TWO_PI <= (hi - lo) + 1e-12
-        return np.nonzero(keep)[0]
+        return np.flatnonzero(self.contains_angle(self.view_angles()))
 
 
 def phi_eval(family: RadonFamily, alpha, x):
@@ -502,12 +499,11 @@ def mu0_numeric(
     x0,
     alpha_star: float,
     branch: int,
-    step: float = 1e-6,
 ) -> float:
     """Finite-difference sweep rate of Phi(alpha, x0) - tangent_p(alpha).
 
-    Central differences at two step sizes combined by one Richardson
-    extrapolation.  Returns the raw (unflipped) rate for the stated
+    Central differences at the steps 1e-6 and 5e-7 combined by one
+    Richardson extrapolation.  Returns the raw (unflipped) rate for the stated
     branch; descriptors with ``flipped`` set carry the negated value.
     """
     probe = np.asarray(x0, dtype=float)
@@ -518,4 +514,4 @@ def mu0_numeric(
     def central(dd: float) -> float:
         return (f(alpha_star + dd) - f(alpha_star - dd)) / (2.0 * dd)
 
-    return (4.0 * central(step / 2.0) - central(step)) / 3.0
+    return (4.0 * central(5e-7) - central(1e-6)) / 3.0

@@ -133,7 +133,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     q_range = query_range(family, _max_query_norm(config, want_global, want_roi))
 
     sampler = SinogramSampler(family, phantom)
-    data = SemiDiscreteData(scheme, sampler, quad_order=config.quad_order)
+    data = SemiDiscreteData(scheme, sampler)
 
     t0 = time.perf_counter()
     view_indices = scheme.window_view_indices()

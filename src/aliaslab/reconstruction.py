@@ -187,15 +187,15 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     return s1 - g * c + step * trap * gp + log_term
 
 
-def filter_view(data, k: int, eta: int = 16, q_range=None) -> FilteredView:
+def filter_view(data, k: int, eta: int, q_range) -> FilteredView:
     """Build the FilteredView of view ``k`` from a semi-discrete data
     object (anything with scheme, view_angle, grid_support and
     data_smooth_deriv).
 
     ``eta``: fine-grid oversampling, step = eps/eta.  ``q_range``:
-    optional (lo, hi) of query values the view must cover, e.g. the
-    Phi-range of an image grid; the fine grid is the union of this and
-    the padded data support.  A grid of more than ``_MAX_GRID`` points
+    (lo, hi) of query values the view must cover, e.g. the Phi-range of
+    an image grid; the fine grid is the union of this and the padded data
+    support.  A grid of more than ``_MAX_GRID`` points
     raises ValueError before it is allocated.
     """
     if int(eta) != eta or eta < 2:
@@ -203,9 +203,8 @@ def filter_view(data, k: int, eta: int = 16, q_range=None) -> FilteredView:
     eps = data.scheme.epsilon
     step = eps / int(eta)
     lo, hi = data.grid_support(k, margin=_MARGIN_FACTOR * eps)
-    if q_range is not None:
-        lo = min(lo, q_range[0] - 2.0 * step)
-        hi = max(hi, q_range[1] + 2.0 * step)
+    lo = min(lo, q_range[0] - 2.0 * step)
+    hi = max(hi, q_range[1] + 2.0 * step)
     count = int(math.ceil((hi - lo) / step)) + 1
     if count > _MAX_GRID:
         raise ValueError(

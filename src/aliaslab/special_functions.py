@@ -1,13 +1,15 @@
 """Smoothing kernels and lattice sums for view-sampling aliasing analysis.
 
-Scalar data are smoothed by a compactly supported polynomial mollifier
-``w``.  Filtered backprojection of a function with a jump across a smooth
+Scalar data are smoothed by one fixed mollifier ``w``, the quartic bump
+(15/16)(1 - t^2)^2 on |t| < 1 (``DEFAULT_MOLLIFIER``); its float
+coefficients and the rules built on it are computed once, at import.
+Filtered backprojection of a function with a jump across a smooth
 boundary produces, per view near tangency, the square-root edge kernel
 
     psi(q) = (1/2) * int_0^inf w(q + p) p**(-1/2) dp,
 
-which vanishes for q >= 1, equals 2/3 at q = 0 (for the default quartic
-bump) and decays like (1/2) * (-q)**(-1/2) as q -> -inf.  An angularly
+which vanishes for q >= 1, equals 2/3 at q = 0 and decays like
+(1/2) * (-q)**(-1/2) as q -> -inf.  An angularly
 discretized acquisition samples the kernel on an affine lattice, and the
 aliasing oscillation seen in reconstructions is the lattice sum
 
@@ -57,41 +59,14 @@ class MollifierSpec:
     """Compactly supported polynomial bump used to smooth the scalar data.
 
     The bump is ``w(t) = sum_m coefficients[m] * t**m`` on
-    ``|t| < half_width`` and zero outside.  Coefficients are exact
-    rationals so the defining identities (unit mass, C^1 matching at the
-    support boundary) can be checked without rounding.
+    ``|t| < half_width`` and zero outside, with exact rational
+    coefficients.  The lab uses one bump, ``DEFAULT_MOLLIFIER``: the
+    quartic (15/16)(1 - t^2)^2 on |t| < 1, of unit mass and C^1 on the
+    whole line.
     """
 
     coefficients: tuple[Fraction, ...] = _QUARTIC_BUMP
     half_width: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
-        s = Fraction(self.half_width)
-        object.__setattr__(self, "half_width", s)
-        if s <= 0:
-            raise ValueError("mollifier half_width must be positive")
-        if not coeffs:
-            raise ValueError("mollifier needs at least one coefficient")
-        mass = sum(
-            c * (s ** (m + 1) - (-s) ** (m + 1)) / (m + 1)
-            for m, c in enumerate(coeffs)
-        )
-        if mass != 1:
-            raise ValueError(f"mollifier mass must be exactly 1, got {mass}")
-        for edge in (s, -s):
-            value = sum(c * edge**m for m, c in enumerate(coeffs))
-            slope = sum(m * c * edge ** (m - 1) for m, c in enumerate(coeffs) if m)
-            if value != 0 or slope != 0:
-                raise ValueError(
-                    "mollifier must vanish to first order at the support "
-                    "boundary (C^1 on the whole line)"
-                )
-        object.__setattr__(self, "_hash", hash((coeffs, s)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True)
@@ -145,70 +120,53 @@ _NEAR_BLOCK = 8192
 _LATTICE_CACHE = 4
 
 
-@lru_cache(maxsize=None)
-def _float_coeffs(spec: MollifierSpec) -> np.ndarray:
-    return np.array([float(c) for c in spec.coefficients], dtype=float)
-
-
-@lru_cache(maxsize=None)
-def _float_deriv_coeffs(spec: MollifierSpec) -> np.ndarray:
-    c = _float_coeffs(spec)
-    if len(c) == 1:
-        return np.zeros(1)
-    return c[1:] * np.arange(1, len(c), dtype=float)
-
-
-@lru_cache(maxsize=None)
-def _shift_square_coeffs(spec: MollifierSpec) -> np.ndarray:
-    """Matrix B with w(q + u^2) = sum_j (sum_i B[j, i] q**i) * u**(2j)."""
-    c = _float_coeffs(spec)
-    deg = len(c) - 1
-    B = np.zeros((deg + 1, deg + 1))
-    for m in range(deg + 1):
-        for j in range(m + 1):
-            B[j, m - j] += c[m] * math.comb(m, j)
-    return B
-
-
-@lru_cache(maxsize=None)
-def _far_field_rule(spec: MollifierSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes tau_i on the support and weights c_i with
-    psi(q) = (1/2) sum_i c_i (tau_i - q)^(-1/2) for q well below the support."""
-    x, wts = np.polynomial.legendre.leggauss(_FAR_GL_ORDER)
-    s = float(spec.half_width)
-    tau = s * x
-    c = s * wts * w_eval(tau, spec)
-    return tau, c
+# The bump in floats: w's and w''s ascending coefficients, and the matrix B
+# with w(q + u^2) = sum_j (sum_i B[j, i] q**i) * u**(2j), i.e.
+# B[j, i] = c[i + j] * binomial(i + j, j).
+_HALF = float(DEFAULT_MOLLIFIER.half_width)
+_COEFFS = np.array([float(c) for c in DEFAULT_MOLLIFIER.coefficients])
+_DERIV_COEFFS = _COEFFS[1:] * np.arange(1, _COEFFS.size, dtype=float)
+_SHIFT_SQUARE = np.array(
+    [[_COEFFS[i + j] * math.comb(i + j, j) if i + j < _COEFFS.size else 0.0 for i in range(_COEFFS.size)]
+     for j in range(_COEFFS.size)]
+)
 
 
 def _scalar_or_array(values: np.ndarray, scalar_input: bool):
     return float(values[()]) if scalar_input else values
 
 
-def _on_support(t, coeffs: np.ndarray, spec: MollifierSpec):
+def _on_support(t, coeffs: np.ndarray):
     """Polynomial ``coeffs`` at t on the open support |t| < half_width, zero
     outside; float for a scalar t, array of t's shape otherwise."""
     arr = np.asarray(t, dtype=float)
     flat = np.atleast_1d(arr)
     out = np.zeros_like(flat, dtype=float)
-    inside = np.abs(flat) < float(spec.half_width)
+    inside = np.abs(flat) < _HALF
     if np.any(inside):
         out[inside] = np.polynomial.polynomial.polyval(flat[inside], coeffs)
     return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
 
 
-def w_eval(t, spec: MollifierSpec = DEFAULT_MOLLIFIER):
+def w_eval(t):
     """Mollifier value w(t); zero outside the open support interval."""
-    return _on_support(t, _float_coeffs(spec), spec)
+    return _on_support(t, _COEFFS)
 
 
-def w_prime_eval(t, spec: MollifierSpec = DEFAULT_MOLLIFIER):
+def w_prime_eval(t):
     """Derivative w'(t); zero outside the open support interval."""
-    return _on_support(t, _float_deriv_coeffs(spec), spec)
+    return _on_support(t, _DERIV_COEFFS)
 
 
-def psi_eval(q, spec: MollifierSpec = DEFAULT_MOLLIFIER):
-    """Square-root edge kernel psi(q) = (1/2) int_0^inf w(q+p) p^(-1/2) dp.
+# Far-field rule of psi_eval: nodes tau_i on the support and weights c_i with
+# psi(q) = (1/2) sum_i c_i (tau_i - q)^(-1/2) for q well below the support.
+_FAR_TAU, _FAR_C = np.polynomial.legendre.leggauss(_FAR_GL_ORDER)
+_FAR_TAU, _FAR_C = _HALF * _FAR_TAU, _HALF * _FAR_C * w_eval(_HALF * _FAR_TAU)
+
+
+def psi_eval(q):
+    """Square-root edge kernel psi(q) = (1/2) int_0^inf w(q+p) p^(-1/2) dp
+    of the lab's bump w (``DEFAULT_MOLLIFIER``).
 
     Exact closed form: substituting p = u^2 turns the integral into
     int w(q + u^2) du over the u-range where q + u^2 stays inside the
@@ -224,53 +182,45 @@ def psi_eval(q, spec: MollifierSpec = DEFAULT_MOLLIFIER):
     ----------
     q : float or ndarray
         Signed distance argument (positive means past the support).
-    spec : MollifierSpec
-        Smoothing bump.
 
     Returns
     -------
     float or ndarray
-        psi(q) >= 0, identically zero for q >= spec.half_width.
+        psi(q) >= 0, identically zero for q >= 1, the bump's half width.
     """
     arr = np.asarray(q, dtype=float)
     flat = np.atleast_1d(arr).astype(float).ravel()
     out = np.zeros_like(flat)
-    s = float(spec.half_width)
+    s = _HALF
 
     near = np.flatnonzero((flat < s) & (flat >= -_FAR_FACTOR * s))
-    B = _shift_square_coeffs(spec)
     for i in range(0, near.size, _NEAR_BLOCK):
         rows = near[i : i + _NEAR_BLOCK]
         qn = flat[rows]
         u_hi = np.sqrt(s - qn)
         u_lo = np.sqrt(np.maximum(-s - qn, 0.0))
         acc = np.zeros_like(qn)
-        for j in range(B.shape[0]):
-            aj = np.polynomial.polynomial.polyval(qn, B[j])
+        for j, row in enumerate(_SHIFT_SQUARE):
+            aj = np.polynomial.polynomial.polyval(qn, row)
             acc += aj * (u_hi ** (2 * j + 1) - u_lo ** (2 * j + 1)) / (2 * j + 1)
         out[rows] = acc
 
     far = np.flatnonzero(flat < -_FAR_FACTOR * s)
     if far.size:
-        tau, c = _far_field_rule(spec)
         # one (points x nodes) work array for every block, not three temporaries per block
-        work = np.empty((min(far.size, _FAR_BLOCK), tau.size))
+        work = np.empty((min(far.size, _FAR_BLOCK), _FAR_TAU.size))
         for i in range(0, far.size, _FAR_BLOCK):
             rows = far[i : i + _FAR_BLOCK]
             terms = work[: rows.size]
-            np.subtract(tau, flat[rows, None], out=terms)
+            np.subtract(_FAR_TAU, flat[rows, None], out=terms)
             np.sqrt(terms, out=terms)
-            np.divide(c, terms, out=terms)
+            np.divide(_FAR_C, terms, out=terms)
             out[rows] = 0.5 * np.sum(terms, axis=1)
 
     return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
 
 
-def psi_eval_quadrature_oracle(
-    q: float,
-    spec: MollifierSpec = DEFAULT_MOLLIFIER,
-    abs_tol: float = 1e-12,
-) -> float:
+def psi_eval_quadrature_oracle(q: float) -> float:
     """Independent adaptive-quadrature evaluation of the edge kernel.
 
     Integrates (1/2) w(q+p) p^(-1/2) adaptively over the support of the
@@ -283,15 +233,15 @@ def psi_eval_quadrature_oracle(
     Raises
     ------
     RuntimeError
-        If the adaptive scheme does not reach ``abs_tol``.
+        If the adaptive scheme's error estimate exceeds 1e-12.
     """
     from scipy.integrate import quad
 
     qv = float(q)
-    s = float(spec.half_width)
+    s = _HALF
     if qv >= s:
         return 0.0
-    top, *rest = _float_coeffs(spec).tolist()[::-1]
+    top, *rest = _COEFFS.tolist()[::-1]
 
     def bump(p: float) -> float:
         t = qv + p
@@ -318,10 +268,10 @@ def psi_eval_quadrature_oracle(
             lambda p: bump(p) * p**-0.5, mid, p_hi, epsabs=1e-14, epsrel=1e-13, limit=200
         )
         total, total_err = v1 + 0.5 * v2, e1 + 0.5 * e2
-    if total_err > abs_tol:
+    if total_err > 1e-12:
         raise RuntimeError(
             f"edge-kernel quadrature did not converge: error estimate {total_err:.3e} "
-            f"exceeds {abs_tol:.3e} at q={qv!r}"
+            f"exceeds 1e-12 at q={qv!r}"
         )
     return total
 
@@ -334,21 +284,16 @@ def _split(t: np.ndarray, config: PsiEvalConfig):
     return asym, 4.0 * np.abs(t[asym]) ** 1.5, t[~asym]
 
 
-def _differences(h: float, asym, denom, te, psi_te, spec: MollifierSpec) -> np.ndarray:
+def _differences(h: float, asym, denom, te, psi_te) -> np.ndarray:
     """psi(t + h) - psi(t) at the points _split took apart, in their order,
     from psi_te = psi(te)."""
     out = np.empty(asym.shape)
     out[asym] = h / denom
-    out[~asym] = psi_eval(te + h, spec) - psi_te
+    out[~asym] = psi_eval(te + h) - psi_te
     return out
 
 
-def delta_psi(
-    t,
-    h: float,
-    config: PsiEvalConfig = DEFAULT_PSI_CONFIG,
-    spec: MollifierSpec = DEFAULT_MOLLIFIER,
-):
+def delta_psi(t, h: float, config: PsiEvalConfig = DEFAULT_PSI_CONFIG):
     """Kernel difference psi(t + h) - psi(t) with a far-field shortcut.
 
     For t < -config.t_asym the exact difference is replaced by the
@@ -358,7 +303,7 @@ def delta_psi(
     """
     arr = np.asarray(t, dtype=float)
     asym, denom, te = _split(np.atleast_1d(arr).astype(float).ravel(), config)
-    out = _differences(float(h), asym, denom, te, psi_eval(te, spec), spec)
+    out = _differences(float(h), asym, denom, te, psi_eval(te))
     return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
 
 
@@ -385,27 +330,22 @@ def hurwitz_tail(start: int, offset: float = 0.0) -> float:
 
 
 @lru_cache(maxsize=_LATTICE_CACHE)
-def _lattice(a: float, r: float, config: PsiEvalConfig, spec: MollifierSpec):
-    """_split of big_psi's lattice t = a*(k - r), k in [-K+1, ceil(r + s/a)],
+def _lattice(a: float, r: float, config: PsiEvalConfig):
+    """_split of big_psi's lattice t = a*(k - r), k in [-K+1, ceil(r + 1/a)],
     for a reduced (a > 0, 0 <= r < 1), with psi at its exact points; the
     arrays are read-only because every caller of these arguments shares them."""
-    top = math.ceil(r + float(spec.half_width) / a)
+    top = math.ceil(r + _HALF / a)
     k = np.arange(-config.tail_start + 1, top + 1, dtype=float)
     asym, denom, te = _split(a * (k - r), config)
-    parts = (asym, denom, te, psi_eval(te, spec))
+    parts = (asym, denom, te, psi_eval(te))
     for part in parts:
         part.flags.writeable = False
     return parts
 
 
-def big_psi(
-    h: float,
-    a: float,
-    r: float,
-    config: PsiEvalConfig = DEFAULT_PSI_CONFIG,
-    spec: MollifierSpec = DEFAULT_MOLLIFIER,
-) -> float:
-    """Lattice aliasing sum sum_k [psi(a*(k-r) + h) - psi(a*(k-r))].
+def big_psi(h: float, a: float, r: float, config: PsiEvalConfig = DEFAULT_PSI_CONFIG) -> float:
+    """Lattice aliasing sum sum_k [psi(a*(k-r) + h) - psi(a*(k-r))] of the
+    lab's edge kernel psi (``psi_eval``).
 
     Argument reduction first: sign flip (a, r) -> (-a, -r), then r mod 1,
     then h reduced to the centered period (-a/2, a/2], exploiting the
@@ -416,7 +356,7 @@ def big_psi(
 
     The h-independent part of the direct sum (the lattice, its shortcut
     denominators and psi at its exact points) is memoized per reduced
-    (a, r, config, spec), for the last 4 such keys.  An entry holds at
+    (a, r, config), for the last 4 such keys.  An entry holds at
     most 17 bytes per term, so the memo retains at most about 71 MB
     (4 x 17 x 2**20 bytes) at the term cap below.  A value depends only
     on the arguments, bit for bit, not on earlier calls.
@@ -445,8 +385,8 @@ def big_psi(
         return 0.0
 
     K = config.tail_start
-    if K + rv + float(spec.half_width) / av > _MAX_TERMS:
+    if K + rv + _HALF / av > _MAX_TERMS:
         raise ValueError(f"big_psi: |a| = {av!r} is too small; the sum would need more than {_MAX_TERMS} terms")
-    total = float(np.sum(_differences(hv, *_lattice(av, rv, config, spec), spec)))
+    total = float(np.sum(_differences(hv, *_lattice(av, rv, config))))
     total += hv / (4.0 * av**1.5) * hurwitz_tail(K, rv)
     return total

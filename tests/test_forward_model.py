@@ -395,9 +395,9 @@ class TestSemiDiscreteData:
         assert n_clean > 3 * block and n_clean % block != 0
 
         whole = data.data_smooth_deriv(k, grid)
-        nodes, weights = np.polynomial.legendre.leggauss(data.quad_order)
+        nodes, weights = np.polynomial.legendre.leggauss(32)
         u = half * nodes
-        node_weights = half * weights * w_prime_eval(-u, data.mollifier) / eps
+        node_weights = half * weights * w_prime_eval(-u) / eps
         samples = data.sampler.value(alpha, grid[clean] + eps * u[:, None])
         rebuilt = samples[0] * node_weights[0]
         for row, weight in zip(samples[1:], node_weights[1:]):
@@ -426,11 +426,6 @@ class TestSemiDiscreteData:
             assert err <= math.sqrt(eps)
             assert err <= 0.5 * eps**2 * 10
         assert errors[-1] < errors[0]
-
-    def test_quad_order_validation(self):
-        scheme = SamplingScheme.half_circle(0.02, 10)
-        with pytest.raises(ValueError):
-            SemiDiscreteData(scheme, _ConstantSampler(1.0), quad_order=4)
 
     def test_grid_support_padding(self):
         data = crt_data()

@@ -140,6 +140,26 @@ class TestSamplingScheme:
         # angles 0, pi/4, ..., 7pi/4; window covers 0 and 7pi/4 (= -pi/4)
         assert list(s.window_view_indices()) == [0, 1, 7]
 
+    def test_window_indices_agree_with_contains_angle(self):
+        # one window rule: the view set is the views whose angle passes the
+        # scalar predicate, for seeded windows and shifts and for views that
+        # sit exactly at either end of the window
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(2, 300))
+            span = math.pi if rng.random() < 0.5 else 2.0 * math.pi
+            origin, shift = float(rng.uniform(-4.0, 4.0)), float(rng.uniform(-1.0, 1.0))
+            angles = SamplingScheme(0.01, n, span, origin, shift).view_angles()
+            i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+            lo = float(rng.uniform(-7.0, 7.0))
+            at_ends = (float(angles[i]), float(angles[j]))
+            for window in (at_ends, (lo, lo + float(rng.uniform(0.01, 2.0 * math.pi)))):
+                scheme = SamplingScheme(0.01, n, span, origin, shift, window)
+                expect = [k for k, alpha in enumerate(scheme.view_angles().tolist()) if scheme.contains_angle(alpha)]
+                assert scheme.window_view_indices().tolist() == expect
+                if window == at_ends:
+                    assert expect[0] == i and expect[-1] == j
+
     def test_no_window_keeps_all(self):
         s = SamplingScheme.full_circle(0.01, 5)
         assert list(s.window_view_indices()) == [0, 1, 2, 3, 4]

@@ -16,6 +16,8 @@ import aliaslab
 from aliaslab.cli import main
 from aliaslab.experiment_config import (
     MAX_IMAGE_PIXELS,
+    MAX_PROFILE_SAMPLES,
+    MAX_VIEWS,
     ConfigError,
     ExperimentConfig,
     crt_preset,
@@ -65,7 +67,6 @@ NUMBER_FIELDS = {
     "probe.h_max": "h_max",
     "probe.h_step": "h_step",
     "recon.eta": "eta",
-    "recon.quad_order": "quad_order",
     "image.half_extent": "image_half_extent",
     "image.pixel_size": "image_pixel_size",
 }
@@ -145,7 +146,6 @@ class TestConfigValidation:
         self._expect("h_step", h_step=0.7)
         self._expect("window", window=(2.0, 1.0))
         self._expect("eta", eta=1)
-        self._expect("quad_order", quad_order=4)
         self._expect("artifacts", artifacts=("profile", "movie"))
         self._expect("half_extent", image_half_extent=0.0)
 
@@ -183,7 +183,6 @@ class TestConfigValidation:
         [
             ("scheme.n_views", "200.7"),
             ("recon.eta", "16.9"),
-            ("recon.quad_order", "32.5"),
             ("scheme.n_views", "inf"),
             ("scheme.n_views", "nan"),
             ("scheme.window", "a,b"),
@@ -227,6 +226,50 @@ class TestConfigValidation:
         extra = {"theta_mode": "explicit"} if key == "probe.theta" else {}
         with pytest.raises(ConfigError, match=re.escape(key) + ": must be finite"):
             preset.with_overrides(**{NUMBER_FIELDS[key]: value}, **extra)
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            # 2*11e9 + 1 profile offsets (164 GiB of h samples)
+            (dict(h_step=1e-9), "probe.h_step"),
+            # 10**12 views (7.28 TiB of view angles)
+            (dict(n_views=10**12), "scheme.n_views"),
+        ],
+    )
+    def test_huge_counts_refused_before_allocating(self, overrides, key):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                crt_preset().with_overrides(**overrides)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 1_000_000
+
+    def test_count_caps_are_inclusive(self):
+        m = (MAX_PROFILE_SAMPLES - 1) // 2
+        at_cap = crt_preset().with_overrides(h_max=0.25 * m, h_step=0.25)
+        assert at_cap.h_samples().size == 2 * m + 1 <= MAX_PROFILE_SAMPLES
+        with pytest.raises(ConfigError, match=r"probe\.h_step.*MAX_PROFILE_SAMPLES"):
+            crt_preset().with_overrides(h_max=0.25 * (m + 1), h_step=0.25)
+        with pytest.raises(ConfigError, match=r"probe\.h_step"):
+            crt_preset().with_overrides(h_max=1e300, h_step=1e-300)
+        assert crt_preset().with_overrides(n_views=MAX_VIEWS).n_views == MAX_VIEWS
+        with pytest.raises(ConfigError, match=r"scheme\.n_views.*MAX_VIEWS"):
+            crt_preset().with_overrides(n_views=MAX_VIEWS + 1)
+
+    def test_removed_quad_order_key_is_refused_by_name(self):
+        # the quadrature rule is fixed; a config or an old report naming the
+        # key is refused rather than silently ignored
+        text = crt_preset().to_text()
+        with pytest.raises(ConfigError, match=r"unknown config key.*recon\.quad_order"):
+            parse_config_text(text + "recon.quad_order = 32\n")
+        echoed = "".join(f"config.{line}\n" for line in (text + "recon.quad_order = 32\n").splitlines())
+        with pytest.raises(ConfigError, match=r"unknown config key.*recon\.quad_order"):
+            parse_config_text(echoed)
 
     def test_artifact_order_is_canonical(self):
         config = crt_preset().with_overrides(artifacts=("report", "profile"))
@@ -519,6 +562,16 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "image.pixel_size" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [("probe.h_step", "1e-9"), ("scheme.n_views", "1e12")])
+    def test_huge_count_exits_with_error(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(with_line(TINY_CRT.to_text(), key, value), encoding="utf-8")
+        rc = main(["crt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
         assert not (tmp_path / "o").exists()
 
     def test_out_dir_precedence(self, tmp_path, monkeypatch):

@@ -272,7 +272,7 @@ class TestValidation:
     def test_recon_config_bounds(self):
         data = SemiDiscreteData(SamplingScheme.half_circle(0.05, 4), _ZeroSampler())
         with pytest.raises(ValueError, match="eta"):
-            filter_view(data, 0, eta=1)
+            filter_view(data, 0, 1, (0.0, 0.0))
 
     def test_image_grid_validation(self):
         with pytest.raises(ValueError, match="shape"):
@@ -317,7 +317,7 @@ class _SumSampler:
 
 
 def _build_views(sampler, scheme, q_range, eta=8):
-    data = SemiDiscreteData(scheme, sampler, quad_order=16)
+    data = SemiDiscreteData(scheme, sampler)
     return tuple(filter_view(data, k, eta, q_range) for k in scheme.window_view_indices())
 
 

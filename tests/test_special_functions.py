@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from aliaslab import special_functions
 from aliaslab.special_functions import (
     DEFAULT_PSI_CONFIG,
-    MollifierSpec,
     PsiEvalConfig,
     big_psi,
     delta_psi,
@@ -88,39 +87,16 @@ def test_mollifier_derivative_matches_finite_difference():
     np.testing.assert_allclose(w_prime_eval(t), fd, atol=1e-7)
 
 
-def test_mollifier_spec_rejects_bad_bumps():
-    with pytest.raises(ValueError):
-        MollifierSpec(coefficients=(Fraction(1, 2),))  # wrong mass, no boundary decay
-    with pytest.raises(ValueError):
-        # unit mass but nonzero slope at the boundary (w = 3/4 (1 - t^2))
-        MollifierSpec(coefficients=(Fraction(3, 4), Fraction(0), Fraction(-3, 4)))
-    with pytest.raises(ValueError):
-        MollifierSpec(half_width=Fraction(-1))
-
-
-def test_equal_specs_hash_equal_and_share_memos():
-    # the hash is computed once per spec; equal specs must still be one
-    # memo key, whether their coefficients were given as Fractions or ints
-    default = special_functions.DEFAULT_MOLLIFIER
-    ints = MollifierSpec(coefficients=(Fraction(15, 16), 0, Fraction(-15, 8), 0, Fraction(15, 16)), half_width=1)
-    fractions = MollifierSpec(coefficients=tuple(default.coefficients), half_width=Fraction(1))
-    for spec in (ints, fractions):
-        assert spec is not default and spec == default
-        assert hash(spec) == hash(default) == hash((default.coefficients, default.half_width))
-    narrow = MollifierSpec(coefficients=(Fraction(15, 8), 0, -15, 0, 30), half_width=Fraction(1, 2))
-    assert narrow != default and hash(narrow) == hash((narrow.coefficients, narrow.half_width))
-
-    want = w_eval(0.3, default)
-    before = special_functions._float_coeffs.cache_info()
-    assert w_eval(0.3, ints) == want
-    after = special_functions._float_coeffs.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
-    big_psi(0.3, 0.75, 0.2)
-    before = special_functions._lattice.cache_info()
-    assert big_psi(0.3, 0.75, 0.2, spec=fractions) == big_psi(0.3, 0.75, 0.2, spec=ints)
-    after = special_functions._lattice.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+def test_default_mollifier_exact_identities():
+    # unit mass, and value and slope 0 at both ends of the support (C^1 on
+    # the whole line), in exact rational arithmetic
+    spec = special_functions.DEFAULT_MOLLIFIER
+    c, s = spec.coefficients, spec.half_width
+    assert all(isinstance(x, Fraction) for x in (*c, s)) and s > 0
+    assert sum(cm * (s ** (m + 1) - (-s) ** (m + 1)) / (m + 1) for m, cm in enumerate(c)) == 1
+    for edge in (s, -s):
+        assert sum(cm * edge**m for m, cm in enumerate(c)) == 0
+        assert sum(m * cm * edge ** (m - 1) for m, cm in enumerate(c) if m) == 0
 
 
 @given(st.floats(min_value=-3, max_value=3, allow_nan=False))
@@ -204,16 +180,16 @@ def test_psi_oracle_agrees_with_independent_reference():
         assert abs(psi_eval_quadrature_oracle(q) - ref) < 1e-11, q
 
 
-def _w_eval_oracle(q, spec=special_functions.DEFAULT_MOLLIFIER):
+def _w_eval_oracle(q):
     """psi_eval_quadrature_oracle with its integrand calling w_eval."""
     from scipy.integrate import quad
 
-    s = float(spec.half_width)
+    s = float(special_functions.DEFAULT_MOLLIFIER.half_width)
     if q >= s:
         return 0.0
 
     def bump(p):
-        return float(w_eval(q + p, spec))
+        return float(w_eval(q + p))
 
     p_lo, p_hi = max(0.0, -s - q), s - q
     kw = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
@@ -230,9 +206,6 @@ def test_oracle_integrand_matches_w_eval_bitwise():
     # q-grid every quadrature must come out as with w_eval itself
     qs = np.linspace(-50.0, 2.0, 1000).tolist()
     assert [psi_eval_quadrature_oracle(q) for q in qs] == [_w_eval_oracle(q) for q in qs]
-    narrow = MollifierSpec(coefficients=(Fraction(15, 8), 0, -15, 0, 30), half_width=Fraction(1, 2))
-    qs = np.linspace(-3.0, 0.6, 37).tolist()
-    assert [psi_eval_quadrature_oracle(q, narrow) for q in qs] == [_w_eval_oracle(q, narrow) for q in qs]
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +363,7 @@ def test_big_psi_bits_do_not_depend_on_call_history():
 
 def test_memoized_lattice_is_read_only():
     big_psi(0.3, 0.75, 0.2)
-    for part in special_functions._lattice(0.75, 0.2, DEFAULT_PSI_CONFIG, special_functions.DEFAULT_MOLLIFIER):
+    for part in special_functions._lattice(0.75, 0.2, DEFAULT_PSI_CONFIG):
         assert part.size > 0
         with pytest.raises(ValueError, match="read-only"):
             part[0] = part[-1]
