@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .geometry import DiskPhantom, RadonFamily, SamplingScheme, circle_family, line_family
+from .geometry import MAX_VIEWS, DiskPhantom, RadonFamily, SamplingScheme, circle_family, line_family
 from .outputs import format_floats
 from .reconstruction import ImageGrid
 
@@ -41,12 +41,11 @@ _FAMILY_DEFAULTS = {
 # centers, their meshgrid and the values), so 2**24 pixels (4096 x 4096)
 # take about 0.6 GB; both presets use 10**6.
 MAX_IMAGE_PIXELS = 2**24
-# Most probe offsets a profile may have, 2*round(probe.h_max/probe.h_step) + 1,
-# and most views a scheme may have; more is refused when the config is built,
-# before anything is allocated.  The presets use 89 and 49 offsets and 200
-# and 500 views.
+# Most probe offsets a profile may have, 2*round(probe.h_max/probe.h_step) + 1;
+# more is refused when the config is built, before anything is allocated.
+# The presets use 89 and 49 offsets.  Views are capped by geometry.MAX_VIEWS,
+# which the config checks first so that its error names scheme.n_views.
 MAX_PROFILE_SAMPLES = 2**16
-MAX_VIEWS = 2**20
 
 
 class ConfigError(ValueError):

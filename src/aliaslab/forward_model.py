@@ -160,12 +160,18 @@ class SemiDiscreteData:
 
         kinks = np.sort(self.sampler.kinks(alpha))
         lo, hi = pv - eps * _HALF, pv + eps * _HALF
-        has_kink = np.any((lo[:, None] < kinks) & (kinks < hi[:, None]), axis=1)
 
         # windows that miss the support entirely integrate zero; skip the
-        # sampler there (kinks all lie inside the support, so no overlap)
+        # sampler there (kinks all lie inside the support)
         slo, shi = self.sampler.support(alpha)
         dead = (hi <= slo) | (lo >= shi)
+
+        # a kink inside the window or on its end, within _KINK_TOL * max(1, |end|),
+        # makes it kinked: with a kink on the end the clean rule is off by
+        # about 1e-7 of the view's maximum
+        reach_lo = lo - _KINK_TOL * np.maximum(1.0, np.abs(lo))
+        reach_hi = hi + _KINK_TOL * np.maximum(1.0, np.abs(hi))
+        has_kink = np.any((reach_lo[:, None] <= kinks) & (kinks <= reach_hi[:, None]), axis=1) & ~dead
 
         clean = np.flatnonzero(~has_kink & ~dead)
         weights = _DER_W / eps if derivative else _VAL_W

@@ -40,9 +40,15 @@ __all__ = [
     "tangent_p",
     "tangency_enumerate",
     "mu0_numeric",
+    "MAX_VIEWS",
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# Most views a scheme may have; more is refused before anything is
+# allocated (view_angles() holds 8 bytes per view).  The presets use 200
+# and 500.
+MAX_VIEWS = 2**20
 
 
 def _unit(alpha: float) -> np.ndarray:
@@ -140,6 +146,8 @@ class SamplingScheme:
         if int(self.n_views) != self.n_views or self.n_views < 1:
             raise ValueError("n_views must be a positive integer")
         object.__setattr__(self, "n_views", int(self.n_views))
+        if self.n_views > MAX_VIEWS:
+            raise ValueError(f"n_views = {self.n_views}; at most MAX_VIEWS = {MAX_VIEWS}")
         if not 0 < self.grid_span <= _TWO_PI + 1e-12:
             raise ValueError("grid_span must lie in (0, 2*pi]")
         if not math.isfinite(self.shift):

@@ -23,7 +23,16 @@ from .forward_model import SemiDiscreteData, SinogramSampler
 from .geometry import RadonFamily, SamplingScheme, TangencyDescriptor, tangency_enumerate
 from .outputs import format_floats, write_pgm16, write_profile_csv
 from .predictor import ComparisonMetrics, compare, fill_prediction
-from .reconstruction import AliasProfile, FilteredView, ImageGrid, filter_view, scaled_difference_profile
+from .reconstruction import (
+    AliasProfile,
+    FilteredView,
+    ImageGrid,
+    difference_profile,
+    filter_view,
+    probe_points,
+    view_sum,
+    view_term,
+)
 
 __all__ = [
     "ExperimentResult",
@@ -31,6 +40,7 @@ __all__ = [
     "resolve_theta",
     "query_range",
     "run_experiment",
+    "filtered_views",
     "report_text",
     "write_artifacts",
 ]
@@ -45,7 +55,6 @@ class ExperimentResult:
     config: ExperimentConfig
     descriptors: tuple[TangencyDescriptor, ...]
     theta: tuple[float, float]
-    views: tuple[FilteredView, ...]
     profile: AliasProfile
     metrics: ComparisonMetrics
     global_image: ImageGrid | None
@@ -88,15 +97,30 @@ def query_range(family: RadonFamily, max_norm: float) -> tuple[float, float]:
     return max(0.0, R - max_norm), R + max_norm
 
 
-def _max_query_norm(config: ExperimentConfig, want_global: bool, want_roi: bool) -> float:
+def _q_range(config: ExperimentConfig, family: RadonFamily) -> tuple[float, float]:
+    """Phi values the run's filtered views cover: the probe line and every
+    raster the config asks for."""
     x0 = np.asarray(config.probe_x0, dtype=float)
     norm = float(np.hypot(x0[0], x0[1]))
     targets = [norm + config.epsilon * config.h_max]
-    if want_global:
+    if "global-image" in config.artifacts:
         targets.append(config.image_half_extent * np.sqrt(2.0))
-    if want_roi:
+    if "roi-image" in config.artifacts:
         targets.append(norm + 20.0 * config.epsilon * np.sqrt(2.0))
-    return max(targets) + 1.0
+    return query_range(family, max(targets) + 1.0)
+
+
+def filtered_views(config: ExperimentConfig, threads: int = 1) -> tuple[FilteredView, ...]:
+    """The filtered views of a run of ``config``, on the grids
+    ``run_experiment`` filters them on, in view order.  A run holds its
+    views only while it rasters; a caller that backprojects elsewhere
+    builds them here."""
+    family, scheme = config.build_family(), config.build_scheme()
+    data = SemiDiscreteData(scheme, SinogramSampler(family, config.build_phantom()))
+    q_range = _q_range(config, family)
+    return tuple(
+        parallel_map(lambda k: filter_view(data, k, config.eta, q_range), scheme.window_view_indices(), threads)
+    )
 
 
 def _raster(
@@ -130,20 +154,25 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
     want_global = "global-image" in config.artifacts
     want_roi = "roi-image" in config.artifacts
-    q_range = query_range(family, _max_query_norm(config, want_global, want_roi))
+    data = SemiDiscreteData(scheme, SinogramSampler(family, phantom))
+    q_range = _q_range(config, family)
+    h = config.h_samples()
+    points = probe_points(x0, theta, h, scheme.epsilon)
 
-    sampler = SinogramSampler(family, phantom)
-    data = SemiDiscreteData(scheme, sampler)
+    # each view is filtered, read at the probe points and, unless a raster
+    # needs it, dropped
+    def filter_and_probe(k):
+        view = filter_view(data, k, config.eta, q_range)
+        return (view if want_global or want_roi else None), view_term(view, family, points)
 
     t0 = time.perf_counter()
-    view_indices = scheme.window_view_indices()
-    views = tuple(
-        parallel_map(lambda k: filter_view(data, k, config.eta, q_range), view_indices, threads)
-    )
+    filtered = parallel_map(filter_and_probe, scheme.window_view_indices(), threads)
+    views = [view for view, _ in filtered if view is not None]
     timings["filter_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    profile = scaled_difference_profile(views, family, scheme, x0, theta, config.h_samples())
+    sums = view_sum((term for _, term in filtered), len(points), scheme)
+    profile = difference_profile(sums, scheme.epsilon, theta, h)
     timings["profile_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -171,7 +200,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         config=config,
         descriptors=tuple(descriptors),
         theta=(float(theta[0]), float(theta[1])),
-        views=views,
         profile=profile,
         metrics=metrics,
         global_image=global_image,

@@ -3,12 +3,14 @@
 Independent oracles: chord endpoints by root finding on the line
 parametrization, arc length by root finding on the circle
 parametrization, and adaptive quadrature (scipy.integrate.quad with the
-kinks passed as breakpoints) for the mollified data.
+kinks passed as breakpoints) for the mollified data, and 30-digit mpmath
+quadrature for windows whose end lies on a kink.
 """
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,43 @@ def _quad_oracle(data, k, p, derivative):
     return value
 
 
+def _mpmath_window(data, k, p, derivative):
+    """30-digit reference of the smoothed data at p: the quartic bump (or its
+    p-derivative) times the disk sinogram, from the float view angle and
+    phantom, integrated by tanh-sinh over the window cut at the kinks."""
+    assert data.mollifier == DEFAULT_MOLLIFIER
+    with mpmath.workdps(30):
+        eps, p = mpmath.mpf(data.scheme.epsilon), mpmath.mpf(p)
+        alpha = mpmath.mpf(data.view_angle(k))
+        phantom = data.sampler.phantom
+        cx, cy = (mpmath.mpf(c) for c in phantom.center)
+        r, jump = mpmath.mpf(phantom.radius), mpmath.mpf(phantom.jump)
+        if data.sampler.family.kind == "line":
+            d = mpmath.cos(alpha) * cx + mpmath.sin(alpha) * cy
+
+            def sinogram(s):
+                gap = r * r - (s - d) ** 2
+                return 2 * jump * mpmath.sqrt(gap) if gap > 0 else mpmath.mpf(0)
+
+        else:
+            R = mpmath.mpf(data.sampler.family.acquisition_radius)
+            d = mpmath.hypot(R * mpmath.cos(alpha) - cx, R * mpmath.sin(alpha) - cy)
+
+            def sinogram(s):
+                if not (d - r < s < d + r):
+                    return mpmath.mpf(0)
+                return 2 * jump * s * mpmath.acos((d * d + s * s - r * r) / (2 * d * s))
+
+        def integrand(s):
+            t = (p - s) / eps
+            if derivative:
+                return -mpmath.mpf(15) / 4 * t * (1 - t * t) / eps**2 * sinogram(s)
+            return mpmath.mpf(15) / 16 * (1 - t * t) ** 2 / eps * sinogram(s)
+
+        cuts = sorted({p - eps, p + eps} | {t for t in (d - r, d + r) if p - eps < t < p + eps})
+        return float(mpmath.quad(integrand, cuts))
+
+
 @st.composite
 def _partitioned_points(draw, data):
     """A view k, a sorted point set over the padded support of that view
@@ -347,6 +386,33 @@ class TestSemiDiscreteData:
                 assert values[i] == pytest.approx(_quad_oracle(data, k, pi, False), abs=1e-10)
                 assert derivs[i] == pytest.approx(_quad_oracle(data, k, pi, True), abs=1e-8)
 
+    @pytest.mark.parametrize("make_data", [crt_data, grt_data], ids=["line", "circle"])
+    def test_window_end_on_kink_against_mpmath(self, make_data):
+        # p = kink +- eps puts a window end on a kink; p is nudged so that the
+        # end equals the kink in floats, and its neighbours fall just inside
+        # and just outside.  The clean rule is off by about 1e-7 there.
+        data = make_data()
+        eps, k = data.scheme.epsilon, 3
+        alpha = data.view_angle(k)
+        lo, hi = data.sampler.support(alpha)
+        spread = np.linspace(lo - eps, hi + eps, 2001)
+        scale = {
+            False: np.max(np.abs(data.data_smooth(k, spread))),
+            True: np.max(np.abs(data.data_smooth_deriv(k, spread))),
+        }
+        for kink in data.sampler.kinks(alpha):
+            for end in (-eps, eps):
+                p = kink - end
+                for _ in range(8):
+                    if p + end == kink:
+                        break
+                    p = float(np.nextafter(p, math.inf if p + end < kink else -math.inf))
+                for q in (float(np.nextafter(p, -math.inf)), p, float(np.nextafter(p, math.inf))):
+                    for derivative in (False, True):
+                        got = data.data_smooth_deriv(k, q) if derivative else data.data_smooth(k, q)
+                        want = _mpmath_window(data, k, q, derivative)
+                        assert abs(got - want) <= 1e-12 * scale[derivative], (kink, end, q, derivative, got, want)
+
     def test_derivative_consistent_with_finite_differences(self):
         data = crt_data()
         for p in (4.99, 3.0, -4.997, 0.2):
@@ -389,7 +455,11 @@ class TestSemiDiscreteData:
         alpha = data.view_angle(k)
         half = float(data.mollifier.half_width)
         kinks = np.array(data.sampler.kinks(alpha))
-        kinked = np.any((grid[:, None] - eps * half < kinks) & (kinks < grid[:, None] + eps * half), axis=1)
+        # kinked: a kink inside the window or on its end, within the kink tolerance
+        lo_end, hi_end = grid - eps * half, grid + eps * half
+        reach_lo = lo_end - forward_model._KINK_TOL * np.maximum(1.0, np.abs(lo_end))
+        reach_hi = hi_end + forward_model._KINK_TOL * np.maximum(1.0, np.abs(hi_end))
+        kinked = np.any((reach_lo[:, None] <= kinks) & (kinks <= reach_hi[:, None]), axis=1)
         clean = ~kinked & (grid + eps * half > kinks[0]) & (grid - eps * half < kinks[1])
         n_clean = int(clean.sum())
         assert n_clean > 3 * block and n_clean % block != 0

@@ -7,12 +7,14 @@ expressions evaluated in extended precision.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from aliaslab.geometry import (
+    MAX_VIEWS,
     DiskPhantom,
     RadonFamily,
     SamplingScheme,
@@ -127,6 +129,20 @@ class TestTangentP:
 
 
 class TestSamplingScheme:
+    def test_huge_view_count_refused_before_allocating(self):
+        # 10**12 views would take 8 TB of view angles
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n_views"):
+                SamplingScheme.half_circle(0.02, 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert SamplingScheme.full_circle(0.02, MAX_VIEWS).n_views == MAX_VIEWS
+        with pytest.raises(ValueError, match="n_views.*MAX_VIEWS"):
+            SamplingScheme.full_circle(0.02, MAX_VIEWS + 1)
+
     def test_grid_formula(self):
         s = SamplingScheme.half_circle(0.02, 4, shift=0.25)
         step = math.pi / 4

@@ -1,5 +1,6 @@
 """Config parsing, pipeline wiring, file outputs, and the CLI."""
 
+import gc
 import math
 import os
 import re
@@ -31,7 +32,9 @@ from aliaslab.outputs import (
     write_pgm16,
     write_profile_csv,
 )
+from aliaslab import pipeline, reconstruction
 from aliaslab.pipeline import (
+    filtered_views,
     query_range,
     report_text,
     resolve_theta,
@@ -39,7 +42,7 @@ from aliaslab.pipeline import (
     write_artifacts,
 )
 from aliaslab.geometry import circle_family, line_family, tangency_enumerate
-from aliaslab.reconstruction import AliasProfile, ImageGrid
+from aliaslab.reconstruction import AliasProfile, FilteredView, ImageGrid, backproject, scaled_difference_profile
 
 TINY_CRT = crt_preset().with_overrides(
     epsilon=0.06,
@@ -655,3 +658,94 @@ class TestDeterminism:
             write_artifacts(run_experiment(config, threads=threads), out)
             payloads.append((out / "profile.csv").read_bytes())
         assert payloads[0] == payloads[1]
+
+
+def _live_views() -> set[int]:
+    gc.collect()
+    return {id(obj) for obj in gc.get_objects() if isinstance(obj, FilteredView)}
+
+
+class TestStreamedProfile:
+    """Runs build the profile from each view's term at the probe points,
+    summed in view order, and keep views only for their rasters."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("base", [TINY_CRT, TINY_GRT], ids=["line", "circle"])
+    def test_streamed_profile_matches_held_views_bitwise(self, base, threads):
+        config = base.with_overrides(artifacts=("profile", "report"))
+        result = run_experiment(config, threads=threads)
+        views = filtered_views(config, threads=threads)
+        family, scheme = config.build_family(), config.build_scheme()
+        x0, h = np.asarray(config.probe_x0), config.h_samples()
+        held = scaled_difference_profile(views, family, scheme, x0, result.theta, h)
+        assert result.profile.recon_scaled.tobytes() == held.recon_scaled.tobytes()
+        # the arithmetic of two backproject calls, x0 alone and the offsets
+        theta = np.asarray(result.theta)
+        points = x0[None, :] + scheme.epsilon * h[:, None] * theta[None, :]
+        base_value = backproject(views, x0, family, scheme)
+        expected = (backproject(views, points, family, scheme) - base_value) / math.sqrt(scheme.epsilon)
+        assert result.profile.recon_scaled.tobytes() == expected.tobytes()
+
+    def test_profile_only_and_raster_runs_write_the_same_profile(self, tmp_path):
+        # h_max = 30 eps reaches past the ROI's corners, so both runs filter
+        # on the same grids
+        rasters = TINY_CRT.with_overrides(h_max=30.0, h_step=2.5)
+        assert rasters.artifacts == ("profile", "report", "roi-image", "global-image")
+        profile_only = rasters.with_overrides(artifacts=("profile",))
+        payloads = []
+        for config in (rasters, profile_only):
+            out = tmp_path / "-".join(config.artifacts)
+            write_artifacts(run_experiment(config, threads=2), out)
+            payloads.append((out / "profile.csv").read_bytes())
+        assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_profile_only_run_leaves_no_view_alive(self, threads):
+        before = _live_views()
+        result = run_experiment(TINY_GRT.with_overrides(artifacts=("profile",)), threads=threads)
+        assert result.profile.recon_scaled.size
+        assert _live_views() <= before
+
+    def test_profile_only_run_holds_no_views(self, monkeypatch):
+        # a small phantom far from the probe: the grid is mostly empty
+        # q-range, so holding the views would dominate the peak
+        config = crt_preset().with_overrides(
+            phantom_radius=1.0, epsilon=0.05, n_views=256, h_max=3.0, h_step=0.5, eta=8, artifacts=("profile",)
+        )
+        run_experiment(config)  # the filter plan and work arrays outlive a run
+        filtered = []
+        filter_view = pipeline.filter_view
+
+        def counted(*args):
+            view = filter_view(*args)
+            filtered.append(view.values.nbytes)
+            return view
+
+        monkeypatch.setattr(pipeline, "filter_view", counted)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(filtered) == config.n_views
+        assert peak < sum(filtered) / 4
+
+    def test_every_view_sum_goes_through_view_sum(self, monkeypatch):
+        calls = []
+        view_sum = reconstruction.view_sum
+
+        def spy(terms, m, scheme):
+            calls.append(m)
+            return view_sum(terms, m, scheme)
+
+        monkeypatch.setattr(reconstruction, "view_sum", spy)
+        monkeypatch.setattr(pipeline, "view_sum", spy)
+        config = TINY_CRT.with_overrides(artifacts=("profile",))
+        result = run_experiment(config)
+        views = filtered_views(config)
+        family, scheme = config.build_family(), config.build_scheme()
+        scaled_difference_profile(views, family, scheme, config.probe_x0, result.theta, config.h_samples())
+        backproject(views, np.zeros((3, 2)), family, scheme)
+        m = config.h_samples().size + 1
+        assert calls == [m, m, 3]
