@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import MAX_VIEWS, DiskPhantom, RadonFamily, SamplingScheme, circle_family, line_family
 from .outputs import format_floats
-from .reconstruction import ImageGrid
+from .reconstruction import MAX_IMAGE_PIXELS, ImageGrid
 
 __all__ = [
     "ConfigError", "ExperimentConfig", "MAX_IMAGE_PIXELS", "MAX_PROFILE_SAMPLES", "MAX_VIEWS", "parse_config_text",
@@ -35,16 +35,12 @@ _FAMILY_DEFAULTS = {
     "circle": {"alpha_origin": 0.0, "image_half_extent": 4.0, "image_pixel_size": 0.008},
 }
 
-# Most pixels a global image may have (ImageGrid.side squared); a finer
-# image.pixel_size, and one that leaves no pixel, is refused when the
-# config is built.  The raster peaks at about 35 bytes per pixel (pixel
-# centers, their meshgrid and the values), so 2**24 pixels (4096 x 4096)
-# take about 0.6 GB; both presets use 10**6.
-MAX_IMAGE_PIXELS = 2**24
 # Most probe offsets a profile may have, 2*round(probe.h_max/probe.h_step) + 1;
 # more is refused when the config is built, before anything is allocated.
 # The presets use 89 and 49 offsets.  Views are capped by geometry.MAX_VIEWS,
-# which the config checks first so that its error names scheme.n_views.
+# which the config checks first so that its error names scheme.n_views, and
+# a global image by reconstruction.MAX_IMAGE_PIXELS (ImageGrid.side), whose
+# error the config reports as image.pixel_size's.
 MAX_PROFILE_SAMPLES = 2**16
 
 
@@ -156,11 +152,8 @@ class ExperimentConfig:
                 side = ImageGrid.side(self.image_half_extent, self.image_pixel_size)
             except ValueError as exc:
                 raise ConfigError(f"image.pixel_size: {exc}") from None
-            if not 1 <= side**2 <= MAX_IMAGE_PIXELS:
-                raise ConfigError(
-                    f"image.pixel_size: a global image of {side} x {side} pixels; it needs at least one pixel and "
-                    f"at most MAX_IMAGE_PIXELS = {MAX_IMAGE_PIXELS}"
-                )
+            if side < 1:
+                raise ConfigError("image.pixel_size: a global image of 0 x 0 pixels; it needs at least one pixel")
 
     # -- builders -------------------------------------------------------
     def build_family(self) -> RadonFamily:

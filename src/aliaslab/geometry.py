@@ -209,20 +209,25 @@ class SamplingScheme:
         return np.flatnonzero(self.contains_angle(self.view_angles()))
 
 
-def phi_eval(family: RadonFamily, alpha, x):
+def phi_eval(family: RadonFamily, alpha, x, out=None, scratch=None):
     """Defining function Phi(alpha, x); its level sets are the curves.
 
-    ``x`` has shape (..., 2) and broadcasts against ``alpha``.
+    ``x`` has shape (..., 2) and broadcasts against ``alpha``.  A caller
+    that evaluates many views at the same points passes ``out`` and
+    ``scratch``, arrays of the result's shape: the values go to ``out``,
+    ``scratch`` is overwritten, and the operations are the same.
     """
     x = np.asarray(x, dtype=float)
     al = np.asarray(alpha, dtype=float)
     ca, sa = np.cos(al), np.sin(al)
     if family.kind == "line":
-        out = ca * x[..., 0] + sa * x[..., 1]
+        first = np.multiply(ca, x[..., 0], out=out)
+        out = np.add(first, np.multiply(sa, x[..., 1], out=scratch), out=out)
     else:
         R = family.acquisition_radius
-        out = np.hypot(x[..., 0] - R * ca, x[..., 1] - R * sa)
-        if np.any(out == 0.0):
+        first = np.subtract(x[..., 0], R * ca, out=out)
+        out = np.hypot(first, np.subtract(x[..., 1], R * sa, out=scratch), out=out)
+        if not np.all(out):
             raise ValueError("Phi is undefined where x coincides with the curve vertex")
     if out.ndim == 0:
         return float(out)

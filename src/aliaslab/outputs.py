@@ -65,14 +65,18 @@ def write_pgm16(path, image: ImageGrid) -> None:
     values = image.values
     vmin = float(values.min())
     vmax = float(values.max())
+    # round((values - vmin) / (vmax - vmin) * 65535) in one work array
+    scaled = np.subtract(values, vmin)
     if vmax > vmin:
-        scaled = np.round((values - vmin) / (vmax - vmin) * 65535.0)
+        np.divide(scaled, vmax - vmin, out=scaled)
+        np.multiply(scaled, 65535.0, out=scaled)
+        np.round(scaled, out=scaled)
     else:
-        scaled = np.zeros_like(values)
+        scaled.fill(0.0)
     pixels = scaled.astype(">u2")
     with open(path, "wb") as f:
         f.write(f"P5\n{image.width} {image.height}\n65535\n".encode("ascii"))
-        f.write(pixels.tobytes())
+        f.write(pixels.data)
     sidecar = [
         "# image sidecar",
         f"origin = {format_floats(*image.origin)}",

@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import reconstruction
 from .experiment_config import ConfigError, ExperimentConfig
 from .forward_model import SemiDiscreteData, SinogramSampler
 from .geometry import RadonFamily, SamplingScheme, TangencyDescriptor, tangency_enumerate
@@ -27,6 +26,8 @@ from .reconstruction import (
     AliasProfile,
     FilteredView,
     ImageGrid,
+    add_view_terms,
+    catmull_rom_table,
     difference_profile,
     filter_view,
     probe_points,
@@ -49,6 +50,12 @@ __all__ = [
 # the worker count
 _ROWS_PER_BLOCK = 50
 
+# views per window of a run that rasters.  A run holds the Catmull-Rom
+# tables (32 bytes per fine-grid point) of two windows, the one it rasters
+# and the one it filters: on crt-demo (24,233 points per view) windows of 8
+# peaked at about 81 MB and windows of 16 at about 96 MB
+_VIEW_WINDOW = 8
+
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -62,13 +69,17 @@ class ExperimentResult:
     timings: dict
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
+def parallel_map(fn, items, threads: int = 1, pool: ThreadPoolExecutor | None = None) -> list:
     """[fn(item) for item in items] on up to ``threads`` worker threads,
     in input order; each item is computed by a pure function, so the
-    result is identical for any worker count."""
+    result is identical for any worker count.  A caller that maps many
+    times passes its own ``pool`` of ``threads`` workers, whose threads
+    keep their work arrays from one map to the next."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    if pool is not None:
+        return list(pool.map(fn, items))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -112,9 +123,9 @@ def _q_range(config: ExperimentConfig, family: RadonFamily) -> tuple[float, floa
 
 def filtered_views(config: ExperimentConfig, threads: int = 1) -> tuple[FilteredView, ...]:
     """The filtered views of a run of ``config``, on the grids
-    ``run_experiment`` filters them on, in view order.  A run holds its
-    views only while it rasters; a caller that backprojects elsewhere
-    builds them here."""
+    ``run_experiment`` filters them on, in view order.  A run keeps no
+    view, only the Catmull-Rom tables of at most two windows of views; a
+    caller that backprojects elsewhere builds all of them here."""
     family, scheme = config.build_family(), config.build_scheme()
     data = SemiDiscreteData(scheme, SinogramSampler(family, config.build_phantom()))
     q_range = _q_range(config, family)
@@ -123,19 +134,16 @@ def filtered_views(config: ExperimentConfig, threads: int = 1) -> tuple[Filtered
     )
 
 
-def _raster(
-    views, family: RadonFamily, scheme: SamplingScheme, center, half_extent: float, pixel_size: float, threads: int
-) -> ImageGrid:
-    points = ImageGrid.pixel_centers(center, half_extent, pixel_size)
-    m = ImageGrid.side(half_extent, pixel_size)
-    row_blocks = []
-    for start in range(0, m, _ROWS_PER_BLOCK):
-        stop = min(start + _ROWS_PER_BLOCK, m)
-        row_blocks.append(points[start * m : stop * m])
-    # looked up at call time: perfbench's tracer and stubs replace it
-    values = parallel_map(lambda block: reconstruction.backproject(views, block, family, scheme), row_blocks, threads)
-    flat = np.concatenate([np.atleast_1d(v) for v in values])
-    return ImageGrid.from_values(center, half_extent, pixel_size, flat)
+def _raster_blocks(stage: str, center, half_extent: float, pixel_size: float):
+    """The zeroed flat accumulator of a raster and its row blocks, each a
+    (stage, accumulator slice, x axis, the block's y values) task."""
+    xs, ys = ImageGrid.axes(center, half_extent, pixel_size)
+    total = np.zeros(ys.size * xs.size)
+    blocks = [
+        (stage, total[start * xs.size : (start + _ROWS_PER_BLOCK) * xs.size], xs, ys[start : start + _ROWS_PER_BLOCK])
+        for start in range(0, ys.size, _ROWS_PER_BLOCK)
+    ]
+    return total, blocks
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -152,26 +160,69 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         raise ConfigError("probe.x0: probe point sees no tangency inside the angular window (scheme.window)")
     theta = resolve_theta(config, descriptors)
 
-    want_global = "global-image" in config.artifacts
-    want_roi = "roi-image" in config.artifacts
     data = SemiDiscreteData(scheme, SinogramSampler(family, phantom))
     q_range = _q_range(config, family)
     h = config.h_samples()
     points = probe_points(x0, theta, h, scheme.epsilon)
 
-    # each view is filtered, read at the probe points and, unless a raster
-    # needs it, dropped
-    def filter_and_probe(k):
-        view = filter_view(data, k, config.eta, q_range)
-        return (view if want_global or want_roi else None), view_term(view, family, points)
+    rasters = {}
+    if "global-image" in config.artifacts:
+        rasters["global_image_s"] = ((0.0, 0.0), config.image_half_extent, config.image_pixel_size)
+    if "roi-image" in config.artifacts:
+        rasters["roi_image_s"] = (tuple(x0), 20.0 * config.epsilon, config.epsilon / 4.0)
+    totals, blocks = {}, []
+
+    # A view task filters view k, reads it at the probe points and, when
+    # the run rasters, forms its Catmull-Rom table; a block task adds the
+    # terms of one window of views to its rows.  Each map runs one window's
+    # view tasks with the previous window's block tasks, so a run holds at
+    # most two windows of tables, and every pixel adds its views in view
+    # order.  A run without a raster filters all its views in one map.
+    def task(item):
+        t0 = time.perf_counter()
+        block, arg = item
+        if block is None:
+            view = filter_view(data, arg, config.eta, q_range)
+            out = ("filter_s", (view_term(view, family, points), catmull_rom_table(view) if rasters else None))
+        else:
+            stage, total, xs, ys = block
+            add_view_terms(total, arg, family, xs, ys)
+            out = (stage, None)
+        return out, time.perf_counter() - t0
+
+    indices = scheme.window_view_indices()
+    window = _VIEW_WINDOW if rasters else max(1, indices.size)
+    # a run that rasters takes one more map, for its last window's blocks
+    stop = indices.size + (window if rasters else 0)
+    # the probe sums take each view's term as its map returns, in view order
+    sums, tables = np.zeros(len(points)), []
+    busy = dict.fromkeys(["filter_s", *rasters], 0.0)
+    t0 = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        for start in range(0, stop, window):
+            items = [(None, k) for k in indices[start : start + window]]
+            items += [(block, tables) for block in blocks] if tables else []
+            tables = []
+            for (stage, out), seconds in parallel_map(task, items, threads, pool=pool):
+                busy[stage] += seconds
+                if out is not None:
+                    sums += out[0]
+                    if out[1] is not None:
+                        tables.append(out[1])
+            if rasters and not blocks:
+                # made once the first window is filtered, so that a view
+                # the filter refuses fails before the rasters are allocated
+                for stage, (center, half_extent, pixel_size) in rasters.items():
+                    totals[stage], stage_blocks = _raster_blocks(stage, center, half_extent, pixel_size)
+                    blocks += stage_blocks
+    # the loop's wall time, split in proportion to each stage's task time
+    spent = time.perf_counter() - t0
+    total_busy = sum(busy.values())
+    for stage, seconds in busy.items():
+        timings[stage] = spent * seconds / total_busy if total_busy else 0.0
 
     t0 = time.perf_counter()
-    filtered = parallel_map(filter_and_probe, scheme.window_view_indices(), threads)
-    views = [view for view, _ in filtered if view is not None]
-    timings["filter_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sums = view_sum((term for _, term in filtered), len(points), scheme)
+    view_sum((), len(points), scheme, sums)
     profile = difference_profile(sums, scheme.epsilon, theta, h)
     timings["profile_s"] = time.perf_counter() - t0
 
@@ -180,20 +231,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     metrics = compare(profile)
     timings["prediction_s"] = time.perf_counter() - t0
 
-    global_image = None
-    if want_global:
-        t0 = time.perf_counter()
-        global_image = _raster(
-            views, family, scheme, (0.0, 0.0), config.image_half_extent, config.image_pixel_size, threads
-        )
-        timings["global_image_s"] = time.perf_counter() - t0
-    roi_image = None
-    if want_roi:
-        t0 = time.perf_counter()
-        roi_image = _raster(
-            views, family, scheme, tuple(x0), 20.0 * config.epsilon, config.epsilon / 4.0, threads
-        )
-        timings["roi_image_s"] = time.perf_counter() - t0
+    images = {}
+    for stage, (center, half_extent, pixel_size) in rasters.items():
+        total = view_sum((), totals[stage].size, scheme, totals[stage])
+        images[stage] = ImageGrid.from_values(center, half_extent, pixel_size, total)
 
     timings["total_s"] = time.perf_counter() - t_start
     return ExperimentResult(
@@ -202,8 +243,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         theta=(float(theta[0]), float(theta[1])),
         profile=profile,
         metrics=metrics,
-        global_image=global_image,
-        roi_image=roi_image,
+        global_image=images.get("global_image_s"),
+        roi_image=images.get("roi_image_s"),
         timings=timings,
     )
 

@@ -33,6 +33,7 @@ import numpy as np
 from .geometry import RadonFamily, SamplingScheme, phi_eval
 
 __all__ = [
+    "MAX_IMAGE_PIXELS",
     "FilteredView",
     "pv_filter_uniform",
     "filter_view",
@@ -40,6 +41,9 @@ __all__ = [
     "view_term",
     "view_sum",
     "backproject",
+    "CatmullRomTable",
+    "catmull_rom_table",
+    "add_view_terms",
     "ImageGrid",
     "AliasProfile",
     "probe_points",
@@ -47,6 +51,15 @@ __all__ = [
     "scaled_difference_profile",
 ]
 
+
+# Most pixels a raster may have (ImageGrid.side squared); a larger raster
+# is refused before anything is allocated, and a config whose global image
+# is larger is refused with an error naming image.pixel_size.  A run that
+# rasters and writes the image takes about 17 bytes per pixel (the values
+# and, while the image is written, one work array and the 16-bit pixels;
+# tracemalloc peaks at 500**2 and 1000**2 pixels), so 2**24 pixels (4096 x
+# 4096) take about 0.29 GB; both presets use 10**6.
+MAX_IMAGE_PIXELS = 2**24
 
 # the filtering interval extends this many eps beyond the smoothed data
 # support (the log endpoint term needs g = 0 at both ends)
@@ -84,6 +97,12 @@ _WORK_KEEP = 2**20
 # its trim threshold to twice the block's size (mallopt(3)); with 4.5 MB
 # blocks there it took 9k faults and 0.01 s.
 _HEAP_KEEP = 24
+
+# Each thread's raster work arrays (``add_view_terms``): an _Interpolator,
+# the block's x and y columns, Phi and its scratch, 64 bytes per pixel of
+# the largest block the thread has rastered, about 3.2 MB for a 50-row
+# block of 1000 pixels.  Reused by every view and window of a run.
+_block_work = threading.local()
 
 
 @dataclass(frozen=True)
@@ -238,11 +257,40 @@ def filter_view(data, k: int, eta: int, q_range) -> FilteredView:
     )
 
 
+@dataclass(frozen=True)
+class CatmullRomTable:
+    """Catmull-Rom coefficients of cells first, first + 1, ... of a
+    filtered view (angle alpha, n grid values from start, spaced step): row
+    j of ``coeffs`` holds c_j of each cell (see ``_Interpolator``).  It
+    keeps no reference to the view, and it is read-only, so the threads
+    that raster the view share it."""
+
+    alpha: float
+    start: float
+    step: float
+    n: int
+    first: int
+    coeffs: np.ndarray
+
+
+def catmull_rom_table(view: FilteredView, first: int = 1, last: int | None = None) -> CatmullRomTable:
+    """The coefficients of cells first..last of ``view``; by default every
+    cell, 1..n - 3, for a caller that reads the view at many points."""
+    n = view.values.size
+    f = view.values[first - 1 : n if last is None else last + 3]
+    p0, p1, p2, p3 = f[:-3], f[1:-2], f[2:-1], f[3:]
+    coeffs = np.empty((4, p0.size))
+    np.multiply(2.0, p1, out=coeffs[0])
+    np.subtract(p2, p0, out=coeffs[1])
+    coeffs[2] = 2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3
+    coeffs[3] = 3.0 * p1 - p0 - 3.0 * p2 + p3
+    coeffs.flags.writeable = False
+    return CatmullRomTable(view.alpha, view.start, view.step, n, first, coeffs)
+
+
 class _Interpolator:
-    """Catmull-Rom interpolation of filtered views at m points at a time,
-    into work arrays made once: a caller that interpolates many views at
-    the same points allocates per view only ``phi_eval``'s output and the
-    coefficients of the cells the points touch.
+    """Catmull-Rom interpolation of filtered views at up to m points at a
+    time, into work arrays made once.
 
     The cell of position pos (in grid steps) is i = clip(floor(pos), 1,
     n - 3), with the coefficients
@@ -250,10 +298,11 @@ class _Interpolator:
         c0 = 2 p1,  c1 = p2 - p0,  c2 = 2 p0 - 5 p1 + 4 p2 - p3,
         c3 = 3 p1 - p0 - 3 p2 + p3          (p_j = f[i - 1 + j]),
 
-    formed once per cell on the span of cells the m points touch, and the
-    value at s = pos - i is 0.5 * (((c0 + c1 s) + c2 s**2) + c3 s**3): the
-    pointwise formula with the same operations in the same order, so the
-    same bits for any m and any span.
+    read from a ``CatmullRomTable``: the view's own, or one of just the
+    cells the points touch, made per call.  The value at s = pos - i is
+    0.5 * (((c0 + c1 s) + c2 s**2) + c3 s**3): the pointwise formula with
+    the same operations in the same order, so the same bits for any table
+    and any set of points.
     """
 
     def __init__(self, m: int):
@@ -262,10 +311,12 @@ class _Interpolator:
         self.power = np.empty(m)
         self.out = np.empty(m)
 
-    def __call__(self, view: FilteredView, q: np.ndarray) -> np.ndarray:
-        """Values of ``view`` at the m queries q (1-D, overwritten: the grid
-        position, then s), in ``self.out``."""
-        n = view.values.size
+    def __call__(self, view: FilteredView | CatmullRomTable, q: np.ndarray) -> np.ndarray:
+        """Values at the queries q (1-D, overwritten: the grid position,
+        then s) of a view's table, or of a FilteredView through a table of
+        the cells q touches; in the first q.size entries of ``self.out``."""
+        table = view if isinstance(view, CatmullRomTable) else None
+        m, n = q.size, view.n if table is not None else view.values.size
         pos = np.subtract(q, view.start, out=q)
         np.divide(pos, view.step, out=pos)
         # min/max settle the common case; NaN fails it and falls through
@@ -279,23 +330,19 @@ class _Interpolator:
             )
         # the cast truncates, which after the clip equals floor on
         # pos >= -1e-9; the clip acts only near the grid ends (or on NaN)
-        cell = self.cell
+        cell = self.cell[:m]
         np.copyto(cell, pos, casting="unsafe")
         if not (low >= 1.0 and high < n - 2):
             np.clip(cell, 1, n - 3, out=cell)
         s = np.subtract(pos, cell, out=pos)
-        first, last = cell.min(), cell.max()
-        f = view.values[first - 1 : last + 3]
-        p0, p1, p2, p3 = f[:-3], f[1:-2], f[2:-1], f[3:]
-        c0 = 2.0 * p1
-        c1 = p2 - p0
-        c2 = 2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3
-        c3 = 3.0 * p1 - p0 - 3.0 * p2 + p3
-        np.subtract(cell, first, out=cell)
+        if table is None:
+            table = catmull_rom_table(view, int(cell.min()), int(cell.max()))
+        np.subtract(cell, table.first, out=cell)
+        c0, c1, c2, c3 = table.coeffs
 
-        # the cells lie in [0, span): mode="wrap" never wraps, and unlike
+        # the cells index the table: mode="wrap" never wraps, and unlike
         # the default it does not buffer the gather behind ``out``
-        out, term, power = self.out, self.term, self.power
+        out, term, power = self.out[:m], self.term[:m], self.power[:m]
         np.take(c1, cell, out=out, mode="wrap")
         np.multiply(out, s, out=out)
         np.add(np.take(c0, cell, out=term, mode="wrap"), out, out=out)
@@ -325,10 +372,13 @@ def view_term(view: FilteredView, family: RadonFamily, points) -> np.ndarray:
     return _Interpolator(points.shape[0])(view, phi_eval(family, view.alpha, points))
 
 
-def view_sum(terms, m: int, scheme: SamplingScheme) -> np.ndarray:
+def view_sum(terms, m: int, scheme: SamplingScheme, total: np.ndarray | None = None) -> np.ndarray:
     """-(dalpha/(2 pi^2)) times the sum of the per-view terms (arrays of m
-    values), added to zeros in the order given."""
-    total = np.zeros(m)
+    values), added in the order given to ``total``, zeros by default; a
+    caller that adds its terms elsewhere passes their sum here as
+    ``total``, which is scaled in place."""
+    if total is None:
+        total = np.zeros(m)
     for term in terms:
         total += term
     total *= -scheme.delta_alpha / (2.0 * math.pi**2)
@@ -351,10 +401,29 @@ def backproject(views, x, family: RadonFamily, scheme: SamplingScheme):
     m = pts.shape[0]
     terms = ()
     if m:
-        interpolate = _Interpolator(m)
-        terms = (interpolate(view, phi_eval(family, view.alpha, pts)) for view in views)
+        interpolate, q, scratch = _Interpolator(m), np.empty(m), np.empty(m)
+        terms = (interpolate(view, phi_eval(family, view.alpha, pts, q, scratch)) for view in views)
     total = view_sum(terms, m, scheme)
     return float(total[0]) if single else total
+
+
+def add_view_terms(total: np.ndarray, tables, family: RadonFamily, xs: np.ndarray, ys: np.ndarray) -> None:
+    """Add each table's unscaled view term F_k(Phi(alpha_k, x)) to
+    ``total``, in the order of ``tables``, at the pixel centers x = (xs[j],
+    ys[i]) taken row by row (ys.size * xs.size values): ``backproject``'s
+    terms without its scaling.  The points, Phi and the interpolation go
+    into this thread's work arrays (``_block_work``), kept for its next
+    block."""
+    m = total.size
+    work = getattr(_block_work, "arrays", None)
+    if work is None or work[0].out.size < m:
+        work = _block_work.arrays = (_Interpolator(m), np.empty((2, m)), np.empty(m), np.empty(m))
+    interpolate, coords, q, scratch = work[0], work[1][:, :m], work[2][:m], work[3][:m]
+    coords[0].reshape(ys.size, xs.size)[...] = xs
+    coords[1].reshape(ys.size, xs.size)[...] = ys[:, None]
+    for table in tables:
+        phi_eval(family, table.alpha, coords.T, q, scratch)
+        total += interpolate(table, q)
 
 
 @dataclass(frozen=True)
@@ -380,19 +449,28 @@ class ImageGrid:
     def side(half_extent: float, pixel_size: float) -> int:
         """Pixels m a side of the square field of view of half-width
         half_extent: 2*half_extent/pixel_size rounded to an integer.
-        Raises ValueError when that ratio is not finite."""
+        Raises ValueError when that ratio is not finite or when m*m is
+        more than ``MAX_IMAGE_PIXELS``."""
         ratio = 2.0 * half_extent / pixel_size
         if not math.isfinite(ratio):
             raise ValueError(f"2 * half_extent / pixel_size = {ratio} is not finite")
-        return int(round(ratio))
+        m = int(round(ratio))
+        if m * m > MAX_IMAGE_PIXELS:
+            raise ValueError(f"a raster of {m} x {m} pixels is more than MAX_IMAGE_PIXELS = {MAX_IMAGE_PIXELS}")
+        return m
+
+    @classmethod
+    def axes(cls, center, half_extent: float, pixel_size: float) -> tuple[np.ndarray, np.ndarray]:
+        """The pixel centers' x and y coordinates (m values each) of a
+        square field of view; pixel (iy, ix) is centered at (xs[ix], ys[iy])."""
+        m = cls.side(half_extent, pixel_size)
+        axis = np.arange(m) * pixel_size + (pixel_size / 2.0 - half_extent)
+        return center[0] + axis, center[1] + axis
 
     @classmethod
     def pixel_centers(cls, center, half_extent: float, pixel_size: float) -> np.ndarray:
         """(m*m, 2) pixel-center coordinates of a square field of view."""
-        m = cls.side(half_extent, pixel_size)
-        axis = np.arange(m) * pixel_size + (pixel_size / 2.0 - half_extent)
-        xs = center[0] + axis
-        ys = center[1] + axis
+        xs, ys = cls.axes(center, half_extent, pixel_size)
         gx, gy = np.meshgrid(xs, ys)
         return np.column_stack([gx.ravel(), gy.ravel()])
 

@@ -42,7 +42,14 @@ from aliaslab.pipeline import (
     write_artifacts,
 )
 from aliaslab.geometry import circle_family, line_family, tangency_enumerate
-from aliaslab.reconstruction import AliasProfile, FilteredView, ImageGrid, backproject, scaled_difference_profile
+from aliaslab.reconstruction import (
+    AliasProfile,
+    CatmullRomTable,
+    FilteredView,
+    ImageGrid,
+    backproject,
+    scaled_difference_profile,
+)
 
 TINY_CRT = crt_preset().with_overrides(
     epsilon=0.06,
@@ -459,6 +466,19 @@ class TestArtifacts:
         assert "pixel_size = 0.5" in sidecar
         assert "value_max = 4.0" in sidecar
 
+    @pytest.mark.parametrize("kind", ["random", "flat"])
+    def test_pgm16_pixels_match_the_one_line_scaling(self, kind, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(37, 37)) * 1e-3 if kind == "random" else np.full((37, 37), -0.75)
+        path = tmp_path / "img.pgm"
+        write_pgm16(path, ImageGrid((0.0, 0.0), 0.5, 37, 37, values))
+        vmin, vmax = float(values.min()), float(values.max())
+        if vmax > vmin:
+            scaled = np.round((values - vmin) / (vmax - vmin) * 65535.0)
+        else:
+            scaled = np.zeros_like(values)
+        assert path.read_bytes() == b"P5\n37 37\n65535\n" + scaled.astype(">u2").tobytes()
+
     def test_pgm16_flat_image_is_black(self, tmp_path):
         image = ImageGrid((0.0, 0.0), 1.0, 2, 2, np.full((2, 2), 3.25))
         path = tmp_path / "flat.pgm"
@@ -735,9 +755,9 @@ class TestStreamedProfile:
         calls = []
         view_sum = reconstruction.view_sum
 
-        def spy(terms, m, scheme):
+        def spy(terms, m, scheme, total=None):
             calls.append(m)
-            return view_sum(terms, m, scheme)
+            return view_sum(terms, m, scheme, total)
 
         monkeypatch.setattr(reconstruction, "view_sum", spy)
         monkeypatch.setattr(pipeline, "view_sum", spy)
@@ -749,3 +769,88 @@ class TestStreamedProfile:
         backproject(views, np.zeros((3, 2)), family, scheme)
         m = config.h_samples().size + 1
         assert calls == [m, m, 3]
+        # a run that rasters scales the profile and then each raster once
+        calls.clear()
+        run_experiment(TINY_CRT, threads=2)
+        assert calls == [m, 24 * 24, 160 * 160]
+
+
+def _live_tables() -> set[int]:
+    gc.collect()
+    return {id(obj) for obj in gc.get_objects() if isinstance(obj, (FilteredView, CatmullRomTable))}
+
+
+def _raster_peak(config) -> int:
+    """tracemalloc peak of one run of ``config`` at threads=1, after a
+    16-view run has made the filter plan and the work arrays that a run
+    keeps."""
+    run_experiment(config.with_overrides(n_views=16))
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# a small phantom far from the probe, a small profile and a small global
+# image: the views' grids are mostly the probe's and the image's q-range,
+# so holding every view would dominate the peak
+HOLD_BASE = crt_preset().with_overrides(
+    phantom_radius=1.0, epsilon=0.05, h_max=3.0, h_step=0.5, eta=8,
+    image_half_extent=2.0, image_pixel_size=0.1, artifacts=("profile", "global-image"),
+)
+
+
+@pytest.fixture(scope="module")
+def raster_peaks():
+    """(grid bytes of one view, {n_views: tracemalloc peak of a run})."""
+    view = filtered_views(HOLD_BASE.with_overrides(n_views=2))[0]
+    return view.values.nbytes, {n: _raster_peak(HOLD_BASE.with_overrides(n_views=n)) for n in (128, 512)}
+
+
+class TestStreamedRaster:
+    """Runs raster view-major: each window of pipeline._VIEW_WINDOW views
+    adds its terms to the rasters, then is dropped."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("base, n_views", [(TINY_CRT, 61), (TINY_GRT, 101)], ids=["line", "circle"])
+    def test_rasters_match_backproject_bitwise(self, base, n_views, threads):
+        config = base.with_overrides(n_views=n_views)
+        family, scheme = config.build_family(), config.build_scheme()
+        # the last window is partial
+        assert scheme.window_view_indices().size % pipeline._VIEW_WINDOW != 0
+        result = run_experiment(config, threads=threads)
+        views = filtered_views(config, threads=threads)
+        fields_of_view = (
+            (result.global_image, (0.0, 0.0), config.image_half_extent, config.image_pixel_size),
+            (result.roi_image, config.probe_x0, 20.0 * config.epsilon, config.epsilon / 4.0),
+        )
+        for image, center, half_extent, pixel_size in fields_of_view:
+            expected = backproject(views, ImageGrid.pixel_centers(center, half_extent, pixel_size), family, scheme)
+            assert image.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("base", [TINY_CRT, TINY_GRT], ids=["line", "circle"])
+    def test_images_do_not_depend_on_threads(self, base, tmp_path):
+        payloads = []
+        for threads in (1, 3):
+            out = tmp_path / f"t{threads}"
+            write_artifacts(run_experiment(base, threads=threads), out)
+            names = ("global.pgm", "global.pgm.txt", "roi.pgm", "roi.pgm.txt")
+            payloads.append([(out / name).read_bytes() for name in names])
+        assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_raster_run_leaves_no_view_or_table_alive(self, threads):
+        before = _live_tables()
+        result = run_experiment(TINY_GRT, threads=threads)
+        assert result.global_image is not None and result.roi_image is not None
+        assert _live_tables() <= before
+
+    def test_raster_run_holds_a_window_of_views(self, raster_peaks):
+        grid_bytes, peaks = raster_peaks
+        assert peaks[512] < 512 * grid_bytes / 4
+
+    def test_raster_peak_does_not_grow_with_views(self, raster_peaks):
+        _, peaks = raster_peaks
+        assert peaks[512] <= 1.1 * peaks[128]

@@ -3,6 +3,8 @@ properties (linearity, shift relabeling, grid refinement)."""
 
 import math
 import sys
+import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -23,6 +25,7 @@ from aliaslab.geometry import (
     phi_eval,
 )
 from aliaslab.reconstruction import (
+    MAX_IMAGE_PIXELS,
     FilteredView,
     ImageGrid,
     backproject,
@@ -578,6 +581,24 @@ class TestImageGrid:
         assert pts[flat, 0] == pytest.approx(grid.origin[0] + px * ix)
         assert pts[flat, 1] == pytest.approx(grid.origin[1] + px * iy)
         assert grid.values[iy, ix] == flat
+
+    def test_oversized_raster_refused_before_allocating(self):
+        # a 2*10**7 x 2*10**7 raster
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="MAX_IMAGE_PIXELS"):
+                ImageGrid.pixel_centers((0, 0), 10.0, 1e-6)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 1_000_000
+        side = math.isqrt(MAX_IMAGE_PIXELS)
+        assert ImageGrid.side(side / 2.0, 1.0) == side
+        with pytest.raises(ValueError, match="MAX_IMAGE_PIXELS"):
+            ImageGrid.from_values((0, 0), (side + 1) / 2.0, 1.0, np.zeros(1))
 
     def test_field_of_view_is_centered(self):
         pts = ImageGrid.pixel_centers((0.0, 0.0), 1.0, 0.25)
