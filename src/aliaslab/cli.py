@@ -18,7 +18,9 @@ import sys
 
 import numpy as np
 
-from .experiment_config import ConfigError, ExperimentConfig, crt_preset, grt_preset, load_config_file
+from .experiment_config import (
+    MAX_PROFILE_SAMPLES, ConfigError, ExperimentConfig, crt_preset, grt_preset, load_config_file,
+)
 from .outputs import write_psi_table_csv
 from .pipeline import run_experiment, write_artifacts
 from .special_functions import big_psi
@@ -57,6 +59,8 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_psi_table(args) -> int:
+    if args.samples > MAX_PROFILE_SAMPLES:
+        raise ConfigError(f"--samples: {args.samples} samples; at most MAX_PROFILE_SAMPLES = {MAX_PROFILE_SAMPLES}")
     a_values = args.a if args.a else [1.0, 2.0, 4.0]
     h_prime = np.linspace(0.0, 1.0, args.samples)
     rows = [(h, a, big_psi(a * h, a, args.r)) for a in a_values for h in h_prime]

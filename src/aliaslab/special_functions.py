@@ -223,19 +223,20 @@ def psi_eval(q):
 def psi_eval_quadrature_oracle(q: float) -> float:
     """Independent adaptive-quadrature evaluation of the edge kernel.
 
-    Integrates (1/2) w(q+p) p^(-1/2) adaptively over the support of the
-    integrand; the integrable p^(-1/2) endpoint is removed by the local
-    substitution p = u^2.  Used as the reference for the closed form; it
-    is the only caller of scipy in this module, which imports it here.
-    The integrand evaluates w by Horner's rule on Python floats, the same
-    operations in the same order as w_eval.
+    Integrates (1/2) w(q+p) p^(-1/2) with mpmath's double-precision
+    tanh-sinh rule (mpmath.fp.quad) over the support of the integrand; the
+    integrable p^(-1/2) endpoint is removed by the local substitution
+    p = u^2.  Used as the reference for the closed form; mpmath is imported
+    here, so that a run loads numpy alone.  The integrand evaluates w by
+    Horner's rule on Python floats, the same operations in the same order
+    as w_eval.
 
     Raises
     ------
     RuntimeError
-        If the adaptive scheme's error estimate exceeds 1e-12.
+        If the quadrature's error estimate exceeds 1e-12.
     """
-    from scipy.integrate import quad
+    from mpmath import fp
 
     qv = float(q)
     s = _HALF
@@ -255,18 +256,12 @@ def psi_eval_quadrature_oracle(q: float) -> float:
     p_lo = max(0.0, -s - qv)
     p_hi = s - qv
     if p_lo > 0.0:
-        val, err = quad(
-            lambda p: bump(p) * p**-0.5, p_lo, p_hi, epsabs=1e-14, epsrel=1e-13, limit=200
-        )
+        val, err = fp.quad(lambda p: bump(p) * p**-0.5, [p_lo, p_hi], error=True)
         total, total_err = 0.5 * val, 0.5 * err
     else:
         mid = 0.5 * p_hi
-        v1, e1 = quad(
-            lambda u: bump(u * u), 0.0, math.sqrt(mid), epsabs=1e-14, epsrel=1e-13, limit=200
-        )
-        v2, e2 = quad(
-            lambda p: bump(p) * p**-0.5, mid, p_hi, epsabs=1e-14, epsrel=1e-13, limit=200
-        )
+        v1, e1 = fp.quad(lambda u: bump(u * u), [0.0, math.sqrt(mid)], error=True)
+        v2, e2 = fp.quad(lambda p: bump(p) * p**-0.5, [mid, p_hi], error=True)
         total, total_err = v1 + 0.5 * v2, e1 + 0.5 * e2
     if total_err > 1e-12:
         raise RuntimeError(

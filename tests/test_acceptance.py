@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from aliaslab import acceptance
 from aliaslab.acceptance import AcceptanceContext, format_line, run_criteria
 
 
@@ -48,6 +49,17 @@ def test_criterion_04_psi_decay(check):
 
 def test_criterion_05_hurwitz_tail(check):
     check(5)
+
+
+def test_criterion_05_zeta_reference_matches_scipy(monkeypatch):
+    # with hurwitz_tail replaced by scipy's zeta, criterion 5's measured
+    # deviations are the distance of its own zeta reference from scipy's
+    from scipy.special import zeta
+
+    monkeypatch.setattr(acceptance, "hurwitz_tail", lambda K, offset: float(zeta(1.5, K)))
+    _, _, measured = acceptance._c05_hurwitz_tail(None)
+    for K in (100, 10_000):
+        assert measured[f"K={K}"] <= 1e-15 * float(zeta(1.5, K)), (K, measured)
 
 
 def test_criterion_06_sqrt_coefficient(check):

@@ -518,6 +518,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "|a| = " in err
 
+    def test_psi_table_refuses_too_many_samples_before_allocating(self, tmp_path, capsys):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            rc = main(["psi-table", "--samples", str(10**12), "--out", str(tmp_path)])
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2 and elapsed < 0.1 and peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--samples" in err
+        assert not (tmp_path / "psi_table.csv").exists()
+
     def test_crt_demo_runs_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.cfg"
         cfg_path.write_text(TINY_CRT.to_text(), encoding="utf-8")
@@ -633,8 +647,9 @@ class TestLayering:
         assert self._imports("import sys, aliaslab.acceptance; print('aliaslab.cli' in sys.modules)") == "False"
 
     def test_run_path_does_not_import_scipy(self):
-        # numpy alone imports in a fraction of scipy's time; scipy is loaded
-        # only inside the two verification oracles
+        # numpy alone imports in a fraction of scipy's time; a run loads no
+        # mpmath either, which only the two verification oracles import, and
+        # the psi-properties registry loads no scipy
         code = (
             "import sys, aliaslab.pipeline, aliaslab.cli, aliaslab.acceptance\n"
             "from aliaslab.experiment_config import crt_preset\n"
@@ -643,9 +658,14 @@ class TestLayering:
             "artifacts=('profile',))\n"
             "aliaslab.pipeline.run_experiment(config)\n"
             "big_psi(0.1, 0.5, 1.0 / 3.0)\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n"
+            "results = aliaslab.acceptance.run_criteria(aliaslab.acceptance.select('psi-properties'))\n"
+            "assert all(r.passed for r in results)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        assert self._imports(code) == "[]"
+        run_path, registry = self._imports(code).splitlines()
+        assert run_path == "[]"
+        assert registry == "[]"
 
     def test_library_does_not_import_scipy_signal(self):
         # scipy.signal costs about a second of import time

@@ -182,7 +182,7 @@ def test_psi_oracle_agrees_with_independent_reference():
 
 def _w_eval_oracle(q):
     """psi_eval_quadrature_oracle with its integrand calling w_eval."""
-    from scipy.integrate import quad
+    from mpmath import fp
 
     s = float(special_functions.DEFAULT_MOLLIFIER.half_width)
     if q >= s:
@@ -192,12 +192,11 @@ def _w_eval_oracle(q):
         return float(w_eval(q + p))
 
     p_lo, p_hi = max(0.0, -s - q), s - q
-    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
     if p_lo > 0.0:
-        return 0.5 * quad(lambda p: bump(p) * p**-0.5, p_lo, p_hi, **kw)[0]
+        return 0.5 * fp.quad(lambda p: bump(p) * p**-0.5, [p_lo, p_hi], error=True)[0]
     mid = 0.5 * p_hi
-    v1 = quad(lambda u: bump(u * u), 0.0, math.sqrt(mid), **kw)[0]
-    v2 = quad(lambda p: bump(p) * p**-0.5, mid, p_hi, **kw)[0]
+    v1 = fp.quad(lambda u: bump(u * u), [0.0, math.sqrt(mid)], error=True)[0]
+    v2 = fp.quad(lambda p: bump(p) * p**-0.5, [mid, p_hi], error=True)[0]
     return v1 + 0.5 * v2
 
 
@@ -206,6 +205,42 @@ def test_oracle_integrand_matches_w_eval_bitwise():
     # q-grid every quadrature must come out as with w_eval itself
     qs = np.linspace(-50.0, 2.0, 1000).tolist()
     assert [psi_eval_quadrature_oracle(q) for q in qs] == [_w_eval_oracle(q) for q in qs]
+
+
+def test_quadrature_oracle_refuses_a_large_error_estimate(monkeypatch):
+    import mpmath
+
+    quad = mpmath.fp.quad
+    monkeypatch.setattr(mpmath.fp, "quad", lambda f, interval, error: (quad(f, interval), 1e-11))
+    for q in (-30.0, -0.5):
+        with pytest.raises(RuntimeError, match="exceeds 1e-12"):
+            psi_eval_quadrature_oracle(q)
+
+
+def _psi_mpmath(q):
+    """psi(q) = int w(q + u^2) du over u >= 0 (p = u^2 on the whole support),
+    by 30-digit mpmath quadrature of the exact rational bump."""
+    import mpmath
+
+    def exact(c):
+        return mpmath.mpf(c.numerator) / c.denominator
+
+    bump = special_functions.DEFAULT_MOLLIFIER
+    with mpmath.workdps(30):
+        q, s = mpmath.mpf(q), exact(bump.half_width)
+        if q >= s:
+            return 0.0
+        coeffs = [exact(c) for c in reversed(bump.coefficients)]
+        u_lo, u_hi = mpmath.sqrt(max(0, -s - q)), mpmath.sqrt(s - q)
+        return float(mpmath.quad(lambda u: mpmath.polyval(coeffs, q + u * u), [u_lo, u_hi]))
+
+
+def test_quadrature_oracle_against_30_digit_mpmath():
+    # the double-precision tanh-sinh oracle is itself judged by a 30-digit
+    # quadrature, on criterion 2's interval and at the branch points
+    qs = np.linspace(-50.0, 2.0, 101).tolist() + [-2.0 - 1e-9, -2.0, -2.0 + 1e-9, -1.0, -0.999, 0.0, 0.5, 0.999]
+    errors = {q: abs(psi_eval_quadrature_oracle(q) - _psi_mpmath(q)) for q in qs}
+    assert max(errors.values()) <= 1e-15, max(errors.items(), key=lambda kv: kv[1])
 
 
 # ---------------------------------------------------------------------------
