@@ -89,13 +89,12 @@ _WORK_KEEP = 2**20
 
 # Bytes per FFT point of an untouched block made and dropped whenever a
 # thread makes new work arrays.  A caller that drops each view after use
-# leaves that view's temporaries (about 5 MB at the fine CRT level) free at
-# the heap top, which glibc hands back to the OS: at threads=1 the fine
-# 400-view level then took 1.4M minor faults and 2.3 s of system time
-# (302k and 0.6 s if each thread held its latest view; 58k and 0.13 s if
-# the run keeps every view).  Freeing a block that glibc had to mmap raises
-# its trim threshold to twice the block's size (mallopt(3)); with 4.5 MB
-# blocks there it took 9k faults and 0.01 s.
+# leaves that view's temporaries (about 3.5 MB at the fine CRT level) free
+# at the heap top, which glibc hands back to the OS: at threads=1 the fine
+# 400-view level then took 515k minor faults and 1.2-1.4 s of system time.
+# Freeing a block that glibc had to mmap raises its trim threshold to
+# twice the block's size (mallopt(3)); with 4.5 MB blocks there it took
+# 4.4k faults and 0.02 s.
 _HEAP_KEEP = 24
 
 # Each thread's raster work arrays (``add_view_terms``): an _Interpolator,
@@ -186,7 +185,9 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     planned once per grid length (``_filter_plan``); the correlation is
     one real FFT of the zero-padded data, a product with the kernel's
     spectrum and one inverse real FFT, both transforms writing into this
-    thread's work arrays (``_work_arrays``).
+    thread's work arrays (``_work_arrays``).  The other terms are formed in
+    the real work array, in the order of the formula, and added to the one
+    array returned; the log term only where g is not zero.
     """
     g = np.asarray(g, dtype=float)
     n = g.size
@@ -196,30 +197,35 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
         raise ValueError("data support reaches the filter grid boundary; increase the margin")
     size, spectrum, c = _filter_plan(n)
 
-    trap = np.ones(n)
-    trap[0] = trap[-1] = 0.5
-
-    # S1_i = sum_{j != i} u_j / (j - i) with u = trap * g, an odd-kernel
-    # correlation; padded holds u, then the correlation at every lag
+    # S1_i = sum_{j != i} u_j / (j - i) with u = trap * g (= g, as g ends
+    # in zeros), an odd-kernel correlation; padded holds u, then the
+    # correlation at every lag, then the terms added to out
     padded, product = _work_arrays(size)
-    np.multiply(trap, g, out=padded[:n])
+    padded[:n] = g
     padded[n:] = 0.0
     np.fft.rfft(padded, out=product)
     product *= spectrum
     np.fft.irfft(product, size, out=padded)
-    s1 = -padded[n - 1 : 2 * n - 1]
+    out = np.negative(padded[n - 1 : 2 * n - 1])
+    term = padded[:n]
+    out -= np.multiply(g, c, out=term)
 
-    gp = np.empty(n)
-    gp[1:-1] = (g[2:] - g[:-2]) / (2.0 * step)
-    gp[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * step)
-    gp[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * step)
+    # step * trap * g', trap being 1 inside and 0.5 at the ends
+    gp = np.divide(np.subtract(g[2:], g[:-2], out=term[1:-1]), 2.0 * step, out=term[1:-1])
+    np.multiply(step, gp, out=gp)
+    term[0] = (step * 0.5) * ((-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * step))
+    term[-1] = (step * 0.5) * ((3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * step))
+    out += term
 
-    q = start + step * np.arange(n)
-    log_term = np.zeros(n)
-    inner = g != 0.0
-    log_term[inner] = g[inner] * np.log((q[-1] - q[inner]) / (q[inner] - q[0]))
-
-    return s1 - g * c + step * trap * gp + log_term
+    # the log term, formed only where g is not zero but added everywhere:
+    # adding its zeros turns -0.0 into 0.0, as the dense sum did
+    inner = np.flatnonzero(g)
+    q = start + step * inner
+    first, last = start + step * 0.0, start + step * (n - 1)
+    term[:] = 0.0
+    term[inner] = g[inner] * np.log((last - q) / (q - first))
+    out += term
+    return out
 
 
 def filter_view(data, k: int, eta: int, q_range) -> FilteredView:

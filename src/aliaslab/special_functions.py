@@ -383,5 +383,11 @@ def big_psi(h: float, a: float, r: float, config: PsiEvalConfig = DEFAULT_PSI_CO
     if K + rv + _HALF / av > _MAX_TERMS:
         raise ValueError(f"big_psi: |a| = {av!r} is too small; the sum would need more than {_MAX_TERMS} terms")
     total = float(np.sum(_differences(hv, *_lattice(av, rv, config))))
-    total += hv / (4.0 * av**1.5) * hurwitz_tail(K, rv)
+    try:
+        power = av**1.5
+    except OverflowError:
+        # |a| above about 1e205: the tail term is 0, as are the far-field
+        # shortcut terms, whose 4 |t|^(3/2) overflows to inf in _split
+        power = math.inf
+    total += hv / (4.0 * power) * hurwitz_tail(K, rv)
     return total

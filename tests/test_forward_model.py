@@ -8,7 +8,9 @@ quadrature for windows whose end lies on a kink.
 """
 
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -26,7 +28,7 @@ from aliaslab.forward_model import (
     sinogram_line_disk,
 )
 from aliaslab.geometry import DiskPhantom, SamplingScheme, circle_family, line_family, tangent_p
-from aliaslab.special_functions import DEFAULT_MOLLIFIER, w_prime_eval
+from aliaslab.special_functions import DEFAULT_MOLLIFIER, w_eval, w_prime_eval
 
 CRT_PHANTOM = DiskPhantom((0.0, 0.0), 5.0)
 GRT_PHANTOM = DiskPhantom((1.0, 1.0), 2.0)
@@ -161,6 +163,112 @@ class TestCircleSinogram:
         assert sinogram_circle_disk(GRT_PHANTOM, GRT_R, 0.0, 0.0) == 0.0
 
 
+def _line_reference(phantom, alpha, p):
+    """The line sinogram as an allocating numpy formula, one new array per
+    operation, in the operation order the library must keep."""
+    al = np.asarray(alpha, dtype=float)
+    pv = np.asarray(p, dtype=float)
+    a = phantom.center_array
+    d = pv - (np.cos(al) * a[0] + np.sin(al) * a[1])
+    gap = phantom.radius**2 - d * d
+    out = phantom.jump * 2.0 * np.sqrt(np.maximum(gap, 0.0))
+    return float(out) if out.ndim == 0 else out
+
+
+def _circle_reference(phantom, R, alpha, rho):
+    """The circle sinogram as an allocating numpy formula: masks for the
+    curves inside the disk and crossing it, in the operation order the
+    library must keep."""
+    al = np.asarray(alpha, dtype=float)
+    rv = np.asarray(rho, dtype=float)
+    a = phantom.center_array
+    r = phantom.radius
+    d = np.hypot(R * np.cos(al) - a[0], R * np.sin(al) - a[1])
+    d, rv = np.broadcast_arrays(d, rv)
+    out = np.zeros(d.shape)
+    full = rv + d <= r
+    out[full] = 2.0 * math.pi * rv[full]
+    crossing = ~full & (d < rv + r) & (rv < d + r) & (rv > 0)
+    dc, rc = d[crossing], rv[crossing]
+    cosang = np.clip((dc * dc + rc * rc - r * r) / (2.0 * dc * rc), -1.0, 1.0)
+    out[crossing] = 2.0 * rc * np.arccos(cosang)
+    out = phantom.jump * out
+    return float(out) if out.ndim == 0 else out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestSinogramsAgainstReference:
+    """The sinograms write in place; their bits must be those of the
+    allocating reference formulas above, with and without ``out``."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7, -2.9])
+    def test_line_family(self, alpha):
+        phantom = DiskPhantom((0.7, -1.2), 5.0, 1.3)
+        sampler = SinogramSampler(line_family(), phantom)
+        lo, hi = sampler.support(alpha)
+        rng = np.random.default_rng(31)
+        inside = rng.uniform(lo, hi, (32, 257))
+        beyond = np.concatenate([rng.uniform(lo - 3.0, lo, 50), rng.uniform(hi, hi + 3.0, 50), [lo, hi]])
+        for p in (inside, beyond, inside[:, :1], np.empty(0)):
+            want = _bits(_line_reference(phantom, alpha, p))
+            assert _bits(sinogram_line_disk(phantom, alpha, p)) == want
+            assert _bits(sampler.value(alpha, p, out=np.full(p.shape, np.nan))) == want
+            # out may be the points themselves
+            q = p.copy()
+            assert _bits(sinogram_line_disk(phantom, alpha, q, out=q)) == want
+        for x in (lo, hi, 0.5 * (lo + hi), lo - 1.0, hi + 1e-9):
+            got = sampler.value(alpha, x)
+            assert isinstance(got, float) and _bits(got) == _bits(_line_reference(phantom, alpha, x))
+        angles = np.array([[0.0], [0.4], [2.2]])
+        points = rng.uniform(-7.0, 7.0, (3, 40))
+        assert _bits(sinogram_line_disk(phantom, angles, points)) == _bits(_line_reference(phantom, angles, points))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.53 * math.pi, GRT_ALPHA_STAR, -2.9])
+    def test_circle_family(self, alpha):
+        sampler = SinogramSampler(circle_family(GRT_R), GRT_PHANTOM)
+        lo, hi = sampler.support(alpha)
+        rng = np.random.default_rng(32)
+        # every curve crossing the disk, as in a clean window; then curves
+        # missing it on both sides, rho = 0 and the tangent levels
+        crossing = rng.uniform(lo, hi, (32, 257))
+        crossing[0, :3] = np.nextafter(lo, hi), 0.5 * (lo + hi), np.nextafter(hi, lo)
+        mixed = np.concatenate([rng.uniform(0.0, lo, 50), rng.uniform(hi, hi + 3.0, 50), [0.0, lo, hi], crossing[1]])
+        for p in (crossing, mixed, crossing[:, :1], np.empty(0)):
+            want = _bits(_circle_reference(GRT_PHANTOM, GRT_R, alpha, p))
+            assert _bits(sinogram_circle_disk(GRT_PHANTOM, GRT_R, alpha, p)) == want
+            assert _bits(sampler.value(alpha, p, out=np.full(p.shape, np.nan))) == want
+        for x in (0.0, lo, hi, 0.5 * (lo + hi), hi + 1.0):
+            got = sampler.value(alpha, x)
+            assert isinstance(got, float)
+            assert _bits(got) == _bits(_circle_reference(GRT_PHANTOM, GRT_R, alpha, x))
+
+    def test_circle_inside_the_disk_and_array_angles(self):
+        # vertex inside the phantom: small circles lie wholly in the disk,
+        # middle ones cross it, large ones enclose it
+        phantom = DiskPhantom((0.5, 0.0), 3.0, 0.7)
+        rho = np.linspace(0.0, 8.0, 401)
+        for R, alpha in ((0.0, 0.3), (1.0, 0.0), (1.0, 2.0)):
+            want = _bits(_circle_reference(phantom, R, alpha, rho))
+            assert _bits(sinogram_circle_disk(phantom, R, alpha, rho)) == want
+            assert _bits(sinogram_circle_disk(phantom, R, alpha, rho, out=np.empty(rho.shape))) == want
+        # every curve inside the disk
+        rho = np.linspace(0.1, 1.5, 33)
+        want = _bits(_circle_reference(phantom, 1.0, 0.0, rho))
+        assert _bits(sinogram_circle_disk(phantom, 1.0, 0.0, rho, out=np.empty(rho.shape))) == want
+        angles = np.linspace(-math.pi, math.pi, 7)[:, None]
+        rho = np.linspace(0.0, 12.0, 61)
+        assert _bits(sinogram_circle_disk(GRT_PHANTOM, GRT_R, angles, rho)) == _bits(
+            _circle_reference(GRT_PHANTOM, GRT_R, angles, rho)
+        )
+
+    def test_negative_rho_rejected_among_nan(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sinogram_circle_disk(GRT_PHANTOM, GRT_R, 0.0, np.array([1.0, np.nan, -0.5]))
+
+
 class TestSamplerMetadata:
     def test_value_zero_outside_support(self):
         for sampler in (
@@ -194,7 +302,7 @@ class _ConstantSampler:
     def __init__(self, c):
         self.c = c
 
-    def value(self, alpha, p):
+    def value(self, alpha, p, out=None):
         return np.full_like(np.asarray(p, dtype=float), self.c)
 
     def kinks(self, alpha):
@@ -205,7 +313,7 @@ class _ConstantSampler:
 
 
 class _LinearSampler:
-    def value(self, alpha, p):
+    def value(self, alpha, p, out=None):
         return 2.5 * np.asarray(p, dtype=float) + 1.0
 
     def kinks(self, alpha):
@@ -480,6 +588,63 @@ class TestSemiDiscreteData:
         cuts = sorted(set(edges) | set(rng.integers(1, grid.size, 5).tolist()))
         pieces = np.concatenate([data.data_smooth_deriv(k, piece) for piece in np.split(grid, cuts)])
         assert pieces.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("extra", [1, 2])
+    @pytest.mark.parametrize("make_data", [crt_data, grt_data], ids=["line", "circle"])
+    def test_last_block_of_one_or_two_points_sums_in_node_order(self, make_data, extra):
+        # a last clean block of 1 or 2 points, alone or after a full block,
+        # is still summed node by node: np.add.reduce over a (32, 1) block
+        # sums pairwise and gives other bits
+        data = make_data()
+        eps, k, block = data.scheme.epsilon, 5, forward_model._CLEAN_BLOCK
+        alpha = data.view_angle(k)
+        half = float(data.mollifier.half_width)
+        lo, hi = data.sampler.kinks(alpha)
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        u = half * nodes
+        for count in (block + extra, extra):
+            # every window clear of both kinks
+            p = np.linspace(lo + 2.0 * eps * half, hi - 2.0 * eps * half, count)
+            samples = data.sampler.value(alpha, p + eps * u[:, None])
+            for method, node_weights in (
+                ("data_smooth", half * weights * w_eval(-u)),
+                ("data_smooth_deriv", half * weights * w_prime_eval(-u) / eps),
+            ):
+                rebuilt = samples[0] * node_weights[0]
+                for row, weight in zip(samples[1:], node_weights[1:]):
+                    rebuilt = rebuilt + row * weight
+                got = getattr(data, method)(k, p)
+                assert got[-extra:].tobytes() == rebuilt[-extra:].tobytes(), (method, count)
+                assert got.tobytes() == rebuilt.tobytes(), (method, count)
+
+    def test_threads_share_no_work_arrays(self):
+        # each thread fills its own clean-block work arrays: six threads
+        # switching every microsecond, over both families and a grid of one
+        # partial block and one of several blocks, give one thread's bits
+        cases = []
+        for make_data in (crt_data, grt_data):
+            data = make_data()
+            eps = data.scheme.epsilon
+            for k, count in ((2, 3000), (11, None)):
+                lo, hi = data.grid_support(k, margin=6.0 * eps)
+                grid = np.linspace(lo, hi, count or int((hi - lo) / (eps / 32.0)))
+                cases.append((data, k, grid, data.data_smooth_deriv(k, grid).tobytes()))
+        assert cases[1][2].size > 3 * forward_model._CLEAN_BLOCK
+
+        def worker(offset):
+            for i in range(24):
+                data, k, grid, want = cases[(i + offset) % len(cases)]
+                assert data.data_smooth_deriv(k, grid).tobytes() == want
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(worker, offset) for offset in range(6)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_smoothing_converges_pointwise(self):
         # at a fixed continuity point the mollified data approaches the

@@ -512,6 +512,13 @@ class TestCli:
         lines = (tmp_path / "psi_table.csv").read_text().splitlines()[1:]
         assert all(float(line.split(",")[2]) == 0.0 for line in lines)
 
+    def test_psi_table_huge_rate(self, tmp_path):
+        with np.errstate(over="ignore"):
+            rc = main(["psi-table", "--a", "1e300", "--out", str(tmp_path), "--samples", "5"])
+        assert rc == 0
+        lines = (tmp_path / "psi_table.csv").read_text().splitlines()[1:]
+        assert len(lines) == 5 and all(math.isfinite(float(line.split(",")[2])) for line in lines)
+
     def test_psi_table_refuses_a_rate_too_small_to_sum(self, tmp_path, capsys):
         rc = main(["psi-table", "--a", "1e-320", "--out", str(tmp_path), "--samples", "3"])
         assert rc == 2

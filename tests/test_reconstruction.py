@@ -168,6 +168,24 @@ class TestPVFilter:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_fine_crt_views_allocate_little(self):
+        # the forward model and the filter work in this thread's arrays:
+        # once they exist, ten views of the fine CRT level (62,164 grid
+        # points each) peak below 5 MB of new allocations
+        scheme = SamplingScheme.half_circle(0.01, 400, shift=0.03)
+        data = SemiDiscreteData(scheme, SinogramSampler(line_family(), DiskPhantom((0.0, 0.0), 5.0)))
+        reach = math.hypot(5.0, 7.0) + 1.11
+        filter_view(data, 0, 32, (-reach, reach))
+        tracemalloc.start()
+        try:
+            for k in range(1, 11):
+                view = filter_view(data, 37 * k, 32, (-reach, reach))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert view.values.size > 6 * 10**4
+        assert peak < 5_000_000, peak
+
     def test_long_work_arrays_are_not_kept(self):
         # a thread keeps its work arrays only up to _WORK_KEEP FFT points;
         # a longer filter allocates its own and drops what was kept
@@ -289,7 +307,7 @@ class TestValidation:
 
 
 class _ZeroSampler:
-    def value(self, alpha, p):
+    def value(self, alpha, p, out=None):
         return np.zeros(np.shape(p)) if np.ndim(p) else 0.0
 
     def support(self, alpha):
@@ -307,7 +325,7 @@ class _SumSampler:
         self.first = first
         self.second = second
 
-    def value(self, alpha, p):
+    def value(self, alpha, p, out=None):
         return self.first.value(alpha, p) + self.second.value(alpha, p)
 
     def support(self, alpha):

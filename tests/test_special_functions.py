@@ -410,6 +410,14 @@ def test_big_psi_zero_offset_is_exact_zero():
     assert big_psi(6.0, 3.0, 0.2) == 0.0  # h multiple of a reduces to zero
 
 
+def test_big_psi_huge_spacing_is_finite():
+    # |a|**1.5 overflows a float above |a| of about 1e205; the tail term
+    # is then 0, not an OverflowError
+    with np.errstate(over="ignore"):
+        for h, a, r in ((0.3e300, 1e300, 0.2), (-0.3e300, -1e300, 0.7), (1e307, 1.7e308, 0.0)):
+            assert math.isfinite(big_psi(h, a, r)), (h, a, r)
+
+
 def test_big_psi_zero_spacing_defined_as_zero():
     assert big_psi(0.7, 0.0, 0.3) == 0.0
 
