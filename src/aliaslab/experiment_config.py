@@ -92,8 +92,8 @@ class ExperimentConfig:
         for name, default in _FAMILY_DEFAULTS[self.family].items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
-        if self.window is not None and not self.window[1] > self.window[0]:
-            raise ConfigError("scheme.window: empty angular window")
+        if self.window is not None and not 0.0 < self.window[1] - self.window[0] <= 2.0 * math.pi + 1e-12:
+            raise ConfigError("scheme.window: must be a nonempty angular window no longer than a full turn")
 
         if not self.phantom_radius > 0:
             raise ConfigError("phantom.radius: must be positive")

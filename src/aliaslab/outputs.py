@@ -17,7 +17,6 @@ __all__ = [
     "write_profile_csv",
     "write_psi_table_csv",
     "write_pgm16",
-    "read_profile_csv",
 ]
 
 PROFILE_HEADER = "h,recon_scaled_diff,prediction"
@@ -40,16 +39,6 @@ def write_profile_csv(path, profile: AliasProfile) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns (h, recon_scaled, predicted) of a profile CSV."""
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != PROFILE_HEADER:
-            raise ValueError(f"unexpected profile header: {header!r}")
-        rows = np.array([[float(c) for c in line.split(",")] for line in f if line.strip()])
-    return rows[:, 0], rows[:, 1], rows[:, 2]
-
-
 def write_psi_table_csv(path, rows) -> None:
     """rows: iterable of (h_prime, a, psi_value)."""
     lines = ["h_prime,a,psi_value"]
@@ -65,18 +54,19 @@ def write_pgm16(path, image: ImageGrid) -> None:
     values = image.values
     vmin = float(values.min())
     vmax = float(values.max())
-    # round((values - vmin) / (vmax - vmin) * 65535) in one work array
-    scaled = np.subtract(values, vmin)
-    if vmax > vmin:
-        np.divide(scaled, vmax - vmin, out=scaled)
-        np.multiply(scaled, 65535.0, out=scaled)
-        np.round(scaled, out=scaled)
-    else:
-        scaled.fill(0.0)
-    pixels = scaled.astype(">u2")
     with open(path, "wb") as f:
         f.write(f"P5\n{image.width} {image.height}\n65535\n".encode("ascii"))
-        f.write(pixels.data)
+        # round((values - vmin) / (vmax - vmin) * 65535) in one work array per
+        # 64 rows; a whole-image one (8 B a pixel) set a raster run's peak RSS
+        for start in range(0, image.height, 64):
+            scaled = np.subtract(values[start : start + 64], vmin)
+            if vmax > vmin:
+                np.divide(scaled, vmax - vmin, out=scaled)
+                np.multiply(scaled, 65535.0, out=scaled)
+                np.round(scaled, out=scaled)
+            else:
+                scaled.fill(0.0)
+            f.write(scaled.astype(">u2").data)
     sidecar = [
         "# image sidecar",
         f"origin = {format_floats(*image.origin)}",

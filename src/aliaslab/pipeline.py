@@ -222,7 +222,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         timings[stage] = spent * seconds / total_busy if total_busy else 0.0
 
     t0 = time.perf_counter()
-    view_sum((), len(points), scheme, sums)
+    view_sum(sums, scheme)
     profile = difference_profile(sums, scheme.epsilon, theta, h)
     timings["profile_s"] = time.perf_counter() - t0
 
@@ -233,8 +233,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
     images = {}
     for stage, (center, half_extent, pixel_size) in rasters.items():
-        total = view_sum((), totals[stage].size, scheme, totals[stage])
-        images[stage] = ImageGrid.from_values(center, half_extent, pixel_size, total)
+        images[stage] = ImageGrid.from_values(center, half_extent, pixel_size, view_sum(totals[stage], scheme))
 
     timings["total_s"] = time.perf_counter() - t_start
     return ExperimentResult(

@@ -22,7 +22,6 @@ from .special_functions import big_psi
 
 __all__ = [
     "ComparisonMetrics",
-    "predict_at",
     "predict_profile",
     "fill_prediction",
     "compare",
@@ -39,17 +38,6 @@ class ComparisonMetrics:
     relative_mismatch: float
     sample_count: int
     degenerate: bool
-
-
-def predict_at(descriptors: Sequence[TangencyDescriptor], x_check, scheme: SamplingScheme) -> float:
-    """Sum of c_j * Psi(u0_j . xcheck; kappa*mu0_j, k_star_j)."""
-    x_check = np.asarray(x_check, dtype=float)
-    kappa = scheme.kappa
-    total = 0.0
-    for t in descriptors:
-        h = float(np.asarray(t.u0) @ x_check)
-        total += t.amplitude * big_psi(h, kappa * t.mu0, t.k_star)
-    return total
 
 
 def predict_profile(
@@ -69,7 +57,15 @@ def predict_profile(
         if t.mu0 == 0.0:
             raise ValueError("descriptor with zero sweep rate")
     theta = np.asarray(theta, dtype=float)
-    return np.array([predict_at(descriptors, hv * theta, scheme) for hv in np.asarray(h, dtype=float)])
+    kappa = scheme.kappa
+    # sum_j c_j * Psi(u0_j . xcheck; kappa*mu0_j, k_star_j) at each xcheck =
+    # h*theta, added from 0.0 in descriptor order
+    return np.array(
+        [
+            sum((t.amplitude * big_psi(float(np.asarray(t.u0) @ x), kappa * t.mu0, t.k_star) for t in descriptors), 0.0)
+            for x in np.asarray(h, dtype=float)[:, None] * theta
+        ]
+    )
 
 
 def fill_prediction(

@@ -37,7 +37,6 @@ __all__ = [
     "FilteredView",
     "pv_filter_uniform",
     "filter_view",
-    "view_values_at",
     "view_term",
     "view_sum",
     "backproject",
@@ -48,17 +47,16 @@ __all__ = [
     "AliasProfile",
     "probe_points",
     "difference_profile",
-    "scaled_difference_profile",
 ]
 
 
 # Most pixels a raster may have (ImageGrid.side squared); a larger raster
 # is refused before anything is allocated, and a config whose global image
 # is larger is refused with an error naming image.pixel_size.  A run that
-# rasters and writes the image takes about 17 bytes per pixel (the values
-# and, while the image is written, one work array and the 16-bit pixels;
-# tracemalloc peaks at 500**2 and 1000**2 pixels), so 2**24 pixels (4096 x
-# 4096) take about 0.29 GB; both presets use 10**6.
+# rasters and writes the image takes about 10 bytes per pixel (the values;
+# the image is written 64 rows at a time; the growth of tracemalloc's peak
+# from 500**2 to 1000**2 pixels), so 2**24 pixels (4096 x 4096) take about
+# 0.17 GB; both presets use 10**6.
 MAX_IMAGE_PIXELS = 2**24
 
 # the filtering interval extends this many eps beyond the smoothed data
@@ -362,31 +360,17 @@ class _Interpolator:
         return out
 
 
-def view_values_at(view: FilteredView, q) -> np.ndarray:
-    """Cubic (Catmull-Rom) interpolation of the filtered samples at q."""
-    q = np.array(q, dtype=float)
-    if not q.size:
-        return q
-    return _Interpolator(q.size)(view, q.reshape(-1)).reshape(q.shape)[()]
-
-
 def view_term(view: FilteredView, family: RadonFamily, points) -> np.ndarray:
     """View k's unscaled term F_k(Phi(alpha_k, x)) of the backprojection
-    sum at each of the (m, 2) ``points``: the array ``backproject`` adds
-    for this view."""
+    sum at each of the (m, 2) ``points``: the one way a FilteredView is
+    read at points."""
     points = np.asarray(points, dtype=float)
     return _Interpolator(points.shape[0])(view, phi_eval(family, view.alpha, points))
 
 
-def view_sum(terms, m: int, scheme: SamplingScheme, total: np.ndarray | None = None) -> np.ndarray:
-    """-(dalpha/(2 pi^2)) times the sum of the per-view terms (arrays of m
-    values), added in the order given to ``total``, zeros by default; a
-    caller that adds its terms elsewhere passes their sum here as
-    ``total``, which is scaled in place."""
-    if total is None:
-        total = np.zeros(m)
-    for term in terms:
-        total += term
+def view_sum(total: np.ndarray, scheme: SamplingScheme) -> np.ndarray:
+    """Scale ``total``, the view terms added in view order, in place by
+    -(dalpha/(2 pi^2)) and return it."""
     total *= -scheme.delta_alpha / (2.0 * math.pi**2)
     return total
 
@@ -394,22 +378,21 @@ def view_sum(terms, m: int, scheme: SamplingScheme, total: np.ndarray | None = N
 def backproject(views, x, family: RadonFamily, scheme: SamplingScheme):
     """Weighted view sum -(dalpha/(2 pi^2)) sum_k F_k(Phi(alpha_k, x)).
 
-    ``x`` is one point (shape (2,)) or many (shape (m, 2)); the view sum
-    runs in the fixed order of ``views`` (``view_sum``), so results do not
-    depend on how callers partition the points.  One set of work arrays
-    of the block's size serves every view (``_Interpolator``).
+    ``x`` is one point (shape (2,)) or many (shape (m, 2)); each view's
+    ``view_term`` is added in the fixed order of ``views`` and the sum is
+    scaled once (``view_sum``), so results do not depend on how callers
+    partition the points.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != 2:
         raise ValueError("points must have shape (..., 2)")
-    m = pts.shape[0]
-    terms = ()
-    if m:
-        interpolate, q, scratch = _Interpolator(m), np.empty(m), np.empty(m)
-        terms = (interpolate(view, phi_eval(family, view.alpha, pts, q, scratch)) for view in views)
-    total = view_sum(terms, m, scheme)
+    total = np.zeros(pts.shape[0])
+    if total.size:
+        for view in views:
+            total += view_term(view, family, pts)
+    view_sum(total, scheme)
     return float(total[0]) if single else total
 
 
@@ -474,13 +457,6 @@ class ImageGrid:
         return center[0] + axis, center[1] + axis
 
     @classmethod
-    def pixel_centers(cls, center, half_extent: float, pixel_size: float) -> np.ndarray:
-        """(m*m, 2) pixel-center coordinates of a square field of view."""
-        xs, ys = cls.axes(center, half_extent, pixel_size)
-        gx, gy = np.meshgrid(xs, ys)
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
-    @classmethod
     def from_values(cls, center, half_extent: float, pixel_size: float, flat_values: np.ndarray) -> "ImageGrid":
         m = cls.side(half_extent, pixel_size)
         origin = (
@@ -519,13 +495,3 @@ def difference_profile(sums, epsilon: float, theta, h_samples) -> AliasProfile:
         h=np.asarray(h_samples, dtype=float),
         recon_scaled=(sums[1:] - sums[0]) / math.sqrt(epsilon),
     )
-
-
-def scaled_difference_profile(
-    views, family: RadonFamily, scheme: SamplingScheme, x0, theta, h_samples
-) -> AliasProfile:
-    """recon_scaled(h) = eps^(-1/2) (f_rec(x0 + eps*h*theta) - f_rec(x0)),
-    from the views' terms at ``probe_points`` summed in view order."""
-    points = probe_points(x0, theta, h_samples, scheme.epsilon)
-    sums = view_sum((view_term(view, family, points) for view in views), points.shape[0], scheme)
-    return difference_profile(sums, scheme.epsilon, theta, h_samples)

@@ -1,5 +1,5 @@
 """Prediction-side properties: the lattice-sum symmetries seen through
-predict_at, amplitude bookkeeping, and the comparison metrics."""
+predict_profile, amplitude bookkeeping, and the comparison metrics."""
 
 import math
 from dataclasses import replace
@@ -13,7 +13,6 @@ from aliaslab.predictor import (
     ComparisonMetrics,
     compare,
     fill_prediction,
-    predict_at,
     predict_profile,
 )
 from aliaslab.reconstruction import AliasProfile
@@ -37,18 +36,25 @@ def _grt_setup():
     return descs, cfg.build_scheme()
 
 
+def _predict_at(descs, point, scheme):
+    """The prediction at the displacement ``point``: one sample of
+    predict_profile along the point's own direction."""
+    norm = float(np.hypot(*point))
+    return predict_profile(descs, scheme, np.asarray(point) / norm, [norm])[0]
+
+
 class TestPredictAt:
     def test_zero_displacement_gives_zero(self):
         descs, scheme = _crt_setup()
-        assert predict_at(descs, np.zeros(2), scheme) == 0.0
+        assert predict_profile(descs, scheme, (1.0, 0.0), [0.0])[0] == 0.0
 
     def test_invariant_under_integer_grid_index_shift(self):
         descs, scheme = _crt_setup()
         shifted = [replace(d, k_star=d.k_star + 1.0) for d in descs]
         rng = np.random.default_rng(4)
         for point in rng.uniform(-8.0, 8.0, (50, 2)):
-            a = predict_at(descs, point, scheme)
-            b = predict_at(shifted, point, scheme)
+            a = _predict_at(descs, point, scheme)
+            b = _predict_at(shifted, point, scheme)
             assert abs(a - b) <= 1e-8
 
     def test_invariant_under_simultaneous_sign_flip(self):
@@ -56,8 +62,8 @@ class TestPredictAt:
         flipped = [replace(d, mu0=-d.mu0, k_star=-d.k_star) for d in descs]
         rng = np.random.default_rng(6)
         for point in rng.uniform(-6.0, 6.0, (50, 2)):
-            a = predict_at(descs, point, scheme)
-            b = predict_at(flipped, point, scheme)
+            a = _predict_at(descs, point, scheme)
+            b = _predict_at(flipped, point, scheme)
             assert abs(a - b) <= 1e-8
 
     def test_scales_linearly_in_jump(self):
@@ -66,8 +72,8 @@ class TestPredictAt:
         for d, s in zip(base, scaled):
             assert s.amplitude == pytest.approx(2.5 * d.amplitude, rel=1e-12)
         point = np.array([3.0, -1.5])
-        assert predict_at(scaled, point, scheme) == pytest.approx(
-            2.5 * predict_at(base, point, scheme), rel=1e-10
+        assert _predict_at(scaled, point, scheme) == pytest.approx(
+            2.5 * _predict_at(base, point, scheme), rel=1e-10
         )
 
     def test_crt_corollary_amplitude(self):
@@ -81,9 +87,10 @@ class TestPredictAt:
     def test_probe_against_normal_reduces_to_minus_h(self):
         (desc,), scheme = _grt_setup()
         u0 = np.asarray(desc.u0)
-        for h in (-4.0, -1.3, 0.6, 5.2):
+        hs = (-4.0, -1.3, 0.6, 5.2)
+        for h, got in zip(hs, predict_profile([desc], scheme, -u0, hs)):
             direct = desc.amplitude * big_psi(-h, scheme.kappa * desc.mu0, desc.k_star)
-            assert predict_at([desc], h * (-u0), scheme) == pytest.approx(direct, rel=1e-12)
+            assert got == pytest.approx(direct, rel=1e-12)
 
 
 class TestProfileAndMetrics:

@@ -29,10 +29,11 @@ from aliaslab.reconstruction import (
     FilteredView,
     ImageGrid,
     backproject,
+    difference_profile,
     filter_view,
+    probe_points,
     pv_filter_uniform,
-    scaled_difference_profile,
-    view_values_at,
+    view_term,
 )
 from aliaslab.special_functions import w_eval, w_prime_eval
 
@@ -255,7 +256,14 @@ class TestPVFilter:
 
 class TestInterpolation:
     def _view(self, values, start=2.0, step=0.25):
-        return FilteredView(k=0, alpha=0.3, start=start, step=step, values=values)
+        return FilteredView(k=0, alpha=0.0, start=start, step=step, values=values)
+
+    @staticmethod
+    def _at(view, q):
+        """The view read at q through view_term: at alpha = 0 a line's
+        Phi(x) is 1.0*q + 0.0*0 = q exactly."""
+        q = np.atleast_1d(np.asarray(q, dtype=float))
+        return view_term(view, line_family(), np.column_stack([q, np.zeros_like(q)]))
 
     def test_reproduces_quadratics(self):
         start, step, n = -1.0, 0.05, 81
@@ -266,20 +274,20 @@ class TestInterpolation:
         rng = np.random.default_rng(2)
         probes = rng.uniform(q[0], q[-1], 200)
         expected = coeffs[0] + coeffs[1] * probes + coeffs[2] * probes**2
-        assert np.max(np.abs(view_values_at(view, probes) - expected)) <= 1e-12
+        assert np.max(np.abs(self._at(view, probes) - expected)) <= 1e-12
 
     def test_exact_at_interior_nodes(self):
         values = np.array([3.0, -1.0, 4.0, 1.0, -5.0, 9.0])
         view = self._view(values)
         nodes = view.start + view.step * np.arange(1, 5)
-        assert np.array_equal(view_values_at(view, nodes), values[1:5])
+        assert np.array_equal(self._at(view, nodes), values[1:5])
 
     def test_outside_grid_raises(self):
         view = self._view(np.zeros(8))
         with pytest.raises(ValueError, match="outside"):
-            view_values_at(view, view.start - 0.1)
+            self._at(view, view.start - 0.1)
         with pytest.raises(ValueError, match="outside"):
-            view_values_at(view, view.start + view.step * (view.values.size - 1) + 0.1)
+            self._at(view, view.start + view.step * (view.values.size - 1) + 0.1)
 
 
 class TestValidation:
@@ -461,7 +469,7 @@ class TestBackprojectionEdges:
         expected = _backproject_pointwise(views, pts, family, scheme)
         assert np.array_equal(backproject(views, pts, family, scheme), expected)
         q = phi_eval(family, 0.0, pts)
-        assert np.array_equal(view_values_at(views[0], q), _interpolate_pointwise(views[0], q))
+        assert np.array_equal(view_term(views[0], family, pts), _interpolate_pointwise(views[0], q))
 
     @pytest.mark.parametrize("kind", ["line", "circle"])
     def test_out_of_range_and_nan(self, kind):
@@ -527,6 +535,13 @@ class TestBatching:
             assert type(value) is float and value == whole[i]
 
 
+def _scaled_profile(views, family, scheme, x0, theta, h):
+    """eps^(-1/2) (f_rec(x0 + eps*h*theta) - f_rec(x0)) from one
+    backprojection at the probe points."""
+    sums = backproject(views, probe_points(x0, theta, h, scheme.epsilon), family, scheme)
+    return difference_profile(sums, scheme.epsilon, theta, h).recon_scaled
+
+
 class TestPipelineProperties:
     def test_linear_in_disjoint_phantoms(self):
         # reconstruction of the sum of two disjoint disks equals the sum
@@ -559,7 +574,7 @@ class TestPipelineProperties:
             scheme = SamplingScheme.half_circle(0.05, 64, shift=shift)
             views = _build_views(SinogramSampler(fam, phantom), scheme, (-7.0, 7.0))
             theta = x0 / np.hypot(*x0)
-            profiles.append(scaled_difference_profile(views, fam, scheme, x0, theta, h).recon_scaled)
+            profiles.append(_scaled_profile(views, fam, scheme, x0, theta, h))
         assert np.max(np.abs(profiles[0] - profiles[1])) <= 1e-9
 
     def test_profile_vanishes_at_h_zero(self):
@@ -567,8 +582,8 @@ class TestPipelineProperties:
         phantom = DiskPhantom((0.0, 0.0), 2.0)
         scheme = SamplingScheme.half_circle(0.05, 24)
         views = _build_views(SinogramSampler(fam, phantom), scheme, (-6.0, 6.0))
-        profile = scaled_difference_profile(views, fam, scheme, (2.5, 1.8), (0.6, 0.8), np.array([-1.0, 0.0, 1.0]))
-        assert profile.recon_scaled[1] == 0.0
+        profile = _scaled_profile(views, fam, scheme, (2.5, 1.8), (0.6, 0.8), np.array([-1.0, 0.0, 1.0]))
+        assert profile[1] == 0.0
 
     def test_eta_refinement_is_small(self):
         fam = line_family()
@@ -578,27 +593,22 @@ class TestPipelineProperties:
         theta = x0 / np.hypot(*x0)
         h = np.arange(-3.0, 3.01, 0.25)
         sampler = SinogramSampler(fam, phantom)
-        coarse = scaled_difference_profile(
-            _build_views(sampler, scheme, (-6.0, 6.0), eta=8), fam, scheme, x0, theta, h
-        ).recon_scaled
-        fine = scaled_difference_profile(
-            _build_views(sampler, scheme, (-6.0, 6.0), eta=16), fam, scheme, x0, theta, h
-        ).recon_scaled
+        coarse = _scaled_profile(_build_views(sampler, scheme, (-6.0, 6.0), eta=8), fam, scheme, x0, theta, h)
+        fine = _scaled_profile(_build_views(sampler, scheme, (-6.0, 6.0), eta=16), fam, scheme, x0, theta, h)
         assert np.max(np.abs(coarse - fine)) <= 0.01 * np.ptp(fine)
 
 
 class TestImageGrid:
     def test_pixel_centers_match_from_values(self):
         center, half, px = (1.0, -2.0), 0.5, 0.125
-        pts = ImageGrid.pixel_centers(center, half, px)
-        grid = ImageGrid.from_values(center, half, px, np.arange(pts.shape[0], dtype=float))
-        assert grid.width == grid.height == 8
-        # pixel (iy, ix) sits at origin + px*(ix, iy)
+        xs, ys = ImageGrid.axes(center, half, px)
+        grid = ImageGrid.from_values(center, half, px, np.arange(ys.size * xs.size, dtype=float))
+        assert grid.width == xs.size == 8 and grid.height == ys.size == 8
+        # pixel (iy, ix) sits at origin + px*(ix, iy), flat index iy*width + ix
         iy, ix = 5, 2
-        flat = iy * grid.width + ix
-        assert pts[flat, 0] == pytest.approx(grid.origin[0] + px * ix)
-        assert pts[flat, 1] == pytest.approx(grid.origin[1] + px * iy)
-        assert grid.values[iy, ix] == flat
+        assert xs[ix] == pytest.approx(grid.origin[0] + px * ix)
+        assert ys[iy] == pytest.approx(grid.origin[1] + px * iy)
+        assert grid.values[iy, ix] == iy * grid.width + ix
 
     def test_oversized_raster_refused_before_allocating(self):
         # a 2*10**7 x 2*10**7 raster
@@ -606,7 +616,7 @@ class TestImageGrid:
         try:
             start = time.perf_counter()
             with pytest.raises(ValueError, match="MAX_IMAGE_PIXELS"):
-                ImageGrid.pixel_centers((0, 0), 10.0, 1e-6)
+                ImageGrid.axes((0, 0), 10.0, 1e-6)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -619,7 +629,7 @@ class TestImageGrid:
             ImageGrid.from_values((0, 0), (side + 1) / 2.0, 1.0, np.zeros(1))
 
     def test_field_of_view_is_centered(self):
-        pts = ImageGrid.pixel_centers((0.0, 0.0), 1.0, 0.25)
-        assert pts.shape == (64, 2)
-        assert np.max(pts) == pytest.approx(1.0 - 0.125)
-        assert np.min(pts) == pytest.approx(-1.0 + 0.125)
+        for axis in ImageGrid.axes((0.0, 0.0), 1.0, 0.25):
+            assert axis.shape == (8,)
+            assert np.max(axis) == pytest.approx(1.0 - 0.125)
+            assert np.min(axis) == pytest.approx(-1.0 + 0.125)
