@@ -22,7 +22,7 @@ from .experiment_config import (
     MAX_PROFILE_SAMPLES, ConfigError, ExperimentConfig, crt_preset, grt_preset, load_config_file,
 )
 from .outputs import write_psi_table_csv
-from .pipeline import run_experiment, write_artifacts
+from .pipeline import MAX_THREADS, run_experiment, write_artifacts
 from .special_functions import big_psi
 
 __all__ = ["main", "ENV_OUT"]
@@ -126,6 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        threads = getattr(args, "threads", 1)
+        if not 1 <= threads <= MAX_THREADS:
+            raise ConfigError(f"--threads: {threads} worker threads; at least 1, at most MAX_THREADS = {MAX_THREADS}")
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

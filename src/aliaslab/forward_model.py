@@ -18,13 +18,12 @@ which removes the singularity.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .geometry import DiskPhantom, RadonFamily, SamplingScheme, phi_eval
+from .geometry import DiskPhantom, RadonFamily, SamplingScheme, phi_eval, work_array
 from .special_functions import DEFAULT_MOLLIFIER, MollifierSpec, w_eval, w_prime_eval
 
 __all__ = [
@@ -42,10 +41,6 @@ _KINK_TOL = 1e-12
 # at 4096 points, 9.5-11.2 ms at 2048 and 9.3-9.9 ms at 6144 (2-core Xeon,
 # one thread).
 _CLEAN_BLOCK = 4096
-
-# Each thread's clean-block work arrays (``_block_arrays``), 2 MiB, made
-# once and reused by every view of every run.
-_work = threading.local()
 
 # The lab's one quadrature rule, 32-node Gauss-Legendre on [-1, 1], and its
 # clean-window form: after s = p + eps*u over the kernel support
@@ -186,16 +181,6 @@ def _at_kink(x: np.ndarray, kinks: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _block_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's clean-block work arrays: the sample points and the
-    sinogram samples, (nodes x _CLEAN_BLOCK) each, and the node sum."""
-    arrays = getattr(_work, "arrays", None)
-    if arrays is None:
-        shape = (_NODES.size, _CLEAN_BLOCK)
-        arrays = _work.arrays = (np.empty(shape), np.empty(shape), np.empty(_CLEAN_BLOCK))
-    return arrays
-
-
 @dataclass(frozen=True)
 class SemiDiscreteData:
     """Smoothed view data of one phantom on one sampling scheme.
@@ -207,8 +192,9 @@ class SemiDiscreteData:
     it gives the same bits.  Clean windows are summed over blocks of
     ``_CLEAN_BLOCK`` points, node by node in a fixed order, so where the
     blocks fall does not change a bit either.  A block's sample points and
-    samples go to this thread's work arrays (the sampler's ``value`` gets
-    one as ``out``), and the array ``value`` returns is summed in place.
+    samples go to this thread's work arrays (``geometry.work_array``; the
+    sampler's ``value`` gets one as ``out``), and the array ``value``
+    returns is summed in place.
     """
 
     scheme: SamplingScheme
@@ -245,7 +231,9 @@ class SemiDiscreteData:
         clean = np.flatnonzero(~has_kink & ~dead)
         weights = _DER_W / eps if derivative else _VAL_W
         offsets = eps * _U[:, None]
-        points, samples, acc = _block_arrays()
+        points = work_array("block_points", _NODES.size * _CLEAN_BLOCK).reshape(_NODES.size, -1)
+        samples = work_array("block_samples", _NODES.size * _CLEAN_BLOCK).reshape(_NODES.size, -1)
+        acc = work_array("block_sum", _CLEAN_BLOCK)
         for i in range(0, clean.size, _CLEAN_BLOCK):
             rows = clean[i : i + _CLEAN_BLOCK]
             m = rows.size
@@ -265,13 +253,14 @@ class SemiDiscreteData:
         """Windows with a kink inside, cut at the sorted kinks into the gaps
         between consecutive kinks, clipped to the window and added in ascending
         order; a piece with a kink at both ends is halved.  Each piece [a, b] is
-        integrated after s = a + u**2 from a kink end a, else s = b - u**2."""
+        integrated after s = a + u**2 from a kink end a, else s = b - u**2.
+        The data vanish outside the first and last kink, so the window is not
+        sampled there (those pieces would add only zeros)."""
         eps = self.scheme.epsilon
         w, norm = (w_prime_eval, eps**2) if derivative else (w_eval, eps)
         lo, hi = p - eps * _HALF, p + eps * _HALF
         total = np.zeros(p.shape)
-        edges = np.concatenate(([-np.inf], kinks, [np.inf]))
-        for left, right in zip(edges[:-1], edges[1:]):
+        for left, right in zip(kinks[:-1], kinks[1:]):
             a, b = np.maximum(lo, left), np.minimum(hi, right)
             live = b - a > _KINK_TOL * (eps * _HALF)
             from_a = _at_kink(a, kinks)

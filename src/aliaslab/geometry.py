@@ -24,6 +24,7 @@ comes out negative; descriptors record when that happened.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "tangent_p",
     "tangency_enumerate",
     "mu0_numeric",
+    "work_array",
     "MAX_VIEWS",
 ]
 
@@ -49,6 +51,31 @@ _TWO_PI = 2.0 * math.pi
 # allocated (view_angles() holds 8 bytes per view).  The presets use 200
 # and 500.
 MAX_VIEWS = 2**20
+
+
+# Each thread's work arrays by name (``work_array``), made on first use and
+# reused by every view of every run.  One is kept only up to _WORK_KEEP
+# bytes, the filter's real FFT array at 2**20 points, so that no thread
+# keeps the 200 MB that filtering the longest grid (_MAX_GRID) takes.
+_work = threading.local()
+_WORK_KEEP = 2**23
+
+
+def work_array(name: str, n: int, dtype=float, heap_keep: int = 0) -> np.ndarray:
+    """The first n items of this thread's work array ``name`` (of one dtype),
+    grown to the largest n asked for; one of more than ``_WORK_KEEP`` bytes
+    is made for the call and not kept.  Making it also makes and drops an
+    untouched block of ``heap_keep`` bytes per item (see ``_HEAP_KEEP``)."""
+    arrays = getattr(_work, "arrays", None)
+    if arrays is None:
+        arrays = _work.arrays = {}
+    array = arrays.get(name)
+    if array is None or array.size < n:
+        array = np.empty(n, dtype)
+        if array.nbytes <= _WORK_KEEP:
+            arrays[name] = array
+        np.empty(heap_keep * n, dtype=np.uint8)
+    return array[:n]
 
 
 def _unit(alpha: float) -> np.ndarray:

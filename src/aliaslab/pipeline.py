@@ -36,6 +36,7 @@ from .reconstruction import (
 )
 
 __all__ = [
+    "MAX_THREADS",
     "ExperimentResult",
     "parallel_map",
     "resolve_theta",
@@ -45,6 +46,10 @@ __all__ = [
     "report_text",
     "write_artifacts",
 ]
+
+# Most worker threads a run may use, refused before a pool exists; each
+# keeps its own work arrays, about 3 MB at the fine CRT level.
+MAX_THREADS = 64
 
 # pixel rows per parallel task; fixed so the work split never depends on
 # the worker count
@@ -82,6 +87,11 @@ def parallel_map(fn, items, threads: int = 1, pool: ThreadPoolExecutor | None = 
         return list(pool.map(fn, items))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def _check_threads(threads: int) -> None:
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads: {threads} worker threads; at least 1, at most MAX_THREADS = {MAX_THREADS}")
 
 
 def resolve_theta(config: ExperimentConfig, descriptors) -> np.ndarray:
@@ -126,6 +136,7 @@ def filtered_views(config: ExperimentConfig, threads: int = 1) -> tuple[Filtered
     ``run_experiment`` filters them on, in view order.  A run keeps no
     view, only the Catmull-Rom tables of at most two windows of views; a
     caller that backprojects elsewhere builds all of them here."""
+    _check_threads(threads)
     family, scheme = config.build_family(), config.build_scheme()
     data = SemiDiscreteData(scheme, SinogramSampler(family, config.build_phantom()))
     q_range = _q_range(config, family)
@@ -147,6 +158,7 @@ def _raster_blocks(stage: str, center, half_extent: float, pixel_size: float):
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+    _check_threads(threads)
     t_start = time.perf_counter()
     timings: dict = {}
 
@@ -198,7 +210,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     sums, tables = np.zeros(len(points)), []
     busy = dict.fromkeys(["filter_s", *rasters], 0.0)
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         for start in range(0, stop, window):
             items = [(None, k) for k in indices[start : start + window]]
             items += [(block, tables) for block in blocks] if tables else []

@@ -24,13 +24,12 @@ query point of the run.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .geometry import RadonFamily, SamplingScheme, phi_eval
+from .geometry import RadonFamily, SamplingScheme, phi_eval, work_array
 
 __all__ = [
     "MAX_IMAGE_PIXELS",
@@ -75,38 +74,22 @@ _MAX_GRID = 2**22
 # at most 256 MiB at _MAX_GRID.
 _PLAN_CACHE = 2
 
-# Each thread's FFT work arrays (the zero-padded input, later the
-# correlation, and the spectrum) for the last FFT length it filtered at:
-# 16 bytes per FFT point, about 3 MB at the fine CRT level (n = 62150).
-# Fresh arrays on every call took about 270 more page faults per view
-# there, and crt-fine-profile's CPU time rose from 2.39 to 2.69 s.  Arrays
-# longer than _WORK_KEEP FFT points are made per call and not kept, so a
-# thread holds at most 16 MiB after a run (200 MB at _MAX_GRID otherwise).
-_work = threading.local()
-_WORK_KEEP = 2**20
-
 # Bytes per FFT point of an untouched block made and dropped whenever a
-# thread makes new work arrays.  A caller that drops each view after use
-# leaves that view's temporaries (about 3.5 MB at the fine CRT level) free
-# at the heap top, which glibc hands back to the OS: at threads=1 the fine
-# 400-view level then took 515k minor faults and 1.2-1.4 s of system time.
+# thread's FFT input array grows (``work_array``).  A caller that drops
+# each view after use leaves that view's temporaries (about 3.5 MB at the
+# fine CRT level) free at the heap top, which glibc hands back to the OS:
+# at threads=1 the fine 400-view level then took 515k minor faults and
+# 1.2-1.4 s of system time.
 # Freeing a block that glibc had to mmap raises its trim threshold to
 # twice the block's size (mallopt(3)); with 4.5 MB blocks there it took
 # 4.4k faults and 0.02 s.
 _HEAP_KEEP = 24
-
-# Each thread's raster work arrays (``add_view_terms``): an _Interpolator,
-# the block's x and y columns, Phi and its scratch, 64 bytes per pixel of
-# the largest block the thread has rastered, about 3.2 MB for a 50-row
-# block of 1000 pixels.  Reused by every view and window of a run.
-_block_work = threading.local()
 
 
 @dataclass(frozen=True)
 class FilteredView:
     """One view's filtered data on a uniform q-grid."""
 
-    k: int
     alpha: float
     start: float
     step: float
@@ -160,18 +143,6 @@ def _filter_plan(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     return size, spectrum, c
 
 
-def _work_arrays(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's real array of ``size`` points and complex array of
-    ``size // 2 + 1``, reused while the FFT length stays the same and at
-    most ``_WORK_KEEP``."""
-    arrays = getattr(_work, "arrays", None)
-    if arrays is None or arrays[0].size != size:
-        arrays = (np.empty(size), np.empty(size // 2 + 1, dtype=complex))
-        _work.arrays = arrays if size <= _WORK_KEEP else None
-        np.empty(_HEAP_KEEP * size, dtype=np.uint8)
-    return arrays
-
-
 def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     """PV Hilbert filter of grid samples g on the uniform grid
     q_i = start + i*step, returned at the same nodes.
@@ -183,7 +154,7 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     planned once per grid length (``_filter_plan``); the correlation is
     one real FFT of the zero-padded data, a product with the kernel's
     spectrum and one inverse real FFT, both transforms writing into this
-    thread's work arrays (``_work_arrays``).  The other terms are formed in
+    thread's work arrays (``work_array``).  The other terms are formed in
     the real work array, in the order of the formula, and added to the one
     array returned; the log term only where g is not zero.
     """
@@ -197,8 +168,13 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
 
     # S1_i = sum_{j != i} u_j / (j - i) with u = trap * g (= g, as g ends
     # in zeros), an odd-kernel correlation; padded holds u, then the
-    # correlation at every lag, then the terms added to out
-    padded, product = _work_arrays(size)
+    # correlation at every lag, then the terms added to out.  The two work
+    # arrays take 16 bytes per FFT point, about 3 MB at the fine CRT level
+    # (n = 62150); fresh arrays on every call took about 270 more page
+    # faults per view there, and crt-fine-profile's CPU time rose from 2.39
+    # to 2.69 s
+    product = work_array("spectrum", size // 2 + 1, complex)
+    padded = work_array("fft", size, heap_keep=_HEAP_KEEP)
     padded[:n] = g
     padded[n:] = 0.0
     np.fft.rfft(padded, out=product)
@@ -253,7 +229,6 @@ def filter_view(data, k: int, eta: int, q_range) -> FilteredView:
     grid = lo + step * np.arange(max(count, 4))
     g = data.data_smooth_deriv(k, grid)
     return FilteredView(
-        k=k,
         alpha=data.view_angle(k),
         start=lo,
         step=step,
@@ -265,7 +240,7 @@ def filter_view(data, k: int, eta: int, q_range) -> FilteredView:
 class CatmullRomTable:
     """Catmull-Rom coefficients of cells first, first + 1, ... of a
     filtered view (angle alpha, n grid values from start, spaced step): row
-    j of ``coeffs`` holds c_j of each cell (see ``_Interpolator``).  It
+    j of ``coeffs`` holds c_j of each cell (see ``_interpolate``).  It
     keeps no reference to the view, and it is read-only, so the threads
     that raster the view share it."""
 
@@ -292,9 +267,11 @@ def catmull_rom_table(view: FilteredView, first: int = 1, last: int | None = Non
     return CatmullRomTable(view.alpha, view.start, view.step, n, first, coeffs)
 
 
-class _Interpolator:
-    """Catmull-Rom interpolation of filtered views at up to m points at a
-    time, into work arrays made once.
+def _interpolate(view: FilteredView | CatmullRomTable, q: np.ndarray) -> np.ndarray:
+    """Catmull-Rom values at the queries q (1-D, overwritten: the grid
+    position, then s) of a view's table, or of a FilteredView through a
+    table of the cells q touches, made per call; in this thread's work
+    array ``"interp_out"``, valid until its next call.
 
     The cell of position pos (in grid steps) is i = clip(floor(pos), 1,
     n - 3), with the coefficients
@@ -302,70 +279,59 @@ class _Interpolator:
         c0 = 2 p1,  c1 = p2 - p0,  c2 = 2 p0 - 5 p1 + 4 p2 - p3,
         c3 = 3 p1 - p0 - 3 p2 + p3          (p_j = f[i - 1 + j]),
 
-    read from a ``CatmullRomTable``: the view's own, or one of just the
-    cells the points touch, made per call.  The value at s = pos - i is
+    read from a ``CatmullRomTable``.  The value at s = pos - i is
     0.5 * (((c0 + c1 s) + c2 s**2) + c3 s**3): the pointwise formula with
     the same operations in the same order, so the same bits for any table
     and any set of points.
     """
+    table = view if isinstance(view, CatmullRomTable) else None
+    m, n = q.size, view.n if table is not None else view.values.size
+    pos = np.subtract(q, view.start, out=q)
+    np.divide(pos, view.step, out=pos)
+    # min/max settle the common case; NaN fails it and falls through
+    # to the pointwise test, which (like any comparison) lets NaN pass
+    low, high = pos.min(), pos.max()
+    if not (low >= -1e-9 and high <= n - 1 + 1e-9) and (np.any(pos < -1e-9) or np.any(pos > n - 1 + 1e-9)):
+        raise ValueError(
+            "query outside the filtered q-grid; rebuild the views with a q_range covering the target points"
+        )
+    # the cast truncates, which after the clip equals floor on
+    # pos >= -1e-9; the clip acts only near the grid ends (or on NaN)
+    cell = work_array("interp_cell", m, np.intp)
+    np.copyto(cell, pos, casting="unsafe")
+    if not (low >= 1.0 and high < n - 2):
+        np.clip(cell, 1, n - 3, out=cell)
+    s = np.subtract(pos, cell, out=pos)
+    if table is None:
+        table = catmull_rom_table(view, int(cell.min()), int(cell.max()))
+    np.subtract(cell, table.first, out=cell)
+    c0, c1, c2, c3 = table.coeffs
 
-    def __init__(self, m: int):
-        self.cell = np.empty(m, dtype=np.intp)
-        self.term = np.empty(m)
-        self.power = np.empty(m)
-        self.out = np.empty(m)
-
-    def __call__(self, view: FilteredView | CatmullRomTable, q: np.ndarray) -> np.ndarray:
-        """Values at the queries q (1-D, overwritten: the grid position,
-        then s) of a view's table, or of a FilteredView through a table of
-        the cells q touches; in the first q.size entries of ``self.out``."""
-        table = view if isinstance(view, CatmullRomTable) else None
-        m, n = q.size, view.n if table is not None else view.values.size
-        pos = np.subtract(q, view.start, out=q)
-        np.divide(pos, view.step, out=pos)
-        # min/max settle the common case; NaN fails it and falls through
-        # to the pointwise test, which (like any comparison) lets NaN pass
-        low, high = pos.min(), pos.max()
-        if not (low >= -1e-9 and high <= n - 1 + 1e-9) and (
-            np.any(pos < -1e-9) or np.any(pos > n - 1 + 1e-9)
-        ):
-            raise ValueError(
-                "query outside the filtered q-grid; rebuild the views with a q_range covering the target points"
-            )
-        # the cast truncates, which after the clip equals floor on
-        # pos >= -1e-9; the clip acts only near the grid ends (or on NaN)
-        cell = self.cell[:m]
-        np.copyto(cell, pos, casting="unsafe")
-        if not (low >= 1.0 and high < n - 2):
-            np.clip(cell, 1, n - 3, out=cell)
-        s = np.subtract(pos, cell, out=pos)
-        if table is None:
-            table = catmull_rom_table(view, int(cell.min()), int(cell.max()))
-        np.subtract(cell, table.first, out=cell)
-        c0, c1, c2, c3 = table.coeffs
-
-        # the cells index the table: mode="wrap" never wraps, and unlike
-        # the default it does not buffer the gather behind ``out``
-        out, term, power = self.out[:m], self.term[:m], self.power[:m]
-        np.take(c1, cell, out=out, mode="wrap")
-        np.multiply(out, s, out=out)
-        np.add(np.take(c0, cell, out=term, mode="wrap"), out, out=out)
-        np.square(s, out=power)
-        np.multiply(np.take(c2, cell, out=term, mode="wrap"), power, out=term)
-        np.add(out, term, out=out)
-        np.power(s, 3, out=power)
-        np.multiply(np.take(c3, cell, out=term, mode="wrap"), power, out=term)
-        np.add(out, term, out=out)
-        np.multiply(out, 0.5, out=out)
-        return out
+    # the cells index the table: mode="wrap" never wraps, and unlike
+    # the default it does not buffer the gather behind ``out``
+    out, term, power = (work_array(name, m) for name in ("interp_out", "interp_term", "interp_power"))
+    np.take(c1, cell, out=out, mode="wrap")
+    np.multiply(out, s, out=out)
+    np.add(np.take(c0, cell, out=term, mode="wrap"), out, out=out)
+    np.square(s, out=power)
+    np.multiply(np.take(c2, cell, out=term, mode="wrap"), power, out=term)
+    np.add(out, term, out=out)
+    np.power(s, 3, out=power)
+    np.multiply(np.take(c3, cell, out=term, mode="wrap"), power, out=term)
+    np.add(out, term, out=out)
+    np.multiply(out, 0.5, out=out)
+    return out
 
 
 def view_term(view: FilteredView, family: RadonFamily, points) -> np.ndarray:
     """View k's unscaled term F_k(Phi(alpha_k, x)) of the backprojection
     sum at each of the (m, 2) ``points``: the one way a FilteredView is
-    read at points."""
+    read at points.  Returns a new array, which the caller may keep while
+    this thread reads its next view."""
     points = np.asarray(points, dtype=float)
-    return _Interpolator(points.shape[0])(view, phi_eval(family, view.alpha, points))
+    m = points.shape[0]
+    q = phi_eval(family, view.alpha, points, work_array("phi", m), work_array("phi_scratch", m))
+    return _interpolate(view, q).copy()
 
 
 def view_sum(total: np.ndarray, scheme: SamplingScheme) -> np.ndarray:
@@ -401,18 +367,16 @@ def add_view_terms(total: np.ndarray, tables, family: RadonFamily, xs: np.ndarra
     ``total``, in the order of ``tables``, at the pixel centers x = (xs[j],
     ys[i]) taken row by row (ys.size * xs.size values): ``backproject``'s
     terms without its scaling.  The points, Phi and the interpolation go
-    into this thread's work arrays (``_block_work``), kept for its next
+    into this thread's work arrays (``work_array``), kept for its next
     block."""
     m = total.size
-    work = getattr(_block_work, "arrays", None)
-    if work is None or work[0].out.size < m:
-        work = _block_work.arrays = (_Interpolator(m), np.empty((2, m)), np.empty(m), np.empty(m))
-    interpolate, coords, q, scratch = work[0], work[1][:, :m], work[2][:m], work[3][:m]
+    coords = work_array("pixel_coords", 2 * m).reshape(2, m)
+    q, scratch = work_array("phi", m), work_array("phi_scratch", m)
     coords[0].reshape(ys.size, xs.size)[...] = xs
     coords[1].reshape(ys.size, xs.size)[...] = ys[:, None]
     for table in tables:
         phi_eval(family, table.alpha, coords.T, q, scratch)
-        total += interpolate(table, q)
+        total += _interpolate(table, q)
 
 
 @dataclass(frozen=True)

@@ -655,6 +655,33 @@ class TestCli:
         assert rc == 2
         assert "unknown suite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", [0.9, 3.0])
+    def test_mollifier_wider_than_the_near_tangent_level_runs(self, tmp_path, epsilon):
+        # a kinked window reaching below rho = 0 is sampled only between
+        # the kinks, where the circle sinogram is defined
+        config = grt_preset().with_overrides(epsilon=epsilon, n_views=40, artifacts=("profile",))
+        assert np.all(np.isfinite(run_experiment(config).profile.recon_scaled))
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text(config.to_text(), encoding="utf-8")
+        assert main(["grt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("threads", [0, -2, pipeline.MAX_THREADS + 1])
+    def test_threads_out_of_range_are_refused_before_a_pool(self, tmp_path, capsys, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built for a refused thread count")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="MAX_THREADS"):
+            run_experiment(TINY_CRT, threads=threads)
+        with pytest.raises(ValueError, match="MAX_THREADS"):
+            filtered_views(TINY_CRT, threads=threads)
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_CRT.to_text(), encoding="utf-8")
+        for argv in (["crt-demo", "--config", str(cfg_path)], ["verify", "psi-asymptotics"]):
+            assert main([*argv, "--threads", str(threads), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.startswith("error: --threads")
+        assert not (tmp_path / "o").exists()
+
 
 class TestLayering:
     @staticmethod
@@ -688,6 +715,18 @@ class TestLayering:
         run_path, registry = self._imports(code).splitlines()
         assert run_path == "[]"
         assert registry == "[]"
+
+    def test_only_geometry_keeps_thread_local_state(self):
+        # the view path keeps its per-thread arrays in one place,
+        # geometry.work_array
+        src = os.path.dirname(aliaslab.__file__)
+        holders = []
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as f:
+                    if "threading.local(" in f.read():
+                        holders.append(name)
+        assert holders == ["geometry.py"]
 
     def test_library_does_not_import_scipy_signal(self):
         # scipy.signal costs about a second of import time

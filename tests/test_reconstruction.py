@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from aliaslab import reconstruction
+from aliaslab import geometry, reconstruction
 from aliaslab.forward_model import SemiDiscreteData, SinogramSampler
 from aliaslab.geometry import (
     DiskPhantom,
@@ -28,7 +29,9 @@ from aliaslab.reconstruction import (
     MAX_IMAGE_PIXELS,
     FilteredView,
     ImageGrid,
+    add_view_terms,
     backproject,
+    catmull_rom_table,
     difference_profile,
     filter_view,
     probe_points,
@@ -144,20 +147,36 @@ class TestPVFilter:
                 assert pv_filter_uniform(g, step, start).tobytes() == want, g.size
 
     def test_threads_share_no_work_arrays(self):
-        # each thread filters in its own work arrays; with more threads than
-        # cores, switching often and between FFT lengths, every value must
-        # be the one a single thread computes
+        # each thread filters and reads views in its own work arrays; with
+        # more threads than cores, switching often, between FFT lengths and
+        # between probe reads (view_term) and raster blocks
+        # (add_view_terms), every value must be the one a single thread
+        # computes
         rng = np.random.default_rng(14)
-        cases = []
+        calls = []
         for n in (300, 301, 1000, 300, 4097, 16001):
             g = rng.standard_normal(n)
             g[0] = g[-1] = 0.0
-            cases.append((g, pv_filter_uniform(g, 0.01, -1.0).tobytes()))
+            calls.append(lambda g=g: pv_filter_uniform(g, 0.01, -1.0))
+        view = FilteredView(0.3, -3.0, 0.01, rng.standard_normal(601))
+        tables = [catmull_rom_table(view), catmull_rom_table(replace(view, alpha=1.9))]
+        for m in (5, 700):
+            calls.append(lambda pts=rng.uniform(-1.5, 1.5, (m, 2)): view_term(view, line_family(), pts))
+        for rows in (3, 30):
+            xs, ys = np.linspace(-1.5, 1.5, 40), np.linspace(-1.0, 1.0, rows)
+
+            def raster(xs=xs, ys=ys):
+                total = np.zeros(ys.size * xs.size)
+                add_view_terms(total, tables, line_family(), xs, ys)
+                return total
+
+            calls.append(raster)
+        cases = [(call, call().tobytes()) for call in calls]
 
         def worker(offset):
             for i in range(60):
-                g, want = cases[(i + offset) % len(cases)]
-                assert pv_filter_uniform(g, 0.01, -1.0).tobytes() == want
+                call, want = cases[(i + offset) % len(cases)]
+                assert call().tobytes() == want
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -188,19 +207,23 @@ class TestPVFilter:
         assert peak < 5_000_000, peak
 
     def test_long_work_arrays_are_not_kept(self):
-        # a thread keeps its work arrays only up to _WORK_KEEP FFT points;
-        # a longer filter allocates its own and drops what was kept
+        # a thread keeps a work array only up to geometry._WORK_KEEP bytes:
+        # a longer filter makes its own FFT array for the call, and the
+        # small one stays kept for the next short filter (in a new thread,
+        # whose arrays no earlier test has grown)
         rng = np.random.default_rng(15)
-        for n in (1000, 400_000, 1000):
-            g = rng.standard_normal(n)
-            g[0] = g[-1] = 0.0
-            assert pv_filter_uniform(g, 0.01, -1.0).tobytes() == _pv_fftconvolve(g, 0.01, -1.0).tobytes(), n
-            kept = reconstruction._work.arrays
-            size = reconstruction._filter_plan(n)[0]
-            if size <= reconstruction._WORK_KEEP:
-                assert kept[0].size == size
-            else:
-                assert kept is None
+        small = reconstruction._filter_plan(1000)[0]
+        assert 8 * reconstruction._filter_plan(400_000)[0] > geometry._WORK_KEEP
+
+        def run():
+            for n in (1000, 400_000, 1000):
+                g = rng.standard_normal(n)
+                g[0] = g[-1] = 0.0
+                assert pv_filter_uniform(g, 0.01, -1.0).tobytes() == _pv_fftconvolve(g, 0.01, -1.0).tobytes(), n
+                assert geometry._work.arrays["fft"].size == small, n
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(run).result(timeout=60)
 
     def test_fast_length_matches_scipy(self):
         # the FFT length must be scipy's pick for the bits to be fftconvolve's
@@ -256,7 +279,7 @@ class TestPVFilter:
 
 class TestInterpolation:
     def _view(self, values, start=2.0, step=0.25):
-        return FilteredView(k=0, alpha=0.0, start=start, step=step, values=values)
+        return FilteredView(alpha=0.0, start=start, step=step, values=values)
 
     @staticmethod
     def _at(view, q):
@@ -282,6 +305,16 @@ class TestInterpolation:
         nodes = view.start + view.step * np.arange(1, 5)
         assert np.array_equal(self._at(view, nodes), values[1:5])
 
+    def test_view_term_returns_a_new_array(self):
+        # a run sums each view's term after the thread has read its next
+        # view, so the term must not live in a work array
+        view = self._view(np.arange(40.0) ** 2)
+        first = self._at(view, [3.0, 4.5, 6.0])
+        kept = first.copy()
+        second = self._at(view, [5.0, 7.0, 8.0])
+        assert not np.array_equal(second, kept)
+        assert np.array_equal(first, kept)
+
     def test_outside_grid_raises(self):
         view = self._view(np.zeros(8))
         with pytest.raises(ValueError, match="outside"):
@@ -293,10 +326,10 @@ class TestInterpolation:
 class TestValidation:
     def test_filtered_view_needs_four_finite_samples(self):
         with pytest.raises(ValueError, match="4 grid values"):
-            FilteredView(0, 0.0, 0.0, 0.1, np.zeros(3))
+            FilteredView(0.0, 0.0, 0.1, np.zeros(3))
         bad = np.array([0.0, np.nan, 0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
-            FilteredView(0, 0.0, 0.0, 0.1, bad)
+            FilteredView(0.0, 0.0, 0.1, bad)
 
     def test_recon_config_bounds(self):
         data = SemiDiscreteData(SamplingScheme.half_circle(0.05, 4), _ZeroSampler())
@@ -363,7 +396,7 @@ class TestBackprojection:
         family = line_family()
         alpha = scheme.view_angles()[7]
         grid = -6.0 + 0.01 * np.arange(1201)
-        view = FilteredView(k=7, alpha=alpha, start=-6.0, step=0.01, values=grid.copy())
+        view = FilteredView(alpha=alpha, start=-6.0, step=0.01, values=grid.copy())
         x = np.array([1.3, -2.1])
         expected = -scheme.delta_alpha / (2.0 * math.pi**2) * phi_eval(family, alpha, x)
         assert backproject([view], x, family, scheme) == pytest.approx(expected, rel=1e-12)
@@ -420,7 +453,7 @@ class TestBackprojectionEdges:
 
     def _setup(self, kind):
         rng = np.random.default_rng(7)
-        views = [FilteredView(k, 0.0, self.START, self.STEP, rng.standard_normal(self.N)) for k in range(3)]
+        views = [FilteredView(0.0, self.START, self.STEP, rng.standard_normal(self.N)) for _ in range(3)]
         family = line_family() if kind == "line" else circle_family(5.0)
         return views, family, SamplingScheme.half_circle(0.05, 20)
 
