@@ -19,34 +19,48 @@ import os
 import sys
 import time
 
-from aliaslab.experiment_config import crt_preset, grt_preset
-from aliaslab.pipeline import run_experiment
+from aliaslab.experiment_config import ConfigError, crt_preset, grt_preset
+from aliaslab.pipeline import MAX_THREADS, run_experiment
 
 
-def main() -> int:
+def parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--family", choices=("line", "circle"), default="line")
     ap.add_argument("--levels", type=int, default=3)
     ap.add_argument("--base-epsilon", type=float, default=None)
     ap.add_argument("--base-views", type=int, default=None)
     ap.add_argument("--eta", type=int, default=16)
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    ap.add_argument("--threads", type=int, default=min(os.cpu_count() or 1, MAX_THREADS))
     ap.add_argument("--out", default=None, help="directory for sweep.csv")
-    args = ap.parse_args()
+    return ap
 
+
+def main(argv=None) -> int:
+    args = parser().parse_args(argv)
+    try:
+        return sweep(args)
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def sweep(args) -> int:
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise ConfigError(f"--threads: {args.threads} worker threads; at least 1, at most MAX_THREADS = {MAX_THREADS}")
     base = crt_preset() if args.family == "line" else grt_preset()
     eps0 = args.base_epsilon if args.base_epsilon is not None else 3.0 * base.epsilon
     views0 = args.base_views if args.base_views is not None else max(2, base.n_views // 3)
+    # every level's config is built, and so checked, before the first run
+    configs = [
+        base.with_overrides(
+            epsilon=eps0 / 2**level, n_views=views0 * 2**level, eta=args.eta, artifacts=("profile", "report")
+        )
+        for level in range(args.levels)
+    ]
 
     rows = []
     print(f"{'level':>5} {'epsilon':>10} {'n_views':>8} {'sup':>12} {'ptp':>12} {'rel':>10} {'sec':>7}")
-    for level in range(args.levels):
-        config = base.with_overrides(
-            epsilon=eps0 / 2**level,
-            n_views=views0 * 2**level,
-            eta=args.eta,
-            artifacts=("profile", "report"),
-        )
+    for level, config in enumerate(configs):
         t0 = time.perf_counter()
         result = run_experiment(config, threads=args.threads)
         dt = time.perf_counter() - t0

@@ -59,9 +59,12 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_psi_table(args) -> int:
-    if args.samples > MAX_PROFILE_SAMPLES:
-        raise ConfigError(f"--samples: {args.samples} samples; at most MAX_PROFILE_SAMPLES = {MAX_PROFILE_SAMPLES}")
+    if not 1 <= args.samples <= MAX_PROFILE_SAMPLES:
+        raise ConfigError(f"--samples: {args.samples}; at least 1, at most MAX_PROFILE_SAMPLES = {MAX_PROFILE_SAMPLES}")
     a_values = args.a if args.a else [1.0, 2.0, 4.0]
+    for flag, values in (("--a", a_values), ("--r", [args.r])):
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"{flag}: must be finite, got {values}")
     h_prime = np.linspace(0.0, 1.0, args.samples)
     rows = [(h, a, big_psi(a * h, a, args.r)) for a in a_values for h in h_prime]
     out_dir = _resolve_out(args.out, None)

@@ -28,11 +28,11 @@ __all__ = [
 _ARTIFACTS = ("profile", "report", "roi-image", "global-image")
 _THETA_MODES = ("radial", "minus-u0", "explicit")
 
-# family-dependent defaults: angular origin of the view grid and the
-# global-image field of view
+# the global-image field of view by family; each family's view grid is
+# SamplingScheme.half_circle (line) or SamplingScheme.full_circle (circle)
 _FAMILY_DEFAULTS = {
-    "line": {"alpha_origin": -math.pi / 2, "image_half_extent": 10.0, "image_pixel_size": 0.02},
-    "circle": {"alpha_origin": 0.0, "image_half_extent": 4.0, "image_pixel_size": 0.008},
+    "line": {"image_half_extent": 10.0, "image_pixel_size": 0.02},
+    "circle": {"image_half_extent": 4.0, "image_pixel_size": 0.008},
 }
 
 # Most probe offsets a profile may have, 2*round(probe.h_max/probe.h_step) + 1;
@@ -64,7 +64,6 @@ class ExperimentConfig:
     epsilon: float = _key("scheme.epsilon", "num")
     n_views: int = _key("scheme.n_views", "int")
     shift: float = _key("scheme.shift", "num", default=0.0)
-    alpha_origin: float | None = _key("scheme.alpha_origin", "num", default=None)
     window: tuple[float, float] | None = _key("scheme.window", "window", default=None)
     probe_x0: tuple[float, float] = _key("probe.x0", "pair")
     theta_mode: str = _key("probe.theta_mode", "str", default="radial")
@@ -165,14 +164,8 @@ class ExperimentConfig:
         return DiskPhantom(self.phantom_center, self.phantom_radius, self.phantom_jump)
 
     def build_scheme(self) -> SamplingScheme:
-        return SamplingScheme(
-            epsilon=self.epsilon,
-            n_views=self.n_views,
-            grid_span=self.build_family().angular_period,
-            alpha_origin=self.alpha_origin,
-            shift=self.shift,
-            window=self.window,
-        )
+        grid = SamplingScheme.half_circle if self.family == "line" else SamplingScheme.full_circle
+        return grid(self.epsilon, self.n_views, shift=self.shift, window=self.window)
 
     def h_samples(self) -> np.ndarray:
         m = int(round(self.h_max / self.h_step))

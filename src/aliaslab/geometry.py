@@ -110,12 +110,6 @@ class RadonFamily:
         elif self.acquisition_radius is not None:
             raise ValueError("line family takes no acquisition_radius")
 
-    @property
-    def angular_period(self) -> float:
-        """Angle after which the same geometric curve recurs (for lines the
-        scalar is negated across the half turn)."""
-        return math.pi if self.kind == "line" else _TWO_PI
-
     def vertex_meets(self, phantom: DiskPhantom) -> bool:
         """True when the acquisition circle meets the closed phantom disk,
         so that some curve vertex lies in the phantom; lines have no
@@ -189,27 +183,18 @@ class SamplingScheme:
 
     @classmethod
     def half_circle(
-        cls,
-        epsilon: float,
-        n_views: int,
-        shift: float = 0.0,
-        alpha_origin: float = -math.pi / 2,
-        window: tuple[float, float] | None = None,
+        cls, epsilon: float, n_views: int, shift: float = 0.0, window: tuple[float, float] | None = None
     ) -> "SamplingScheme":
-        """Line-family grid covering a half circle of view angles."""
-        return cls(epsilon, n_views, math.pi, alpha_origin, shift, window)
+        """Line-family grid: a half circle of view angles from -pi/2 (a line
+        recurs with the scalar negated after a half turn)."""
+        return cls(epsilon, n_views, math.pi, -math.pi / 2, shift, window)
 
     @classmethod
     def full_circle(
-        cls,
-        epsilon: float,
-        n_views: int,
-        window: tuple[float, float] | None = None,
-        shift: float = 0.0,
-        alpha_origin: float = 0.0,
+        cls, epsilon: float, n_views: int, window: tuple[float, float] | None = None, shift: float = 0.0
     ) -> "SamplingScheme":
-        """Circle-family grid covering the full circle of view angles."""
-        return cls(epsilon, n_views, _TWO_PI, alpha_origin, shift, window)
+        """Circle-family grid: the full circle of view angles from 0."""
+        return cls(epsilon, n_views, _TWO_PI, 0.0, shift, window)
 
     @property
     def delta_alpha(self) -> float:
@@ -326,50 +311,46 @@ class TangencyDescriptor:
     flipped: bool
 
 
-def _amplitude(scheme: SamplingScheme, curvature_gap: float, jump: float) -> float:
-    return -(scheme.kappa / math.pi) * math.sqrt(2.0 / curvature_gap) * jump
+def _descriptor(
+    scheme: SamplingScheme, jump: float, y0, theta0, u0, curvature_gap: float, k_star, **rest
+) -> TangencyDescriptor:
+    """The descriptor of one tangency: the vectors become pairs of floats
+    and the amplitude is -(kappa/pi) * sqrt(2/M) * jump."""
+    return TangencyDescriptor(
+        y0=(float(y0[0]), float(y0[1])),
+        theta0=(float(theta0[0]), float(theta0[1])),
+        u0=(float(u0[0]), float(u0[1])),
+        curvature_gap=curvature_gap,
+        k_star=float(k_star),
+        amplitude=-(scheme.kappa / math.pi) * math.sqrt(2.0 / curvature_gap) * jump,
+        **rest,
+    )
 
 
 def _line_descriptors(
-    phantom: DiskPhantom, x0: np.ndarray, scheme: SamplingScheme
+    phantom: DiskPhantom, x0: np.ndarray, scheme: SamplingScheme, sep: float
 ) -> list[TangencyDescriptor]:
     a = phantom.center_array
     r = phantom.radius
     v = x0 - a
-    L = math.hypot(v[0], v[1])
-    if L == r:
-        raise ValueError("probe point lies on the phantom boundary")
-    if L < r:
-        return []
-    beta = math.acos(r / L)
+    beta = math.acos(r / sep)
     phi_v = math.atan2(v[1], v[0])
     out = []
     for alpha_raw in (phi_v + math.pi - beta, phi_v - math.pi + beta):
         alpha_star = _wrap_to_signed_pi(alpha_raw)
-        direction = _unit(alpha_star)
-        p_star = float(direction @ a) - r
-        y0 = a - r * direction
-        theta0 = direction  # inward normal: (a - y0)/r
-        mu0 = float(_perp(alpha_star) @ (x0 - y0))
         # grid index from the angle actually covered by the half-circle grid
         alpha_phys = scheme.alpha_origin + (alpha_star - scheme.alpha_origin) % math.pi
-        k_star = (alpha_phys - scheme.alpha_origin) / scheme.delta_alpha - scheme.shift
         if not scheme.contains_angle(alpha_phys):
             continue
-        M = 1.0 / r
+        direction = _unit(alpha_star)
+        y0 = a - r * direction
+        k_star = (alpha_phys - scheme.alpha_origin) / scheme.delta_alpha - scheme.shift
+        # the inward normal (a - y0)/r and the unit gradient at x0 are both the view direction
         out.append(
-            TangencyDescriptor(
-                alpha_star=alpha_star,
-                p_star=p_star,
-                y0=(float(y0[0]), float(y0[1])),
-                theta0=(float(theta0[0]), float(theta0[1])),
-                curvature_gap=M,
-                u0=(float(direction[0]), float(direction[1])),
-                mu0=mu0,
-                k_star=float(k_star),
-                amplitude=_amplitude(scheme, M, phantom.jump),
-                branch=-1,
-                flipped=False,
+            _descriptor(
+                scheme, phantom.jump, y0, direction, direction, 1.0 / r, k_star,
+                alpha_star=alpha_star, p_star=float(direction @ a) - r,
+                mu0=float(_perp(alpha_star) @ (x0 - y0)), branch=-1, flipped=False,
             )
         )
     return out
@@ -451,19 +432,11 @@ def _circle_tangency_angles(
 
 
 def _circle_descriptors(
-    family: RadonFamily,
-    phantom: DiskPhantom,
-    x0: np.ndarray,
-    scheme: SamplingScheme,
+    family: RadonFamily, phantom: DiskPhantom, x0: np.ndarray, scheme: SamplingScheme
 ) -> list[TangencyDescriptor]:
     R = family.acquisition_radius
     a = phantom.center_array
     r = phantom.radius
-    sep = math.hypot(*(x0 - a))
-    if sep == r:
-        raise ValueError("probe point lies on the phantom boundary")
-    if sep < r:
-        return []
     out = []
     for alpha_star in _circle_tangency_angles(R, a, r, x0):
         vertex = R * _unit(alpha_star)
@@ -491,18 +464,9 @@ def _circle_descriptors(
             continue
         k_star = ((alpha_star - scheme.alpha_origin) % _TWO_PI) / scheme.delta_alpha - scheme.shift
         out.append(
-            TangencyDescriptor(
-                alpha_star=alpha_star,
-                p_star=rho_star,
-                y0=(float(y0[0]), float(y0[1])),
-                theta0=(float(theta0[0]), float(theta0[1])),
-                curvature_gap=M,
-                u0=(float(u0[0]), float(u0[1])),
-                mu0=mu0,
-                k_star=float(k_star),
-                amplitude=_amplitude(scheme, M, phantom.jump),
-                branch=-1 if sigma > 0 else 1,
-                flipped=flipped,
+            _descriptor(
+                scheme, phantom.jump, y0, theta0, u0, M, k_star, alpha_star=alpha_star, p_star=rho_star,
+                mu0=mu0, branch=-1 if sigma > 0 else 1, flipped=flipped,
             )
         )
     return out
@@ -526,8 +490,13 @@ def tangency_enumerate(
     probe = np.asarray(x0, dtype=float)
     if probe.shape != (2,):
         raise ValueError("x0 must be a 2-vector")
+    sep = math.hypot(*(probe - phantom.center_array))
+    if sep == phantom.radius:
+        raise ValueError("probe point lies on the phantom boundary")
+    if sep < phantom.radius:
+        return []
     if family.kind == "line":
-        found = _line_descriptors(phantom, probe, scheme)
+        found = _line_descriptors(phantom, probe, scheme, sep)
     else:
         found = _circle_descriptors(family, phantom, probe, scheme)
     return sorted(found, key=lambda t: t.alpha_star)

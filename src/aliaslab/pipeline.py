@@ -167,7 +167,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     scheme = config.build_scheme()
     x0 = np.asarray(config.probe_x0, dtype=float)
 
-    descriptors = tangency_enumerate(family, phantom, x0, scheme)
+    try:
+        descriptors = tangency_enumerate(family, phantom, x0, scheme)
+    except ValueError as exc:  # a probe on the boundary or at a degenerate tangency
+        raise ConfigError(f"probe.x0: {exc}") from None
     if not descriptors:
         raise ConfigError("probe.x0: probe point sees no tangency inside the angular window (scheme.window)")
     theta = resolve_theta(config, descriptors)

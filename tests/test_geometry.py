@@ -70,8 +70,11 @@ class TestFamilies:
             RadonFamily("parabola")
 
     def test_angular_periods(self):
-        assert line_family().angular_period == math.pi
-        assert circle_family(5.0).angular_period == 2 * math.pi
+        # each family's view grid: a line recurs with the scalar negated
+        # after a half turn, a circle only after a full one
+        line, circle = SamplingScheme.half_circle(0.02, 10), SamplingScheme.full_circle(0.02, 10)
+        assert (line.grid_span, line.alpha_origin) == (math.pi, -math.pi / 2)
+        assert (circle.grid_span, circle.alpha_origin) == (2 * math.pi, 0.0)
 
     def test_phantom_validation(self):
         with pytest.raises(ValueError):
@@ -338,7 +341,7 @@ class TestRandomizedInvariants:
         expected_c = -(scheme.kappa / math.pi) * math.sqrt(2.0 / t.curvature_gap) * phantom.jump
         assert t.amplitude == pytest.approx(expected_c, rel=1e-12)
         alpha_at_k = scheme.alpha_origin + scheme.delta_alpha * (t.k_star + scheme.shift)
-        assert math.remainder(alpha_at_k - t.alpha_star, family.angular_period) == pytest.approx(0.0, abs=1e-8)
+        assert math.remainder(alpha_at_k - t.alpha_star, scheme.grid_span) == pytest.approx(0.0, abs=1e-8)
 
     def test_line_random_configs(self):
         rng = np.random.default_rng(7)

@@ -1,19 +1,25 @@
 """Config parsing, pipeline wiring, file outputs, and the CLI."""
 
+import contextlib
 import gc
 import importlib
+import importlib.util
+import io
 import math
 import os
 import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import aliaslab
 from aliaslab.cli import main
@@ -72,7 +78,6 @@ NUMBER_FIELDS = {
     "scheme.epsilon": "epsilon",
     "scheme.n_views": "n_views",
     "scheme.shift": "shift",
-    "scheme.alpha_origin": "alpha_origin",
     "scheme.window": "window",
     "probe.x0": "probe_x0",
     "probe.theta": "probe_theta",
@@ -274,14 +279,17 @@ class TestConfigValidation:
             crt_preset().with_overrides(n_views=MAX_VIEWS + 1)
 
     def test_removed_quad_order_key_is_refused_by_name(self):
-        # the quadrature rule is fixed; a config or an old report naming the
-        # key is refused rather than silently ignored
-        text = crt_preset().to_text()
-        with pytest.raises(ConfigError, match=r"unknown config key.*recon\.quad_order"):
-            parse_config_text(text + "recon.quad_order = 32\n")
-        echoed = "".join(f"config.{line}\n" for line in (text + "recon.quad_order = 32\n").splitlines())
-        with pytest.raises(ConfigError, match=r"unknown config key.*recon\.quad_order"):
-            parse_config_text(echoed)
+        # the quadrature rule is fixed and scheme.shift sets the grid phase;
+        # a config or an old report naming either removed key is refused
+        # rather than silently ignored
+        for line in ("recon.quad_order = 32", "scheme.alpha_origin = -1.5707963267948966"):
+            key = line.partition(" ")[0]
+            text = crt_preset().to_text() + line + "\n"
+            with pytest.raises(ConfigError, match=r"unknown config key.*" + re.escape(key)):
+                parse_config_text(text)
+            echoed = "".join(f"config.{row}\n" for row in text.splitlines())
+            with pytest.raises(ConfigError, match=r"unknown config key.*" + re.escape(key)):
+                parse_config_text(echoed)
 
     def test_window_longer_than_a_full_turn_names_the_key(self):
         # SamplingScheme's bound, a full turn plus 1e-12, checked when the
@@ -546,6 +554,15 @@ class TestCli:
         assert err.startswith("error:") and "--samples" in err
         assert not (tmp_path / "psi_table.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--samples", "-1"), ("--samples", "0"), ("--a", "nan"), ("--a", "-inf"), ("--r", "inf")]
+    )
+    def test_psi_table_names_a_bad_flag(self, tmp_path, capsys, flag, value):
+        rc = main(["psi-table", f"{flag}={value}", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}:")
+        assert not (tmp_path / "psi_table.csv").exists()
+
     def test_crt_demo_runs_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.cfg"
         cfg_path.write_text(TINY_CRT.to_text(), encoding="utf-8")
@@ -605,6 +622,21 @@ class TestCli:
         rc = main(["crt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "probe.x0" in capsys.readouterr().err
+
+    def test_probe_on_the_boundary_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # (3, 4) lies at exactly the phantom radius 5 from its centre; the
+        # run is refused by key before any view is filtered
+        def no_filter(*args, **kwargs):
+            raise AssertionError("a view was filtered for a refused probe")
+
+        monkeypatch.setattr(pipeline, "filter_view", no_filter)
+        config = TINY_CRT.with_overrides(probe_x0=(3.0, 4.0))
+        with pytest.raises(ConfigError, match=r"^probe\.x0: .*boundary"):
+            run_experiment(config)
+        cfg_path = tmp_path / "boundary.cfg"
+        cfg_path.write_text(config.to_text(), encoding="utf-8")
+        assert main(["crt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: probe.x0")
 
     def test_too_fine_grid_exits_with_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "fine.cfg"
@@ -683,6 +715,95 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
 
+CONFIG_KEYS = {f.metadata["key"] for f in fields(ExperimentConfig)}
+
+
+@st.composite
+def small_configs(draw):
+    """Keyword arguments over all config keys for profile-only runs of at
+    most 40 views and epsilon >= 0.005.  Most draws are in range; the
+    geometry (probe, phantom, acquisition circle, window) is drawn freely."""
+    family = draw(st.sampled_from(["line", "circle"]))
+    center = draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+    radius = draw(st.floats(0.1, 3.0))
+    # the acquisition circle clears the phantom for a positive gap
+    gap = draw(st.floats(-0.2, 5.0))
+    theta_mode = draw(st.sampled_from(["radial", "minus-u0", "explicit"]))
+    turn, theta_norm = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.sampled_from([1.0] * 5 + [0.5]))
+    lo, span = draw(st.floats(-4.0, 4.0)), draw(st.floats(0.01, 2.0 * math.pi))
+    h_step = draw(st.floats(0.05, 1.0))
+    return dict(
+        family=family,
+        phantom_center=center,
+        phantom_radius=radius,
+        phantom_jump=draw(st.floats(-2.0, 2.0)),
+        acquisition_radius=(
+            math.hypot(*center) + radius + gap if family == "circle" else draw(st.sampled_from([None] * 5 + [5.0]))
+        ),
+        epsilon=draw(st.floats(0.005, 0.5)),
+        n_views=draw(st.integers(2, 40)),
+        shift=draw(st.floats(-2.0, 2.0)),
+        window=(lo, lo + span) if draw(st.integers(0, 2)) == 0 else None,
+        probe_x0=draw(st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))),
+        theta_mode=theta_mode,
+        probe_theta=(theta_norm * math.cos(turn), theta_norm * math.sin(turn)) if theta_mode == "explicit" else None,
+        h_max=h_step * draw(st.integers(1, 12)),
+        h_step=h_step,
+        eta=draw(st.integers(2, 8)),
+        artifacts=("profile",),
+        image_half_extent=draw(st.none() | st.floats(0.1, 12.0)),
+        image_pixel_size=draw(st.none() | st.floats(0.001, 0.05)),
+        out_dir=draw(st.none() | st.just("out")),
+    )
+
+
+CRT_ON_THE_BOUNDARY = dict(
+    family="line", phantom_center=(0.0, 0.0), phantom_radius=5.0, epsilon=0.05, n_views=40,
+    probe_x0=(3.0, 4.0), h_max=2.0, h_step=0.5, eta=4, artifacts=("profile",),
+)
+
+
+def assert_names_a_key(message: str) -> None:
+    assert message.partition(":")[0] in CONFIG_KEYS, message
+
+
+class TestConfigSpace:
+    """Every config either runs or is refused by a ConfigError that starts
+    with the key at fault."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @example(CRT_ON_THE_BOUNDARY)
+    @given(small_configs())
+    def test_a_config_runs_or_names_its_key(self, kwargs):
+        try:
+            run_experiment(ExperimentConfig(**kwargs))
+        except ConfigError as exc:
+            assert_names_a_key(str(exc))
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @example(CRT_ON_THE_BOUNDARY)
+    @given(small_configs())
+    def test_a_config_file_runs_or_names_its_key(self, kwargs):
+        text = "".join(
+            f"{f.metadata['key']} = {','.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+            for f in fields(ExperimentConfig)
+            if (value := kwargs.get(f.name)) is not None
+        )
+        command = "crt-demo" if kwargs["family"] == "line" else "grt-demo"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "drawn.cfg")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
+        # an exception main does not turn into an error line propagates here
+        assert rc in (0, 2)
+        if rc == 2:
+            assert stderr.getvalue().startswith("error: ")
+            assert_names_a_key(stderr.getvalue().removeprefix("error: "))
+
+
 class TestLayering:
     @staticmethod
     def _imports(code: str) -> str:
@@ -751,19 +872,42 @@ class TestPublicSurface:
 
 
 class TestScripts:
-    def test_sweep_refinement_smoke(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(aliaslab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        script = os.path.join(os.path.dirname(src), "scripts", "sweep_refinement.py")
-        args = ["--levels", "2", "--base-epsilon", "0.2", "--base-views", "20", "--threads", "1"]
-        out = subprocess.run(
-            [sys.executable, script, *args, "--out", str(tmp_path)], env=env, capture_output=True, text=True
+    SRC = os.path.dirname(os.path.dirname(aliaslab.__file__))
+    SWEEP = os.path.join(os.path.dirname(SRC), "scripts", "sweep_refinement.py")
+
+    def _run_sweep(self, *args, timeout=None):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([self.SRC, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, self.SWEEP, *args], env=env, capture_output=True, text=True, timeout=timeout
         )
+
+    def test_sweep_refinement_smoke(self, tmp_path):
+        args = ["--levels", "2", "--base-epsilon", "0.2", "--base-views", "20", "--threads", "1"]
+        out = self._run_sweep(*args, "--out", str(tmp_path))
         assert out.returncode == 0, out.stderr
         assert len([line for line in out.stdout.splitlines() if "contraction" in line]) == 1
         rows = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
         assert rows[0] == "level,epsilon,n_views,sup_mismatch,peak_to_peak,relative_mismatch,seconds"
         assert len(rows) == 3
+
+    def test_sweep_refinement_default_threads_are_capped(self, monkeypatch):
+        # only the parsed default is checked: no pool is started
+        spec = importlib.util.spec_from_file_location("sweep_refinement", self.SWEEP)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(os, "cpu_count", lambda: 256)
+        assert module.parser().parse_args([]).threads == pipeline.MAX_THREADS
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert module.parser().parse_args([]).threads == 1
+
+    def test_sweep_refinement_refuses_a_level_over_a_cap_before_any_run(self, tmp_path):
+        # level 14 of 40 asks for 66 * 2**14 views, more than MAX_VIEWS
+        start = time.perf_counter()
+        out = self._run_sweep("--levels", "40", "--out", str(tmp_path), timeout=30)
+        assert time.perf_counter() - start < 5.0
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: scheme.n_views") and "Traceback" not in out.stderr
+        assert out.stdout == "" and not (tmp_path / "sweep.csv").exists()
 
 
 class TestDeterminism:
