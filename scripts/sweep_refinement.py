@@ -20,7 +20,7 @@ import sys
 import time
 
 from aliaslab.experiment_config import ConfigError, crt_preset, grt_preset
-from aliaslab.pipeline import MAX_THREADS, run_experiment
+from aliaslab.pipeline import MAX_THREADS, plan_run, run_experiment
 
 
 def parser() -> argparse.ArgumentParser:
@@ -50,13 +50,15 @@ def sweep(args) -> int:
     base = crt_preset() if args.family == "line" else grt_preset()
     eps0 = args.base_epsilon if args.base_epsilon is not None else 3.0 * base.epsilon
     views0 = args.base_views if args.base_views is not None else max(2, base.n_views // 3)
-    # every level's config is built, and so checked, before the first run
+    # every level's config is built and planned, and so checked, before the first run
     configs = [
         base.with_overrides(
             epsilon=eps0 / 2**level, n_views=views0 * 2**level, eta=args.eta, artifacts=("profile", "report")
         )
         for level in range(args.levels)
     ]
+    for config in configs:
+        plan_run(config)
 
     rows = []
     print(f"{'level':>5} {'epsilon':>10} {'n_views':>8} {'sup':>12} {'ptp':>12} {'rel':>10} {'sec':>7}")

@@ -27,8 +27,7 @@ from .geometry import (
     mu0_numeric,
     tangency_enumerate,
 )
-from .pipeline import filtered_views, run_experiment, write_artifacts
-from .reconstruction import backproject
+from .pipeline import run_experiment, write_artifacts
 from .special_functions import (
     PsiEvalConfig,
     big_psi,
@@ -283,21 +282,18 @@ def _c07_tangency_geometry(ctx) -> tuple[bool, str, dict]:
 
 
 def _c08_crt_fidelity(ctx) -> tuple[bool, str, dict]:
-    # the views of criterion 9's coarse run, filtered again here: runs do
-    # not keep their views, so the memo of runs stays small
+    # criterion 9's coarse run again, reading the reconstruction at 97
+    # interior and 16 exterior points too: the memo keeps runs, not views
     config = _crt_profile(0.02, 200, 0.03)
-    views = filtered_views(config, threads=ctx.threads)
-    family, scheme = config.build_family(), config.build_scheme()
     angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     interior = [(0.0, 0.0)]
     for rad in (0.5, 1.25, 2.0, 2.75, 3.5, 4.25):
         interior.extend((rad * math.cos(t), rad * math.sin(t)) for t in angles)
-    inside_vals = backproject(views, np.array(interior), family, scheme)
-    mean_inside = float(np.mean(inside_vals))
-
     ring = 5.0 + 10.0 * config.epsilon
-    exterior = np.array([(ring * math.cos(t), ring * math.sin(t)) for t in angles])
-    max_outside = float(np.max(np.abs(backproject(views, exterior, family, scheme))))
+    exterior = [(ring * math.cos(t), ring * math.sin(t)) for t in angles]
+    values = run_experiment(config, threads=ctx.threads, points=np.array(interior + exterior)).point_values
+    mean_inside = float(np.mean(values[: len(interior)]))
+    max_outside = float(np.max(np.abs(values[len(interior) :])))
 
     passed = abs(mean_inside - 1.0) <= 0.05 and max_outside <= 0.05
     detail = f"mean_interior={mean_inside:.6f} max_exterior={max_outside:.4f}"

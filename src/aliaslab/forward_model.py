@@ -132,7 +132,7 @@ def sinogram_circle_disk(phantom: DiskPhantom, R: float, alpha, rho, out=None):
 @dataclass(frozen=True)
 class SinogramSampler:
     """Analytic sinogram of one phantom under one curve family, with the
-    per-view scalar support interval and kink locations.
+    support and kinks of one view angle or, elementwise, of an array.
 
     Circle-family curves need their vertex outside the phantom, so the
     acquisition circle must not meet the disk."""
@@ -288,9 +288,3 @@ class SemiDiscreteData:
         """d/dp of f_eps(alpha_k, p).  Each value depends only on (k, p),
         not on the shape or partition of ``p``."""
         return self._eval(k, p, derivative=True)
-
-    def grid_support(self, k: int, margin: float = 0.0) -> tuple[float, float]:
-        """Support of the smoothed view data, widened by ``margin``."""
-        lo, hi = self.sampler.support(self.view_angle(k))
-        pad = self.scheme.epsilon * _HALF + margin
-        return lo - pad, hi + pad

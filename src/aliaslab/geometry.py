@@ -56,7 +56,7 @@ MAX_VIEWS = 2**20
 # Each thread's work arrays by name (``work_array``), made on first use and
 # reused by every view of every run.  One is kept only up to _WORK_KEEP
 # bytes, the filter's real FFT array at 2**20 points, so that no thread
-# keeps the 200 MB that filtering the longest grid (_MAX_GRID) takes.
+# keeps the 200 MB that filtering the longest grid a run may plan takes.
 _work = threading.local()
 _WORK_KEEP = 2**23
 
@@ -222,25 +222,26 @@ class SamplingScheme:
 
 
 def phi_eval(family: RadonFamily, alpha, x, out=None, scratch=None):
-    """Defining function Phi(alpha, x); its level sets are the curves.
+    """Defining function Phi(alpha, x); its level sets are the curves.  At
+    a circle's vertex Phi is 0, the level of the circle of radius 0.
 
     ``x`` has shape (..., 2) and broadcasts against ``alpha``.  A caller
     that evaluates many views at the same points passes ``out`` and
     ``scratch``, arrays of the result's shape: the values go to ``out``,
-    ``scratch`` is overwritten, and the operations are the same.
+    ``scratch`` is overwritten, and the operations are the same.  Many
+    views at one point take at most four arrays of their length.
     """
     x = np.asarray(x, dtype=float)
     al = np.asarray(alpha, dtype=float)
-    ca, sa = np.cos(al), np.sin(al)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(al.shape, x.shape[:-1]))
     if family.kind == "line":
-        first = np.multiply(ca, x[..., 0], out=out)
-        out = np.add(first, np.multiply(sa, x[..., 1], out=scratch), out=out)
+        np.multiply(np.cos(al), x[..., 0], out=out)
+        np.add(out, np.multiply(np.sin(al), x[..., 1], out=scratch), out=out)
     else:
         R = family.acquisition_radius
-        first = np.subtract(x[..., 0], R * ca, out=out)
-        out = np.hypot(first, np.subtract(x[..., 1], R * sa, out=scratch), out=out)
-        if not np.all(out):
-            raise ValueError("Phi is undefined where x coincides with the curve vertex")
+        np.subtract(x[..., 0], R * np.cos(al), out=out)
+        np.hypot(out, np.subtract(x[..., 1], R * np.sin(al), out=scratch), out=out)
     if out.ndim == 0:
         return float(out)
     return out

@@ -19,12 +19,11 @@ import numpy as np
 
 from .experiment_config import ConfigError, ExperimentConfig
 from .forward_model import SemiDiscreteData, SinogramSampler
-from .geometry import RadonFamily, SamplingScheme, TangencyDescriptor, tangency_enumerate
+from .geometry import TangencyDescriptor, tangency_enumerate
 from .outputs import format_floats, write_pgm16, write_profile_csv
 from .predictor import ComparisonMetrics, compare, fill_prediction
 from .reconstruction import (
     AliasProfile,
-    FilteredView,
     ImageGrid,
     add_view_terms,
     catmull_rom_table,
@@ -38,11 +37,10 @@ from .reconstruction import (
 __all__ = [
     "MAX_THREADS",
     "ExperimentResult",
+    "RunPlan",
     "parallel_map",
-    "resolve_theta",
-    "query_range",
+    "plan_run",
     "run_experiment",
-    "filtered_views",
     "report_text",
     "write_artifacts",
 ]
@@ -50,6 +48,16 @@ __all__ = [
 # Most worker threads a run may use, refused before a pool exists; each
 # keeps its own work arrays, about 3 MB at the fine CRT level.
 MAX_THREADS = 64
+
+# the filtering interval extends this many eps beyond the smoothed data
+# support (the log endpoint term needs g = 0 at both ends)
+_MARGIN_FACTOR = 6.0
+
+# Most fine-grid points a view's grid may have; a plan with a longer grid
+# is refused.  Filtering one view takes about 120 bytes per grid point (the
+# FFT runs at length about 3n), so 2**22 points take about 0.5 GB; the
+# fine 400-view CRT level uses about 6.2*10**4.
+_MAX_GRID = 2**22
 
 # pixel rows per parallel task; fixed so the work split never depends on
 # the worker count
@@ -72,6 +80,7 @@ class ExperimentResult:
     global_image: ImageGrid | None
     roi_image: ImageGrid | None
     timings: dict
+    point_values: np.ndarray
 
 
 def parallel_map(fn, items, threads: int = 1, pool: ThreadPoolExecutor | None = None) -> list:
@@ -94,7 +103,7 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"threads: {threads} worker threads; at least 1, at most MAX_THREADS = {MAX_THREADS}")
 
 
-def resolve_theta(config: ExperimentConfig, descriptors) -> np.ndarray:
+def _resolve_theta(config: ExperimentConfig, descriptors) -> np.ndarray:
     """Probe direction per config.theta_mode."""
     if config.theta_mode == "explicit":
         return np.asarray(config.probe_theta, dtype=float)
@@ -110,57 +119,71 @@ def resolve_theta(config: ExperimentConfig, descriptors) -> np.ndarray:
     return -np.asarray(descriptors[0].u0, dtype=float)
 
 
-def query_range(family: RadonFamily, max_norm: float) -> tuple[float, float]:
-    """Interval of Phi values reachable from points with |x| <= max_norm."""
-    if family.kind == "line":
-        return -max_norm, max_norm
-    R = family.acquisition_radius
-    return max(0.0, R - max_norm), R + max_norm
+@dataclass(frozen=True)
+class RunPlan:
+    """What a run of one config does, decided before any view is filtered:
+    the window's ``views``; view views[i]'s fine grid starts[i] + step *
+    arange(counts[i]), step = eps/eta; the rasters, stage -> (center,
+    half_extent, pixel_size); and the extra (m, 2) ``points`` it reads."""
+
+    views: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    step: float
+    rasters: dict
+    points: np.ndarray
 
 
-def _q_range(config: ExperimentConfig, family: RadonFamily) -> tuple[float, float]:
-    """Phi values the run's filtered views cover: the probe line and every
-    raster the config asks for."""
+def plan_run(config: ExperimentConfig, points=None) -> RunPlan:
+    """The plan of a run of ``config`` that also reads the (m, 2) ``points``.
+    A view's grid is its data support between the kinks Phi(alpha_k,
+    center) -+ r, padded by eps*half_width + _MARGIN_FACTOR*eps, united with
+    the Phi values of all points within 1 of the farthest one the run reads
+    (probe line, rasters, ``points``), widened by two steps.  A grid over
+    ``_MAX_GRID`` points is a ConfigError naming scheme.epsilon."""
+    family, scheme = config.build_family(), config.build_scheme()
+    eps = scheme.epsilon
     x0 = np.asarray(config.probe_x0, dtype=float)
-    norm = float(np.hypot(x0[0], x0[1]))
-    targets = [norm + config.epsilon * config.h_max]
+    norm = float(np.hypot(*x0))
+    targets = [norm + eps * config.h_max]
+    rasters = {}
     if "global-image" in config.artifacts:
+        rasters["global_image_s"] = ((0.0, 0.0), config.image_half_extent, config.image_pixel_size)
         targets.append(config.image_half_extent * np.sqrt(2.0))
     if "roi-image" in config.artifacts:
-        targets.append(norm + 20.0 * config.epsilon * np.sqrt(2.0))
-    return query_range(family, max(targets) + 1.0)
+        rasters["roi_image_s"] = (tuple(x0), 20.0 * eps, eps / 4.0)
+        targets.append(norm + 20.0 * eps * np.sqrt(2.0))
+    points = np.zeros((0, 2)) if points is None else np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    targets.append(float(np.hypot(points[:, 0], points[:, 1]).max(initial=0.0)))
+    reach, R = max(targets) + 1.0, family.acquisition_radius
+    q_lo, q_hi = (-reach, reach) if family.kind == "line" else (max(0.0, R - reach), R + reach)
+
+    step = eps / config.eta
+    views = scheme.window_view_indices()
+    starts, ends = SinogramSampler(family, config.build_phantom()).support(scheme.view_angles()[views])
+    pad = eps * float(SemiDiscreteData.mollifier.half_width) + _MARGIN_FACTOR * eps
+    starts = np.minimum(np.subtract(starts, pad, out=starts), q_lo - 2.0 * step, out=starts)
+    ends = np.maximum(np.add(ends, pad, out=ends), q_hi + 2.0 * step, out=ends)
+    # count = ceil((hi - lo) / step) + 1, formed in ``ends``
+    counts = np.ceil(np.divide(np.subtract(ends, starts, out=ends), step, out=ends), out=ends)
+    counts += 1.0
+    if counts.size and counts.max() > _MAX_GRID:
+        raise ConfigError(
+            f"scheme.epsilon: a view needs {counts.max():.0f} fine-grid points of step "
+            f"scheme.epsilon / recon.eta = {step:.3g}, more than {_MAX_GRID}: raise scheme.epsilon or lower recon.eta"
+        )
+    return RunPlan(views, starts, counts.astype(np.intp), step, rasters, points)
 
 
-def filtered_views(config: ExperimentConfig, threads: int = 1) -> tuple[FilteredView, ...]:
-    """The filtered views of a run of ``config``, on the grids
-    ``run_experiment`` filters them on, in view order.  A run keeps no
-    view, only the Catmull-Rom tables of at most two windows of views; a
-    caller that backprojects elsewhere builds all of them here."""
-    _check_threads(threads)
-    family, scheme = config.build_family(), config.build_scheme()
-    data = SemiDiscreteData(scheme, SinogramSampler(family, config.build_phantom()))
-    q_range = _q_range(config, family)
-    return tuple(
-        parallel_map(lambda k: filter_view(data, k, config.eta, q_range), scheme.window_view_indices(), threads)
-    )
-
-
-def _raster_blocks(stage: str, center, half_extent: float, pixel_size: float):
-    """The zeroed flat accumulator of a raster and its row blocks, each a
-    (stage, accumulator slice, x axis, the block's y values) task."""
-    xs, ys = ImageGrid.axes(center, half_extent, pixel_size)
-    total = np.zeros(ys.size * xs.size)
-    blocks = [
-        (stage, total[start * xs.size : (start + _ROWS_PER_BLOCK) * xs.size], xs, ys[start : start + _ROWS_PER_BLOCK])
-        for start in range(0, ys.size, _ROWS_PER_BLOCK)
-    ]
-    return total, blocks
-
-
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, threads: int = 1, points=None) -> ExperimentResult:
+    """Run ``config`` as ``plan_run`` plans it; the view sum at the extra
+    (m, 2) ``points`` comes back as ``point_values``."""
     _check_threads(threads)
     t_start = time.perf_counter()
     timings: dict = {}
+    plan = plan_run(config, points)
 
     family = config.build_family()
     phantom = config.build_phantom()
@@ -173,49 +196,43 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         raise ConfigError(f"probe.x0: {exc}") from None
     if not descriptors:
         raise ConfigError("probe.x0: probe point sees no tangency inside the angular window (scheme.window)")
-    theta = resolve_theta(config, descriptors)
+    theta = _resolve_theta(config, descriptors)
 
     data = SemiDiscreteData(scheme, SinogramSampler(family, phantom))
-    q_range = _q_range(config, family)
     h = config.h_samples()
-    points = probe_points(x0, theta, h, scheme.epsilon)
+    probes = probe_points(x0, theta, h, scheme.epsilon)
+    reads = np.vstack([probes, plan.points])
+    rasters, totals, blocks = plan.rasters, {}, []
 
-    rasters = {}
-    if "global-image" in config.artifacts:
-        rasters["global_image_s"] = ((0.0, 0.0), config.image_half_extent, config.image_pixel_size)
-    if "roi-image" in config.artifacts:
-        rasters["roi_image_s"] = (tuple(x0), 20.0 * config.epsilon, config.epsilon / 4.0)
-    totals, blocks = {}, []
-
-    # A view task filters view k, reads it at the probe points and, when
-    # the run rasters, forms its Catmull-Rom table; a block task adds the
-    # terms of one window of views to its rows.  Each map runs one window's
-    # view tasks with the previous window's block tasks, so a run holds at
-    # most two windows of tables, and every pixel adds its views in view
-    # order.  A run without a raster filters all its views in one map.
+    # A view task filters the plan's view i, reads it at the probe and
+    # extra points and, when the run rasters, forms its Catmull-Rom table; a
+    # block task adds the terms of one window of views to its rows.  Each
+    # map runs one window's view tasks with the previous window's block
+    # tasks, so a run holds at most two windows of tables, and every pixel
+    # adds its views in view order; a run without a raster takes one map.
     def task(item):
         t0 = time.perf_counter()
         block, arg = item
         if block is None:
-            view = filter_view(data, arg, config.eta, q_range)
-            out = ("filter_s", (view_term(view, family, points), catmull_rom_table(view) if rasters else None))
+            view = filter_view(data, plan.views[arg], plan.starts[arg], plan.step, plan.counts[arg])
+            out = ("filter_s", (view_term(view, family, reads), catmull_rom_table(view) if rasters else None))
         else:
             stage, total, xs, ys = block
             add_view_terms(total, arg, family, xs, ys)
             out = (stage, None)
         return out, time.perf_counter() - t0
 
-    indices = scheme.window_view_indices()
-    window = _VIEW_WINDOW if rasters else max(1, indices.size)
+    n_views = plan.views.size
+    window = _VIEW_WINDOW if rasters else max(1, n_views)
     # a run that rasters takes one more map, for its last window's blocks
-    stop = indices.size + (window if rasters else 0)
-    # the probe sums take each view's term as its map returns, in view order
-    sums, tables = np.zeros(len(points)), []
+    stop = n_views + (window if rasters else 0)
+    # the sums take each view's term as its map returns, in view order
+    sums, tables = np.zeros(len(reads)), []
     busy = dict.fromkeys(["filter_s", *rasters], 0.0)
     t0 = time.perf_counter()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for start in range(0, stop, window):
-            items = [(None, k) for k in indices[start : start + window]]
+            items = [(None, i) for i in range(n_views)[start : start + window]]
             items += [(block, tables) for block in blocks] if tables else []
             tables = []
             for (stage, out), seconds in parallel_map(task, items, threads, pool=pool):
@@ -226,10 +243,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
                         tables.append(out[1])
             if rasters and not blocks:
                 # made once the first window is filtered, so that a view
-                # the filter refuses fails before the rasters are allocated
+                # the filter refuses fails before the rasters are allocated;
+                # each block task is (stage, accumulator rows, x axis, y values)
                 for stage, (center, half_extent, pixel_size) in rasters.items():
-                    totals[stage], stage_blocks = _raster_blocks(stage, center, half_extent, pixel_size)
-                    blocks += stage_blocks
+                    xs, ys = ImageGrid.axes(center, half_extent, pixel_size)
+                    totals[stage] = total = np.zeros(ys.size * xs.size)
+                    for row in range(0, ys.size, _ROWS_PER_BLOCK):
+                        rows = slice(row * xs.size, (row + _ROWS_PER_BLOCK) * xs.size)
+                        blocks.append((stage, total[rows], xs, ys[row : row + _ROWS_PER_BLOCK]))
     # the loop's wall time, split in proportion to each stage's task time
     spent = time.perf_counter() - t0
     total_busy = sum(busy.values())
@@ -238,7 +259,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
     t0 = time.perf_counter()
     view_sum(sums, scheme)
-    profile = difference_profile(sums, scheme.epsilon, theta, h)
+    profile = difference_profile(sums[: len(probes)], scheme.epsilon, theta, h)
     timings["profile_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -260,6 +281,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         global_image=images.get("global_image_s"),
         roi_image=images.get("roi_image_s"),
         timings=timings,
+        point_values=sums[len(probes) :],
     )
 
 

@@ -58,20 +58,10 @@ __all__ = [
 # 0.17 GB; both presets use 10**6.
 MAX_IMAGE_PIXELS = 2**24
 
-# the filtering interval extends this many eps beyond the smoothed data
-# support (the log endpoint term needs g = 0 at both ends)
-_MARGIN_FACTOR = 6.0
-
-# Most fine-grid points filter_view builds per view; a finer grid is refused
-# before anything is allocated.  Filtering one view takes about 120 bytes
-# per grid point (the FFT runs at length about 3n), so 2**22 points take
-# about 0.5 GB; the fine 400-view CRT level uses about 6.2*10**4.
-_MAX_GRID = 2**22
-
-# Grid lengths whose filter plan is kept: every view of a run whose q_range
-# covers the data support has the same length, so two entries serve two
-# runs at once.  A plan holds 32 bytes per grid point, so the memo retains
-# at most 256 MiB at _MAX_GRID.
+# Grid lengths whose filter plan is kept: every view of a run whose query
+# range covers the data support has the same length, so two entries serve
+# two runs at once.  A plan holds 32 bytes per grid point, so the memo
+# retains at most 256 MiB at the longest grid a run may plan (2**22 points).
 _PLAN_CACHE = 2
 
 # Bytes per FFT point of an untouched block made and dropped whenever a
@@ -202,38 +192,12 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     return out
 
 
-def filter_view(data, k: int, eta: int, q_range) -> FilteredView:
-    """Build the FilteredView of view ``k`` from a semi-discrete data
-    object (anything with scheme, view_angle, grid_support and
-    data_smooth_deriv).
-
-    ``eta``: fine-grid oversampling, step = eps/eta.  ``q_range``:
-    (lo, hi) of query values the view must cover, e.g. the Phi-range of
-    an image grid; the fine grid is the union of this and the padded data
-    support.  A grid of more than ``_MAX_GRID`` points
-    raises ValueError before it is allocated.
-    """
-    if int(eta) != eta or eta < 2:
-        raise ValueError("eta must be an integer >= 2")
-    eps = data.scheme.epsilon
-    step = eps / int(eta)
-    lo, hi = data.grid_support(k, margin=_MARGIN_FACTOR * eps)
-    lo = min(lo, q_range[0] - 2.0 * step)
-    hi = max(hi, q_range[1] + 2.0 * step)
-    count = int(math.ceil((hi - lo) / step)) + 1
-    if count > _MAX_GRID:
-        raise ValueError(
-            f"view {k} needs {count} fine-grid points of step scheme.epsilon / recon.eta = {step:.3g}, "
-            f"more than {_MAX_GRID}: raise scheme.epsilon or lower recon.eta"
-        )
-    grid = lo + step * np.arange(max(count, 4))
-    g = data.data_smooth_deriv(k, grid)
-    return FilteredView(
-        alpha=data.view_angle(k),
-        start=lo,
-        step=step,
-        values=pv_filter_uniform(g, step, lo),
-    )
+def filter_view(data, k: int, start: float, step: float, count: int) -> FilteredView:
+    """The FilteredView of view ``k`` of a semi-discrete data object
+    (anything with view_angle and data_smooth_deriv) on the fine grid
+    start + step * arange(count), which must hold the data support."""
+    g = data.data_smooth_deriv(k, start + step * np.arange(count))
+    return FilteredView(data.view_angle(k), start, step, pv_filter_uniform(g, step, start))
 
 
 @dataclass(frozen=True)
@@ -293,7 +257,7 @@ def _interpolate(view: FilteredView | CatmullRomTable, q: np.ndarray) -> np.ndar
     low, high = pos.min(), pos.max()
     if not (low >= -1e-9 and high <= n - 1 + 1e-9) and (np.any(pos < -1e-9) or np.any(pos > n - 1 + 1e-9)):
         raise ValueError(
-            "query outside the filtered q-grid; rebuild the views with a q_range covering the target points"
+            "query outside the filtered q-grid; rebuild the views on grids covering the target points"
         )
     # the cast truncates, which after the clip equals floor on
     # pos >= -1e-9; the clip acts only near the grid ends (or on NaN)

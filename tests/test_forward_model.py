@@ -409,13 +409,20 @@ def _mpmath_window(data, k, p, derivative):
         return float(mpmath.quad(integrand, cuts))
 
 
+def _padded_support(data, k: int, margin: float) -> tuple[float, float]:
+    """Support of view k's smoothed data, widened by ``margin``."""
+    lo, hi = data.sampler.support(data.view_angle(k))
+    pad = data.scheme.epsilon * float(data.mollifier.half_width) + margin
+    return lo - pad, hi + pad
+
+
 @st.composite
 def _partitioned_points(draw, data):
     """A view k, a sorted point set over the padded support of that view
     with clean, kinked and dead windows, and cut indices that split it."""
     k = draw(st.integers(0, data.scheme.n_views - 1))
     reach = data.scheme.epsilon * float(data.mollifier.half_width)
-    lo, hi = data.grid_support(k, margin=2.0 * reach)
+    lo, hi = _padded_support(data, k, margin=2.0 * reach)
     spread = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=200))
     # one window around each kink; the padded ends have dead windows
     near_kinks = [t + reach * draw(st.floats(-0.99, 0.99)) for t in data.sampler.kinks(data.view_angle(k))]
@@ -558,7 +565,7 @@ class TestSemiDiscreteData:
         # here and calls on pieces whose ends fall across the block edges
         data = make_data()
         eps, k, block = data.scheme.epsilon, 3, forward_model._CLEAN_BLOCK
-        lo, hi = data.grid_support(k, margin=6.0 * eps)
+        lo, hi = _padded_support(data, k, margin=6.0 * eps)
         grid = lo + (eps / 32.0) * np.arange(int((hi - lo) / (eps / 32.0)))
         alpha = data.view_angle(k)
         half = float(data.mollifier.half_width)
@@ -626,7 +633,7 @@ class TestSemiDiscreteData:
             data = make_data()
             eps = data.scheme.epsilon
             for k, count in ((2, 3000), (11, None)):
-                lo, hi = data.grid_support(k, margin=6.0 * eps)
+                lo, hi = _padded_support(data, k, margin=6.0 * eps)
                 grid = np.linspace(lo, hi, count or int((hi - lo) / (eps / 32.0)))
                 cases.append((data, k, grid, data.data_smooth_deriv(k, grid).tobytes()))
         assert cases[1][2].size > 3 * forward_model._CLEAN_BLOCK
@@ -662,12 +669,6 @@ class TestSemiDiscreteData:
             assert err <= 0.5 * eps**2 * 10
         assert errors[-1] < errors[0]
 
-    def test_grid_support_padding(self):
-        data = crt_data()
-        lo, hi = data.grid_support(0, margin=6 * 0.02)
-        slo, shi = data.sampler.support(data.view_angle(0))
-        assert lo == pytest.approx(slo - 7 * 0.02)
-        assert hi == pytest.approx(shi + 7 * 0.02)
 
 
 class TestSquareRootCoefficient:

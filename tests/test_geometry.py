@@ -93,9 +93,10 @@ class TestPhiEval:
         assert value == pytest.approx(2.24, abs=0.01)
         assert value == pytest.approx(GRT_RHO_AT_NOMINAL, abs=1e-12)
 
-    def test_circle_rejects_vertex_point(self):
-        with pytest.raises(ValueError):
-            phi_eval(circle_family(5.0), 0.0, (5.0, 0.0))
+    def test_circle_vertex_is_level_zero(self):
+        # the circle of radius 0 about the vertex
+        assert phi_eval(circle_family(5.0), 0.0, (5.0, 0.0)) == 0.0
+        assert np.array_equal(phi_eval(circle_family(5.0), 0.0, np.array([[1.0, 0.0], [5.0, 0.0]])), [4.0, 0.0])
 
     def test_vectorized_over_points(self):
         pts = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])

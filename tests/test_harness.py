@@ -41,14 +41,14 @@ from aliaslab.outputs import (
 )
 from aliaslab import pipeline, reconstruction
 from aliaslab.pipeline import (
-    filtered_views,
-    query_range,
+    _resolve_theta,
+    plan_run,
     report_text,
-    resolve_theta,
     run_experiment,
     write_artifacts,
 )
-from aliaslab.geometry import circle_family, line_family, tangency_enumerate
+from aliaslab.forward_model import SemiDiscreteData, SinogramSampler
+from aliaslab.geometry import phi_eval, tangency_enumerate
 from aliaslab.reconstruction import (
     AliasProfile,
     CatmullRomTable,
@@ -56,6 +56,7 @@ from aliaslab.reconstruction import (
     ImageGrid,
     backproject,
     difference_profile,
+    filter_view,
     probe_points,
 )
 
@@ -308,29 +309,43 @@ class TestConfigValidation:
 
 class TestPipelineWiring:
     def test_query_range_by_family(self):
-        assert query_range(line_family(), 3.0) == (-3.0, 3.0)
-        assert query_range(circle_family(5.0), 3.0) == (2.0, 8.0)
-        assert query_range(circle_family(5.0), 7.0) == (0.0, 12.0)
+        # every grid reaches 2 steps past the Phi values of all points
+        # within 1 of the farthest point the run reads: |x| <= 3 on the
+        # probe line (|x0| = 2, eps * h_max = 1), 4 with the extra point
+        # (0, -4); line levels span -|x|..|x|, circle levels R -+ |x| and
+        # never below 0.  The padded supports lie inside, and every number
+        # is dyadic, so the grid ends are exact
+        config = crt_preset().with_overrides(
+            phantom_radius=0.5, phantom_center=(0.0, 0.25), probe_x0=(0.0, 2.0), epsilon=0.125, h_max=8.0,
+            h_step=2.0, eta=2, n_views=4, artifacts=("profile",),
+        )
+        circle = config.with_overrides(family="circle", acquisition_radius=5.0)
+        for base, reach, far in ((config, (-4.0, 4.0), (-5.0, 5.0)), (circle, (1.0, 9.0), (0.0, 10.0))):
+            for points, (lo, hi) in ((None, reach), ([[3.0, 0.0]], reach), ([[0.0, -4.0]], far)):
+                plan = plan_run(base, points)
+                assert np.all(plan.starts == lo - 2.0 * plan.step), (base.family, points)
+                last = plan.starts + plan.step * (plan.counts - 1)
+                assert np.all((hi + 2.0 * plan.step <= last) & (last < hi + 3.0 * plan.step)), (base.family, points)
 
     def test_resolve_theta_radial_normalizes(self):
-        theta = resolve_theta(TINY_CRT, descriptors=())
+        theta = _resolve_theta(TINY_CRT, descriptors=())
         assert np.allclose(theta, np.array([5.0, 7.0]) / math.hypot(5.0, 7.0))
 
     def test_resolve_theta_radial_rejects_origin(self):
         config = crt_preset().with_overrides(probe_x0=(0.0, 0.0))
         with pytest.raises(ValueError, match="origin"):
-            resolve_theta(config, descriptors=())
+            _resolve_theta(config, descriptors=())
 
     def test_resolve_theta_explicit(self):
         config = crt_preset().with_overrides(theta_mode="explicit", probe_theta=(0.0, 1.0))
-        assert np.array_equal(resolve_theta(config, ()), np.array([0.0, 1.0]))
+        assert np.array_equal(_resolve_theta(config, ()), np.array([0.0, 1.0]))
 
     def test_resolve_theta_minus_u0(self):
         cfg = TINY_GRT
         descs = tangency_enumerate(
             cfg.build_family(), cfg.build_phantom(), np.asarray(cfg.probe_x0), cfg.build_scheme()
         )
-        theta = resolve_theta(cfg.with_overrides(theta_mode="minus-u0"), descs)
+        theta = _resolve_theta(cfg.with_overrides(theta_mode="minus-u0"), descs)
         assert np.allclose(theta, -np.asarray(descs[0].u0))
 
     def test_empty_window_sees_no_tangency(self):
@@ -348,7 +363,7 @@ class TestPipelineWiring:
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            with pytest.raises(ValueError, match=r"scheme\.epsilon.*recon\.eta"):
+            with pytest.raises(ConfigError, match=r"^scheme\.epsilon: .*recon\.eta"):
                 run_experiment(crt_preset().with_overrides(epsilon=1e-7))
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
@@ -441,6 +456,93 @@ def tiny_crt_result():
 @pytest.fixture(scope="module")
 def tiny_grt_result():
     return run_experiment(TINY_GRT, threads=2)
+
+
+# a probe on a curve vertex: the circle of view 0 through it has radius 0
+VERTEX_GRT = grt_preset().with_overrides(
+    probe_x0=(5.0, 0.0), window=None, n_views=40, epsilon=0.05, artifacts=("profile",), theta_mode="radial"
+)
+
+
+class TestRunPlan:
+    """plan_run decides a run's views, fine grids and rasters before any
+    view is filtered."""
+
+    @pytest.mark.parametrize(
+        "config, points",
+        [
+            (crt_preset(), None),
+            (grt_preset(), None),
+            (TINY_GRT.with_overrides(window=(5.5, 7.0), theta_mode="radial"), None),
+            (VERTEX_GRT, None),
+            (TINY_CRT, [[12.0, -3.0], [0.0, 0.0]]),
+        ],
+        ids=["crt", "grt", "window-past-2pi", "vertex", "points"],
+    )
+    def test_every_grid_covers_what_the_run_reads(self, config, points):
+        plan = plan_run(config, points)
+        family, scheme = config.build_family(), config.build_scheme()
+        assert np.array_equal(plan.views, scheme.window_view_indices())
+        alphas = scheme.view_angles()[plan.views]
+        first, last = plan.starts, plan.starts + plan.step * (plan.counts - 1)
+        lo, hi = SinogramSampler(family, config.build_phantom()).support(alphas)
+        pad = scheme.epsilon * 1.0 + 6.0 * scheme.epsilon
+        assert np.all(first <= lo - pad) and np.all(hi + pad <= last)
+        # the probe line in two directions, the corners of each raster's
+        # field of view and the extra points, with two steps to spare
+        x0, h = np.asarray(config.probe_x0), config.h_samples()
+        reads = [probe_points(x0, theta, h, scheme.epsilon) for theta in ((1.0, 0.0), (0.0, 1.0))]
+        for center, half_extent, _ in plan.rasters.values():
+            reads.append(np.asarray(center) + half_extent * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]]))
+        assert len(plan.rasters) == sum("image" in artifact for artifact in config.artifacts)
+        reads.append(np.zeros((0, 2)) if points is None else np.array(points))
+        q = phi_eval(family, alphas[:, None], np.vstack(reads))
+        assert np.all(first[:, None] + 2.0 * plan.step <= q) and np.all(q <= last[:, None] - 2.0 * plan.step)
+
+    def test_grid_pads_the_support(self):
+        # a phantom wider than the probe's reach (|q| <= 1.72): view 0's
+        # grid is its support padded by eps * half_width + 6 eps = 7 eps,
+        # ending within one step past the pad
+        config = crt_preset().with_overrides(
+            phantom_center=(3.0, 0.0), phantom_radius=3.0, probe_x0=(-0.5, 0.0), artifacts=("profile",)
+        )
+        plan = plan_run(config)
+        alpha = config.build_scheme().view_angles()[0]
+        slo, shi = SinogramSampler(config.build_family(), config.build_phantom()).support(alpha)
+        assert plan.views[0] == 0
+        assert plan.starts[0] == pytest.approx(slo - 7 * 0.02)
+        last = plan.starts[0] + plan.step * (plan.counts[0] - 1)
+        assert shi + 7 * 0.02 - 1e-12 <= last < shi + 7 * 0.02 + plan.step
+
+    @pytest.mark.parametrize(
+        "config",
+        [crt_preset(), grt_preset(), crt_preset().with_overrides(epsilon=0.01, n_views=400, eta=32)],
+        ids=["crt", "grt", "fine-crt"],
+    )
+    def test_support_of_all_views_is_each_views_support(self, config):
+        # the plan forms every view's support in one array; the forward
+        # model forms it view by view, and the grids need the same bits
+        scheme = config.build_scheme()
+        data = SemiDiscreteData(scheme, SinogramSampler(config.build_family(), config.build_phantom()))
+        views = scheme.window_view_indices()
+        together = np.column_stack(data.sampler.support(scheme.view_angles()[views]))
+        apart = np.array([data.sampler.support(data.view_angle(k)) for k in views])
+        assert together.tobytes() == apart.tobytes()
+
+    @pytest.mark.parametrize("base", [crt_preset(), grt_preset().with_overrides(window=None)], ids=["line", "circle"])
+    def test_plan_of_the_most_views_is_small(self, base):
+        config = base.with_overrides(n_views=MAX_VIEWS, artifacts=("profile",))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            plan = plan_run(config)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.views.size == plan.counts.size == MAX_VIEWS
+        assert elapsed < 1.0
+        assert peak < 100_000_000
 
 
 class TestArtifacts:
@@ -644,7 +746,8 @@ class TestCli:
         rc = main(["crt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "scheme.epsilon" in err and "recon.eta" in err
+        assert err.startswith("error: scheme.epsilon") and "recon.eta" in err
+        assert not (tmp_path / "o").exists()
 
     def test_too_fine_raster_exits_with_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "fine.cfg"
@@ -705,8 +808,6 @@ class TestCli:
         monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="MAX_THREADS"):
             run_experiment(TINY_CRT, threads=threads)
-        with pytest.raises(ValueError, match="MAX_THREADS"):
-            filtered_views(TINY_CRT, threads=threads)
         cfg_path = tmp_path / "tiny.cfg"
         cfg_path.write_text(TINY_CRT.to_text(), encoding="utf-8")
         for argv in (["crt-demo", "--config", str(cfg_path)], ["verify", "psi-asymptotics"]):
@@ -763,6 +864,9 @@ CRT_ON_THE_BOUNDARY = dict(
 )
 
 
+ON_A_VERTEX = {f.name: getattr(VERTEX_GRT, f.name) for f in fields(ExperimentConfig)}
+
+
 def assert_names_a_key(message: str) -> None:
     assert message.partition(":")[0] in CONFIG_KEYS, message
 
@@ -773,6 +877,7 @@ class TestConfigSpace:
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @example(CRT_ON_THE_BOUNDARY)
+    @example(ON_A_VERTEX)
     @given(small_configs())
     def test_a_config_runs_or_names_its_key(self, kwargs):
         try:
@@ -857,7 +962,10 @@ class TestLayering:
 
 class TestPublicSurface:
     # names that only tests called; each has a public replacement
-    REMOVED = ("view_values_at", "scaled_difference_profile", "pixel_centers", "predict_at", "read_profile_csv")
+    REMOVED = (
+        "view_values_at", "scaled_difference_profile", "pixel_centers", "predict_at", "read_profile_csv",
+        "resolve_theta", "query_range", "filtered_views",
+    )
 
     def test_every_listed_name_resolves_once(self):
         modules = [importlib.import_module(f"aliaslab.{info.name}") for info in pkgutil.iter_modules(aliaslab.__path__)]
@@ -910,6 +1018,17 @@ class TestScripts:
         assert out.stdout == "" and not (tmp_path / "sweep.csv").exists()
 
 
+    def test_sweep_refinement_plans_every_level_before_any_run(self, tmp_path):
+        # level 10 of 11 needs 5,244,507 fine-grid points per view, more
+        # than pipeline._MAX_GRID
+        start = time.perf_counter()
+        out = self._run_sweep("--levels", "11", "--out", str(tmp_path), timeout=30)
+        assert time.perf_counter() - start < 5.0
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: scheme.epsilon") and "Traceback" not in out.stderr
+        assert out.stdout == "" and not (tmp_path / "sweep.csv").exists()
+
+
 class TestDeterminism:
     def test_profile_csv_bitwise_stable_across_threads(self, tmp_path):
         config = TINY_CRT.with_overrides(artifacts=("profile", "report"))
@@ -919,6 +1038,14 @@ class TestDeterminism:
             write_artifacts(run_experiment(config, threads=threads), out)
             payloads.append((out / "profile.csv").read_bytes())
         assert payloads[0] == payloads[1]
+
+
+def filtered_views(config, points=None) -> tuple[FilteredView, ...]:
+    """Every view of a run of ``config``, filtered on its planned grid."""
+    plan, family, phantom = plan_run(config, points), config.build_family(), config.build_phantom()
+    data = SemiDiscreteData(config.build_scheme(), SinogramSampler(family, phantom))
+    grids = zip(plan.views, plan.starts, plan.counts)
+    return tuple(filter_view(data, k, start, plan.step, count) for k, start, count in grids)
 
 
 def _live_views() -> set[int]:
@@ -935,7 +1062,7 @@ class TestStreamedProfile:
     def test_streamed_profile_matches_held_views_bitwise(self, base, threads):
         config = base.with_overrides(artifacts=("profile", "report"))
         result = run_experiment(config, threads=threads)
-        views = filtered_views(config, threads=threads)
+        views = filtered_views(config)
         family, scheme = config.build_family(), config.build_scheme()
         x0, h = np.asarray(config.probe_x0), config.h_samples()
         sums = backproject(views, probe_points(x0, result.theta, h, scheme.epsilon), family, scheme)
@@ -947,6 +1074,20 @@ class TestStreamedProfile:
         base_value = backproject(views, x0, family, scheme)
         expected = (backproject(views, points, family, scheme) - base_value) / math.sqrt(scheme.epsilon)
         assert result.profile.recon_scaled.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("base", [TINY_CRT, TINY_GRT], ids=["line", "circle"])
+    def test_point_values_match_held_views_bitwise(self, base):
+        # points within the probe's reach leave the grids, and so the
+        # profile, as they are
+        config = base.with_overrides(artifacts=("profile",))
+        points = np.array([[0.3, -0.2], [1.5, 2.5], [-3.0, 1.0]])
+        result = run_experiment(config, threads=2, points=points)
+        expected = backproject(filtered_views(config, points), points, config.build_family(), config.build_scheme())
+        assert result.point_values.tobytes() == expected.tobytes()
+        assert result.profile.recon_scaled.tobytes() == run_experiment(config).profile.recon_scaled.tobytes()
+        assert run_experiment(config).point_values.shape == (0,)
+        with pytest.raises(ValueError, match="points"):
+            run_experiment(config, points=[[0.0, np.nan]])
 
     def test_profile_only_and_raster_runs_write_the_same_profile(self, tmp_path):
         # h_max = 30 eps reaches past the ROI's corners, so both runs filter
@@ -1062,7 +1203,7 @@ class TestStreamedRaster:
         # the last window is partial
         assert scheme.window_view_indices().size % pipeline._VIEW_WINDOW != 0
         result = run_experiment(config, threads=threads)
-        views = filtered_views(config, threads=threads)
+        views = filtered_views(config)
         fields_of_view = (
             (result.global_image, (0.0, 0.0), config.image_half_extent, config.image_pixel_size),
             (result.roi_image, config.probe_x0, 20.0 * config.epsilon, config.epsilon / 4.0),

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from aliaslab import geometry, reconstruction
+from aliaslab import geometry, pipeline, reconstruction
+from aliaslab.experiment_config import crt_preset
 from aliaslab.forward_model import SemiDiscreteData, SinogramSampler
 from aliaslab.geometry import (
     DiskPhantom,
@@ -192,14 +193,14 @@ class TestPVFilter:
         # the forward model and the filter work in this thread's arrays:
         # once they exist, ten views of the fine CRT level (62,164 grid
         # points each) peak below 5 MB of new allocations
-        scheme = SamplingScheme.half_circle(0.01, 400, shift=0.03)
-        data = SemiDiscreteData(scheme, SinogramSampler(line_family(), DiskPhantom((0.0, 0.0), 5.0)))
-        reach = math.hypot(5.0, 7.0) + 1.11
-        filter_view(data, 0, 32, (-reach, reach))
+        config = crt_preset().with_overrides(epsilon=0.01, n_views=400, eta=32, artifacts=("profile",))
+        plan = pipeline.plan_run(config)
+        data = SemiDiscreteData(config.build_scheme(), SinogramSampler(line_family(), DiskPhantom((0.0, 0.0), 5.0)))
+        filter_view(data, 0, plan.starts[0], plan.step, plan.counts[0])
         tracemalloc.start()
         try:
             for k in range(1, 11):
-                view = filter_view(data, 37 * k, 32, (-reach, reach))
+                view = filter_view(data, 37 * k, plan.starts[37 * k], plan.step, plan.counts[37 * k])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -229,7 +230,7 @@ class TestPVFilter:
         # the FFT length must be scipy's pick for the bits to be fftconvolve's
         for t in range(1, 2**16 + 1):
             assert reconstruction._fast_length(t) == next_fast_len(t, True), t
-        top = 3 * reconstruction._MAX_GRID
+        top = 3 * pipeline._MAX_GRID
         smooth = sorted(
             2**i * 3**j * 5**k
             for i in range(top.bit_length() + 1)
@@ -331,11 +332,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             FilteredView(0.0, 0.0, 0.1, bad)
 
-    def test_recon_config_bounds(self):
-        data = SemiDiscreteData(SamplingScheme.half_circle(0.05, 4), _ZeroSampler())
-        with pytest.raises(ValueError, match="eta"):
-            filter_view(data, 0, 1, (0.0, 0.0))
-
     def test_image_grid_validation(self):
         with pytest.raises(ValueError, match="shape"):
             ImageGrid((0.0, 0.0), 0.1, 4, 4, np.zeros((4, 3)))
@@ -379,8 +375,12 @@ class _SumSampler:
 
 
 def _build_views(sampler, scheme, q_range, eta=8):
+    """Every view filtered on one grid of step eps/eta from q_range[0] to
+    q_range[1], which holds the padded data support of each."""
     data = SemiDiscreteData(scheme, sampler)
-    return tuple(filter_view(data, k, eta, q_range) for k in scheme.window_view_indices())
+    step = scheme.epsilon / eta
+    count = round((q_range[1] - q_range[0]) / step) + 1
+    return tuple(filter_view(data, k, q_range[0], step, count) for k in scheme.window_view_indices())
 
 
 class TestBackprojection:
@@ -523,10 +523,18 @@ class TestBackprojectionEdges:
             with pytest.raises(ValueError, match="outside"):
                 backproject(views, np.vstack([nan, self._points_at(kind, [-1.0])]), family, scheme)
 
-    def test_curve_vertex_raises(self):
+    def test_curve_vertex_reads_level_zero(self):
+        # the vertex (5, 0) of the views' circles lies at level 0, which
+        # these grids do not reach; on grids from 0 it reads like any point
         views, family, scheme = self._setup("circle")
-        with pytest.raises(ValueError, match="vertex"):
-            backproject(views, np.array([[1.0, 1.0], [5.0, 0.0]]), family, scheme)
+        pts = np.array([[4.0, 0.0], [5.0, 0.0]])
+        assert phi_eval(family, 0.0, pts[1]) == 0.0
+        with pytest.raises(ValueError, match="outside"):
+            backproject(views, pts, family, scheme)
+        views = [replace(view, start=0.0) for view in views]
+        expected = _backproject_pointwise(views, pts, family, scheme)
+        assert np.all(np.isfinite(expected))
+        assert np.array_equal(backproject(views, pts, family, scheme), expected)
 
 
 @lru_cache(maxsize=None)
