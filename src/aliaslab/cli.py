@@ -5,6 +5,7 @@ Subcommands:
     crt-demo    full-angle line-family experiment (global + ROI + profile)
     grt-demo    limited-angle circle-family experiment
     verify      run acceptance criteria; exit 0 iff all selected pass
+    sweep       joint (epsilon, n_views) refinement at fixed kappa
 
 Output directory precedence: --out, then outputs.directory from the
 config, then $ALIASLAB_OUT, then ./aliaslab-out.
@@ -15,14 +16,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
 from .experiment_config import (
     MAX_PROFILE_SAMPLES, ConfigError, ExperimentConfig, crt_preset, grt_preset, load_config_file,
 )
-from .outputs import write_psi_table_csv
-from .pipeline import MAX_THREADS, run_experiment, write_artifacts
+from .outputs import format_floats, write_psi_table_csv
+from .pipeline import MAX_THREADS, plan_run, run_experiment, write_artifacts
 from .special_functions import big_psi
 
 __all__ = ["main", "ENV_OUT"]
@@ -91,6 +93,43 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _cmd_sweep(args) -> int:
+    """Halve epsilon and double n_views per level, at fixed kappa = delta_alpha
+    / epsilon: the profile's mismatch should shrink about linearly in epsilon."""
+    if args.levels < 1:
+        raise ConfigError(f"--levels: {args.levels}; at least 1")
+    base = crt_preset() if args.family == "line" else grt_preset()
+    eps0 = args.base_epsilon if args.base_epsilon is not None else 3.0 * base.epsilon
+    views0 = args.base_views if args.base_views is not None else max(2, base.n_views // 3)
+    # every level's config is built and planned, and so checked, before the first run
+    configs = [base.with_overrides(epsilon=eps0 / 2**level, n_views=views0 * 2**level, eta=args.eta,
+                                   artifacts=("profile", "report")) for level in range(args.levels)]
+    for config in configs:
+        plan_run(config)
+
+    lines, rels = ["level,epsilon,n_views,sup_mismatch,peak_to_peak,relative_mismatch,seconds"], []
+    print(f"{'level':>5} {'epsilon':>10} {'n_views':>8} {'sup':>12} {'ptp':>12} {'rel':>10} {'sec':>7}")
+    for level, config in enumerate(configs):
+        t0 = time.perf_counter()
+        m = run_experiment(config, threads=args.threads).metrics
+        dt = time.perf_counter() - t0
+        rels.append(m.relative_mismatch)
+        lines.append(f"{level},{format_floats(config.epsilon)},{config.n_views},"
+                     f"{format_floats(m.sup_mismatch, m.peak_to_peak, m.relative_mismatch, dt)}")
+        print(f"{level:>5} {config.epsilon:>10.5f} {config.n_views:>8d} {m.sup_mismatch:>12.5e} "
+              f"{m.peak_to_peak:>12.5e} {m.relative_mismatch:>10.4f} {dt:>7.1f}")
+    for a, b in zip(rels, rels[1:]):
+        print(f"  contraction {a:.4f} -> {b:.4f} (factor {b / a:.3f})")
+
+    out_dir = _resolve_out(args.out, None)
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "sweep.csv")
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aliaslab",
@@ -123,6 +162,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out", help="output directory")
     p_ver.add_argument("--threads", type=int, default=1, help="worker threads")
     p_ver.set_defaults(func=_cmd_verify)
+
+    p_sweep = sub.add_parser("sweep", help="refinement sweep at fixed kappa, one level per halving of epsilon")
+    p_sweep.add_argument("--family", choices=("line", "circle"), default="line")
+    p_sweep.add_argument("--levels", type=int, default=3)
+    p_sweep.add_argument("--base-epsilon", type=float, default=None)
+    p_sweep.add_argument("--base-views", type=int, default=None)
+    p_sweep.add_argument("--eta", type=int, default=16)
+    p_sweep.add_argument("--threads", type=int, default=min(os.cpu_count() or 1, MAX_THREADS))
+    p_sweep.add_argument("--out", help="directory for sweep.csv")
+    p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "line_family",
     "circle_family",
     "phi_eval",
-    "tangent_p",
     "tangency_enumerate",
     "mu0_numeric",
     "work_array",
@@ -245,23 +244,6 @@ def phi_eval(family: RadonFamily, alpha, x, out=None, scratch=None):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def tangent_p(family: RadonFamily, phantom: DiskPhantom, alpha, branch: int):
-    """Scalar level at which the view-``alpha`` curve is tangent to the
-    phantom boundary; ``branch`` +1 gives the far-side value, -1 the
-    near-side value.
-
-    This is ``Phi(alpha, center) + branch * radius`` for both families;
-    for circles the vertex on the acquisition circle must lie outside the
-    phantom.
-    """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    d = phi_eval(family, alpha, phantom.center_array)
-    if family.kind == "circle" and np.any(d <= phantom.radius):
-        raise ValueError("curve vertex inside the phantom: tangent level undefined")
-    return d + branch * phantom.radius
 
 
 @dataclass(frozen=True)
@@ -510,7 +492,9 @@ def mu0_numeric(
     alpha_star: float,
     branch: int,
 ) -> float:
-    """Finite-difference sweep rate of Phi(alpha, x0) - tangent_p(alpha).
+    """Finite-difference sweep rate of Phi(alpha, x0) - p(alpha), where
+    p(alpha) = Phi(alpha, center) + branch * radius is the tangent level
+    (``branch`` +1 the far side, -1 the near side).
 
     Central differences at the steps 1e-6 and 5e-7 combined by one
     Richardson extrapolation.  Returns the raw (unflipped) rate for the stated
@@ -519,7 +503,8 @@ def mu0_numeric(
     probe = np.asarray(x0, dtype=float)
 
     def f(alpha: float) -> float:
-        return phi_eval(family, alpha, probe) - tangent_p(family, phantom, alpha, branch)
+        level = phi_eval(family, alpha, phantom.center_array) + branch * phantom.radius
+        return phi_eval(family, alpha, probe) - level
 
     def central(dd: float) -> float:
         return (f(alpha_star + dd) - f(alpha_star - dd)) / (2.0 * dd)

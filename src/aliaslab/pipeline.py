@@ -83,19 +83,15 @@ class ExperimentResult:
     point_values: np.ndarray
 
 
-def parallel_map(fn, items, threads: int = 1, pool: ThreadPoolExecutor | None = None) -> list:
-    """[fn(item) for item in items] on up to ``threads`` worker threads,
+def parallel_map(fn, items, threads: int, pool: ThreadPoolExecutor) -> list:
+    """[fn(item) for item in items] on the ``pool`` of ``threads`` workers,
     in input order; each item is computed by a pure function, so the
-    result is identical for any worker count.  A caller that maps many
-    times passes its own ``pool`` of ``threads`` workers, whose threads
-    keep their work arrays from one map to the next."""
+    result is identical for any worker count.  The pool's threads keep
+    their work arrays from one map to the next."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    if pool is not None:
-        return list(pool.map(fn, items))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return list(pool.map(fn, items))
 
 
 def _check_threads(threads: int) -> None:
@@ -140,7 +136,8 @@ def plan_run(config: ExperimentConfig, points=None) -> RunPlan:
     center) -+ r, padded by eps*half_width + _MARGIN_FACTOR*eps, united with
     the Phi values of all points within 1 of the farthest one the run reads
     (probe line, rasters, ``points``), widened by two steps.  A grid over
-    ``_MAX_GRID`` points is a ConfigError naming scheme.epsilon."""
+    ``_MAX_GRID`` points is a ConfigError naming scheme.epsilon, or naming
+    ``points`` when the config's own grids are within the cap."""
     family, scheme = config.build_family(), config.build_scheme()
     eps = scheme.epsilon
     x0 = np.asarray(config.probe_x0, dtype=float)
@@ -170,10 +167,11 @@ def plan_run(config: ExperimentConfig, points=None) -> RunPlan:
     counts = np.ceil(np.divide(np.subtract(ends, starts, out=ends), step, out=ends), out=ends)
     counts += 1.0
     if counts.size and counts.max() > _MAX_GRID:
-        raise ConfigError(
-            f"scheme.epsilon: a view needs {counts.max():.0f} fine-grid points of step "
-            f"scheme.epsilon / recon.eta = {step:.3g}, more than {_MAX_GRID}: raise scheme.epsilon or lower recon.eta"
-        )
+        needs = f"a view needs {counts.max():.6g} fine-grid points of step scheme.epsilon / recon.eta = {step:.3g}"
+        if points.size:
+            plan_run(config)  # raises if the config's own grids are too long
+            raise ConfigError(f"points: {needs} to reach them, more than {_MAX_GRID}: read points nearer the origin")
+        raise ConfigError(f"scheme.epsilon: {needs}, more than {_MAX_GRID}: raise scheme.epsilon or lower recon.eta")
     return RunPlan(views, starts, counts.astype(np.intp), step, rasters, points)
 
 
@@ -202,7 +200,15 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, points=None) -> E
     h = config.h_samples()
     probes = probe_points(x0, theta, h, scheme.epsilon)
     reads = np.vstack([probes, plan.points])
+    # one flat accumulator per raster, added to in blocks of rows; each
+    # block task is (stage, accumulator rows, x axis, y values)
     rasters, totals, blocks = plan.rasters, {}, []
+    for stage, (center, half_extent, pixel_size) in rasters.items():
+        xs, ys = ImageGrid.axes(center, half_extent, pixel_size)
+        totals[stage] = total = np.zeros(ys.size * xs.size)
+        for row in range(0, ys.size, _ROWS_PER_BLOCK):
+            rows = slice(row * xs.size, (row + _ROWS_PER_BLOCK) * xs.size)
+            blocks.append((stage, total[rows], xs, ys[row : row + _ROWS_PER_BLOCK]))
 
     # A view task filters the plan's view i, reads it at the probe and
     # extra points and, when the run rasters, forms its Catmull-Rom table; a
@@ -235,22 +241,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, points=None) -> E
             items = [(None, i) for i in range(n_views)[start : start + window]]
             items += [(block, tables) for block in blocks] if tables else []
             tables = []
-            for (stage, out), seconds in parallel_map(task, items, threads, pool=pool):
+            for (stage, out), seconds in parallel_map(task, items, threads, pool):
                 busy[stage] += seconds
                 if out is not None:
                     sums += out[0]
                     if out[1] is not None:
                         tables.append(out[1])
-            if rasters and not blocks:
-                # made once the first window is filtered, so that a view
-                # the filter refuses fails before the rasters are allocated;
-                # each block task is (stage, accumulator rows, x axis, y values)
-                for stage, (center, half_extent, pixel_size) in rasters.items():
-                    xs, ys = ImageGrid.axes(center, half_extent, pixel_size)
-                    totals[stage] = total = np.zeros(ys.size * xs.size)
-                    for row in range(0, ys.size, _ROWS_PER_BLOCK):
-                        rows = slice(row * xs.size, (row + _ROWS_PER_BLOCK) * xs.size)
-                        blocks.append((stage, total[rows], xs, ys[row : row + _ROWS_PER_BLOCK]))
     # the loop's wall time, split in proportion to each stage's task time
     spent = time.perf_counter() - t0
     total_busy = sum(busy.values())

@@ -88,3 +88,19 @@ def test_criterion_11_eta_robustness(check):
 
 def test_criterion_12_determinism(check):
     check(12)
+
+
+@pytest.mark.parametrize(
+    "name, numbers",
+    [
+        ("all", tuple(range(1, 13))),
+        ("psi-properties", (1, 2, 3, 4, 5)),
+        ("geometry", (6, 7)),
+        ("crt-fidelity", (8,)),
+        ("crt-convergence", (9,)),
+        ("grt-convergence", (10,)),
+        ("hygiene", (11, 12)),
+    ],
+)
+def test_suite_names_select_their_criteria(name, numbers):
+    assert acceptance.select(name) == numbers

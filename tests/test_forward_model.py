@@ -27,7 +27,7 @@ from aliaslab.forward_model import (
     sinogram_circle_disk,
     sinogram_line_disk,
 )
-from aliaslab.geometry import DiskPhantom, SamplingScheme, circle_family, line_family, tangent_p
+from aliaslab.geometry import DiskPhantom, SamplingScheme, circle_family, line_family, phi_eval
 from aliaslab.special_functions import DEFAULT_MOLLIFIER, w_eval, w_prime_eval
 
 CRT_PHANTOM = DiskPhantom((0.0, 0.0), 5.0)
@@ -54,8 +54,9 @@ class TestLineSinogram:
         assert sinogram_line_disk(CRT_PHANTOM, 1.234, 0.0) == pytest.approx(10.0, abs=1e-14)
 
     def test_tangent_levels_vanish(self):
-        assert sinogram_line_disk(CRT_PHANTOM, 0.7, tangent_p(line_family(), CRT_PHANTOM, 0.7, 1)) == 0.0
-        assert sinogram_line_disk(CRT_PHANTOM, 0.7, tangent_p(line_family(), CRT_PHANTOM, 0.7, -1)) == 0.0
+        lo, hi = SinogramSampler(line_family(), CRT_PHANTOM).kinks(0.7)
+        assert sinogram_line_disk(CRT_PHANTOM, 0.7, hi) == 0.0
+        assert sinogram_line_disk(CRT_PHANTOM, 0.7, lo) == 0.0
 
     def test_known_chord(self):
         assert sinogram_line_disk(CRT_PHANTOM, 0.0, 3.0) == pytest.approx(8.0, abs=1e-13)
@@ -286,7 +287,8 @@ class TestSamplerMetadata:
         for family, phantom in ((line_family(), CRT_PHANTOM), (circle_family(GRT_R), GRT_PHANTOM)):
             sampler = SinogramSampler(family, phantom)
             for alpha in np.linspace(-math.pi, math.pi, 2001):
-                expected = (tangent_p(family, phantom, alpha, -1), tangent_p(family, phantom, alpha, 1))
+                d = phi_eval(family, alpha, phantom.center_array)
+                expected = (d - phantom.radius, d + phantom.radius)
                 assert sampler.kinks(alpha) == expected, (family.kind, alpha)
                 assert sampler.support(alpha) == expected, (family.kind, alpha)
 

@@ -23,8 +23,8 @@ from aliaslab.geometry import (
     mu0_numeric,
     phi_eval,
     tangency_enumerate,
-    tangent_p,
 )
+from aliaslab.forward_model import SinogramSampler
 
 # GRT demo configuration: acquisition radius 5, phantom center (1,1) radius 2,
 # probe (-1.42, 2.95).  All four tangencies, mpmath at 50 digits.
@@ -105,30 +105,23 @@ class TestPhiEval:
 
 
 class TestTangentP:
+    """The tangent levels p = Phi(alpha, center) -/+ r of a view, near side
+    first, as ``SinogramSampler.kinks`` gives them."""
+
     def test_line_examples(self):
         disk = DiskPhantom((0.0, 0.0), 5.0)
-        assert tangent_p(line_family(), disk, math.pi, -1) == pytest.approx(-5.0, abs=1e-14)
-        assert tangent_p(line_family(), disk, 0.0, 1) == 5.0
+        assert SinogramSampler(line_family(), disk).kinks(math.pi)[0] == pytest.approx(-5.0, abs=1e-14)
+        assert SinogramSampler(line_family(), disk).kinks(0.0)[1] == 5.0
 
     def test_circle_grt_nominal_angle(self):
-        value = tangent_p(circle_family(GRT_R), GRT_PHANTOM, 0.53 * math.pi, -1)
+        value = SinogramSampler(circle_family(GRT_R), GRT_PHANTOM).kinks(0.53 * math.pi)[0]
         assert value == pytest.approx(GRT_TANGENT_P_AT_NOMINAL, abs=1e-12)
         assert value == pytest.approx(2.24, abs=0.01)
-
-    def test_circle_vertex_inside_phantom_rejected(self):
-        close = DiskPhantom((0.0, 4.9), 1.0)
-        with pytest.raises(ValueError):
-            tangent_p(circle_family(5.0), close, math.pi / 2, -1)
-
-    def test_branch_validation(self):
-        with pytest.raises(ValueError):
-            tangent_p(line_family(), GRT_PHANTOM, 0.0, 0)
 
     def test_vectorized_and_branch_gap(self):
         disk = DiskPhantom((1.0, -2.0), 1.5)
         alphas = np.linspace(-math.pi, math.pi, 17)
-        hi = tangent_p(line_family(), disk, alphas, 1)
-        lo = tangent_p(line_family(), disk, alphas, -1)
+        lo, hi = SinogramSampler(line_family(), disk).kinks(alphas)
         np.testing.assert_allclose(hi - lo, 3.0, atol=1e-13)
 
 
@@ -326,7 +319,8 @@ class TestRandomizedInvariants:
         assert math.hypot(*t.theta0) == pytest.approx(1.0, abs=1e-12)
         assert t.curvature_gap > 0
         assert phi_eval(family, t.alpha_star, np.asarray(x0)) == pytest.approx(t.p_star, abs=1e-10)
-        assert tangent_p(family, phantom, t.alpha_star, t.branch) == pytest.approx(t.p_star, abs=1e-10)
+        lo, hi = SinogramSampler(family, phantom).kinks(t.alpha_star)
+        assert (hi if t.branch == 1 else lo) == pytest.approx(t.p_star, abs=1e-10)
         assert phi_eval(family, t.alpha_star, np.asarray(t.y0)) == pytest.approx(t.p_star, abs=1e-10)
         # theta0 points into the disk
         inward = np.asarray(t.y0) + 1e-3 * phantom.radius * np.asarray(t.theta0)

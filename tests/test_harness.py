@@ -3,7 +3,6 @@
 import contextlib
 import gc
 import importlib
-import importlib.util
 import io
 import math
 import os
@@ -22,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aliaslab
-from aliaslab.cli import main
+from aliaslab.cli import _build_parser, main
 from aliaslab.experiment_config import (
     MAX_IMAGE_PIXELS,
     MAX_PROFILE_SAMPLES,
@@ -529,6 +528,14 @@ class TestRunPlan:
         apart = np.array([data.sampler.support(data.view_angle(k)) for k in views])
         assert together.tobytes() == apart.tobytes()
 
+    def test_a_grid_only_the_points_make_too_long_names_points(self):
+        with pytest.raises(ConfigError, match=r"^points: a view needs .* fine-grid points") as info:
+            plan_run(crt_preset(), [[1e300, 0.0]])
+        assert not re.search(r"\d{10}", str(info.value))
+        # with a config whose own grids are too long, the config is at fault
+        with pytest.raises(ConfigError, match=r"^scheme\.epsilon: "):
+            plan_run(crt_preset().with_overrides(epsilon=1e-6), [[1e300, 0.0]])
+
     @pytest.mark.parametrize("base", [crt_preset(), grt_preset().with_overrides(window=None)], ids=["line", "circle"])
     def test_plan_of_the_most_views_is_small(self, base):
         config = base.with_overrides(n_views=MAX_VIEWS, artifacts=("profile",))
@@ -964,7 +971,7 @@ class TestPublicSurface:
     # names that only tests called; each has a public replacement
     REMOVED = (
         "view_values_at", "scaled_difference_profile", "pixel_centers", "predict_at", "read_profile_csv",
-        "resolve_theta", "query_range", "filtered_views",
+        "resolve_theta", "query_range", "filtered_views", "tangent_p",
     )
 
     def test_every_listed_name_resolves_once(self):
@@ -980,53 +987,60 @@ class TestPublicSurface:
 
 
 class TestScripts:
-    SRC = os.path.dirname(os.path.dirname(aliaslab.__file__))
-    SWEEP = os.path.join(os.path.dirname(SRC), "scripts", "sweep_refinement.py")
+    """``aliaslab sweep``, the joint (epsilon, n_views) refinement sweep."""
 
-    def _run_sweep(self, *args, timeout=None):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([self.SRC, os.environ.get("PYTHONPATH", "")]))
-        return subprocess.run(
-            [sys.executable, self.SWEEP, *args], env=env, capture_output=True, text=True, timeout=timeout
-        )
-
-    def test_sweep_refinement_smoke(self, tmp_path):
+    def test_sweep_refinement_smoke(self, tmp_path, capsys):
         args = ["--levels", "2", "--base-epsilon", "0.2", "--base-views", "20", "--threads", "1"]
-        out = self._run_sweep(*args, "--out", str(tmp_path))
-        assert out.returncode == 0, out.stderr
-        assert len([line for line in out.stdout.splitlines() if "contraction" in line]) == 1
-        rows = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        rc = main(["sweep", *args, "--out", str(tmp_path)])
+        out = capsys.readouterr()
+        assert rc == 0, out.err
+        assert len([line for line in out.out.splitlines() if "contraction" in line]) == 1
+        text = (tmp_path / "sweep.csv").read_bytes().decode("utf-8")
+        rows = text.splitlines()
         assert rows[0] == "level,epsilon,n_views,sup_mismatch,peak_to_peak,relative_mismatch,seconds"
         assert len(rows) == 3
+        assert text.endswith("\n") and "\r" not in text
 
     def test_sweep_refinement_default_threads_are_capped(self, monkeypatch):
         # only the parsed default is checked: no pool is started
-        spec = importlib.util.spec_from_file_location("sweep_refinement", self.SWEEP)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
         monkeypatch.setattr(os, "cpu_count", lambda: 256)
-        assert module.parser().parse_args([]).threads == pipeline.MAX_THREADS
+        assert _build_parser().parse_args(["sweep"]).threads == pipeline.MAX_THREADS
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert module.parser().parse_args([]).threads == 1
+        assert _build_parser().parse_args(["sweep"]).threads == 1
 
-    def test_sweep_refinement_refuses_a_level_over_a_cap_before_any_run(self, tmp_path):
+    def test_sweep_refinement_refuses_a_level_over_a_cap_before_any_run(self, tmp_path, capsys):
         # level 14 of 40 asks for 66 * 2**14 views, more than MAX_VIEWS
         start = time.perf_counter()
-        out = self._run_sweep("--levels", "40", "--out", str(tmp_path), timeout=30)
+        rc = main(["sweep", "--levels", "40", "--out", str(tmp_path)])
         assert time.perf_counter() - start < 5.0
-        assert out.returncode == 2
-        assert out.stderr.startswith("error: scheme.n_views") and "Traceback" not in out.stderr
-        assert out.stdout == "" and not (tmp_path / "sweep.csv").exists()
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.err.startswith("error: scheme.n_views") and "Traceback" not in out.err
+        assert out.out == "" and not (tmp_path / "sweep.csv").exists()
 
-
-    def test_sweep_refinement_plans_every_level_before_any_run(self, tmp_path):
+    def test_sweep_refinement_plans_every_level_before_any_run(self, tmp_path, capsys):
         # level 10 of 11 needs 5,244,507 fine-grid points per view, more
         # than pipeline._MAX_GRID
         start = time.perf_counter()
-        out = self._run_sweep("--levels", "11", "--out", str(tmp_path), timeout=30)
+        rc = main(["sweep", "--levels", "11", "--out", str(tmp_path)])
         assert time.perf_counter() - start < 5.0
-        assert out.returncode == 2
-        assert out.stderr.startswith("error: scheme.epsilon") and "Traceback" not in out.stderr
-        assert out.stdout == "" and not (tmp_path / "sweep.csv").exists()
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.err.startswith("error: scheme.epsilon") and "Traceback" not in out.err
+        assert out.out == "" and not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("levels", ["0", "-1"])
+    def test_sweep_refuses_no_levels_by_name(self, tmp_path, capsys, levels):
+        rc = main(["sweep", "--levels", levels, "--out", str(tmp_path)])
+        out = capsys.readouterr()
+        assert rc == 2 and out.err.startswith("error: --levels")
+        assert out.out == "" and not (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_writes_to_the_environment_out_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ALIASLAB_OUT", str(tmp_path))
+        rc = main(["sweep", "--levels", "1", "--base-epsilon", "0.2", "--base-views", "20", "--threads", "1"])
+        assert rc == 0 and capsys.readouterr().out.endswith(f"wrote {tmp_path / 'sweep.csv'}\n")
+        assert len((tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()) == 2
 
 
 class TestDeterminism:
