@@ -220,7 +220,7 @@ class SamplingScheme:
         return np.flatnonzero(self.contains_angle(self.view_angles()))
 
 
-def phi_eval(family: RadonFamily, alpha, x, out=None, scratch=None):
+def phi_eval(family: RadonFamily, alpha, x, out=None, scratch=None, norm2=None):
     """Defining function Phi(alpha, x); its level sets are the curves.  At
     a circle's vertex Phi is 0, the level of the circle of radius 0.
 
@@ -229,6 +229,13 @@ def phi_eval(family: RadonFamily, alpha, x, out=None, scratch=None):
     ``scratch``, arrays of the result's shape: the values go to ``out``,
     ``scratch`` is overwritten, and the operations are the same.  Many
     views at one point take at most four arrays of their length.
+
+    A circle's Phi is hypot(x - R u_alpha), or, for a caller that passes
+    ``norm2`` = |x|**2 + R**2 (shaped as x[..., 0]; lines ignore it), the
+    cheaper law of cosines sqrt(max(0, norm2 - 2R (x . u_alpha))).  Its
+    error against hypot is at most 4 ulp(norm2) / q at a distance q >=
+    eps/eta from the vertex R u_alpha (1.5e-11 at the circle preset's step
+    6.25e-4), and at most 2e-7 at the vertex.
     """
     x = np.asarray(x, dtype=float)
     al = np.asarray(alpha, dtype=float)
@@ -237,6 +244,11 @@ def phi_eval(family: RadonFamily, alpha, x, out=None, scratch=None):
     if family.kind == "line":
         np.multiply(np.cos(al), x[..., 0], out=out)
         np.add(out, np.multiply(np.sin(al), x[..., 1], out=scratch), out=out)
+    elif norm2 is not None:
+        R2 = 2.0 * family.acquisition_radius
+        np.multiply(x[..., 0], R2 * np.cos(al), out=out)
+        np.add(out, np.multiply(x[..., 1], R2 * np.sin(al), out=scratch), out=out)
+        np.sqrt(np.maximum(np.subtract(norm2, out, out=out), 0.0, out=out), out=out)
     else:
         R = family.acquisition_radius
         np.subtract(x[..., 0], R * np.cos(al), out=out)

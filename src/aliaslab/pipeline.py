@@ -153,7 +153,8 @@ def plan_run(config: ExperimentConfig, points=None) -> RunPlan:
     points = np.zeros((0, 2)) if points is None else np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    targets.append(float(np.hypot(points[:, 0], points[:, 1]).max(initial=0.0)))
+    with np.errstate(over="ignore"):  # an inf reach is refused by its grid's count
+        targets.append(float(np.hypot(points[:, 0], points[:, 1]).max(initial=0.0)))
     reach, R = max(targets) + 1.0, family.acquisition_radius
     q_lo, q_hi = (-reach, reach) if family.kind == "line" else (max(0.0, R - reach), R + reach)
 
@@ -163,8 +164,9 @@ def plan_run(config: ExperimentConfig, points=None) -> RunPlan:
     pad = eps * float(SemiDiscreteData.mollifier.half_width) + _MARGIN_FACTOR * eps
     starts = np.minimum(np.subtract(starts, pad, out=starts), q_lo - 2.0 * step, out=starts)
     ends = np.maximum(np.add(ends, pad, out=ends), q_hi + 2.0 * step, out=ends)
-    # count = ceil((hi - lo) / step) + 1, formed in ``ends``
-    counts = np.ceil(np.divide(np.subtract(ends, starts, out=ends), step, out=ends), out=ends)
+    # count = ceil((hi - lo) / step) + 1, formed in ``ends``; inf on overflow
+    with np.errstate(over="ignore"):
+        counts = np.ceil(np.divide(np.subtract(ends, starts, out=ends), step, out=ends), out=ends)
     counts += 1.0
     if counts.size and counts.max() > _MAX_GRID:
         needs = f"a view needs {counts.max():.6g} fine-grid points of step scheme.epsilon / recon.eta = {step:.3g}"

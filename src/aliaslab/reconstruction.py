@@ -244,9 +244,8 @@ def _interpolate(view: FilteredView | CatmullRomTable, q: np.ndarray) -> np.ndar
         c3 = 3 p1 - p0 - 3 p2 + p3          (p_j = f[i - 1 + j]),
 
     read from a ``CatmullRomTable``.  The value at s = pos - i is
-    0.5 * (((c0 + c1 s) + c2 s**2) + c3 s**3): the pointwise formula with
-    the same operations in the same order, so the same bits for any table
-    and any set of points.
+    0.5 * (c0 + s * (c1 + s * (c2 + s * c3))), Horner's form, the same
+    operations in the same order for any table and any set of points.
     """
     table = view if isinstance(view, CatmullRomTable) else None
     m, n = q.size, view.n if table is not None else view.values.size
@@ -269,20 +268,14 @@ def _interpolate(view: FilteredView | CatmullRomTable, q: np.ndarray) -> np.ndar
     if table is None:
         table = catmull_rom_table(view, int(cell.min()), int(cell.max()))
     np.subtract(cell, table.first, out=cell)
-    c0, c1, c2, c3 = table.coeffs
 
     # the cells index the table: mode="wrap" never wraps, and unlike
     # the default it does not buffer the gather behind ``out``
-    out, term, power = (work_array(name, m) for name in ("interp_out", "interp_term", "interp_power"))
-    np.take(c1, cell, out=out, mode="wrap")
-    np.multiply(out, s, out=out)
-    np.add(np.take(c0, cell, out=term, mode="wrap"), out, out=out)
-    np.square(s, out=power)
-    np.multiply(np.take(c2, cell, out=term, mode="wrap"), power, out=term)
-    np.add(out, term, out=out)
-    np.power(s, 3, out=power)
-    np.multiply(np.take(c3, cell, out=term, mode="wrap"), power, out=term)
-    np.add(out, term, out=out)
+    out, term = work_array("interp_out", m), work_array("interp_term", m)
+    np.take(table.coeffs[3], cell, out=out, mode="wrap")
+    for c in table.coeffs[2::-1]:
+        np.multiply(out, s, out=out)
+        np.add(out, np.take(c, cell, out=term, mode="wrap"), out=out)
     np.multiply(out, 0.5, out=out)
     return out
 
@@ -294,8 +287,19 @@ def view_term(view: FilteredView, family: RadonFamily, points) -> np.ndarray:
     this thread reads its next view."""
     points = np.asarray(points, dtype=float)
     m = points.shape[0]
-    q = phi_eval(family, view.alpha, points, work_array("phi", m), work_array("phi_scratch", m))
+    q, scratch = work_array("phi", m), work_array("phi_scratch", m)
+    norm2 = _norm2(family, points[:, 0], points[:, 1], work_array("phi_norm2", m), scratch)
+    q = phi_eval(family, view.alpha, points, q, scratch, norm2)
     return _interpolate(view, q).copy()
+
+
+def _norm2(family: RadonFamily, x: np.ndarray, y: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """|x|**2 + R**2 = (x*x + y*y) + R*R in ``out``, with which both view-path
+    callers take a circle's Phi by the law of cosines (``phi_eval``); None for lines."""
+    if family.kind == "line":
+        return None
+    np.add(np.multiply(x, x, out=out), np.multiply(y, y, out=scratch), out=out)
+    return np.add(out, family.acquisition_radius * family.acquisition_radius, out=out)
 
 
 def view_sum(total: np.ndarray, scheme: SamplingScheme) -> np.ndarray:
@@ -338,8 +342,9 @@ def add_view_terms(total: np.ndarray, tables, family: RadonFamily, xs: np.ndarra
     q, scratch = work_array("phi", m), work_array("phi_scratch", m)
     coords[0].reshape(ys.size, xs.size)[...] = xs
     coords[1].reshape(ys.size, xs.size)[...] = ys[:, None]
+    norm2 = _norm2(family, coords[0], coords[1], work_array("phi_norm2", m), scratch)
     for table in tables:
-        phi_eval(family, table.alpha, coords.T, q, scratch)
+        phi_eval(family, table.alpha, coords.T, q, scratch, norm2)
         total += _interpolate(table, q)
 
 

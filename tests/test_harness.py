@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -535,6 +536,13 @@ class TestRunPlan:
         # with a config whose own grids are too long, the config is at fault
         with pytest.raises(ConfigError, match=r"^scheme\.epsilon: "):
             plan_run(crt_preset().with_overrides(epsilon=1e-6), [[1e300, 0.0]])
+
+    @pytest.mark.parametrize("point", [[1e308, 1e308], [-1e308, 1e308], [1.7e308, 1.7e308]])
+    def test_points_near_the_float_limit_are_refused_without_a_warning(self, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^points: a view needs inf fine-grid points"):
+                plan_run(crt_preset(), [point])
 
     @pytest.mark.parametrize("base", [crt_preset(), grt_preset().with_overrides(window=None)], ids=["line", "circle"])
     def test_plan_of_the_most_views_is_small(self, base):
@@ -1253,3 +1261,47 @@ class TestStreamedRaster:
     def test_raster_peak_does_not_grow_with_views(self, raster_peaks):
         _, peaks = raster_peaks
         assert peaks[512] <= 1.1 * peaks[128]
+
+
+def _reference_view_sum(views, family, scheme, points) -> np.ndarray:
+    """The view sum at the (m, 2) ``points``, written apart from the view
+    path: Phi by phi_eval's hypot for circles, and the Catmull-Rom
+    polynomial in its power form 0.5 (c0 + c1 s + c2 s**2 + c3 s**3)."""
+    total = np.zeros(len(points))
+    for view in views:
+        pos = (phi_eval(family, view.alpha, points) - view.start) / view.step
+        i = np.clip(np.floor(pos).astype(int), 1, view.values.size - 3)
+        s = pos - i
+        p0, p1, p2, p3 = (view.values[i + j] for j in (-1, 0, 1, 2))
+        total += 0.5 * (
+            2.0 * p1
+            + (p2 - p0) * s
+            + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * s**2
+            + (3.0 * p1 - p0 - 3.0 * p2 + p3) * s**3
+        )
+    return total * (-scheme.delta_alpha / (2.0 * math.pi**2))
+
+
+class TestViewPathRoundOff:
+    """The view path's law-of-cosines Phi and Horner kernel move a run's
+    outputs by round-off only, against the hypot and power-form reference."""
+
+    @pytest.mark.parametrize("base", [TINY_CRT, TINY_GRT], ids=["line", "circle"])
+    def test_outputs_match_the_reference_to_round_off(self, base):
+        result = run_experiment(base, threads=2)
+        views = filtered_views(base)
+        family, scheme = base.build_family(), base.build_scheme()
+        x0, h = np.asarray(base.probe_x0), base.h_samples()
+        sums = _reference_view_sum(views, family, scheme, probe_points(x0, result.theta, h, scheme.epsilon))
+        expected = difference_profile(sums, scheme.epsilon, result.theta, h).recon_scaled
+        got = result.profile.recon_scaled
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.ptp(expected)
+        fields_of_view = (
+            (result.global_image, (0.0, 0.0), base.image_half_extent, base.image_pixel_size),
+            (result.roi_image, base.probe_x0, 20.0 * base.epsilon, base.epsilon / 4.0),
+        )
+        for image, center, half_extent, pixel_size in fields_of_view:
+            xs, ys = ImageGrid.axes(center, half_extent, pixel_size)
+            pixels = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
+            expected = _reference_view_sum(views, family, scheme, pixels)
+            assert np.max(np.abs(image.values.ravel() - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -17,7 +17,7 @@ from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from aliaslab import geometry, pipeline, reconstruction
-from aliaslab.experiment_config import crt_preset
+from aliaslab.experiment_config import crt_preset, grt_preset
 from aliaslab.forward_model import SemiDiscreteData, SinogramSampler
 from aliaslab.geometry import (
     DiskPhantom,
@@ -413,7 +413,8 @@ class TestBackprojection:
 
 def _interpolate_pointwise(view, q):
     """Reference interpolation: the cell clip(floor(pos), 1, n - 3) and the
-    Catmull-Rom polynomial of its four samples, gathered point by point."""
+    Catmull-Rom polynomial of its four samples in Horner's form, gathered
+    point by point."""
     n = view.values.size
     pos = (q - view.start) / view.step
     if np.any(pos < -1e-9) or np.any(pos > n - 1 + 1e-9):
@@ -422,21 +423,30 @@ def _interpolate_pointwise(view, q):
     s = pos - idx
     f = view.values
     p0, p1, p2, p3 = f[idx - 1], f[idx], f[idx + 1], f[idx + 2]
-    return 0.5 * (
-        2.0 * p1
-        + (p2 - p0) * s
-        + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * s**2
-        + (3.0 * p1 - p0 - 3.0 * p2 + p3) * s**3
-    )
+    c0, c1 = 2.0 * p1, p2 - p0
+    c2, c3 = 2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3, 3.0 * p1 - p0 - 3.0 * p2 + p3
+    return 0.5 * (c0 + s * (c1 + s * (c2 + s * c3)))
+
+
+def _phi_view_pointwise(family, alpha, pts):
+    """Reference for the view path's Phi: phi_eval for lines; for circles
+    the law of cosines sqrt(max(0, (|x|**2 + R**2) - 2R (x . u_alpha))),
+    written out point by point."""
+    if family.kind == "line":
+        return phi_eval(family, alpha, pts)
+    R2 = 2.0 * family.acquisition_radius
+    x, y = pts[:, 0], pts[:, 1]
+    norm2 = (x * x + y * y) + family.acquisition_radius * family.acquisition_radius
+    return np.sqrt(np.maximum(norm2 - (x * (R2 * math.cos(alpha)) + y * (R2 * math.sin(alpha))), 0.0))
 
 
 def _backproject_pointwise(views, x, family, scheme):
-    """Reference backprojection: phi_eval and the reference interpolation,
-    summed in view order."""
+    """Reference backprojection: the view path's Phi and the reference
+    interpolation, summed in view order."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     total = np.zeros(pts.shape[0])
     for view in views:
-        total += _interpolate_pointwise(view, phi_eval(family, view.alpha, pts))
+        total += _interpolate_pointwise(view, _phi_view_pointwise(family, view.alpha, pts))
     total *= -scheme.delta_alpha / (2.0 * math.pi**2)
     return total
 
@@ -445,8 +455,9 @@ class TestBackprojectionEdges:
     """Bitwise agreement with the pointwise reference where the cell
     clip, the range test and the coefficient span meet their ends.  All
     views look at alpha = 0, where Phi(x, 0) is exactly x for lines and
-    exactly 5 - x for circles of radius 5, so the grid positions below are
-    hit exactly (start and step are powers of two)."""
+    exactly 5 - x for circles of radius 5 (by hypot and by the view path's
+    law of cosines alike), so the grid positions below are hit exactly
+    (start and step are powers of two)."""
 
     N, START, STEP = 12, 1.0, 0.25
     EDGES = (-4e-10, 0.0, 1.0, N - 3.0, N - 2.0, N - 1.0, N - 1.0 + 4e-10)
@@ -474,6 +485,8 @@ class TestBackprojectionEdges:
         assert -1e-9 < pos[0] < 0.0
         assert np.array_equal(pos[1:-1], [0.0, 1.0, n - 3.0, n - 2.0, n - 1.0])
         assert n - 1.0 < pos[-1] <= n - 1.0 + 1e-9
+        # the law of cosines is exact on the dyadic points too
+        assert np.array_equal(_phi_view_pointwise(family, 0.0, pts[1:-1]), phi_eval(family, 0.0, pts[1:-1]))
         expected = _backproject_pointwise(views, pts, family, scheme)
         assert np.array_equal(backproject(views, pts, family, scheme), expected)
         for point, value in zip(pts, expected):
@@ -501,7 +514,7 @@ class TestBackprojectionEdges:
             assert set(cells) == set(range(1, self.N - 2))
         expected = _backproject_pointwise(views, pts, family, scheme)
         assert np.array_equal(backproject(views, pts, family, scheme), expected)
-        q = phi_eval(family, 0.0, pts)
+        q = _phi_view_pointwise(family, 0.0, pts)
         assert np.array_equal(view_term(views[0], family, pts), _interpolate_pointwise(views[0], q))
 
     @pytest.mark.parametrize("kind", ["line", "circle"])
@@ -535,6 +548,46 @@ class TestBackprojectionEdges:
         expected = _backproject_pointwise(views, pts, family, scheme)
         assert np.all(np.isfinite(expected))
         assert np.array_equal(backproject(views, pts, family, scheme), expected)
+
+
+class TestViewPathPhi:
+    """Both view-path callers take a circle's Phi by the law of cosines,
+    which cancels near the vertex R u_alpha; phi_eval's docstring bounds
+    what that costs against hypot, here on random views of a circle of
+    radius 5 at distances from the circle preset's fine step to 10."""
+
+    def test_law_of_cosines_error_near_the_vertex(self, monkeypatch):
+        family, R = circle_family(5.0), 5.0
+        config = grt_preset()
+        step = config.epsilon / config.eta
+        seen = []
+
+        def spy(*args, **kwargs):
+            out = phi_eval(*args, **kwargs)
+            seen.append(np.array(out, copy=True))
+            return out
+
+        monkeypatch.setattr(reconstruction, "phi_eval", spy)
+        rng = np.random.default_rng(23)
+        offsets = np.logspace(math.log10(step), 1.0, 30)
+        offsets = np.concatenate([-offsets[::-1], [0.0], offsets])
+        for alpha in rng.uniform(0.0, 2.0 * math.pi, 6):
+            vertex = (R * math.cos(alpha), R * math.sin(alpha))
+            xs, ys = vertex[0] + offsets, vertex[1] + offsets
+            pts = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
+            view = FilteredView(alpha, -0.5, 0.5, np.zeros(40))
+            seen.clear()
+            view_term(view, family, pts)
+            add_view_terms(np.zeros(len(pts)), [catmull_rom_table(view)], family, xs, ys)
+            assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
+            exact = phi_eval(family, alpha, pts)
+            norm2 = (pts[:, 0] ** 2 + pts[:, 1] ** 2) + R * R
+            far = exact >= step
+            assert far.sum() > 0.99 * len(pts)
+            bound = 4.0 * np.spacing(norm2[far]) / exact[far]
+            assert np.all(np.abs(seen[0][far] - exact[far]) <= bound)
+            at_vertex = np.flatnonzero(np.all(pts == vertex, axis=1))
+            assert at_vertex.size == 1 and seen[0][at_vertex[0]] <= 2e-7
 
 
 @lru_cache(maxsize=None)
