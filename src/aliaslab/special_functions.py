@@ -91,8 +91,8 @@ class PsiEvalConfig:
     def __post_init__(self) -> None:
         if not self.t_asym >= 10.0:
             raise ValueError("t_asym must be at least 10")
-        if not self.tail_start >= 1000:
-            raise ValueError("tail_start must be at least 1000")
+        if not (self.tail_start >= 1000 and float(self.tail_start).is_integer()):
+            raise ValueError(f"tail_start must be an integer of at least 1000, not {self.tail_start!r}")
 
 
 DEFAULT_MOLLIFIER = MollifierSpec()
@@ -115,8 +115,15 @@ _FAR_BLOCK = 1024
 # overhead (five polyval calls each); 4096-32768 run about equally fast.
 _NEAR_BLOCK = 8192
 
+# big_psi sums its lattice points in [-t_asym, -max(_MOMENT_SPLIT, 8a)) as
+# a Taylor series in h of _MOMENT_ORDER terms; the remainder bound that fixes
+# the order is in big_psi's docstring (14 terms would leave 2.1e-17).
+_MOMENT_SPLIT = 50.0
+_MOMENT_ORDER = 15
+
 # (a, r) lattices big_psi keeps: enough for a few tangency descriptors
-# interleaved per probe offset; at most 17 bytes per lattice term.
+# interleaved per probe offset; at most 17 bytes per shortcut or exact
+# lattice term plus _MOMENT_ORDER moments.
 _LATTICE_CACHE = 4
 
 
@@ -138,10 +145,11 @@ def _scalar_or_array(values: np.ndarray, scalar_input: bool):
 
 def _on_support(t, coeffs: np.ndarray):
     """Polynomial ``coeffs`` at t on the open support |t| < half_width, zero
-    outside; float for a scalar t, array of t's shape otherwise."""
+    outside, NaN at NaN; float for a scalar t, array of t's shape otherwise."""
     arr = np.asarray(t, dtype=float)
     flat = np.atleast_1d(arr)
     out = np.zeros_like(flat, dtype=float)
+    out[np.isnan(flat)] = np.nan
     inside = np.abs(flat) < _HALF
     if np.any(inside):
         out[inside] = np.polynomial.polynomial.polyval(flat[inside], coeffs)
@@ -149,12 +157,12 @@ def _on_support(t, coeffs: np.ndarray):
 
 
 def w_eval(t):
-    """Mollifier value w(t); zero outside the open support interval."""
+    """Mollifier value w(t); zero outside the open support interval, NaN at NaN."""
     return _on_support(t, _COEFFS)
 
 
 def w_prime_eval(t):
-    """Derivative w'(t); zero outside the open support interval."""
+    """Derivative w'(t); zero outside the open support interval, NaN at NaN."""
     return _on_support(t, _DERIV_COEFFS)
 
 
@@ -186,11 +194,13 @@ def psi_eval(q):
     Returns
     -------
     float or ndarray
-        psi(q) >= 0, identically zero for q >= 1, the bump's half width.
+        psi(q) >= 0, identically zero for q >= 1, the bump's half width;
+        NaN where q is NaN.
     """
     arr = np.asarray(q, dtype=float)
     flat = np.atleast_1d(arr).astype(float).ravel()
     out = np.zeros_like(flat)
+    out[np.isnan(flat)] = np.nan
     s = _HALF
 
     near = np.flatnonzero((flat < s) & (flat >= -_FAR_FACTOR * s))
@@ -324,15 +334,50 @@ def hurwitz_tail(start: int, offset: float = 0.0) -> float:
     return t ** (1.0 - s) / (s - 1.0) + 0.5 * t ** (-s) + (s / 12.0) * t ** (-s - 1.0)
 
 
+def _far_moments(t: np.ndarray, a: float) -> np.ndarray:
+    """Taylor moments m_n = sum_k psi^(n)(t_k)/n!, n = 1.._MOMENT_ORDER, of
+    increasing points t below -max(50, 8a), by psi_eval's far-field rule
+    differentiated n times:
+    psi^(n)(t)/n! = (1/2) sum_i c_i binomial(2n, n)/4^n (tau_i - t)^(-n-1/2).
+    Each block of points stops at the first order N with rho^N/(1 - rho)
+    <= 1e-17, rho = (a/2)/(-1 - t) at its largest t: at |h| <= a/2 the
+    terms it leaves out add up in size to at most 1e-17 of the block's
+    first-order term."""
+    sums = np.zeros(_MOMENT_ORDER)
+    # two (points x nodes) work arrays for every block: (tau - t)^-1 and the
+    # running c_i (tau_i - t)^(-n-1/2)
+    inv = np.empty((min(t.size, _FAR_BLOCK), _FAR_TAU.size))
+    term = np.empty_like(inv)
+    for i in range(0, t.size, _FAR_BLOCK):
+        block = t[i : i + _FAR_BLOCK, None]
+        rho = 0.5 * a / (-_HALF - block[-1, 0])
+        order = min(_MOMENT_ORDER, math.ceil(math.log(1e-17 * (1.0 - rho)) / math.log(rho)))
+        x, y = inv[: block.size], term[: block.size]
+        np.subtract(_FAR_TAU, block, out=x)
+        np.sqrt(x, out=y)
+        np.divide(_FAR_C, y, out=y)
+        np.divide(1.0, x, out=x)
+        for n in range(order):
+            np.multiply(y, x, out=y)
+            sums[n] += y.sum()
+    return sums * [0.5 * math.comb(2 * n, n) / 4**n for n in range(1, _MOMENT_ORDER + 1)]
+
+
 @lru_cache(maxsize=_LATTICE_CACHE)
 def _lattice(a: float, r: float, config: PsiEvalConfig):
-    """_split of big_psi's lattice t = a*(k - r), k in [-K+1, ceil(r + 1/a)],
-    for a reduced (a > 0, 0 <= r < 1), with psi at its exact points; the
+    """The h-independent part of big_psi's lattice t = a*(k - r), k in
+    [-K+1, ceil(r + 1/a)], for a reduced (a > 0, 0 <= r < 1): _split of the
+    points outside [-t_asym, -max(50, 8a)) with psi at their exact points,
+    then the Taylor moments (_far_moments) of the points inside it.  The
     arrays are read-only because every caller of these arguments shares them."""
     top = math.ceil(r + _HALF / a)
-    k = np.arange(-config.tail_start + 1, top + 1, dtype=float)
-    asym, denom, te = _split(a * (k - r), config)
-    parts = (asym, denom, te, psi_eval(te))
+    t = a * (np.arange(-config.tail_start + 1, top + 1, dtype=float) - r)
+    # t increases with k, so the moment points are one slice between the
+    # shortcut points and the exact ones (empty when t_asym <= 50)
+    lo, hi = np.searchsorted(t, [-config.t_asym, -max(_MOMENT_SPLIT, 8.0 * a)])
+    hi = max(lo, hi)
+    asym, denom, te = _split(np.concatenate((t[:lo], t[hi:])), config)
+    parts = (asym, denom, te, psi_eval(te), _far_moments(t[lo:hi], a))
     for part in parts:
         part.flags.writeable = False
     return parts
@@ -349,12 +394,27 @@ def big_psi(h: float, a: float, r: float, config: PsiEvalConfig = DEFAULT_PSI_CO
     infinite far tail is closed by (h / (4 a^(3/2))) * zeta(3/2, K + r);
     the exponent 3/2 comes from psi's (1/2)|t|^(-1/2) decay.
 
-    The h-independent part of the direct sum (the lattice, its shortcut
-    denominators and psi at its exact points) is memoized per reduced
-    (a, r, config), for the last 4 such keys.  An entry holds at
-    most 17 bytes per term, so the memo retains at most about 71 MB
-    (4 x 17 x 2**20 bytes) at the term cap below.  A value depends only
-    on the arguments, bit for bit, not on earlier calls.
+    The direct sum has three parts.  Points below -config.t_asym take
+    delta_psi's shortcut h / (4 |t|^(3/2)); points at or above
+    -max(50, 8a) take the exact difference psi(t + h) - psi(t); the points
+    between (none unless t_asym > 50) add sum_{n=1..15} m_n h^n by
+    Horner, with m_n = sum_k psi^(n)(t_k)/n! from psi_eval's far-field
+    rule.  That series is the far-field rule's exact difference up to a
+    remainder of at most 1e-17 |h m_1|: |h| <= a/2 and every node is more
+    than max(50, 8a) - 1 from the points, so the ratio of a point's
+    consecutive terms is at most rho = (a/2) / (max(50, 8a) - 1) in size,
+    which peaks at 3.125/49 < 0.064 at a = 6.25, and the terms past the
+    15th add at most rho^15 / (1 - rho) < 1e-17 of the first.  Blocks of
+    points farther out stop at a lower order by the same bound.
+
+    The h-independent part of the direct sum (the shortcut denominators,
+    psi at the exact points and the moments m_n) is memoized per reduced
+    (a, r, config), for the last 4 such keys.  An entry holds at most
+    17 bytes per shortcut or exact term plus the 15 moments; at the term
+    cap below every term is exact, so the memo retains at most about
+    71 MB (4 x 17 x 2**20 bytes).  An accurate lattice (t_asym = 1e6) of
+    10**4 terms at a = 1 keeps about 1 KB.  A value depends only on the
+    arguments, bit for bit, not on earlier calls.
 
     a = 0 (continuum limit in the view angle) returns 0 by definition.
     A nonzero |a| so small that the direct sum would need more than
@@ -382,7 +442,11 @@ def big_psi(h: float, a: float, r: float, config: PsiEvalConfig = DEFAULT_PSI_CO
     K = config.tail_start
     if K + rv + _HALF / av > _MAX_TERMS:
         raise ValueError(f"big_psi: |a| = {av!r} is too small; the sum would need more than {_MAX_TERMS} terms")
-    total = float(np.sum(_differences(hv, *_lattice(av, rv, config))))
+    *exact, moments = _lattice(av, rv, config)
+    far = 0.0
+    for m in reversed(moments.tolist()):
+        far = far * hv + m
+    total = float(np.sum(_differences(hv, *exact))) + far * hv
     try:
         power = av**1.5
     except OverflowError:

@@ -106,6 +106,19 @@ def test_mollifier_even_and_bounded(t):
     assert 0.0 <= v <= 15.0 / 16.0
 
 
+def test_kernels_return_nan_at_nan():
+    # NaN in, NaN out, not 0.0; the finite entries beside it keep their bits
+    nan = float("nan")
+    for kernel in (w_eval, w_prime_eval, psi_eval):
+        assert math.isnan(kernel(nan)), kernel
+        mixed = kernel(np.array([-5.0, nan, -0.5, 0.25, nan, 3.0]))
+        assert np.array_equal(np.isnan(mixed), [False, True, False, False, True, False]), kernel
+        finite = kernel(np.array([-5.0, -0.5, 0.25, 3.0]))
+        assert mixed[~np.isnan(mixed)].tobytes() == finite.tobytes(), kernel
+    assert math.isnan(delta_psi(-3.0, nan))
+    assert math.isnan(delta_psi(nan, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # edge kernel psi
 
@@ -247,6 +260,13 @@ def test_quadrature_oracle_against_30_digit_mpmath():
 # kernel difference
 
 
+def test_psi_config_refuses_a_non_integer_tail_start():
+    # 1000.5 used to pass here and fail later in hurwitz_tail, naming no field
+    for bad in (1000.5, 999, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tail_start"):
+            PsiEvalConfig(tail_start=bad)
+
+
 def test_delta_psi_exact_branch_matches_psi():
     cfg = PsiEvalConfig(t_asym=1e6)
     t = np.array([-30.0, -2.0, 0.3, 0.9, 5.0])
@@ -352,9 +372,8 @@ def test_big_psi_default_config_stays_within_budget():
         assert abs(err) < 5e-4 * h * h / a + 1e-8
 
 
-def _rebuilt_big_psi(h, a, r, config):
-    """big_psi from its definition: the same argument reduction, then
-    delta_psi over a lattice built for this call alone, then the tail."""
+def _reduce(h, a, r):
+    """big_psi's argument reduction: a > 0, 0 <= r < 1, -a/2 < h <= a/2."""
     if a < 0.0:
         a, r = -a, -r
     r %= 1.0
@@ -363,12 +382,38 @@ def _rebuilt_big_psi(h, a, r, config):
     h %= a
     if h > 0.5 * a:
         h -= a
+    return h, a, r
+
+
+def _lattice_points(a, r, config):
+    return a * (np.arange(-config.tail_start + 1, math.ceil(r + 1.0 / a) + 1, dtype=float) - r)
+
+
+def _direct_big_psi(h, a, r, config):
+    """big_psi as a direct sum: delta_psi over the whole reduced lattice,
+    then the tail."""
+    h, a, r = _reduce(h, a, r)
     if h == 0.0:
         return 0.0
-    K = config.tail_start
-    k = np.arange(-K + 1, math.ceil(r + 1.0 / a) + 1, dtype=float)
-    total = float(np.sum(delta_psi(a * (k - r), h, config)))
-    return total + h / (4.0 * a**1.5) * hurwitz_tail(K, r)
+    total = float(np.sum(delta_psi(_lattice_points(a, r, config), h, config)))
+    return total + h / (4.0 * a**1.5) * hurwitz_tail(config.tail_start, r)
+
+
+def _rebuilt_big_psi(h, a, r, config):
+    """big_psi from its definition: the same argument reduction, then over
+    a lattice built for this call alone delta_psi at the points outside
+    [-t_asym, -max(50, 8a)) and the Taylor series in h of the points
+    inside it, then the tail."""
+    h, a, r = _reduce(h, a, r)
+    if h == 0.0:
+        return 0.0
+    t = _lattice_points(a, r, config)
+    far = (t >= -config.t_asym) & (t < -max(50.0, 8.0 * a))
+    series = 0.0
+    for m in special_functions._far_moments(t[far], a).tolist()[::-1]:
+        series = series * h + m
+    total = float(np.sum(delta_psi(t[~far], h, config))) + series * h
+    return total + h / (4.0 * a**1.5) * hurwitz_tail(config.tail_start, r)
 
 
 def test_big_psi_bits_do_not_depend_on_call_history():
@@ -397,11 +442,27 @@ def test_big_psi_bits_do_not_depend_on_call_history():
 
 
 def test_memoized_lattice_is_read_only():
-    big_psi(0.3, 0.75, 0.2)
-    for part in special_functions._lattice(0.75, 0.2, DEFAULT_PSI_CONFIG):
-        assert part.size > 0
-        with pytest.raises(ValueError, match="read-only"):
-            part[0] = part[-1]
+    # at a = 150 the accurate lattice has shortcut, moment and exact points
+    for a, config in ((0.75, DEFAULT_PSI_CONFIG), (150.0, ACCURATE)):
+        big_psi(0.3, a, 0.2, config)
+        *_, moments = parts = special_functions._lattice(a, 0.2, config)
+        # the default lattice has no moment points, the accurate one has
+        assert np.any(moments != 0.0) == (config is ACCURATE)
+        for part in parts:
+            assert part.size > 0
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = part[-1]
+
+
+def test_accurate_big_psi_matches_the_direct_sum():
+    # the Taylor moments stand in for exact differences psi(t + h) - psi(t)
+    # at the far points; the value stays within round-off of the sum of
+    # those differences, at the widest reduced |h| and next to h = 0
+    for a in (0.125, 0.25, 1.0, 4.0, 8.0):
+        for r in (1e-9, 0.01, 0.99, 1.0 - 1e-9):
+            for h in (0.5 * a * (1.0 - 1e-12), -0.5 * a * (1.0 - 1e-12), 1e-9 * a, -3e-3 * a):
+                got = big_psi(h, a, r, ACCURATE)
+                assert abs(got - _direct_big_psi(h, a, r, ACCURATE)) <= 1e-14, (h, a, r)
 
 
 def test_big_psi_zero_offset_is_exact_zero():
