@@ -10,6 +10,7 @@ results are identical for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,19 +20,17 @@ import numpy as np
 
 from .experiment_config import ConfigError, ExperimentConfig
 from .forward_model import SemiDiscreteData, SinogramSampler
-from .geometry import TangencyDescriptor, tangency_enumerate
+from .geometry import TangencyDescriptor, tangency_enumerate, work_array
 from .outputs import format_floats, write_pgm16, write_profile_csv
 from .predictor import ComparisonMetrics, compare, fill_prediction
 from .reconstruction import (
     AliasProfile,
     ImageGrid,
     add_view_terms,
-    catmull_rom_table,
     difference_profile,
     filter_view,
     probe_points,
     view_sum,
-    view_term,
 )
 
 __all__ = [
@@ -63,10 +62,10 @@ _MAX_GRID = 2**22
 # the worker count
 _ROWS_PER_BLOCK = 50
 
-# views per window of a run that rasters.  A run holds the Catmull-Rom
-# tables (32 bytes per fine-grid point) of two windows, the one it rasters
-# and the one it filters: on crt-demo (24,233 points per view) windows of 8
-# peaked at about 81 MB and windows of 16 at about 96 MB
+# views per window of a run that rasters.  A run holds the views (their
+# Catmull-Rom tables, 32 bytes per fine-grid point) of two windows, the one
+# it rasters and the one it filters: on crt-demo (24,233 points per view)
+# windows of 8 peaked at about 81 MB and windows of 16 at about 96 MB
 _VIEW_WINDOW = 8
 
 
@@ -194,6 +193,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, points=None) -> E
         descriptors = tangency_enumerate(family, phantom, x0, scheme)
     except ValueError as exc:  # a probe on the boundary or at a degenerate tangency
         raise ConfigError(f"probe.x0: {exc}") from None
+    if not descriptors and math.hypot(*(x0 - phantom.center_array)) < phantom.radius:
+        raise ConfigError("probe.x0: probe point lies inside the phantom disk, where no curve is tangent to its boundary")
     if not descriptors:
         raise ConfigError("probe.x0: probe point sees no tangency inside the angular window (scheme.window)")
     theta = _resolve_theta(config, descriptors)
@@ -213,20 +214,26 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, points=None) -> E
             blocks.append((stage, total[rows], xs, ys[row : row + _ROWS_PER_BLOCK]))
 
     # A view task filters the plan's view i, reads it at the probe and
-    # extra points and, when the run rasters, forms its Catmull-Rom table; a
-    # block task adds the terms of one window of views to its rows.  Each
-    # map runs one window's view tasks with the previous window's block
-    # tasks, so a run holds at most two windows of tables, and every pixel
-    # adds its views in view order; a run without a raster takes one map.
+    # extra points and, when the run rasters, returns it; a block task lays
+    # out its pixel centers row by row in this thread's work array and adds
+    # the terms of one window of views to its rows.  Each map runs one
+    # window's view tasks with the previous window's block tasks, so a run
+    # holds at most two windows of views, and every pixel adds its views in
+    # view order; a run without a raster takes one map.
     def task(item):
         t0 = time.perf_counter()
         block, arg = item
         if block is None:
             view = filter_view(data, plan.views[arg], plan.starts[arg], plan.step, plan.counts[arg])
-            out = ("filter_s", (view_term(view, family, reads), catmull_rom_table(view) if rasters else None))
+            term = np.zeros(len(reads))
+            add_view_terms(term, [view], family, reads)
+            out = ("filter_s", (term, view if rasters else None))
         else:
             stage, total, xs, ys = block
-            add_view_terms(total, arg, family, xs, ys)
+            coords = work_array("pixel_coords", 2 * total.size).reshape(2, total.size)
+            coords[0].reshape(ys.size, xs.size)[...] = xs
+            coords[1].reshape(ys.size, xs.size)[...] = ys[:, None]
+            add_view_terms(total, arg, family, coords.T)
             out = (stage, None)
         return out, time.perf_counter() - t0
 

@@ -36,11 +36,8 @@ __all__ = [
     "FilteredView",
     "pv_filter_uniform",
     "filter_view",
-    "view_term",
     "view_sum",
     "backproject",
-    "CatmullRomTable",
-    "catmull_rom_table",
     "add_view_terms",
     "ImageGrid",
     "AliasProfile",
@@ -78,18 +75,41 @@ _HEAP_KEEP = 24
 
 @dataclass(frozen=True)
 class FilteredView:
-    """One view's filtered data on a uniform q-grid."""
+    """One view's filtered data, n values on the uniform q-grid start +
+    step * arange(n), held as its Catmull-Rom table: row j of ``coeffs``
+    holds c_j of cells 1..n - 3 (see ``_interpolate``).  It is read-only,
+    so the threads that read the view share it."""
 
     alpha: float
     start: float
     step: float
-    values: np.ndarray
+    coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.values.ndim != 1 or self.values.size < 4:
+    @property
+    def n(self) -> int:
+        return self.coeffs.shape[1] + 3
+
+    @classmethod
+    def from_values(cls, alpha: float, start: float, step: float, values) -> "FilteredView":
+        """The view of the grid ``values`` (at least 4, all finite)."""
+        f = np.asarray(values, dtype=float)
+        if f.ndim != 1 or f.size < 4:
             raise ValueError("filtered view needs at least 4 grid values")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(f)):
             raise ValueError("filtered view contains non-finite samples")
+        # c3 and c2 first, in rows 3 and 2 with row 0 as scratch, so the
+        # table takes no memory beyond its own
+        p0, p1, p2, p3 = f[:-3], f[1:-2], f[2:-1], f[3:]
+        coeffs = np.empty((4, p0.size))
+        c0, c1, c2, c3 = coeffs
+        np.subtract(np.multiply(3.0, p1, out=c3), p0, out=c3)
+        np.add(np.subtract(c3, np.multiply(3.0, p2, out=c0), out=c3), p3, out=c3)
+        np.subtract(np.multiply(2.0, p0, out=c2), np.multiply(5.0, p1, out=c0), out=c2)
+        np.subtract(np.add(c2, np.multiply(4.0, p2, out=c0), out=c2), p3, out=c2)
+        np.multiply(2.0, p1, out=c0)
+        np.subtract(p2, p0, out=c1)
+        coeffs.flags.writeable = False
+        return cls(alpha, start, step, coeffs)
 
 
 def _fast_length(target: int) -> int:
@@ -196,46 +216,14 @@ def filter_view(data, k: int, start: float, step: float, count: int) -> Filtered
     """The FilteredView of view ``k`` of a semi-discrete data object
     (anything with view_angle and data_smooth_deriv) on the fine grid
     start + step * arange(count), which must hold the data support."""
-    g = data.data_smooth_deriv(k, start + step * np.arange(count))
-    return FilteredView(data.view_angle(k), start, step, pv_filter_uniform(g, step, start))
+    values = pv_filter_uniform(data.data_smooth_deriv(k, start + step * np.arange(count)), step, start)
+    return FilteredView.from_values(data.view_angle(k), start, step, values)
 
 
-@dataclass(frozen=True)
-class CatmullRomTable:
-    """Catmull-Rom coefficients of cells first, first + 1, ... of a
-    filtered view (angle alpha, n grid values from start, spaced step): row
-    j of ``coeffs`` holds c_j of each cell (see ``_interpolate``).  It
-    keeps no reference to the view, and it is read-only, so the threads
-    that raster the view share it."""
-
-    alpha: float
-    start: float
-    step: float
-    n: int
-    first: int
-    coeffs: np.ndarray
-
-
-def catmull_rom_table(view: FilteredView, first: int = 1, last: int | None = None) -> CatmullRomTable:
-    """The coefficients of cells first..last of ``view``; by default every
-    cell, 1..n - 3, for a caller that reads the view at many points."""
-    n = view.values.size
-    f = view.values[first - 1 : n if last is None else last + 3]
-    p0, p1, p2, p3 = f[:-3], f[1:-2], f[2:-1], f[3:]
-    coeffs = np.empty((4, p0.size))
-    np.multiply(2.0, p1, out=coeffs[0])
-    np.subtract(p2, p0, out=coeffs[1])
-    coeffs[2] = 2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3
-    coeffs[3] = 3.0 * p1 - p0 - 3.0 * p2 + p3
-    coeffs.flags.writeable = False
-    return CatmullRomTable(view.alpha, view.start, view.step, n, first, coeffs)
-
-
-def _interpolate(view: FilteredView | CatmullRomTable, q: np.ndarray) -> np.ndarray:
-    """Catmull-Rom values at the queries q (1-D, overwritten: the grid
-    position, then s) of a view's table, or of a FilteredView through a
-    table of the cells q touches, made per call; in this thread's work
-    array ``"interp_out"``, valid until its next call.
+def _interpolate(view: FilteredView, q: np.ndarray) -> np.ndarray:
+    """Catmull-Rom values of ``view`` at the queries q (1-D, overwritten:
+    the grid position, then s), in this thread's work array
+    ``"interp_out"``, valid until its next call.
 
     The cell of position pos (in grid steps) is i = clip(floor(pos), 1,
     n - 3), with the coefficients
@@ -243,12 +231,11 @@ def _interpolate(view: FilteredView | CatmullRomTable, q: np.ndarray) -> np.ndar
         c0 = 2 p1,  c1 = p2 - p0,  c2 = 2 p0 - 5 p1 + 4 p2 - p3,
         c3 = 3 p1 - p0 - 3 p2 + p3          (p_j = f[i - 1 + j]),
 
-    read from a ``CatmullRomTable``.  The value at s = pos - i is
+    column i - 1 of the view's table.  The value at s = pos - i is
     0.5 * (c0 + s * (c1 + s * (c2 + s * c3))), Horner's form, the same
-    operations in the same order for any table and any set of points.
+    operations in the same order for any set of points.
     """
-    table = view if isinstance(view, CatmullRomTable) else None
-    m, n = q.size, view.n if table is not None else view.values.size
+    m, n = q.size, view.n
     pos = np.subtract(q, view.start, out=q)
     np.divide(pos, view.step, out=pos)
     # min/max settle the common case; NaN fails it and falls through
@@ -265,41 +252,17 @@ def _interpolate(view: FilteredView | CatmullRomTable, q: np.ndarray) -> np.ndar
     if not (low >= 1.0 and high < n - 2):
         np.clip(cell, 1, n - 3, out=cell)
     s = np.subtract(pos, cell, out=pos)
-    if table is None:
-        table = catmull_rom_table(view, int(cell.min()), int(cell.max()))
-    np.subtract(cell, table.first, out=cell)
+    np.subtract(cell, 1, out=cell)
 
     # the cells index the table: mode="wrap" never wraps, and unlike
     # the default it does not buffer the gather behind ``out``
     out, term = work_array("interp_out", m), work_array("interp_term", m)
-    np.take(table.coeffs[3], cell, out=out, mode="wrap")
-    for c in table.coeffs[2::-1]:
+    np.take(view.coeffs[3], cell, out=out, mode="wrap")
+    for c in view.coeffs[2::-1]:
         np.multiply(out, s, out=out)
         np.add(out, np.take(c, cell, out=term, mode="wrap"), out=out)
     np.multiply(out, 0.5, out=out)
     return out
-
-
-def view_term(view: FilteredView, family: RadonFamily, points) -> np.ndarray:
-    """View k's unscaled term F_k(Phi(alpha_k, x)) of the backprojection
-    sum at each of the (m, 2) ``points``: the one way a FilteredView is
-    read at points.  Returns a new array, which the caller may keep while
-    this thread reads its next view."""
-    points = np.asarray(points, dtype=float)
-    m = points.shape[0]
-    q, scratch = work_array("phi", m), work_array("phi_scratch", m)
-    norm2 = _norm2(family, points[:, 0], points[:, 1], work_array("phi_norm2", m), scratch)
-    q = phi_eval(family, view.alpha, points, q, scratch, norm2)
-    return _interpolate(view, q).copy()
-
-
-def _norm2(family: RadonFamily, x: np.ndarray, y: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-    """|x|**2 + R**2 = (x*x + y*y) + R*R in ``out``, with which both view-path
-    callers take a circle's Phi by the law of cosines (``phi_eval``); None for lines."""
-    if family.kind == "line":
-        return None
-    np.add(np.multiply(x, x, out=out), np.multiply(y, y, out=scratch), out=out)
-    return np.add(out, family.acquisition_radius * family.acquisition_radius, out=out)
 
 
 def view_sum(total: np.ndarray, scheme: SamplingScheme) -> np.ndarray:
@@ -312,10 +275,10 @@ def view_sum(total: np.ndarray, scheme: SamplingScheme) -> np.ndarray:
 def backproject(views, x, family: RadonFamily, scheme: SamplingScheme):
     """Weighted view sum -(dalpha/(2 pi^2)) sum_k F_k(Phi(alpha_k, x)).
 
-    ``x`` is one point (shape (2,)) or many (shape (m, 2)); each view's
-    ``view_term`` is added in the fixed order of ``views`` and the sum is
-    scaled once (``view_sum``), so results do not depend on how callers
-    partition the points.
+    ``x`` is one point (shape (2,)) or many (shape (m, 2)); the view terms
+    are added in the fixed order of ``views`` (``add_view_terms``) and the
+    sum is scaled once (``view_sum``), so results do not depend on how
+    callers partition the points.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
@@ -324,28 +287,28 @@ def backproject(views, x, family: RadonFamily, scheme: SamplingScheme):
         raise ValueError("points must have shape (..., 2)")
     total = np.zeros(pts.shape[0])
     if total.size:
-        for view in views:
-            total += view_term(view, family, pts)
+        add_view_terms(total, views, family, pts)
     view_sum(total, scheme)
     return float(total[0]) if single else total
 
 
-def add_view_terms(total: np.ndarray, tables, family: RadonFamily, xs: np.ndarray, ys: np.ndarray) -> None:
-    """Add each table's unscaled view term F_k(Phi(alpha_k, x)) to
-    ``total``, in the order of ``tables``, at the pixel centers x = (xs[j],
-    ys[i]) taken row by row (ys.size * xs.size values): ``backproject``'s
-    terms without its scaling.  The points, Phi and the interpolation go
-    into this thread's work arrays (``work_array``), kept for its next
-    block."""
+def add_view_terms(total: np.ndarray, views, family: RadonFamily, points: np.ndarray) -> None:
+    """Add each view's unscaled term F_k(Phi(alpha_k, x)) to ``total`` at
+    the (m, 2) ``points``, in the order of ``views``: the one way a
+    FilteredView is read, ``backproject``'s terms without its scaling.  Phi
+    and the interpolation go into this thread's work arrays
+    (``work_array``); a circle's Phi is taken by the law of cosines from
+    |x|**2 + R**2 = (x*x + y*y) + R*R, formed once (``phi_eval``)."""
     m = total.size
-    coords = work_array("pixel_coords", 2 * m).reshape(2, m)
     q, scratch = work_array("phi", m), work_array("phi_scratch", m)
-    coords[0].reshape(ys.size, xs.size)[...] = xs
-    coords[1].reshape(ys.size, xs.size)[...] = ys[:, None]
-    norm2 = _norm2(family, coords[0], coords[1], work_array("phi_norm2", m), scratch)
-    for table in tables:
-        phi_eval(family, table.alpha, coords.T, q, scratch, norm2)
-        total += _interpolate(table, q)
+    norm2 = None
+    if family.kind != "line":
+        x, y, norm2 = points[:, 0], points[:, 1], work_array("phi_norm2", m)
+        np.add(np.multiply(x, x, out=norm2), np.multiply(y, y, out=scratch), out=norm2)
+        np.add(norm2, family.acquisition_radius * family.acquisition_radius, out=norm2)
+    for view in views:
+        phi_eval(family, view.alpha, points, q, scratch, norm2)
+        total += _interpolate(view, q)
 
 
 @dataclass(frozen=True)

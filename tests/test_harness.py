@@ -51,13 +51,13 @@ from aliaslab.forward_model import SemiDiscreteData, SinogramSampler
 from aliaslab.geometry import phi_eval, tangency_enumerate
 from aliaslab.reconstruction import (
     AliasProfile,
-    CatmullRomTable,
     FilteredView,
     ImageGrid,
     backproject,
     difference_profile,
     filter_view,
     probe_points,
+    pv_filter_uniform,
 )
 
 TINY_CRT = crt_preset().with_overrides(
@@ -357,6 +357,16 @@ class TestPipelineWiring:
         # no line through a point inside the disk is tangent to its boundary
         with pytest.raises(ConfigError, match="probe.x0"):
             run_experiment(crt_preset().with_overrides(probe_x0=(1.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "config",
+        [crt_preset().with_overrides(probe_x0=(1.0, 1.0)), grt_preset().with_overrides(probe_x0=(0.0, 0.0))],
+        ids=["line", "circle"],
+    )
+    def test_probe_inside_phantom_names_the_disk_not_the_window(self, config):
+        with pytest.raises(ConfigError, match=r"^probe\.x0: .*inside the phantom") as info:
+            run_experiment(config.with_overrides(artifacts=("profile",)))
+        assert "window" not in str(info.value)
 
     def test_too_fine_grid_refused_before_allocating(self):
         # eps = 1e-7 asks for about 5*10**9 fine-grid points per view
@@ -980,6 +990,7 @@ class TestPublicSurface:
     REMOVED = (
         "view_values_at", "scaled_difference_profile", "pixel_centers", "predict_at", "read_profile_csv",
         "resolve_theta", "query_range", "filtered_views", "tangent_p",
+        "CatmullRomTable", "catmull_rom_table", "view_term",
     )
 
     def test_every_listed_name_resolves_once(self):
@@ -1062,12 +1073,17 @@ class TestDeterminism:
         assert payloads[0] == payloads[1]
 
 
-def filtered_views(config, points=None) -> tuple[FilteredView, ...]:
-    """Every view of a run of ``config``, filtered on its planned grid."""
+def filtered_views(config, points=None) -> tuple[tuple[FilteredView, ...], tuple[np.ndarray, ...]]:
+    """Every view of a run of ``config``, filtered on its planned grid, and
+    each view's filtered grid values."""
     plan, family, phantom = plan_run(config, points), config.build_family(), config.build_phantom()
     data = SemiDiscreteData(config.build_scheme(), SinogramSampler(family, phantom))
-    grids = zip(plan.views, plan.starts, plan.counts)
-    return tuple(filter_view(data, k, start, plan.step, count) for k, start, count in grids)
+    views, values = [], []
+    for k, start, count in zip(plan.views, plan.starts, plan.counts):
+        views.append(filter_view(data, k, start, plan.step, count))
+        grid = start + plan.step * np.arange(count)
+        values.append(pv_filter_uniform(data.data_smooth_deriv(k, grid), plan.step, start))
+    return tuple(views), tuple(values)
 
 
 def _live_views() -> set[int]:
@@ -1084,7 +1100,7 @@ class TestStreamedProfile:
     def test_streamed_profile_matches_held_views_bitwise(self, base, threads):
         config = base.with_overrides(artifacts=("profile", "report"))
         result = run_experiment(config, threads=threads)
-        views = filtered_views(config)
+        views, _ = filtered_views(config)
         family, scheme = config.build_family(), config.build_scheme()
         x0, h = np.asarray(config.probe_x0), config.h_samples()
         sums = backproject(views, probe_points(x0, result.theta, h, scheme.epsilon), family, scheme)
@@ -1104,7 +1120,8 @@ class TestStreamedProfile:
         config = base.with_overrides(artifacts=("profile",))
         points = np.array([[0.3, -0.2], [1.5, 2.5], [-3.0, 1.0]])
         result = run_experiment(config, threads=2, points=points)
-        expected = backproject(filtered_views(config, points), points, config.build_family(), config.build_scheme())
+        views, _ = filtered_views(config, points)
+        expected = backproject(views, points, config.build_family(), config.build_scheme())
         assert result.point_values.tobytes() == expected.tobytes()
         assert result.profile.recon_scaled.tobytes() == run_experiment(config).profile.recon_scaled.tobytes()
         assert run_experiment(config).point_values.shape == (0,)
@@ -1143,7 +1160,7 @@ class TestStreamedProfile:
 
         def counted(*args):
             view = filter_view(*args)
-            filtered.append(view.values.nbytes)
+            filtered.append(8 * view.n)
             return view
 
         monkeypatch.setattr(pipeline, "filter_view", counted)
@@ -1168,7 +1185,7 @@ class TestStreamedProfile:
         monkeypatch.setattr(pipeline, "view_sum", spy)
         config = TINY_CRT.with_overrides(artifacts=("profile",))
         result = run_experiment(config)
-        views = filtered_views(config)
+        views, _ = filtered_views(config)
         family, scheme = config.build_family(), config.build_scheme()
         backproject(views, np.zeros((3, 2)), family, scheme)
         m = config.h_samples().size + 1
@@ -1177,11 +1194,6 @@ class TestStreamedProfile:
         calls.clear()
         run_experiment(TINY_CRT, threads=2)
         assert calls == [m, 24 * 24, 160 * 160]
-
-
-def _live_tables() -> set[int]:
-    gc.collect()
-    return {id(obj) for obj in gc.get_objects() if isinstance(obj, (FilteredView, CatmullRomTable))}
 
 
 def _raster_peak(config) -> int:
@@ -1209,8 +1221,8 @@ HOLD_BASE = crt_preset().with_overrides(
 @pytest.fixture(scope="module")
 def raster_peaks():
     """(grid bytes of one view, {n_views: tracemalloc peak of a run})."""
-    view = filtered_views(HOLD_BASE.with_overrides(n_views=2))[0]
-    return view.values.nbytes, {n: _raster_peak(HOLD_BASE.with_overrides(n_views=n)) for n in (128, 512)}
+    view = filtered_views(HOLD_BASE.with_overrides(n_views=2))[0][0]
+    return 8 * view.n, {n: _raster_peak(HOLD_BASE.with_overrides(n_views=n)) for n in (128, 512)}
 
 
 class TestStreamedRaster:
@@ -1225,7 +1237,7 @@ class TestStreamedRaster:
         # the last window is partial
         assert scheme.window_view_indices().size % pipeline._VIEW_WINDOW != 0
         result = run_experiment(config, threads=threads)
-        views = filtered_views(config)
+        views, _ = filtered_views(config)
         fields_of_view = (
             (result.global_image, (0.0, 0.0), config.image_half_extent, config.image_pixel_size),
             (result.roi_image, config.probe_x0, 20.0 * config.epsilon, config.epsilon / 4.0),
@@ -1249,10 +1261,10 @@ class TestStreamedRaster:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_raster_run_leaves_no_view_or_table_alive(self, threads):
-        before = _live_tables()
+        before = _live_views()
         result = run_experiment(TINY_GRT, threads=threads)
         assert result.global_image is not None and result.roi_image is not None
-        assert _live_tables() <= before
+        assert _live_views() <= before
 
     def test_raster_run_holds_a_window_of_views(self, raster_peaks):
         grid_bytes, peaks = raster_peaks
@@ -1263,16 +1275,17 @@ class TestStreamedRaster:
         assert peaks[512] <= 1.1 * peaks[128]
 
 
-def _reference_view_sum(views, family, scheme, points) -> np.ndarray:
+def _reference_view_sum(views, values, family, scheme, points) -> np.ndarray:
     """The view sum at the (m, 2) ``points``, written apart from the view
     path: Phi by phi_eval's hypot for circles, and the Catmull-Rom
-    polynomial in its power form 0.5 (c0 + c1 s + c2 s**2 + c3 s**3)."""
+    polynomial of each view's grid ``values`` in its power form
+    0.5 (c0 + c1 s + c2 s**2 + c3 s**3)."""
     total = np.zeros(len(points))
-    for view in views:
+    for view, f in zip(views, values):
         pos = (phi_eval(family, view.alpha, points) - view.start) / view.step
-        i = np.clip(np.floor(pos).astype(int), 1, view.values.size - 3)
+        i = np.clip(np.floor(pos).astype(int), 1, f.size - 3)
         s = pos - i
-        p0, p1, p2, p3 = (view.values[i + j] for j in (-1, 0, 1, 2))
+        p0, p1, p2, p3 = (f[i + j] for j in (-1, 0, 1, 2))
         total += 0.5 * (
             2.0 * p1
             + (p2 - p0) * s
@@ -1289,10 +1302,10 @@ class TestViewPathRoundOff:
     @pytest.mark.parametrize("base", [TINY_CRT, TINY_GRT], ids=["line", "circle"])
     def test_outputs_match_the_reference_to_round_off(self, base):
         result = run_experiment(base, threads=2)
-        views = filtered_views(base)
+        views, values = filtered_views(base)
         family, scheme = base.build_family(), base.build_scheme()
         x0, h = np.asarray(base.probe_x0), base.h_samples()
-        sums = _reference_view_sum(views, family, scheme, probe_points(x0, result.theta, h, scheme.epsilon))
+        sums = _reference_view_sum(views, values, family, scheme, probe_points(x0, result.theta, h, scheme.epsilon))
         expected = difference_profile(sums, scheme.epsilon, result.theta, h).recon_scaled
         got = result.profile.recon_scaled
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.ptp(expected)
@@ -1303,5 +1316,5 @@ class TestViewPathRoundOff:
         for image, center, half_extent, pixel_size in fields_of_view:
             xs, ys = ImageGrid.axes(center, half_extent, pixel_size)
             pixels = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
-            expected = _reference_view_sum(views, family, scheme, pixels)
+            expected = _reference_view_sum(views, values, family, scheme, pixels)
             assert np.max(np.abs(image.values.ravel() - expected)) <= 1e-12 * np.max(np.abs(expected))

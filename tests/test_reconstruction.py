@@ -5,6 +5,7 @@ import math
 import sys
 import time
 import tracemalloc
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import lru_cache
@@ -32,12 +33,10 @@ from aliaslab.reconstruction import (
     ImageGrid,
     add_view_terms,
     backproject,
-    catmull_rom_table,
     difference_profile,
     filter_view,
     probe_points,
     pv_filter_uniform,
-    view_term,
 )
 from aliaslab.special_functions import w_eval, w_prime_eval
 
@@ -150,7 +149,7 @@ class TestPVFilter:
     def test_threads_share_no_work_arrays(self):
         # each thread filters and reads views in its own work arrays; with
         # more threads than cores, switching often, between FFT lengths and
-        # between probe reads (view_term) and raster blocks
+        # between probe reads of one view and raster blocks of two
         # (add_view_terms), every value must be the one a single thread
         # computes
         rng = np.random.default_rng(14)
@@ -159,19 +158,20 @@ class TestPVFilter:
             g = rng.standard_normal(n)
             g[0] = g[-1] = 0.0
             calls.append(lambda g=g: pv_filter_uniform(g, 0.01, -1.0))
-        view = FilteredView(0.3, -3.0, 0.01, rng.standard_normal(601))
-        tables = [catmull_rom_table(view), catmull_rom_table(replace(view, alpha=1.9))]
+        view = FilteredView.from_values(0.3, -3.0, 0.01, rng.standard_normal(601))
+        views = [view, replace(view, alpha=1.9)]
+
+        def read(pts, views):
+            total = np.zeros(len(pts))
+            add_view_terms(total, views, line_family(), pts)
+            return total
+
         for m in (5, 700):
-            calls.append(lambda pts=rng.uniform(-1.5, 1.5, (m, 2)): view_term(view, line_family(), pts))
+            calls.append(lambda pts=rng.uniform(-1.5, 1.5, (m, 2)): read(pts, views[:1]))
         for rows in (3, 30):
             xs, ys = np.linspace(-1.5, 1.5, 40), np.linspace(-1.0, 1.0, rows)
-
-            def raster(xs=xs, ys=ys):
-                total = np.zeros(ys.size * xs.size)
-                add_view_terms(total, tables, line_family(), xs, ys)
-                return total
-
-            calls.append(raster)
+            pixels = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
+            calls.append(lambda pixels=pixels: read(pixels, views))
         cases = [(call, call().tobytes()) for call in calls]
 
         def worker(offset):
@@ -204,7 +204,7 @@ class TestPVFilter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert view.values.size > 6 * 10**4
+        assert view.n > 6 * 10**4
         assert peak < 5_000_000, peak
 
     def test_long_work_arrays_are_not_kept(self):
@@ -280,14 +280,16 @@ class TestPVFilter:
 
 class TestInterpolation:
     def _view(self, values, start=2.0, step=0.25):
-        return FilteredView(alpha=0.0, start=start, step=step, values=values)
+        return FilteredView.from_values(0.0, start, step, values)
 
     @staticmethod
     def _at(view, q):
-        """The view read at q through view_term: at alpha = 0 a line's
+        """The view read at q through add_view_terms: at alpha = 0 a line's
         Phi(x) is 1.0*q + 0.0*0 = q exactly."""
         q = np.atleast_1d(np.asarray(q, dtype=float))
-        return view_term(view, line_family(), np.column_stack([q, np.zeros_like(q)]))
+        total = np.zeros(q.size)
+        add_view_terms(total, [view], line_family(), np.column_stack([q, np.zeros_like(q)]))
+        return total
 
     def test_reproduces_quadratics(self):
         start, step, n = -1.0, 0.05, 81
@@ -321,16 +323,16 @@ class TestInterpolation:
         with pytest.raises(ValueError, match="outside"):
             self._at(view, view.start - 0.1)
         with pytest.raises(ValueError, match="outside"):
-            self._at(view, view.start + view.step * (view.values.size - 1) + 0.1)
+            self._at(view, view.start + view.step * (view.n - 1) + 0.1)
 
 
 class TestValidation:
     def test_filtered_view_needs_four_finite_samples(self):
         with pytest.raises(ValueError, match="4 grid values"):
-            FilteredView(0.0, 0.0, 0.1, np.zeros(3))
+            FilteredView.from_values(0.0, 0.0, 0.1, np.zeros(3))
         bad = np.array([0.0, np.nan, 0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
-            FilteredView(0.0, 0.0, 0.1, bad)
+            FilteredView.from_values(0.0, 0.0, 0.1, bad)
 
     def test_image_grid_validation(self):
         with pytest.raises(ValueError, match="shape"):
@@ -396,7 +398,7 @@ class TestBackprojection:
         family = line_family()
         alpha = scheme.view_angles()[7]
         grid = -6.0 + 0.01 * np.arange(1201)
-        view = FilteredView(alpha=alpha, start=-6.0, step=0.01, values=grid.copy())
+        view = FilteredView.from_values(alpha, -6.0, 0.01, grid.copy())
         x = np.array([1.3, -2.1])
         expected = -scheme.delta_alpha / (2.0 * math.pi**2) * phi_eval(family, alpha, x)
         assert backproject([view], x, family, scheme) == pytest.approx(expected, rel=1e-12)
@@ -411,17 +413,21 @@ class TestBackprojection:
         assert np.array_equal(batched, singles)
 
 
-def _interpolate_pointwise(view, q):
-    """Reference interpolation: the cell clip(floor(pos), 1, n - 3) and the
-    Catmull-Rom polynomial of its four samples in Horner's form, gathered
-    point by point."""
-    n = view.values.size
-    pos = (q - view.start) / view.step
+# a view's grid values, which the references read in place of its table
+_Grid = namedtuple("_Grid", "alpha start step values")
+
+
+def _interpolate_pointwise(grid, q):
+    """Reference interpolation of a ``_Grid``: the cell clip(floor(pos), 1,
+    n - 3) and the Catmull-Rom polynomial of its four samples in Horner's
+    form, gathered point by point."""
+    f = grid.values
+    n = f.size
+    pos = (q - grid.start) / grid.step
     if np.any(pos < -1e-9) or np.any(pos > n - 1 + 1e-9):
         raise ValueError("outside")
     idx = np.clip(np.floor(pos).astype(int), 1, n - 3)
     s = pos - idx
-    f = view.values
     p0, p1, p2, p3 = f[idx - 1], f[idx], f[idx + 1], f[idx + 2]
     c0, c1 = 2.0 * p1, p2 - p0
     c2, c3 = 2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3, 3.0 * p1 - p0 - 3.0 * p2 + p3
@@ -440,13 +446,13 @@ def _phi_view_pointwise(family, alpha, pts):
     return np.sqrt(np.maximum(norm2 - (x * (R2 * math.cos(alpha)) + y * (R2 * math.sin(alpha))), 0.0))
 
 
-def _backproject_pointwise(views, x, family, scheme):
-    """Reference backprojection: the view path's Phi and the reference
-    interpolation, summed in view order."""
+def _backproject_pointwise(grids, x, family, scheme):
+    """Reference backprojection of ``_Grid`` views: the view path's Phi and
+    the reference interpolation, summed in view order."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     total = np.zeros(pts.shape[0])
-    for view in views:
-        total += _interpolate_pointwise(view, _phi_view_pointwise(family, view.alpha, pts))
+    for grid in grids:
+        total += _interpolate_pointwise(grid, _phi_view_pointwise(family, grid.alpha, pts))
     total *= -scheme.delta_alpha / (2.0 * math.pi**2)
     return total
 
@@ -464,9 +470,10 @@ class TestBackprojectionEdges:
 
     def _setup(self, kind):
         rng = np.random.default_rng(7)
-        views = [FilteredView(0.0, self.START, self.STEP, rng.standard_normal(self.N)) for _ in range(3)]
+        grids = [_Grid(0.0, self.START, self.STEP, rng.standard_normal(self.N)) for _ in range(3)]
+        views = [FilteredView.from_values(*grid) for grid in grids]
         family = line_family() if kind == "line" else circle_family(5.0)
-        return views, family, SamplingScheme.half_circle(0.05, 20)
+        return grids, views, family, SamplingScheme.half_circle(0.05, 20)
 
     def _points_at(self, kind, pos):
         phi = self.START + self.STEP * np.asarray(pos, dtype=float)
@@ -478,7 +485,7 @@ class TestBackprojectionEdges:
 
     @pytest.mark.parametrize("kind", ["line", "circle"])
     def test_grid_ends_are_exact(self, kind):
-        views, family, scheme = self._setup(kind)
+        grids, views, family, scheme = self._setup(kind)
         pts = self._points_at(kind, self.EDGES)
         pos = self._positions(family, pts)
         n = self.N
@@ -487,7 +494,7 @@ class TestBackprojectionEdges:
         assert n - 1.0 < pos[-1] <= n - 1.0 + 1e-9
         # the law of cosines is exact on the dyadic points too
         assert np.array_equal(_phi_view_pointwise(family, 0.0, pts[1:-1]), phi_eval(family, 0.0, pts[1:-1]))
-        expected = _backproject_pointwise(views, pts, family, scheme)
+        expected = _backproject_pointwise(grids, pts, family, scheme)
         assert np.array_equal(backproject(views, pts, family, scheme), expected)
         for point, value in zip(pts, expected):
             single = backproject(views, point, family, scheme)
@@ -505,21 +512,23 @@ class TestBackprojectionEdges:
         ids=["one-cell", "whole-grid"],
     )
     def test_blocks_match_pointwise(self, kind, positions):
-        views, family, scheme = self._setup(kind)
+        grids, views, family, scheme = self._setup(kind)
         pts = self._points_at(kind, positions)
         cells = np.clip(np.floor(self._positions(family, pts)).astype(int), 1, self.N - 3)
         if len(positions) == 4:
             assert np.unique(cells).size == 1
         else:
             assert set(cells) == set(range(1, self.N - 2))
-        expected = _backproject_pointwise(views, pts, family, scheme)
+        expected = _backproject_pointwise(grids, pts, family, scheme)
         assert np.array_equal(backproject(views, pts, family, scheme), expected)
         q = _phi_view_pointwise(family, 0.0, pts)
-        assert np.array_equal(view_term(views[0], family, pts), _interpolate_pointwise(views[0], q))
+        term = np.zeros(len(pts))
+        add_view_terms(term, views[:1], family, pts)
+        assert np.array_equal(term, _interpolate_pointwise(grids[0], q))
 
     @pytest.mark.parametrize("kind", ["line", "circle"])
     def test_out_of_range_and_nan(self, kind):
-        views, family, scheme = self._setup(kind)
+        grids, views, family, scheme = self._setup(kind)
         inside = self._points_at(kind, (0.5, 6.0))
         for pos in (-2e-9, self.N - 1.0 + 2e-9):
             with pytest.raises(ValueError, match="outside"):
@@ -531,7 +540,7 @@ class TestBackprojectionEdges:
             pts = np.vstack([inside, nan])
             got = backproject(views, pts, family, scheme)
             assert np.isnan(got[-1])
-            assert np.array_equal(got, _backproject_pointwise(views, pts, family, scheme), equal_nan=True)
+            assert np.array_equal(got, _backproject_pointwise(grids, pts, family, scheme), equal_nan=True)
             # a NaN does not hide a point outside the grid
             with pytest.raises(ValueError, match="outside"):
                 backproject(views, np.vstack([nan, self._points_at(kind, [-1.0])]), family, scheme)
@@ -539,13 +548,14 @@ class TestBackprojectionEdges:
     def test_curve_vertex_reads_level_zero(self):
         # the vertex (5, 0) of the views' circles lies at level 0, which
         # these grids do not reach; on grids from 0 it reads like any point
-        views, family, scheme = self._setup("circle")
+        grids, views, family, scheme = self._setup("circle")
         pts = np.array([[4.0, 0.0], [5.0, 0.0]])
         assert phi_eval(family, 0.0, pts[1]) == 0.0
         with pytest.raises(ValueError, match="outside"):
             backproject(views, pts, family, scheme)
+        grids = [grid._replace(start=0.0) for grid in grids]
         views = [replace(view, start=0.0) for view in views]
-        expected = _backproject_pointwise(views, pts, family, scheme)
+        expected = _backproject_pointwise(grids, pts, family, scheme)
         assert np.all(np.isfinite(expected))
         assert np.array_equal(backproject(views, pts, family, scheme), expected)
 
@@ -575,10 +585,11 @@ class TestViewPathPhi:
             vertex = (R * math.cos(alpha), R * math.sin(alpha))
             xs, ys = vertex[0] + offsets, vertex[1] + offsets
             pts = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
-            view = FilteredView(alpha, -0.5, 0.5, np.zeros(40))
+            view = FilteredView.from_values(alpha, -0.5, 0.5, np.zeros(40))
             seen.clear()
-            view_term(view, family, pts)
-            add_view_terms(np.zeros(len(pts)), [catmull_rom_table(view)], family, xs, ys)
+            # the probe reads' (m, 2) points and the raster blocks' (2, m) pixel centers
+            add_view_terms(np.zeros(len(pts)), [view], family, pts)
+            add_view_terms(np.zeros(len(pts)), [view], family, np.ascontiguousarray(pts.T).T)
             assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
             exact = phi_eval(family, alpha, pts)
             norm2 = (pts[:, 0] ** 2 + pts[:, 1] ** 2) + R * R
