@@ -45,16 +45,13 @@ __all__ = [
 ]
 
 # Most worker threads a run may use, refused before a pool exists; each
-# keeps its own work arrays, about 3 MB at the fine CRT level.
+# keeps its own work arrays, about 4 MB at the fine CRT level.
 MAX_THREADS = 64
 
-# the filtering interval extends this many eps beyond the smoothed data
-# support (the log endpoint term needs g = 0 at both ends)
-_MARGIN_FACTOR = 6.0
-
 # Most fine-grid points a view's grid may have; a plan with a longer grid
-# is refused.  Filtering one view takes about 120 bytes per grid point (the
-# FFT runs at length about 3n), so 2**22 points take about 0.5 GB; the
+# is refused.  Filtering one view takes about 105 bytes per grid point (the
+# FFT runs at length about 2n; tracemalloc's peak of one filter_view with
+# its plan, 2**20 to 2**22 points), so 2**22 points take about 0.44 GB; the
 # fine 400-view CRT level uses about 6.2*10**4.
 _MAX_GRID = 2**22
 
@@ -132,47 +129,58 @@ class RunPlan:
 def plan_run(config: ExperimentConfig, points=None) -> RunPlan:
     """The plan of a run of ``config`` that also reads the (m, 2) ``points``.
     A view's grid is its data support between the kinks Phi(alpha_k,
-    center) -+ r, padded by eps*half_width + _MARGIN_FACTOR*eps, united with
-    the Phi values of all points within 1 of the farthest one the run reads
-    (probe line, rasters, ``points``), widened by two steps.  A grid over
-    ``_MAX_GRID`` points is a ConfigError naming scheme.epsilon, or naming
-    ``points`` when the config's own grids are within the cap."""
+    center) -+ r, padded by eps*half_width, united with the Phi values of
+    all points within 1 of the farthest one the run reads (probe line,
+    rasters, ``points``), widened by two steps on each side.  A grid over
+    ``_MAX_GRID`` points is a ConfigError naming the key of the farthest
+    read, probe.x0 (probe line, ROI), image.half_extent or points, when
+    the reads set the grid, and else scheme.epsilon."""
     family, scheme = config.build_family(), config.build_scheme()
     eps = scheme.epsilon
     x0 = np.asarray(config.probe_x0, dtype=float)
     norm = float(np.hypot(*x0))
-    targets = [norm + eps * config.h_max]
+    reaches = {"probe.x0": norm + eps * config.h_max}
     rasters = {}
     if "global-image" in config.artifacts:
         rasters["global_image_s"] = ((0.0, 0.0), config.image_half_extent, config.image_pixel_size)
-        targets.append(config.image_half_extent * np.sqrt(2.0))
+        reaches["image.half_extent"] = config.image_half_extent * np.sqrt(2.0)
     if "roi-image" in config.artifacts:
         rasters["roi_image_s"] = (tuple(x0), 20.0 * eps, eps / 4.0)
-        targets.append(norm + 20.0 * eps * np.sqrt(2.0))
+        reaches["probe.x0"] = max(reaches["probe.x0"], norm + 20.0 * eps * np.sqrt(2.0))
     points = np.zeros((0, 2)) if points is None else np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
     with np.errstate(over="ignore"):  # an inf reach is refused by its grid's count
-        targets.append(float(np.hypot(points[:, 0], points[:, 1]).max(initial=0.0)))
-    reach, R = max(targets) + 1.0, family.acquisition_radius
+        reaches["points"] = float(np.hypot(points[:, 0], points[:, 1]).max(initial=0.0))
+    reach, R = max(reaches.values()) + 1.0, family.acquisition_radius
     q_lo, q_hi = (-reach, reach) if family.kind == "line" else (max(0.0, R - reach), R + reach)
 
     step = eps / config.eta
     views = scheme.window_view_indices()
-    starts, ends = SinogramSampler(family, config.build_phantom()).support(scheme.view_angles()[views])
-    pad = eps * float(SemiDiscreteData.mollifier.half_width) + _MARGIN_FACTOR * eps
-    starts = np.minimum(np.subtract(starts, pad, out=starts), q_lo - 2.0 * step, out=starts)
-    ends = np.maximum(np.add(ends, pad, out=ends), q_hi + 2.0 * step, out=ends)
+    sampler = SinogramSampler(family, config.build_phantom())
+    starts, ends = sampler.support(scheme.view_angles()[views])
+    pad = eps * float(SemiDiscreteData.mollifier.half_width)
+    starts = np.minimum(np.subtract(starts, pad, out=starts), q_lo, out=starts)
+    starts -= 2.0 * step
+    ends = np.maximum(np.add(ends, pad, out=ends), q_hi, out=ends)
+    ends += 2.0 * step
     # count = ceil((hi - lo) / step) + 1, formed in ``ends``; inf on overflow
     with np.errstate(over="ignore"):
         counts = np.ceil(np.divide(np.subtract(ends, starts, out=ends), step, out=ends), out=ends)
     counts += 1.0
     if counts.size and counts.max() > _MAX_GRID:
         needs = f"a view needs {counts.max():.6g} fine-grid points of step scheme.epsilon / recon.eta = {step:.3g}"
-        if points.size:
-            plan_run(config)  # raises if the config's own grids are too long
-            raise ConfigError(f"points: {needs} to reach them, more than {_MAX_GRID}: read points nearer the origin")
-        raise ConfigError(f"scheme.epsilon: {needs}, more than {_MAX_GRID}: raise scheme.epsilon or lower recon.eta")
+        # the reads are at fault when the padded supports alone would fit
+        # and take less than a quarter of the grid; at the sweep's finer
+        # levels a probe a few phantom radii out takes about half of it
+        lo, hi = sampler.support(scheme.view_angles()[views])
+        support = (np.max(hi - lo) + 2.0 * pad) / step + 5.0
+        if support > _MAX_GRID or 4.0 * support >= counts.max():
+            raise ConfigError(f"scheme.epsilon: {needs}, more than {_MAX_GRID}: raise scheme.epsilon or lower recon.eta")
+        key = max(reaches, key=reaches.get)
+        raise ConfigError(
+            f"{key}: {needs} to reach its farthest point, more than {_MAX_GRID}: read nearer the origin"
+        )
     return RunPlan(views, starts, counts.astype(np.intp), step, rasters, points)
 
 

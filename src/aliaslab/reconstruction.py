@@ -1,24 +1,24 @@
 """Discretized filtered backprojection.
 
 Per view: tabulate g_k = d/dp f_eps(alpha_k, p) on a uniform fine grid
-(step eps/eta), apply the principal-value Hilbert filter
+(step eps/eta) that holds its support, apply the principal-value Hilbert
+filter
 
     F_k(q) = PV int g_k(p) / (p - q) dp
 
-by singularity subtraction on the finite interval [A, B] that contains
-the data support,
+on the whole line by the trapezoid rule with g_k = 0 off the grid,
 
-    F_k(q) = int (g_k(p) - g_k(q)) / (p - q) dp  +  g_k(q) ln((B-q)/(q-A)),
+    F_k(q_i) = sum_{j != i} g_j / (j - i)  +  (g_{i+1} - g_{i-1}) / 2,
 
-with the first integral done by the trapezoid rule (the removable point
-p = q contributes g_k'(q)).  The reconstruction is the weighted view sum
+where the subtracted term sum_{j != i} g_i / (j - i) vanishes by symmetry
+and the removable point p = q_i contributes step * g_k'(q_i).  The
+reconstruction is the weighted view sum
 
     f_rec(x) = -(dalpha / (2 pi^2)) sum_k F_k(Phi(alpha_k, x)),
 
-with F_k read off the fine grid by cubic interpolation.  The same
-subtraction formula is valid for q outside the data support (g_k(q) = 0,
-no singularity), so the fine grid is simply extended to cover every
-query point of the run.
+with F_k read off the fine grid by cubic interpolation.  The rule holds
+for q outside the data support too, so the fine grid is simply extended
+to cover every query point of the run.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ MAX_IMAGE_PIXELS = 2**24
 
 # Grid lengths whose filter plan is kept: every view of a run whose query
 # range covers the data support has the same length, so two entries serve
-# two runs at once.  A plan holds 32 bytes per grid point, so the memo
-# retains at most 256 MiB at the longest grid a run may plan (2**22 points).
+# two runs at once.  A plan holds 16 bytes per grid point, so the memo
+# retains at most 128 MiB at the longest grid a run may plan (2**22 points).
 _PLAN_CACHE = 2
 
 # Bytes per FFT point of an untouched block made and dropped whenever a
@@ -129,60 +129,43 @@ def _fast_length(target: int) -> int:
 
 
 @lru_cache(maxsize=_PLAN_CACHE)
-def _filter_plan(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _filter_plan(n: int) -> tuple[int, np.ndarray]:
     """What pv_filter_uniform needs of a grid of n points and not of its
-    data: a 5-smooth FFT length for the full linear correlation (the one
-    scipy.signal.fftconvolve would pick), the real FFT of the odd kernel
-    1/(j - i) at that length, and c_i = sum_{j != i} trap_j / (j - i).
-    The arrays are read-only because every caller of this length shares
-    them."""
+    data: a 5-smooth FFT length of at least 2n - 1, at which lags 0..n - 1
+    of the correlation do not wrap, and the real FFT of the odd kernel
+    1/(j - i) at that length, read-only because every caller of this
+    length shares it."""
     m = np.arange(1, n, dtype=float)
     kernel = np.concatenate([-1.0 / m[::-1], [0.0], 1.0 / m])
-    size = _fast_length(3 * n - 2)
+    size = _fast_length(2 * n - 1)
     spectrum = np.fft.rfft(kernel, size)
-
-    # c_i via harmonic numbers
-    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, n))])
-    i = np.arange(n)
-    c = harmonic[n - 1 - i] - harmonic[i]
-    c[1:] += 0.5 / i[1:]
-    c[:-1] -= 0.5 / (n - 1 - i[:-1])
-
     spectrum.flags.writeable = False
-    c.flags.writeable = False
-    return size, spectrum, c
+    return size, spectrum
 
 
 def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
-    """PV Hilbert filter of grid samples g on the uniform grid
-    q_i = start + i*step, returned at the same nodes.
+    """PV Hilbert filter of grid samples g, taken as 0 off the grid, at the
+    same nodes: F_i = sum_{j != i} g_j / (j - i) + (g_{i+1} - g_{i-1}) / 2.
 
-    Requires g to vanish at both grid ends (the data support must lie
-    strictly inside).  The j = i term of the trapezoid sum is the
-    removable limit g'(q_i); the subtracted constant integrates to the
-    exact log endpoint term.  The kernel's FFT and the constants c are
-    planned once per grid length (``_filter_plan``); the correlation is
-    one real FFT of the zero-padded data, a product with the kernel's
-    spectrum and one inverse real FFT, both transforms writing into this
-    thread's work arrays (``work_array``).  The other terms are formed in
-    the real work array, in the order of the formula, and added to the one
-    array returned; the log term only where g is not zero.
+    g must vanish at both grid ends (the data support must lie strictly
+    inside).  The rule depends on neither ``step`` nor ``start``.  The
+    correlation is one real FFT of the zero-padded data, a product with
+    the kernel's spectrum (``_filter_plan``) and one inverse real FFT, both
+    transforms writing into this thread's work arrays (``work_array``).
     """
     g = np.asarray(g, dtype=float)
     n = g.size
     if n < 4:
         raise ValueError("need at least 4 samples")
     if g[0] != 0.0 or g[-1] != 0.0:
-        raise ValueError("data support reaches the filter grid boundary; increase the margin")
-    size, spectrum, c = _filter_plan(n)
+        raise ValueError("data support reaches the filter grid boundary; extend the grid past it")
+    size, spectrum = _filter_plan(n)
 
-    # S1_i = sum_{j != i} u_j / (j - i) with u = trap * g (= g, as g ends
-    # in zeros), an odd-kernel correlation; padded holds u, then the
-    # correlation at every lag, then the terms added to out.  The two work
-    # arrays take 16 bytes per FFT point, about 3 MB at the fine CRT level
-    # (n = 62150); fresh arrays on every call took about 270 more page
-    # faults per view there, and crt-fine-profile's CPU time rose from 2.39
-    # to 2.69 s
+    # padded holds g, then the correlation at every lag, then the
+    # half-differences.  The two work arrays take 16 bytes per FFT point,
+    # about 2 MB at the fine CRT level (n = 62,164); fresh arrays on every
+    # call took about 270 more page faults per view there, and
+    # crt-fine-profile's CPU time rose from 2.39 to 2.69 s
     product = work_array("spectrum", size // 2 + 1, complex)
     padded = work_array("fft", size, heap_keep=_HEAP_KEEP)
     padded[:n] = g
@@ -191,24 +174,11 @@ def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
     product *= spectrum
     np.fft.irfft(product, size, out=padded)
     out = np.negative(padded[n - 1 : 2 * n - 1])
-    term = padded[:n]
-    out -= np.multiply(g, c, out=term)
-
-    # step * trap * g', trap being 1 inside and 0.5 at the ends
-    gp = np.divide(np.subtract(g[2:], g[:-2], out=term[1:-1]), 2.0 * step, out=term[1:-1])
-    np.multiply(step, gp, out=gp)
-    term[0] = (step * 0.5) * ((-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * step))
-    term[-1] = (step * 0.5) * ((3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * step))
-    out += term
-
-    # the log term, formed only where g is not zero but added everywhere:
-    # adding its zeros turns -0.0 into 0.0, as the dense sum did
-    inner = np.flatnonzero(g)
-    q = start + step * inner
-    first, last = start + step * 0.0, start + step * (n - 1)
-    term[:] = 0.0
-    term[inner] = g[inner] * np.log((last - q) / (q - first))
-    out += term
+    half = np.subtract(g[2:], g[:-2], out=padded[: n - 2])
+    half *= 0.5
+    out[1:-1] += half
+    out[0] += 0.5 * g[1]
+    out[-1] -= 0.5 * g[-2]
     return out
 
 

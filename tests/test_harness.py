@@ -496,8 +496,8 @@ class TestRunPlan:
         alphas = scheme.view_angles()[plan.views]
         first, last = plan.starts, plan.starts + plan.step * (plan.counts - 1)
         lo, hi = SinogramSampler(family, config.build_phantom()).support(alphas)
-        pad = scheme.epsilon * 1.0 + 6.0 * scheme.epsilon
-        assert np.all(first <= lo - pad) and np.all(hi + pad <= last)
+        pad = scheme.epsilon * 1.0
+        assert np.all(first <= lo - pad - 2.0 * plan.step) and np.all(hi + pad + 2.0 * plan.step <= last)
         # the probe line in two directions, the corners of each raster's
         # field of view and the extra points, with two steps to spare
         x0, h = np.asarray(config.probe_x0), config.h_samples()
@@ -511,18 +511,40 @@ class TestRunPlan:
 
     def test_grid_pads_the_support(self):
         # a phantom wider than the probe's reach (|q| <= 1.72): view 0's
-        # grid is its support padded by eps * half_width + 6 eps = 7 eps,
-        # ending within one step past the pad
+        # grid is its support padded by eps * half_width = eps and two
+        # steps, ending within one step past that
         config = crt_preset().with_overrides(
             phantom_center=(3.0, 0.0), phantom_radius=3.0, probe_x0=(-0.5, 0.0), artifacts=("profile",)
         )
         plan = plan_run(config)
         alpha = config.build_scheme().view_angles()[0]
         slo, shi = SinogramSampler(config.build_family(), config.build_phantom()).support(alpha)
+        pad = 0.02 + 2 * plan.step
         assert plan.views[0] == 0
-        assert plan.starts[0] == pytest.approx(slo - 7 * 0.02)
+        assert plan.starts[0] == pytest.approx(slo - pad)
         last = plan.starts[0] + plan.step * (plan.counts[0] - 1)
-        assert shi + 7 * 0.02 - 1e-12 <= last < shi + 7 * 0.02 + plan.step
+        assert shi + pad - 1e-12 <= last < shi + pad + plan.step
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            crt_preset().with_overrides(
+                phantom_center=(3.0, 0.0), phantom_radius=3.0, probe_x0=(-0.5, 0.0), artifacts=("profile",)
+            ),
+            grt_preset().with_overrides(probe_x0=(-0.8, 0.0), window=None, theta_mode="radial", artifacts=("profile",)),
+        ],
+        ids=["line", "circle"],
+    )
+    def test_support_bounded_grids_end_in_zeros(self, config):
+        # grids that some views' supports bound, padded by eps * half_width
+        # and two steps: every view's g is 0 at both grid ends, or its
+        # filter would refuse it, and the run ends with a finite profile
+        plan = plan_run(config)
+        alphas = config.build_scheme().view_angles()[plan.views]
+        lo, _ = SinogramSampler(config.build_family(), config.build_phantom()).support(alphas)
+        assert np.any(plan.starts == (lo - config.epsilon) - 2.0 * plan.step)
+        result = run_experiment(config, threads=2)
+        assert np.all(np.isfinite(result.profile.recon_scaled))
 
     @pytest.mark.parametrize(
         "config",
@@ -546,6 +568,27 @@ class TestRunPlan:
         # with a config whose own grids are too long, the config is at fault
         with pytest.raises(ConfigError, match=r"^scheme\.epsilon: "):
             plan_run(crt_preset().with_overrides(epsilon=1e-6), [[1e300, 0.0]])
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (crt_preset().with_overrides(probe_x0=(1e4, 1.0), artifacts=("profile",)), "probe.x0"),
+            (
+                crt_preset().with_overrides(
+                    image_half_extent=1e4, image_pixel_size=100.0, artifacts=("profile", "global-image")
+                ),
+                "image.half_extent",
+            ),
+            (grt_preset().with_overrides(probe_x0=(3e4, 1.0), artifacts=("profile",)), "probe.x0"),
+        ],
+        ids=["line-probe", "line-global-image", "circle-probe"],
+    )
+    def test_a_grid_only_a_far_read_makes_too_long_names_its_key(self, config, key):
+        # the preset's epsilon plans its supports well; the reach of the
+        # probe or of the global raster made the grid long
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: a view needs .* fine-grid points") as info:
+            plan_run(config)
+        assert not re.search(r"\d{10}", str(info.value))
 
     @pytest.mark.parametrize("point", [[1e308, 1e308], [-1e308, 1e308], [1.7e308, 1.7e308]])
     def test_points_near_the_float_limit_are_refused_without_a_warning(self, point):

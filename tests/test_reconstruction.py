@@ -41,32 +41,37 @@ from aliaslab.reconstruction import (
 from aliaslab.special_functions import w_eval, w_prime_eval
 
 
-def _pv_brute(g, step, start):
-    """Direct O(n^2) evaluation of the singularity-subtracted trapezoid
-    rule; same math as pv_filter_uniform without the convolution and
-    harmonic-number shortcuts."""
+def _pv_brute(g):
+    """Direct O(n^2) evaluation of the whole-line trapezoid rule with g
+    taken as 0 off the grid: sum_{j != i} g_j / (j - i) plus half the
+    central difference of the zero-extended g."""
     g = np.asarray(g, dtype=float)
     n = g.size
-    trap = np.ones(n)
-    trap[0] = trap[-1] = 0.5
+    ext = np.concatenate([[0.0], g, [0.0]])
     idx = np.arange(n)
-    q = start + step * idx
-    gp = np.empty(n)
-    gp[1:-1] = (g[2:] - g[:-2]) / (2.0 * step)
-    gp[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * step)
-    gp[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * step)
     out = np.empty(n)
     for i in range(n):
         j = idx[idx != i]
-        out[i] = np.sum(trap[j] * (g[j] - g[i]) / (j - i)) + step * trap[i] * gp[i]
-        if g[i] != 0.0:
-            out[i] += g[i] * math.log((q[-1] - q[i]) / (q[i] - q[0]))
+        out[i] = np.sum(g[j] / (j - i)) + 0.5 * (ext[i + 2] - ext[i])
     return out
 
 
-def _pv_fftconvolve(g, step, start):
-    """pv_filter_uniform with the odd-kernel correlation done by
-    scipy.signal.fftconvolve and c rebuilt for this call alone."""
+def _pv_whole_line_fftconvolve(g):
+    """The whole-line rule with the odd-kernel correlation done by
+    scipy.signal.fftconvolve."""
+    n = g.size
+    m = np.arange(1, n, dtype=float)
+    kernel = np.concatenate([-1.0 / m[::-1], [0.0], 1.0 / m])
+    ext = np.concatenate([[0.0], g, [0.0]])
+    return -fftconvolve(g, kernel)[n - 1 : 2 * n - 1] + 0.5 * (ext[2:] - ext[:-2])
+
+
+def _pv_finite_interval(g, step, start):
+    """The filter's earlier rule: singularity subtraction on the finite
+    grid [A, B], with the harmonic-number constants c_i and the log end
+    term g_i ln((B - q_i)/(q_i - A)), its correlation done by
+    scipy.signal.fftconvolve.  Its values depend on where the grid ends,
+    by about g_i (1/N^2 - 1/i^2) / 12."""
     n = g.size
     trap = np.ones(n)
     trap[0] = trap[-1] = 0.5
@@ -107,7 +112,7 @@ class TestPVFilter:
         # polynomial window forces exact zeros at both grid ends
         g = (q - q[0]) * (q[-1] - q) * np.sin(1.7 * q + rng.uniform(0, 2 * math.pi))
         fast = pv_filter_uniform(g, step, start)
-        brute = _pv_brute(g, step, start)
+        brute = _pv_brute(g)
         assert np.max(np.abs(fast - brute)) <= 1e-11 * max(1.0, np.max(np.abs(brute)))
 
     def test_closed_form_mollifier_oracle(self):
@@ -126,10 +131,11 @@ class TestPVFilter:
         assert np.max(err[away]) <= 1e-6
         assert np.max(err[~away]) <= 5e-3
 
-    def test_planned_lengths_match_fftconvolve_bitwise(self):
-        # the kernel spectrum and c are planned per grid length and kept
-        # for a few lengths; a value must not depend on which plans earlier
-        # calls left, on their order or on evictions
+    def test_planned_lengths_do_not_change_values(self):
+        # the kernel spectrum is planned per grid length and kept for a
+        # few lengths; a value must not depend on which plans earlier calls
+        # left, on their order or on evictions, and it is the whole-line
+        # rule's up to round-off
         rng = np.random.default_rng(12)
         lengths = [4, 5, 17, 64, 1000, 1001, 4097, 62150]
         assert len(lengths) > reconstruction._PLAN_CACHE
@@ -138,13 +144,44 @@ class TestPVFilter:
             g = rng.standard_normal(n) * (rng.random(n) < 0.7)
             g[0] = g[-1] = 0.0
             step, start = float(rng.uniform(1e-4, 0.1)), float(rng.uniform(-5.0, 0.0))
-            cases.append((g, step, start, _pv_fftconvolve(g, step, start).tobytes()))
+            reconstruction._filter_plan.cache_clear()
+            want = pv_filter_uniform(g, step, start)
+            ref = _pv_whole_line_fftconvolve(g)
+            assert np.max(np.abs(want - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+            cases.append((g, step, start, want.tobytes()))
         for clear in (False, True):
             if clear:
                 reconstruction._filter_plan.cache_clear()
             for i in np.concatenate([rng.permutation(len(cases)), rng.permutation(len(cases))]):
                 g, step, start, want = cases[i]
                 assert pv_filter_uniform(g, step, start).tobytes() == want, g.size
+
+    @pytest.mark.parametrize(
+        "config",
+        [crt_preset(), grt_preset(), crt_preset().with_overrides(epsilon=0.01, n_views=400, eta=32)],
+        ids=["crt", "grt", "fine-crt"],
+    )
+    def test_whole_line_rule_is_the_finite_intervals_limit(self, config):
+        # on a real view's grid padded with n/2, n and 2n zeros a side, the
+        # finite-interval rule comes at least 3x closer to the whole-line
+        # values at each doubling (its end error falls as 1/N^2), while the
+        # whole-line values do not depend on the padding
+        plan = pipeline.plan_run(config.with_overrides(artifacts=("profile",)))
+        data = SemiDiscreteData(config.build_scheme(), SinogramSampler(config.build_family(), config.build_phantom()))
+        i = plan.views.size // 2
+        n, step, start = int(plan.counts[i]), plan.step, float(plan.starts[i])
+        g = data.data_smooth_deriv(plan.views[i], start + step * np.arange(n))
+        new = pv_filter_uniform(g, step, start)
+        scale = np.max(np.abs(new))
+        gaps = []
+        for pad in (n // 2, n, 2 * n):
+            padded = np.concatenate([np.zeros(pad), g, np.zeros(pad)])
+            moved = pv_filter_uniform(padded, step, start - pad * step)[pad : pad + n]
+            assert np.max(np.abs(moved - new)) <= 1e-13 * scale, pad
+            old = _pv_finite_interval(padded, step, start - pad * step)[pad : pad + n]
+            gaps.append(np.max(np.abs(old - new)) / scale)
+        assert gaps[0] >= 3.0 * gaps[1] and gaps[1] >= 3.0 * gaps[2], gaps
+        assert gaps[2] <= 1e-11, gaps
 
     def test_threads_share_no_work_arrays(self):
         # each thread filters and reads views in its own work arrays; with
@@ -214,20 +251,28 @@ class TestPVFilter:
         # whose arrays no earlier test has grown)
         rng = np.random.default_rng(15)
         small = reconstruction._filter_plan(1000)[0]
-        assert 8 * reconstruction._filter_plan(400_000)[0] > geometry._WORK_KEEP
+        assert 8 * reconstruction._filter_plan(600_000)[0] > geometry._WORK_KEEP
+        cases = []
+        for n in (1000, 600_000, 1000):
+            g = rng.standard_normal(n)
+            g[0] = g[-1] = 0.0
+            reconstruction._filter_plan.cache_clear()
+            want = pv_filter_uniform(g, 0.01, -1.0)
+            ref = _pv_whole_line_fftconvolve(g)
+            assert np.max(np.abs(want - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+            cases.append((g, want.tobytes()))
 
         def run():
-            for n in (1000, 400_000, 1000):
-                g = rng.standard_normal(n)
-                g[0] = g[-1] = 0.0
-                assert pv_filter_uniform(g, 0.01, -1.0).tobytes() == _pv_fftconvolve(g, 0.01, -1.0).tobytes(), n
-                assert geometry._work.arrays["fft"].size == small, n
+            for g, want in cases:
+                assert pv_filter_uniform(g, 0.01, -1.0).tobytes() == want, g.size
+                assert geometry._work.arrays["fft"].size == small, g.size
 
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(run).result(timeout=60)
 
     def test_fast_length_matches_scipy(self):
-        # the FFT length must be scipy's pick for the bits to be fftconvolve's
+        # the FFT length is scipy's 5-smooth pick for real FFTs, at any
+        # target a grid of up to _MAX_GRID points may ask for
         for t in range(1, 2**16 + 1):
             assert reconstruction._fast_length(t) == next_fast_len(t, True), t
         top = 3 * pipeline._MAX_GRID
@@ -246,10 +291,9 @@ class TestPVFilter:
 
     def test_plan_is_read_only(self):
         pv_filter_uniform(np.zeros(64), 0.125, -4.0)
-        _, spectrum, c = reconstruction._filter_plan(64)
-        for part in (spectrum, c):
-            with pytest.raises(ValueError, match="read-only"):
-                part[0] = part[-1]
+        _, spectrum = reconstruction._filter_plan(64)
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum[0] = spectrum[-1]
 
     def test_zero_in_zero_out(self):
         out = pv_filter_uniform(np.zeros(64), 0.125, -4.0)
