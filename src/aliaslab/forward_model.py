@@ -10,8 +10,10 @@ smoothed data
 and its p-derivative are evaluated by quadrature directly against the
 analytic sinogram; no intermediate sinogram grid is introduced.  The
 sinogram has square-root kinks exactly at the tangent levels of the
-phantom, so the convolution window is split there and each piece that
-ends at a kink is integrated after the substitution s = kink +- u**2,
+phantom, so each window takes its rule from its gap to the nearest kink:
+12-node Gauss-Legendre far from the kinks, 32 nodes closer in, and a window
+that holds a kink or ends just short of one is cut at the kinks and
+integrated after the substitution s = kink +- u**2 from the nearer kink,
 which removes the singularity.
 """
 
@@ -33,24 +35,40 @@ __all__ = [
     "SemiDiscreteData",
 ]
 
+# A kinked window's piece shorter than _KINK_TOL * eps * half_width adds nothing.
 _KINK_TOL = 1e-12
-# Clean-window points per (nodes x points) block.  A block's sample points
-# and samples take 32 x 4096 doubles (1 MiB) each, about one core's L2
-# cache (2 MiB), where one block over a whole 6*10**4-point view grid would
-# take 16 MB; on the fine CRT level a view's clean windows took 8.1-8.5 ms
-# at 4096 points, 9.5-11.2 ms at 2048 and 9.3-9.9 ms at 6144 (2-core Xeon,
-# one thread).
+# Clean-window points per (nodes x points) block, for both clean rules.  A
+# 12-node block's sample points and samples take 12 x 4096 doubles (384 KiB)
+# each, a 32-node block's 1 MiB, within one core's L2 cache (2 MiB), where
+# one block over a whole 6*10**4-point view grid would take 6 or 16 MB.  On
+# the fine CRT level, one view's data took 2.4-3.4 ms at 4096 points,
+# 3.0-4.4 ms at 2048, 2.6-3.8 ms at 6144 and 2.4-3.2 ms at 8192 (2-core
+# Xeon, one thread, best of 30, 12 alternating rounds).
 _CLEAN_BLOCK = 4096
 
-# The lab's one quadrature rule, 32-node Gauss-Legendre on [-1, 1], and its
-# clean-window form: after s = p + eps*u over the kernel support
-# u in [-half, half], f_eps(p) = sum _VAL_W * fhat(p + eps*_U) and
-# d/dp f_eps(p) = sum (_DER_W / eps) * fhat(p + eps*_U).
+# A window's gap is its distance to the nearest kink outside it, in units
+# of eps.  From _FAR_GAP on it takes 12-node Gauss-Legendre, down to
+# _NEAR_GAP 32 nodes, and below that the kinked rule.  Against a 128-node
+# rule on views of the fine CRT level and the grt preset, 12 nodes are at
+# round-off (8e-15 and 8e-14 of the view's max) from 1 eps but off by 6e-12
+# at 0.5 eps; 32 nodes are within 9e-14 down to 0.05 eps, off by 1e-9 below.
+_FAR_GAP, _NEAR_GAP = 2.0, 0.1
+
+# Gauss-Legendre rules (u, val_w, der_w) in their clean-window form: after
+# s = p + eps*u over the kernel support u in [-half, half],
+# f_eps(p) = sum val_w * fhat(p + eps*u) and
+# d/dp f_eps(p) = sum (der_w / eps) * fhat(p + eps*u).
 _HALF = float(DEFAULT_MOLLIFIER.half_width)
+
+
+def _clean_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    u = _HALF * nodes
+    return u, _HALF * weights * w_eval(-u), _HALF * weights * w_prime_eval(-u)
+
+
+_FAR_RULE, _MID_RULE = _clean_rule(12), _clean_rule(32)
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
-_U = _HALF * _NODES
-_VAL_W = _HALF * _WEIGHTS * w_eval(-_U)
-_DER_W = _HALF * _WEIGHTS * w_prime_eval(-_U)
 
 
 def sinogram_line_disk(phantom: DiskPhantom, alpha, p, out=None):
@@ -166,30 +184,15 @@ class SinogramSampler:
         return self.kinks(alpha)
 
 
-def _tolerance(x: np.ndarray) -> np.ndarray:
-    """_KINK_TOL * max(1, |x|), in one new array."""
-    tol = np.abs(x)
-    return np.multiply(_KINK_TOL, np.maximum(1.0, tol, out=tol), out=tol)
-
-
-def _at_kink(x: np.ndarray, kinks: np.ndarray) -> np.ndarray:
-    """Mask of the points of ``x`` within _KINK_TOL * max(1, |x|) of a kink."""
-    tol = _tolerance(x)
-    mask = np.zeros(x.shape, dtype=bool)
-    for kink in kinks:
-        mask |= np.abs(kink - x) <= tol
-    return mask
-
-
 @dataclass(frozen=True)
 class SemiDiscreteData:
     """Smoothed view data of one phantom on one sampling scheme.
 
     The data are smoothed by the lab's one bump (``mollifier``, read-only)
-    and integrated by its one rule, 32-node Gauss-Legendre per subinterval
-    of the convolution window.  Each returned value depends only on (k, p):
+    and integrated by the rule of the window's gap to the nearest kink
+    (see ``_FAR_GAP``).  Each returned value depends only on (k, p):
     evaluating points one at a time, in one array or in any partition of
-    it gives the same bits.  Clean windows are summed over blocks of
+    it gives the same bits.  Clean windows of one rule are summed over blocks of
     ``_CLEAN_BLOCK`` points, node by node in a fixed order, so where the
     blocks fall does not change a bit either.  A block's sample points and
     samples go to this thread's work arrays (``geometry.work_array``; the
@@ -211,50 +214,50 @@ class SemiDiscreteData:
         out = np.zeros(pv.shape)
 
         kinks = np.sort(self.sampler.kinks(alpha))
+        first, last = (kinks[0], kinks[-1]) if kinks.size else (-math.inf, math.inf)
         lo, hi = pv - eps * _HALF, pv + eps * _HALF
-
-        # windows that miss the support entirely integrate zero; skip the
-        # sampler there (kinks all lie inside the support)
-        slo, shi = self.sampler.support(alpha)
-        dead = (hi <= slo) | (lo >= shi)
-
-        # a kink inside the window or on its end, within _KINK_TOL * max(1, |end|),
-        # makes it kinked: with a kink on the end the clean rule is off by
-        # about 1e-7 of the view's maximum
-        reach_lo = np.subtract(lo, _tolerance(lo), out=lo)
-        reach_hi = np.add(hi, _tolerance(hi), out=hi)
-        has_kink = np.zeros(pv.shape, dtype=bool)
+        # windows that miss the support [first, last] integrate zero; skip
+        # the sampler there
+        dead = (hi <= first) | (lo >= last)
+        # dist = |p - nearest kink|, in lo; a window's gap to the nearest kink
+        # outside it is dist - eps * half, negative when the window holds one
+        dist = lo
+        dist.fill(math.inf)
         for kink in kinks:
-            has_kink |= (reach_lo <= kink) & (kink <= reach_hi)
-        has_kink &= ~dead
+            np.minimum(dist, np.abs(np.subtract(pv, kink, out=hi), out=hi), out=dist)
+        near, far = dist < eps * (_HALF + _NEAR_GAP), dist >= eps * (_HALF + _FAR_GAP)
+        mid = ~(near | far)  # with a NaN p, whose NaN the sampler passes on
+        kinked, far, mid = near & ~dead, far & ~dead, mid & ~dead
 
-        clean = np.flatnonzero(~has_kink & ~dead)
-        weights = _DER_W / eps if derivative else _VAL_W
-        offsets = eps * _U[:, None]
-        points = work_array("block_points", _NODES.size * _CLEAN_BLOCK).reshape(_NODES.size, -1)
-        samples = work_array("block_samples", _NODES.size * _CLEAN_BLOCK).reshape(_NODES.size, -1)
-        acc = work_array("block_sum", _CLEAN_BLOCK)
-        for i in range(0, clean.size, _CLEAN_BLOCK):
-            rows = clean[i : i + _CLEAN_BLOCK]
-            m = rows.size
-            block = self.sampler.value(alpha, np.add(pv[rows], offsets, out=points[:, :m]), out=samples[:, :m])
-            # fixed node order, not BLAS: block @ weights sums in a batch-dependent order
-            total = np.multiply(block[0], weights[0], out=acc[:m])
-            for row, weight in zip(block[1:], weights[1:]):
-                total += np.multiply(row, weight, out=row)
-            out[rows] = total
-        if np.any(has_kink):
-            out[has_kink] = self._kinked(alpha, pv[has_kink], kinks, derivative)
+        for clean, (u, val_w, der_w) in ((np.flatnonzero(far), _FAR_RULE), (np.flatnonzero(mid), _MID_RULE)):
+            weights = der_w / eps if derivative else val_w
+            offsets = eps * u[:, None]
+            points = work_array("block_points", u.size * _CLEAN_BLOCK).reshape(u.size, -1)
+            samples = work_array("block_samples", u.size * _CLEAN_BLOCK).reshape(u.size, -1)
+            acc = work_array("block_sum", _CLEAN_BLOCK)
+            for i in range(0, clean.size, _CLEAN_BLOCK):
+                rows = clean[i : i + _CLEAN_BLOCK]
+                m = rows.size
+                block = self.sampler.value(alpha, np.add(pv[rows], offsets, out=points[:, :m]), out=samples[:, :m])
+                # fixed node order, not BLAS: block @ weights sums in a batch-dependent order
+                total = np.multiply(block[0], weights[0], out=acc[:m])
+                for row, weight in zip(block[1:], weights[1:]):
+                    total += np.multiply(row, weight, out=row)
+                out[rows] = total
+        if np.any(kinked):
+            out[kinked] = self._kinked(alpha, pv[kinked], kinks, derivative)
         if np.asarray(p).ndim == 0:
             return float(out[0])
         return out
 
     def _kinked(self, alpha: float, p: np.ndarray, kinks: np.ndarray, derivative: bool) -> np.ndarray:
-        """Windows with a kink inside, cut at the sorted kinks into the gaps
-        between consecutive kinks, clipped to the window and added in ascending
-        order; a piece with a kink at both ends is halved.  Each piece [a, b] is
-        integrated after s = a + u**2 from a kink end a, else s = b - u**2.
-        The data vanish outside the first and last kink, so the window is not
+        """Windows with a kink inside or within _NEAR_GAP * eps of an end,
+        cut at the sorted kinks into the gaps between consecutive kinks,
+        clipped to the window and added in ascending order.  Each piece is
+        integrated after s = kink +- u**2 from the nearer kink of its gap,
+        which leaves an integrand smooth in u; a piece within _FAR_GAP * eps
+        of both is halved, and each half is taken from its own kink.  The
+        data vanish outside the first and last kink, so the window is not
         sampled there (those pieces would add only zeros)."""
         eps = self.scheme.epsilon
         w, norm = (w_prime_eval, eps**2) if derivative else (w_eval, eps)
@@ -263,20 +266,21 @@ class SemiDiscreteData:
         for left, right in zip(kinks[:-1], kinks[1:]):
             a, b = np.maximum(lo, left), np.minimum(hi, right)
             live = b - a > _KINK_TOL * (eps * _HALF)
-            from_a = _at_kink(a, kinks)
-            split = live & from_a & _at_kink(b, kinks)
+            split = live & (a - left < _FAR_GAP * eps) & (right - b < _FAR_GAP * eps)
             mid = 0.5 * (a + b)
-            halves = ((live, a, np.where(split, mid, b), from_a), (split, mid, b, _at_kink(mid, kinks)))
-            for rows, pa, pb, from_pa in halves:
+            for rows, pa, pb in ((live, a, np.where(split, mid, b)), (split, mid, b)):
                 if not np.any(rows):
                     continue
                 pr, pa, pb = p[rows, None], pa[rows, None], pb[rows, None]
-                umax = np.sqrt(pb - pa)
-                u = 0.5 * umax * (_NODES + 1.0)
-                s = np.where(from_pa[rows, None], pa + u * u, pb - u * u)
+                from_left = pa - left <= right - pb
+                # u runs from the root of the near end's distance to the kink to the far end's
+                u_near = np.sqrt(np.where(from_left, pa - left, right - pb))
+                u_far = np.sqrt(np.where(from_left, pb - left, right - pa))
+                u = u_near + 0.5 * (u_far - u_near) * (_NODES + 1.0)
+                s = np.where(from_left, left + u * u, right - u * u)
                 kernel = w((pr - s) / eps) / norm
                 terms = (_WEIGHTS * 2.0) * u * kernel * self.sampler.value(alpha, s)
-                total[rows] += 0.5 * umax[:, 0] * np.sum(terms, axis=1)
+                total[rows] += 0.5 * (u_far - u_near)[:, 0] * np.sum(terms, axis=1)
         return total
 
     def data_smooth(self, k: int, p):

@@ -418,17 +418,56 @@ def _padded_support(data, k: int, margin: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _view_scale(data, k: int) -> dict[bool, float]:
+    """max |f_eps| and max |d/dp f_eps| of view k, keyed by ``derivative``."""
+    lo, hi = data.sampler.support(data.view_angle(k))
+    spread = np.linspace(lo - data.scheme.epsilon, hi + data.scheme.epsilon, 2001)
+    return {
+        False: np.max(np.abs(data.data_smooth(k, spread))),
+        True: np.max(np.abs(data.data_smooth_deriv(k, spread))),
+    }
+
+
+def _kink_distance(data, k: int, p: np.ndarray) -> np.ndarray:
+    """|p - nearest kink|, formed with the forward model's operations: a
+    window's gap to the nearest kink outside it is this less eps * half."""
+    kinks = data.sampler.kinks(data.view_angle(k))
+    return np.minimum(np.abs(p - kinks[0]), np.abs(p - kinks[1]))
+
+
+def _node_sum(data, k: int, p: np.ndarray, n: int, derivative: bool) -> np.ndarray:
+    """The n-node Gauss-Legendre clean-window sum at the points p, rebuilt
+    here node by node in order."""
+    eps, half = data.scheme.epsilon, float(data.mollifier.half_width)
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    u = half * nodes
+    node_weights = half * weights * w_prime_eval(-u) / eps if derivative else half * weights * w_eval(-u)
+    samples = data.sampler.value(data.view_angle(k), p + eps * u[:, None])
+    rebuilt = samples[0] * node_weights[0]
+    for row, weight in zip(samples[1:], node_weights[1:]):
+        rebuilt = rebuilt + row * weight
+    return rebuilt
+
+
 @st.composite
 def _partitioned_points(draw, data):
     """A view k, a sorted point set over the padded support of that view
-    with clean, kinked and dead windows, and cut indices that split it."""
+    with clean windows of each rule, kinked and dead windows, and cut
+    indices that split it."""
     k = draw(st.integers(0, data.scheme.n_views - 1))
     reach = data.scheme.epsilon * float(data.mollifier.half_width)
     lo, hi = _padded_support(data, k, margin=2.0 * reach)
     spread = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=200))
     # one window around each kink; the padded ends have dead windows
-    near_kinks = [t + reach * draw(st.floats(-0.99, 0.99)) for t in data.sampler.kinks(data.view_angle(k))]
-    points = np.sort(np.array(spread + near_kinks + [lo, hi]))
+    kinks = data.sampler.kinks(data.view_angle(k))
+    near_kinks = [t + reach * draw(st.floats(-0.99, 0.99)) for t in kinks]
+    # clean windows on both sides of each rule bound, by their gap to each kink
+    eps = data.scheme.epsilon
+    bounds = (forward_model._NEAR_GAP, forward_model._FAR_GAP)
+    gaps = [g * draw(st.floats(0.0, 1.0, exclude_max=True)) for g in bounds]
+    gaps += [g * draw(st.floats(1.0, 2.0)) for g in bounds]
+    by_rule = [t + sign * (reach + eps * g) for t, sign in zip(kinks, (1.0, -1.0)) for g in gaps]
+    points = np.sort(np.array(spread + near_kinks + by_rule + [lo, hi]))
     cuts = draw(st.lists(st.integers(0, len(points)), max_size=12))
     return k, points, sorted(cuts)
 
@@ -511,12 +550,7 @@ class TestSemiDiscreteData:
         data = make_data()
         eps, k = data.scheme.epsilon, 3
         alpha = data.view_angle(k)
-        lo, hi = data.sampler.support(alpha)
-        spread = np.linspace(lo - eps, hi + eps, 2001)
-        scale = {
-            False: np.max(np.abs(data.data_smooth(k, spread))),
-            True: np.max(np.abs(data.data_smooth_deriv(k, spread))),
-        }
+        scale = _view_scale(data, k)
         for kink in data.sampler.kinks(alpha):
             for end in (-eps, eps):
                 p = kink - end
@@ -529,6 +563,26 @@ class TestSemiDiscreteData:
                         got = data.data_smooth_deriv(k, q) if derivative else data.data_smooth(k, q)
                         want = _mpmath_window(data, k, q, derivative)
                         assert abs(got - want) <= 1e-12 * scale[derivative], (kink, end, q, derivative, got, want)
+
+    @pytest.mark.parametrize("make_data", [crt_data, grt_data], ids=["line", "circle"])
+    def test_windows_a_gap_short_of_a_kink_against_mpmath(self, make_data):
+        # windows that end a gap short of a kink, on both sides of both
+        # kinks: each gap's rule, whether 12 or 32 nodes or the substitution
+        # anchored at the kink, is within round-off of mpmath; the 32-node
+        # rule alone is off by about 1e-7 at the smallest gaps
+        data = make_data()
+        eps, k = data.scheme.epsilon, 3
+        alpha = data.view_angle(k)
+        reach = eps * float(data.mollifier.half_width)
+        scale = _view_scale(data, k)
+        for kink in data.sampler.kinks(alpha):
+            for gap in (1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0):
+                for side in (-1.0, 1.0):
+                    q = kink + side * (reach + gap * eps)
+                    for derivative in (False, True):
+                        got = data.data_smooth_deriv(k, q) if derivative else data.data_smooth(k, q)
+                        want = _mpmath_window(data, k, q, derivative)
+                        assert abs(got - want) <= 1e-12 * scale[derivative], (kink, gap, side, derivative, got, want)
 
     def test_derivative_consistent_with_finite_differences(self):
         data = crt_data()
@@ -562,36 +616,27 @@ class TestSemiDiscreteData:
 
     @pytest.mark.parametrize("make_data", [crt_data, grt_data], ids=["line", "circle"])
     def test_full_view_grid_crosses_clean_blocks_bitwise(self, make_data):
-        # one call over a whole fine grid fills several clean-window blocks
-        # and a partial one; it must equal the unchunked node sum rebuilt
-        # here and calls on pieces whose ends fall across the block edges
+        # one call over a whole fine grid fills several 12-node blocks and a
+        # partial one; each clean window must equal its rule's unchunked
+        # node sum rebuilt here, and calls on pieces whose ends fall across
+        # the block edges must give the same bits
         data = make_data()
         eps, k, block = data.scheme.epsilon, 3, forward_model._CLEAN_BLOCK
         lo, hi = _padded_support(data, k, margin=6.0 * eps)
         grid = lo + (eps / 32.0) * np.arange(int((hi - lo) / (eps / 32.0)))
-        alpha = data.view_angle(k)
-        half = float(data.mollifier.half_width)
-        kinks = np.array(data.sampler.kinks(alpha))
-        # kinked: a kink inside the window or on its end, within the kink tolerance
-        lo_end, hi_end = grid - eps * half, grid + eps * half
-        reach_lo = lo_end - forward_model._KINK_TOL * np.maximum(1.0, np.abs(lo_end))
-        reach_hi = hi_end + forward_model._KINK_TOL * np.maximum(1.0, np.abs(hi_end))
-        kinked = np.any((reach_lo[:, None] <= kinks) & (kinks <= reach_hi[:, None]), axis=1)
-        clean = ~kinked & (grid + eps * half > kinks[0]) & (grid - eps * half < kinks[1])
-        n_clean = int(clean.sum())
-        assert n_clean > 3 * block and n_clean % block != 0
+        dist, half = _kink_distance(data, k, grid), float(data.mollifier.half_width)
+        kinks = data.sampler.kinks(data.view_angle(k))
+        live = (grid + eps * half > kinks[0]) & (grid - eps * half < kinks[1])
+        far = live & (dist >= eps * (half + forward_model._FAR_GAP))
+        mid = live & (dist >= eps * (half + forward_model._NEAR_GAP)) & ~far
+        n_far = int(far.sum())
+        assert n_far > 3 * block and n_far % block != 0 and np.any(mid)
 
         whole = data.data_smooth_deriv(k, grid)
-        nodes, weights = np.polynomial.legendre.leggauss(32)
-        u = half * nodes
-        node_weights = half * weights * w_prime_eval(-u) / eps
-        samples = data.sampler.value(alpha, grid[clean] + eps * u[:, None])
-        rebuilt = samples[0] * node_weights[0]
-        for row, weight in zip(samples[1:], node_weights[1:]):
-            rebuilt += row * weight
-        assert whole[clean].tobytes() == rebuilt.tobytes()
+        assert whole[far].tobytes() == _node_sum(data, k, grid[far], 12, True).tobytes()
+        assert whole[mid].tobytes() == _node_sum(data, k, grid[mid], 32, True).tobytes()
 
-        first = int(np.argmax(clean))
+        first = int(np.argmax(far))
         rng = np.random.default_rng(8)
         edges = [first + m * block + d for m in (1, 2, 3) for d in (-1, 0, 1)]
         cuts = sorted(set(edges) | set(rng.integers(1, grid.size, 5).tolist()))
@@ -601,30 +646,24 @@ class TestSemiDiscreteData:
     @pytest.mark.parametrize("extra", [1, 2])
     @pytest.mark.parametrize("make_data", [crt_data, grt_data], ids=["line", "circle"])
     def test_last_block_of_one_or_two_points_sums_in_node_order(self, make_data, extra):
-        # a last clean block of 1 or 2 points, alone or after a full block,
-        # is still summed node by node: np.add.reduce over a (32, 1) block
-        # sums pairwise and gives other bits
+        # a last block of 1 or 2 points of either clean rule, alone or after
+        # a full block, is still summed node by node: np.add.reduce over a
+        # (nodes, 1) block sums pairwise and gives other bits
         data = make_data()
         eps, k, block = data.scheme.epsilon, 5, forward_model._CLEAN_BLOCK
-        alpha = data.view_angle(k)
-        half = float(data.mollifier.half_width)
-        lo, hi = data.sampler.kinks(alpha)
-        nodes, weights = np.polynomial.legendre.leggauss(32)
-        u = half * nodes
-        for count in (block + extra, extra):
-            # every window clear of both kinks
-            p = np.linspace(lo + 2.0 * eps * half, hi - 2.0 * eps * half, count)
-            samples = data.sampler.value(alpha, p + eps * u[:, None])
-            for method, node_weights in (
-                ("data_smooth", half * weights * w_eval(-u)),
-                ("data_smooth_deriv", half * weights * w_prime_eval(-u) / eps),
-            ):
-                rebuilt = samples[0] * node_weights[0]
-                for row, weight in zip(samples[1:], node_weights[1:]):
-                    rebuilt = rebuilt + row * weight
-                got = getattr(data, method)(k, p)
-                assert got[-extra:].tobytes() == rebuilt[-extra:].tobytes(), (method, count)
-                assert got.tobytes() == rebuilt.tobytes(), (method, count)
+        reach = eps * float(data.mollifier.half_width)
+        lo, hi = data.sampler.kinks(data.view_angle(k))
+        # windows 3 eps or more from both kinks take 12 nodes; 0.5 to 1.5 eps
+        # from the first, 32
+        bands = ((12, lo + reach + 3 * eps, hi - reach - 3 * eps), (32, lo + reach + eps / 2, lo + reach + 1.5 * eps))
+        for nodes, start, stop in bands:
+            for count in (block + extra, extra):
+                p = np.linspace(start, stop, count)
+                for method, derivative in (("data_smooth", False), ("data_smooth_deriv", True)):
+                    rebuilt = _node_sum(data, k, p, nodes, derivative)
+                    got = getattr(data, method)(k, p)
+                    assert got[-extra:].tobytes() == rebuilt[-extra:].tobytes(), (nodes, method, count)
+                    assert got.tobytes() == rebuilt.tobytes(), (nodes, method, count)
 
     def test_threads_share_no_work_arrays(self):
         # each thread fills its own clean-block work arrays: six threads
