@@ -11,10 +11,10 @@ and its p-derivative are evaluated by quadrature directly against the
 analytic sinogram; no intermediate sinogram grid is introduced.  The
 sinogram has square-root kinks exactly at the tangent levels of the
 phantom, so each window takes its rule from its gap to the nearest kink:
-12-node Gauss-Legendre far from the kinks, 32 nodes closer in, and a window
-that holds a kink or ends just short of one is cut at the kinks and
-integrated after the substitution s = kink +- u**2 from the nearer kink,
-which removes the singularity.
+12-node Gauss-Legendre far from the kinks, and a window that holds a kink
+or ends within 2 eps of one is cut at the kinks and integrated after the
+substitution s = kink +- u**2 from the nearer kink, which removes the
+singularity.
 """
 
 from __future__ import annotations
@@ -35,39 +35,26 @@ __all__ = [
     "SemiDiscreteData",
 ]
 
-# A kinked window's piece shorter than _KINK_TOL * eps * half_width adds nothing.
-_KINK_TOL = 1e-12
-# Clean-window points per (nodes x points) block, for both clean rules.  A
-# 12-node block's sample points and samples take 12 x 4096 doubles (384 KiB)
-# each, a 32-node block's 1 MiB, within one core's L2 cache (2 MiB), where
-# one block over a whole 6*10**4-point view grid would take 6 or 16 MB.  On
-# the fine CRT level, one view's data took 2.4-3.4 ms at 4096 points,
-# 3.0-4.4 ms at 2048, 2.6-3.8 ms at 6144 and 2.4-3.2 ms at 8192 (2-core
-# Xeon, one thread, best of 30, 12 alternating rounds).
+# Clean-window points per (nodes x points) block.  A block's sample points
+# and samples take 12 x 4096 doubles (384 KiB) each, within one core's L2
+# cache (2 MiB), where one block over a whole 6*10**4-point view grid would
+# take 6 MB.  On the fine CRT level, one view's data took 2.4-3.4 ms at
+# 4096 points, 3.0-4.4 ms at 2048, 2.6-3.8 ms at 6144 and 2.4-3.2 ms at
+# 8192 (2-core Xeon, one thread, best of 30, 12 alternating rounds).
 _CLEAN_BLOCK = 4096
 
 # A window's gap is its distance to the nearest kink outside it, in units
-# of eps.  From _FAR_GAP on it takes 12-node Gauss-Legendre, down to
-# _NEAR_GAP 32 nodes, and below that the kinked rule.  Against a 128-node
-# rule on views of the fine CRT level and the grt preset, 12 nodes are at
-# round-off (8e-15 and 8e-14 of the view's max) from 1 eps but off by 6e-12
-# at 0.5 eps; 32 nodes are within 9e-14 down to 0.05 eps, off by 1e-9 below.
-_FAR_GAP, _NEAR_GAP = 2.0, 0.1
-
-# Gauss-Legendre rules (u, val_w, der_w) in their clean-window form: after
-# s = p + eps*u over the kernel support u in [-half, half],
-# f_eps(p) = sum val_w * fhat(p + eps*u) and
-# d/dp f_eps(p) = sum (der_w / eps) * fhat(p + eps*u).
+# of eps.  From _FAR_GAP on it takes 12-node Gauss-Legendre: after
+# s = p + eps*u over the kernel support u in [-half, half], f_eps(p) =
+# sum _FAR_VAL * fhat(p + eps*u) and d/dp f_eps(p) = sum (_FAR_DER / eps) *
+# fhat(p + eps*u).  Below it, the kinked rule (32 nodes).  Against a
+# 128-node rule on views of the fine CRT level and the grt preset, 12 nodes
+# are at round-off (8e-15 and 8e-14 of the view's max) from 1 eps but off
+# by 6e-12 at 0.5 eps.
+_FAR_GAP = 2.0
 _HALF = float(DEFAULT_MOLLIFIER.half_width)
-
-
-def _clean_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    u = _HALF * nodes
-    return u, _HALF * weights * w_eval(-u), _HALF * weights * w_prime_eval(-u)
-
-
-_FAR_RULE, _MID_RULE = _clean_rule(12), _clean_rule(32)
+_FAR_U, _FAR_W = (_HALF * x for x in np.polynomial.legendre.leggauss(12))
+_FAR_VAL, _FAR_DER = _FAR_W * w_eval(-_FAR_U), _FAR_W * w_prime_eval(-_FAR_U)
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
@@ -135,7 +122,7 @@ def sinogram_circle_disk(phantom: DiskPhantom, R: float, alpha, rho, out=None):
         arc = _crossing_arc(d, rv, r, out, np.empty(out.shape))
     else:
         d, rv = np.broadcast_arrays(d, rv)
-        arc = np.zeros(d.shape)
+        arc = np.where(np.isnan(rv), math.nan, 0.0)  # NaN passes on, as in the line family
         full = rv + d <= r  # curve entirely inside the disk
         arc[full] = 2.0 * math.pi * rv[full]
         crossing = ~full & (d < rv + r) & (rv < d + r) & (rv > 0)
@@ -189,15 +176,16 @@ class SemiDiscreteData:
     """Smoothed view data of one phantom on one sampling scheme.
 
     The data are smoothed by the lab's one bump (``mollifier``, read-only)
-    and integrated by the rule of the window's gap to the nearest kink
-    (see ``_FAR_GAP``).  Each returned value depends only on (k, p):
-    evaluating points one at a time, in one array or in any partition of
-    it gives the same bits.  Clean windows of one rule are summed over blocks of
-    ``_CLEAN_BLOCK`` points, node by node in a fixed order, so where the
-    blocks fall does not change a bit either.  A block's sample points and
-    samples go to this thread's work arrays (``geometry.work_array``; the
-    sampler's ``value`` gets one as ``out``), and the array ``value``
-    returns is summed in place.
+    and integrated by one of two rules, by the window's gap to the nearest
+    kink (see ``_FAR_GAP``): 12-node Gauss-Legendre from 2 eps on, and
+    below that, a kink inside included, the substitution of ``_kinked``.
+    Each returned value depends only on (k, p): evaluating points one at a
+    time, in one array or in any partition of it gives the same bits.
+    Clean windows are summed over blocks of ``_CLEAN_BLOCK`` points, node
+    by node in a fixed order, so where the blocks fall does not change a
+    bit either.  A block's sample points and samples go to this thread's
+    work arrays (``geometry.work_array``; the sampler's ``value`` gets one
+    as ``out``), and the array ``value`` returns is summed in place.
     """
 
     scheme: SamplingScheme
@@ -225,47 +213,48 @@ class SemiDiscreteData:
         dist.fill(math.inf)
         for kink in kinks:
             np.minimum(dist, np.abs(np.subtract(pv, kink, out=hi), out=hi), out=dist)
-        near, far = dist < eps * (_HALF + _NEAR_GAP), dist >= eps * (_HALF + _FAR_GAP)
-        mid = ~(near | far)  # with a NaN p, whose NaN the sampler passes on
-        kinked, far, mid = near & ~dead, far & ~dead, mid & ~dead
-
-        for clean, (u, val_w, der_w) in ((np.flatnonzero(far), _FAR_RULE), (np.flatnonzero(mid), _MID_RULE)):
-            weights = der_w / eps if derivative else val_w
-            offsets = eps * u[:, None]
-            points = work_array("block_points", u.size * _CLEAN_BLOCK).reshape(u.size, -1)
-            samples = work_array("block_samples", u.size * _CLEAN_BLOCK).reshape(u.size, -1)
-            acc = work_array("block_sum", _CLEAN_BLOCK)
-            for i in range(0, clean.size, _CLEAN_BLOCK):
-                rows = clean[i : i + _CLEAN_BLOCK]
-                m = rows.size
-                block = self.sampler.value(alpha, np.add(pv[rows], offsets, out=points[:, :m]), out=samples[:, :m])
-                # fixed node order, not BLAS: block @ weights sums in a batch-dependent order
-                total = np.multiply(block[0], weights[0], out=acc[:m])
-                for row, weight in zip(block[1:], weights[1:]):
-                    total += np.multiply(row, weight, out=row)
-                out[rows] = total
+        near = dist < eps * (_HALF + _FAR_GAP)
+        kinked = near & ~dead
         if np.any(kinked):
             out[kinked] = self._kinked(alpha, pv[kinked], kinks, derivative)
+
+        # a NaN p is neither near nor dead: the clean rule passes its NaN on
+        clean = np.flatnonzero(~(near | dead))
+        weights = _FAR_DER / eps if derivative else _FAR_VAL
+        offsets = eps * _FAR_U[:, None]
+        points = work_array("block_points", _FAR_U.size * _CLEAN_BLOCK).reshape(_FAR_U.size, -1)
+        samples = work_array("block_samples", _FAR_U.size * _CLEAN_BLOCK).reshape(_FAR_U.size, -1)
+        acc = work_array("block_sum", _CLEAN_BLOCK)
+        for i in range(0, clean.size, _CLEAN_BLOCK):
+            rows = clean[i : i + _CLEAN_BLOCK]
+            m = rows.size
+            block = self.sampler.value(alpha, np.add(pv[rows], offsets, out=points[:, :m]), out=samples[:, :m])
+            # fixed node order, not BLAS: block @ weights sums in a batch-dependent order
+            total = np.multiply(block[0], weights[0], out=acc[:m])
+            for row, weight in zip(block[1:], weights[1:]):
+                total += np.multiply(row, weight, out=row)
+            out[rows] = total
         if np.asarray(p).ndim == 0:
             return float(out[0])
         return out
 
     def _kinked(self, alpha: float, p: np.ndarray, kinks: np.ndarray, derivative: bool) -> np.ndarray:
-        """Windows with a kink inside or within _NEAR_GAP * eps of an end,
+        """Windows with a kink inside or within _FAR_GAP * eps of an end,
         cut at the sorted kinks into the gaps between consecutive kinks,
         clipped to the window and added in ascending order.  Each piece is
-        integrated after s = kink +- u**2 from the nearer kink of its gap,
-        which leaves an integrand smooth in u; a piece within _FAR_GAP * eps
-        of both is halved, and each half is taken from its own kink.  The
-        data vanish outside the first and last kink, so the window is not
-        sampled there (those pieces would add only zeros)."""
+        integrated after s = c + sigma * u**2 from the nearer kink c of its
+        gap (sigma = 1 from the left, -1 from the right), which leaves an
+        integrand smooth in u, with the kernel at ((p - c) - sigma * u**2) / eps:
+        no digits lost to the level s.  A piece within _FAR_GAP * eps of both
+        kinks is halved, each half taken from its own kink.  The data vanish
+        outside the first and last kink, so no window is sampled there."""
         eps = self.scheme.epsilon
         w, norm = (w_prime_eval, eps**2) if derivative else (w_eval, eps)
         lo, hi = p - eps * _HALF, p + eps * _HALF
         total = np.zeros(p.shape)
         for left, right in zip(kinks[:-1], kinks[1:]):
             a, b = np.maximum(lo, left), np.minimum(hi, right)
-            live = b - a > _KINK_TOL * (eps * _HALF)
+            live = b > a
             split = live & (a - left < _FAR_GAP * eps) & (right - b < _FAR_GAP * eps)
             mid = 0.5 * (a + b)
             for rows, pa, pb in ((live, a, np.where(split, mid, b)), (split, mid, b)):
@@ -277,9 +266,11 @@ class SemiDiscreteData:
                 u_near = np.sqrt(np.where(from_left, pa - left, right - pb))
                 u_far = np.sqrt(np.where(from_left, pb - left, right - pa))
                 u = u_near + 0.5 * (u_far - u_near) * (_NODES + 1.0)
-                s = np.where(from_left, left + u * u, right - u * u)
-                kernel = w((pr - s) / eps) / norm
-                terms = (_WEIGHTS * 2.0) * u * kernel * self.sampler.value(alpha, s)
+                c = np.where(from_left, left, right)
+                step = np.where(from_left, 1.0, -1.0) * (u * u)  # s - c
+                samples = self.sampler.value(alpha, c + step)
+                kernel = w(np.divide(np.subtract(pr - c, step, out=step), eps, out=step)) / norm
+                terms = (_WEIGHTS * 2.0) * u * kernel * samples
                 total[rows] += 0.5 * (u_far - u_near)[:, 0] * np.sum(terms, axis=1)
         return total
 

@@ -101,6 +101,9 @@ DEFAULT_PSI_CONFIG = PsiEvalConfig()
 # Most lattice terms big_psi sums directly (about tail_start + 1/|a|); a
 # smaller |a| is refused, not allocated: 2**20 terms take about 140 MB.
 _MAX_TERMS = 2**20
+# Largest |t| whose shortcut denominator 4 |t|^(3/2) is finite; big_psi refuses
+# |a| (tail_start + 1) above it (|a| > 1.26e201 by default), not sum zeros.
+_MAX_T = (float(np.finfo(float).max) / 4.0) ** (2.0 / 3.0)
 
 # Far-field switch of psi_eval: below -_FAR_FACTOR*half_width the closed
 # polynomial antiderivative cancels catastrophically and a fixed
@@ -418,7 +421,8 @@ def big_psi(h: float, a: float, r: float, config: PsiEvalConfig = DEFAULT_PSI_CO
 
     a = 0 (continuum limit in the view angle) returns 0 by definition.
     A nonzero |a| so small that the direct sum would need more than
-    2**20 terms raises ValueError before anything is allocated.
+    2**20 terms, or so large that |a| (tail_start + 1) passes ``_MAX_T``,
+    raises ValueError before anything is allocated.
     """
     hv, av, rv = float(h), float(a), float(r)
     if not (math.isfinite(hv) and math.isfinite(av) and math.isfinite(rv)):
@@ -442,16 +446,12 @@ def big_psi(h: float, a: float, r: float, config: PsiEvalConfig = DEFAULT_PSI_CO
     K = config.tail_start
     if K + rv + _HALF / av > _MAX_TERMS:
         raise ValueError(f"big_psi: |a| = {av!r} is too small; the sum would need more than {_MAX_TERMS} terms")
+    if av * (K + 1) > _MAX_T:
+        raise ValueError(f"big_psi: |a| = {av!r} is too large; its far terms 4 |a k|^(3/2) would overflow")
     *exact, moments = _lattice(av, rv, config)
     far = 0.0
     for m in reversed(moments.tolist()):
         far = far * hv + m
     total = float(np.sum(_differences(hv, *exact))) + far * hv
-    try:
-        power = av**1.5
-    except OverflowError:
-        # |a| above about 1e205: the tail term is 0, as are the far-field
-        # shortcut terms, whose 4 |t|^(3/2) overflows to inf in _split
-        power = math.inf
-    total += hv / (4.0 * power) * hurwitz_tail(K, rv)
+    total += hv / (4.0 * av**1.5) * hurwitz_tail(K, rv)
     return total

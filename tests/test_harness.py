@@ -698,11 +698,19 @@ class TestCli:
         assert all(float(line.split(",")[2]) == 0.0 for line in lines)
 
     def test_psi_table_huge_rate(self, tmp_path):
-        with np.errstate(over="ignore"):
-            rc = main(["psi-table", "--a", "1e300", "--out", str(tmp_path), "--samples", "5"])
+        with np.errstate(over="raise"):
+            rc = main(["psi-table", "--a", "1e200", "--out", str(tmp_path), "--samples", "5"])
         assert rc == 0
         lines = (tmp_path / "psi_table.csv").read_text().splitlines()[1:]
-        assert len(lines) == 5 and all(math.isfinite(float(line.split(",")[2])) for line in lines)
+        values = [float(line.split(",")[2]) for line in lines]
+        assert len(values) == 5 and all(math.isfinite(v) for v in values) and any(v != 0.0 for v in values)
+
+    def test_psi_table_refuses_a_rate_too_large_to_sum(self, tmp_path, capsys):
+        rc = main(["psi-table", "--a", "1e300", "--out", str(tmp_path), "--samples", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: big_psi: |a| = 1e+300 is too large")
+        assert not (tmp_path / "psi_table.csv").exists()
 
     def test_psi_table_refuses_a_rate_too_small_to_sum(self, tmp_path, capsys):
         rc = main(["psi-table", "--a", "1e-320", "--out", str(tmp_path), "--samples", "3"])
@@ -807,6 +815,23 @@ class TestCli:
         cfg_path.write_text(config.to_text(), encoding="utf-8")
         assert main(["crt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: probe.x0")
+
+    def test_probe_a_hair_outside_the_disk_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # one ulp outside the phantom's boundary the tangency's sweep rate
+        # puts kappa * mu0 below big_psi's floor: the prediction, which
+        # reads no view, refuses the probe by key before any view is filtered
+        def no_filter(*args, **kwargs):
+            raise AssertionError("a view was filtered for a refused probe")
+
+        monkeypatch.setattr(pipeline, "filter_view", no_filter)
+        config = crt_preset().with_overrides(probe_x0=(5.000000000000001, 0.0), artifacts=("profile",))
+        with pytest.raises(ConfigError, match=r"^probe\.x0: big_psi: \|a\| = .* too small"):
+            run_experiment(config)
+        cfg_path = tmp_path / "hair.cfg"
+        cfg_path.write_text(config.to_text(), encoding="utf-8")
+        assert main(["crt-demo", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: probe.x0: big_psi")
+        assert not (tmp_path / "o").exists()
 
     def test_too_fine_grid_exits_with_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "fine.cfg"

@@ -472,11 +472,30 @@ def test_big_psi_zero_offset_is_exact_zero():
 
 
 def test_big_psi_huge_spacing_is_finite():
-    # |a|**1.5 overflows a float above |a| of about 1e205; the tail term
-    # is then 0, not an OverflowError
-    with np.errstate(over="ignore"):
-        for h, a, r in ((0.3e300, 1e300, 0.2), (-0.3e300, -1e300, 0.7), (1e307, 1.7e308, 0.0)):
-            assert math.isfinite(big_psi(h, a, r)), (h, a, r)
+    # sqrt(a) * Psi(c a; a, r) tends to a constant as a grows; up to the
+    # largest |a| big_psi takes (about 1.26e201) no far term overflows
+    with np.errstate(over="raise"):
+        for h, a, r in ((0.3, 1.0, 0.2), (-0.3, -1.0, 0.7)):
+            want = math.sqrt(1e100) * big_psi(h * 1e100, a * 1e100, r)
+            for scale in (1e200, 1.2e201):
+                got = math.sqrt(scale) * big_psi(h * scale, a * scale, r)
+                assert got == pytest.approx(want, rel=1e-14), (h, a, r, scale)
+    assert math.sqrt(1e200) * big_psi(0.3e200, 1e200, 0.2) == pytest.approx(1.00947242432935, rel=1e-14)
+
+
+def test_big_psi_refuses_a_spacing_whose_far_terms_overflow():
+    # from |a| (tail_start + 1) of about 1.26e205 on, 4 |a k|^(3/2) would
+    # overflow and the far terms read 0 (the sum 0.3% off at 1e202, 0.0
+    # from about 1e206): refused before anything is allocated
+    for h, a, r in ((0.3e202, 1e202, 0.2), (0.3e300, 1e300, 0.2), (-0.3e300, -1e300, 0.7), (1e307, 1.7e308, 0.0)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"\|a\| = .* too large"):
+                big_psi(h, a, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (a, peak)
 
 
 def test_big_psi_zero_spacing_defined_as_zero():
