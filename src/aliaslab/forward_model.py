@@ -52,7 +52,7 @@ _CLEAN_BLOCK = 4096
 # are at round-off (8e-15 and 8e-14 of the view's max) from 1 eps but off
 # by 6e-12 at 0.5 eps.
 _FAR_GAP = 2.0
-_HALF = float(DEFAULT_MOLLIFIER.half_width)
+_HALF = DEFAULT_MOLLIFIER.half_width
 _FAR_U, _FAR_W = (_HALF * x for x in np.polynomial.legendre.leggauss(12))
 _FAR_VAL, _FAR_DER = _FAR_W * w_eval(-_FAR_U), _FAR_W * w_prime_eval(-_FAR_U)
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -80,58 +80,41 @@ def sinogram_line_disk(phantom: DiskPhantom, alpha, p, out=None):
     return out
 
 
-def _crossing_arc(d, rho, r: float, out=None, scratch=None):
-    """2 rho arccos(((d^2 + rho^2) - r^2) / ((2 d) rho)): the arc inside a
-    disk of radius r of the circle of radius rho about a point at distance
-    d from the disk's center, for circles that cross the disk's boundary.
-    Into ``out`` when given, with ``scratch`` (same shape) overwritten."""
-    cosang = np.add(d * d, np.multiply(rho, rho, out=out), out=out)
-    np.subtract(cosang, r * r, out=cosang)
-    np.divide(cosang, np.multiply(2.0 * d, rho, out=scratch), out=cosang)
-    if cosang.max() > 1.0 + 1e-12 or cosang.min() < -(1.0 + 1e-12):
-        raise FloatingPointError("arc angle argument escaped [-1, 1]")
-    arc = np.arccos(np.clip(cosang, -1.0, 1.0, out=cosang), out=cosang)
-    return np.multiply(np.multiply(2.0, rho, out=scratch), arc, out=arc)
-
-
 def sinogram_circle_disk(phantom: DiskPhantom, R: float, alpha, rho, out=None):
     """Circle-family sinogram: jump times the arc length of the circle of
     radius rho centered at R*(cos alpha, sin alpha) inside the disk.
 
+    The arc is 4 rho arcsin(sqrt(q)), q = P / (4 d rho) clamped to [0, 1],
+    with d the vertex's distance to the disk's center and P = (rho - (d - r))
+    * ((d + r) - rho) the product of rho's distances to the kinks, so no
+    digits are lost next to them.  It is 0 off the support (rho = inf too),
+    on the kinks and at rho = 0, 2 pi rho for a circle inside the disk, NaN
+    at NaN; a circle on the disk's boundary (d = 0, rho = r) is the kink
+    d + r and gives 0, not the limit pi r of d -> 0+.
+
     A caller that samples many points passes ``out``, an array of the
     result's shape that shares no memory with ``rho``: the values go
-    there, with the same operations.  When every curve of one view crosses
-    the disk's boundary, as the curves of a clean window do, the arc is
-    formed in ``out`` and one scratch array; otherwise masks tell the
-    curves inside the disk, crossing it and missing it apart."""
+    there, with the same operations, through one scratch array per call."""
     al = np.asarray(alpha, dtype=float)
     rv = np.asarray(rho, dtype=float)
-    low, high = (rv.min(), rv.max()) if rv.size else (0.0, 0.0)
     # min settles the common case; NaN fails it and falls through to the
     # pointwise test, which lets NaN pass
-    if not low >= 0 and np.any(rv < 0):
+    if rv.size and not rv.min() >= 0 and np.any(rv < 0):
         raise ValueError("circle radius rho must be nonnegative")
-    a = phantom.center_array
-    r = phantom.radius
+    a, r = phantom.center_array, phantom.radius
     d = np.hypot(R * np.cos(al) - a[0], R * np.sin(al) - a[1])
     if out is None:
         out = np.empty(np.broadcast_shapes(d.shape, rv.shape))
-
-    # each mask below is monotone in rho, so the extremes settle it for all
-    if d.ndim == 0 and not (low + d <= r) and d < low + r and high < d + r and low > 0:
-        arc = _crossing_arc(d, rv, r, out, np.empty(out.shape))
-    else:
-        d, rv = np.broadcast_arrays(d, rv)
-        arc = np.where(np.isnan(rv), math.nan, 0.0)  # NaN passes on, as in the line family
-        full = rv + d <= r  # curve entirely inside the disk
-        arc[full] = 2.0 * math.pi * rv[full]
-        crossing = ~full & (d < rv + r) & (rv < d + r) & (rv > 0)
-        if np.any(crossing):
-            arc[crossing] = _crossing_arc(d[crossing], rv[crossing], r)
+    scratch = np.empty(out.shape)
+    q = np.multiply(np.subtract(rv, d - r, out=out), np.subtract(d + r, rv, out=scratch), out=out)
+    # d rho = 0 sends q to +-inf or NaN; fmax, fmin take +inf to 1, the rest to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(q, np.multiply(4.0 * d, rv, out=scratch), out=q)
+    arc = np.arcsin(np.sqrt(np.fmin(np.fmax(q, 0.0, out=q), 1.0, out=q), out=q), out=q)
+    # min(rho, d + r) is rho wherever the arc is not 0, and keeps inf * 0 off rho = inf
+    np.multiply(np.multiply(4.0, np.minimum(rv, d + r, out=scratch), out=scratch), arc, out=arc)
     np.multiply(phantom.jump, arc, out=out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -150,7 +133,8 @@ class SinogramSampler:
             raise ValueError("acquisition circle meets the phantom: curve vertices must stay outside it")
 
     def value(self, alpha: float, p, out=None):
-        """The sinogram of view ``alpha`` at the scalar values ``p``; into
+        """The sinogram of view ``alpha`` at the scalar values ``p``: zero
+        outside the kinks (and, for circles, on them), NaN at NaN; into
         ``out`` when given, an array of the shape of ``p`` that shares no
         memory with it."""
         if self.family.kind == "line":

@@ -159,7 +159,7 @@ def plan_run(config: ExperimentConfig, points=None) -> RunPlan:
     views = scheme.window_view_indices()
     sampler = SinogramSampler(family, config.build_phantom())
     starts, ends = sampler.support(scheme.view_angles()[views])
-    pad = eps * float(SemiDiscreteData.mollifier.half_width)
+    pad = eps * SemiDiscreteData.mollifier.half_width
     starts = np.minimum(np.subtract(starts, pad, out=starts), q_lo, out=starts)
     starts -= 2.0 * step
     ends = np.maximum(np.add(ends, pad, out=ends), q_hi, out=ends)

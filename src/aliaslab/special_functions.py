@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -45,13 +44,8 @@ __all__ = [
 ]
 
 # Quartic bump (15/16)(1 - t^2)^2 on |t| < 1, written in ascending powers.
-_QUARTIC_BUMP = (
-    Fraction(15, 16),
-    Fraction(0),
-    Fraction(-15, 8),
-    Fraction(0),
-    Fraction(15, 16),
-)
+# Every coefficient is exact in binary.
+_QUARTIC_BUMP = (15 / 16, 0.0, -15 / 8, 0.0, 15 / 16)
 
 
 @dataclass(frozen=True)
@@ -59,14 +53,14 @@ class MollifierSpec:
     """Compactly supported polynomial bump used to smooth the scalar data.
 
     The bump is ``w(t) = sum_m coefficients[m] * t**m`` on
-    ``|t| < half_width`` and zero outside, with exact rational
-    coefficients.  The lab uses one bump, ``DEFAULT_MOLLIFIER``: the
+    ``|t| < half_width`` and zero outside, with float coefficients that
+    are exact in binary.  The lab uses one bump, ``DEFAULT_MOLLIFIER``: the
     quartic (15/16)(1 - t^2)^2 on |t| < 1, of unit mass and C^1 on the
     whole line.
     """
 
-    coefficients: tuple[Fraction, ...] = _QUARTIC_BUMP
-    half_width: Fraction = Fraction(1)
+    coefficients: tuple[float, ...] = _QUARTIC_BUMP
+    half_width: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -133,8 +127,8 @@ _LATTICE_CACHE = 4
 # The bump in floats: w's and w''s ascending coefficients, and the matrix B
 # with w(q + u^2) = sum_j (sum_i B[j, i] q**i) * u**(2j), i.e.
 # B[j, i] = c[i + j] * binomial(i + j, j).
-_HALF = float(DEFAULT_MOLLIFIER.half_width)
-_COEFFS = np.array([float(c) for c in DEFAULT_MOLLIFIER.coefficients])
+_HALF = DEFAULT_MOLLIFIER.half_width
+_COEFFS = np.array(DEFAULT_MOLLIFIER.coefficients)
 _DERIV_COEFFS = _COEFFS[1:] * np.arange(1, _COEFFS.size, dtype=float)
 _SHIFT_SQUARE = np.array(
     [[_COEFFS[i + j] * math.comb(i + j, j) if i + j < _COEFFS.size else 0.0 for i in range(_COEFFS.size)]
@@ -148,15 +142,16 @@ def _scalar_or_array(values: np.ndarray, scalar_input: bool):
 
 def _on_support(t, coeffs: np.ndarray):
     """Polynomial ``coeffs`` at t on the open support |t| < half_width, zero
-    outside, NaN at NaN; float for a scalar t, array of t's shape otherwise."""
+    outside, NaN at NaN; float for a scalar t, array of t's shape otherwise.
+    Horner runs in place in the one output array (polyval's operations), and
+    what it leaves outside the support, overflow included, is then zeroed."""
     arr = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(arr)
-    out = np.zeros_like(flat, dtype=float)
-    out[np.isnan(flat)] = np.nan
-    inside = np.abs(flat) < _HALF
-    if np.any(inside):
-        out[inside] = np.polynomial.polynomial.polyval(flat[inside], coeffs)
-    return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
+    out = np.full(arr.shape, coeffs[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in coeffs[-2::-1]:
+            np.add(np.multiply(out, arr, out=out), c, out=out)
+    out[np.abs(arr) >= _HALF] = 0.0
+    return _scalar_or_array(out, arr.ndim == 0)
 
 
 def w_eval(t):

@@ -164,6 +164,60 @@ class TestCircleSinogram:
         assert sinogram_circle_disk(GRT_PHANTOM, GRT_R, 0.0, 0.0) == 0.0
 
 
+class TestCircleSinogramEdges:
+    """The one arc formula on the values where d rho = 0 or P = 0 make it
+    degenerate, and on NaN."""
+
+    def test_zero_rho_for_every_vertex_distance(self):
+        # d > r, 0 < d < r and d = 0: the circle of radius 0 has no arc
+        # (a crossing or inside radius next to it in the array)
+        for phantom, R, rho in (
+            (GRT_PHANTOM, GRT_R, 4.0),
+            (DiskPhantom((0.5, 0.0), 2.0), 1.0, 1.0),
+            (DiskPhantom((0.0, 0.0), 2.0), 0.0, 1.0),
+        ):
+            assert sinogram_circle_disk(phantom, R, 0.0, 0.0) == 0.0
+            got = sinogram_circle_disk(phantom, R, 0.0, np.array([0.0, rho]))
+            assert got[0] == 0.0 and got[1] > 0.0
+
+    def test_nan_and_inf_among_finite_rho(self):
+        # NaN passes on; rho = inf is off the support, as for the line family
+        rho = np.array([0.0, 2.0, np.nan, 3.0, 9.0, np.inf])
+        got = sinogram_circle_disk(GRT_PHANTOM, GRT_R, 0.4, rho)
+        assert np.array_equal(np.isnan(got), np.isnan(rho)) and got[-1] == 0.0
+        assert sinogram_circle_disk(GRT_PHANTOM, GRT_R, 0.4, math.inf) == 0.0
+        finite = sinogram_circle_disk(GRT_PHANTOM, GRT_R, 0.4, rho[~np.isnan(rho)])
+        assert got[~np.isnan(rho)].tobytes() == finite.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, GRT_ALPHA_STAR, -2.9])
+    def test_rho_on_each_kink_is_zero(self, alpha):
+        sampler = SinogramSampler(circle_family(GRT_R), GRT_PHANTOM)
+        for kink in sampler.kinks(alpha):
+            assert sampler.value(alpha, kink) == 0.0
+            assert sampler.value(alpha, float(np.nextafter(kink, 0.5 * sum(sampler.kinks(alpha))))) > 0.0
+
+    def test_inside_the_disk_off_center(self):
+        # d = 0.5, r = 2: every rho <= 1.5 is a whole circle in the disk
+        phantom = DiskPhantom((0.5, 0.0), 2.0)
+        for rho in (0.1, 1.0, 1.5):
+            assert sinogram_circle_disk(phantom, 1.0, 0.0, rho) == 2.0 * math.pi * rho
+        assert sinogram_circle_disk(phantom, 1.0, 0.0, 1.6) < 2.0 * math.pi * 1.6
+
+    def test_concentric(self):
+        # d = 0: circles inside the disk are whole, circles outside it miss it
+        phantom = DiskPhantom((0.0, 0.0), 2.0, 0.5)
+        for rho in (0.25, 1.0, float(np.nextafter(2.0, 0.0))):
+            assert sinogram_circle_disk(phantom, 0.0, 1.1, rho) == 0.5 * (2.0 * math.pi * rho)
+        for rho in (float(np.nextafter(2.0, 3.0)), 2.5, 40.0):
+            assert sinogram_circle_disk(phantom, 0.0, 1.1, rho) == 0.0
+
+    def test_circle_on_the_boundary(self):
+        # d = 0, rho = r is the outer kink d + r, so it takes the kinks'
+        # value 0; the arc's limit as d -> 0+ would be pi r
+        phantom = DiskPhantom((0.0, 0.0), 2.0)
+        assert sinogram_circle_disk(phantom, 0.0, 0.0, 2.0) == 0.0
+
+
 def _line_reference(phantom, alpha, p):
     """The line sinogram as an allocating numpy formula, one new array per
     operation, in the operation order the library must keep."""
@@ -177,23 +231,20 @@ def _line_reference(phantom, alpha, p):
 
 
 def _circle_reference(phantom, R, alpha, rho):
-    """The circle sinogram as an allocating numpy formula: masks for the
-    curves inside the disk and crossing it, in the operation order the
-    library must keep."""
+    """The circle sinogram as an allocating numpy formula, one new array per
+    operation, in the operation order the library must keep: the arc is
+    4 rho arcsin(sqrt(q)), q = P / (4 d rho) clamped to [0, 1], with P the
+    product of rho's distances to the two kinks; rho is capped at d + r in
+    the factor 4 rho, where q = 0 beyond it, so that rho = inf gives 0."""
     al = np.asarray(alpha, dtype=float)
     rv = np.asarray(rho, dtype=float)
     a = phantom.center_array
     r = phantom.radius
     d = np.hypot(R * np.cos(al) - a[0], R * np.sin(al) - a[1])
-    d, rv = np.broadcast_arrays(d, rv)
-    out = np.zeros(d.shape)
-    full = rv + d <= r
-    out[full] = 2.0 * math.pi * rv[full]
-    crossing = ~full & (d < rv + r) & (rv < d + r) & (rv > 0)
-    dc, rc = d[crossing], rv[crossing]
-    cosang = np.clip((dc * dc + rc * rc - r * r) / (2.0 * dc * rc), -1.0, 1.0)
-    out[crossing] = 2.0 * rc * np.arccos(cosang)
-    out = phantom.jump * out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = ((rv - (d - r)) * ((d + r) - rv)) / ((4.0 * d) * rv)
+    q = np.fmin(np.fmax(q, 0.0), 1.0)
+    out = phantom.jump * ((4.0 * np.minimum(rv, d + r)) * np.arcsin(np.sqrt(q)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -543,10 +594,10 @@ class TestSemiDiscreteData:
 
     # bounds per family, in units of the view's max: the line family's is
     # below the 5.0e-15 of the same substitution with the kernel read at
-    # (p - s) / eps; the circle family's floor is the sinogram's arccos
-    # round-off next to the kink (3e-11 absolute there), while the rule on
-    # exact samples is within 1e-15
-    @pytest.mark.parametrize("make_data, bound", [(crt_data, 3e-15), (grt_data, 4e-13)], ids=["line", "circle"])
+    # (p - s) / eps; the circle family's is above its 4.7e-14, its sinogram
+    # keeping the digits next to the kinks (the arc comes from rho's
+    # distances to them)
+    @pytest.mark.parametrize("make_data, bound", [(crt_data, 3e-15), (grt_data, 1e-13)], ids=["line", "circle"])
     def test_window_end_on_kink_against_mpmath(self, make_data, bound):
         # p = kink +- eps puts a window end on a kink; p is nudged so that the
         # end equals the kink in floats, and its neighbours fall just inside
@@ -570,7 +621,7 @@ class TestSemiDiscreteData:
 
     # the line family's bound is below the 2.8e-14 of a 32-node rule at
     # gaps under 0.1 eps with the kernel read at (p - s) / eps
-    @pytest.mark.parametrize("make_data, bound", [(crt_data, 2e-14), (grt_data, 3e-13)], ids=["line", "circle"])
+    @pytest.mark.parametrize("make_data, bound", [(crt_data, 2e-14), (grt_data, 1e-13)], ids=["line", "circle"])
     def test_windows_a_gap_short_of_a_kink_against_mpmath(self, make_data, bound):
         # windows that end a gap short of a kink, on both sides of both
         # kinks: each gap's rule, 12 nodes from _FAR_GAP on and the

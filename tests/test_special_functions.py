@@ -89,10 +89,11 @@ def test_mollifier_derivative_matches_finite_difference():
 
 def test_default_mollifier_exact_identities():
     # unit mass, and value and slope 0 at both ends of the support (C^1 on
-    # the whole line), in exact rational arithmetic
+    # the whole line), in exact rational arithmetic on the library's floats
     spec = special_functions.DEFAULT_MOLLIFIER
-    c, s = spec.coefficients, spec.half_width
-    assert all(isinstance(x, Fraction) for x in (*c, s)) and s > 0
+    assert all(isinstance(x, float) for x in (*spec.coefficients, spec.half_width))
+    c, s = [Fraction(x) for x in spec.coefficients], Fraction(spec.half_width)
+    assert s > 0
     assert sum(cm * (s ** (m + 1) - (-s) ** (m + 1)) / (m + 1) for m, cm in enumerate(c)) == 1
     for edge in (s, -s):
         assert sum(cm * edge**m for m, cm in enumerate(c)) == 0
@@ -117,6 +118,31 @@ def test_kernels_return_nan_at_nan():
         assert mixed[~np.isnan(mixed)].tobytes() == finite.tobytes(), kernel
     assert math.isnan(delta_psi(-3.0, nan))
     assert math.isnan(delta_psi(nan, 0.5))
+
+
+def test_kernels_on_a_kinked_block_allocate_little():
+    # a (windows, nodes) block as _kinked passes it, with NaN, +-inf, the
+    # support's ends, their float neighbours and overflowing values: the
+    # kernels keep polyval's bits inside the support, 0 outside and NaN at
+    # NaN, and w' peaks below 3x the input's bytes
+    rng = np.random.default_rng(5)
+    t = rng.uniform(-1.5, 1.5, (396, 32))
+    edges = np.array([np.nan, np.inf, -np.inf, 1.0, -1.0, 0.0, 1e300, -1e300])
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    t.ravel()[: edges.size] = edges
+    inside = np.abs(t) < 1.0
+    for kernel, coeffs in ((w_eval, special_functions._COEFFS), (w_prime_eval, special_functions._DERIV_COEFFS)):
+        got = kernel(t)
+        assert got[inside].tobytes() == np.polynomial.polynomial.polyval(t[inside], coeffs).tobytes()
+        assert np.array_equal(np.isnan(got), np.isnan(t))
+        assert not np.any(got[~inside & ~np.isnan(t)])
+    tracemalloc.start()
+    try:
+        w_prime_eval(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * t.nbytes, peak / t.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +258,12 @@ def test_quadrature_oracle_refuses_a_large_error_estimate(monkeypatch):
 
 def _psi_mpmath(q):
     """psi(q) = int w(q + u^2) du over u >= 0 (p = u^2 on the whole support),
-    by 30-digit mpmath quadrature of the exact rational bump."""
+    by 30-digit mpmath quadrature of the library's bump, its float
+    coefficients read exactly."""
     import mpmath
 
-    def exact(c):
+    def exact(x):
+        c = Fraction(x)
         return mpmath.mpf(c.numerator) / c.denominator
 
     bump = special_functions.DEFAULT_MOLLIFIER
