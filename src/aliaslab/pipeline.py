@@ -20,7 +20,7 @@ import numpy as np
 
 from .experiment_config import ConfigError, ExperimentConfig
 from .forward_model import SemiDiscreteData, SinogramSampler
-from .geometry import TangencyDescriptor, tangency_enumerate, work_array
+from .geometry import TangencyDescriptor, phi_eval, tangency_enumerate, work_array
 from .outputs import format_floats, write_pgm16, write_profile_csv
 from .predictor import ComparisonMetrics, compare, fill_prediction
 from .reconstruction import (
@@ -45,14 +45,14 @@ __all__ = [
 ]
 
 # Most worker threads a run may use, refused before a pool exists; each
-# keeps its own work arrays, about 2.8 MB at the fine CRT level.
+# keeps its own work arrays, about 1.4 MB at the fine CRT level.
 MAX_THREADS = 64
 
 # Most fine-grid points a view's grid may have; a plan with a longer grid
-# is refused.  Filtering one view takes about 105 bytes per grid point (the
-# FFT runs at length about 2n; tracemalloc's peak of one filter_view with
-# its plan, 2**20 to 2**22 points), so 2**22 points take about 0.44 GB; the
-# fine 400-view CRT level uses about 6.2*10**4.
+# is refused.  Filtering one view on all its rows takes about 95 bytes per
+# grid point (an FFT of length n_s + rows - 1 <= 2n; tracemalloc's peak of
+# one filter_view with its plan at 2**20 and 2**21 points, the support on
+# 3/4 of them), so 2**22 take about 0.4 GB; the fine CRT level uses 6.2*10**4.
 _MAX_GRID = 2**22
 
 # pixel rows per parallel task; fixed so the work split never depends on
@@ -115,12 +115,14 @@ def _resolve_theta(config: ExperimentConfig, descriptors) -> np.ndarray:
 class RunPlan:
     """What a run of one config does, decided before any view is filtered:
     the window's ``views``; view views[i]'s fine grid starts[i] + step *
-    arange(counts[i]), step = eps/eta; the rasters, stage -> (center,
-    half_extent, pixel_size); and the extra (m, 2) ``points`` it reads."""
+    arange(counts[i]), step = eps/eta, and its rows (first, size) = rows[i]
+    read; the rasters, stage -> (center, half_extent, pixel_size); and the
+    extra (m, 2) ``points`` it reads."""
 
     views: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
+    rows: np.ndarray
     step: float
     rasters: dict
     points: np.ndarray
@@ -134,19 +136,24 @@ def plan_run(config: ExperimentConfig, points=None) -> RunPlan:
     rasters, ``points``), widened by two steps on each side.  A grid over
     ``_MAX_GRID`` points is a ConfigError naming the key of the farthest
     read, probe.x0 (probe line, ROI), image.half_extent or points, when
-    the reads set the grid, and else scheme.epsilon."""
+    the reads set the grid, and else scheme.epsilon.  Every read is a disk
+    (probe line, ROI, global image, the points' bounding disk), so view k's
+    rows span Phi_k(center) -+ radius over them (Phi is 1-Lipschitz), two
+    steps wider a side for Catmull-Rom, clipped at q_lo (0 for circles)."""
     family, scheme = config.build_family(), config.build_scheme()
     eps = scheme.epsilon
     x0 = np.asarray(config.probe_x0, dtype=float)
     norm = float(np.hypot(*x0))
     reaches = {"probe.x0": norm + eps * config.h_max}
-    rasters = {}
+    rasters, disks = {}, [(x0, eps * config.h_max)]
     if "global-image" in config.artifacts:
         rasters["global_image_s"] = ((0.0, 0.0), config.image_half_extent, config.image_pixel_size)
         reaches["image.half_extent"] = config.image_half_extent * np.sqrt(2.0)
+        disks.append((np.zeros(2), reaches["image.half_extent"]))
     if "roi-image" in config.artifacts:
         rasters["roi_image_s"] = (tuple(x0), 20.0 * eps, eps / 4.0)
         reaches["probe.x0"] = max(reaches["probe.x0"], norm + 20.0 * eps * np.sqrt(2.0))
+        disks.append((x0, 20.0 * eps * np.sqrt(2.0)))
     points = np.zeros((0, 2)) if points is None else np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
@@ -181,7 +188,22 @@ def plan_run(config: ExperimentConfig, points=None) -> RunPlan:
         raise ConfigError(
             f"{key}: {needs} to reach its farthest point, more than {_MAX_GRID}: read nearer the origin"
         )
-    return RunPlan(views, starts, counts.astype(np.intp), step, rasters, points)
+    if len(points):
+        center = 0.5 * (points.min(axis=0) + points.max(axis=0))
+        disks.append((center, float(np.hypot(*(points - center).T).max())))
+    # bounds over the disks, one value per view, in place; no read is below q_lo
+    counts = counts.astype(np.intp)
+    lo, hi = np.full(views.size, np.inf), np.full(views.size, -np.inf)
+    for center, radius in disks:
+        phi = phi_eval(family, scheme.view_angles()[views], center, ends)
+        np.minimum(lo, phi - radius, out=lo)
+        np.maximum(hi, np.add(phi, radius, out=phi), out=hi)
+    np.floor(np.divide(np.subtract(np.maximum(lo, q_lo, out=lo), starts, out=lo), step, out=lo), out=lo)
+    np.ceil(np.divide(np.subtract(hi, starts, out=hi), step, out=hi), out=hi)
+    rows = np.empty((views.size, 2), np.intp)
+    rows[:, 0] = np.maximum(np.subtract(lo, 2.0, out=lo), 0.0, out=lo)
+    rows[:, 1] = np.minimum(np.add(hi, 2.0, out=hi), counts - 1, out=hi) - lo + 1.0
+    return RunPlan(views, starts, counts, rows, step, rasters, points)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1, points=None) -> ExperimentResult:
@@ -242,7 +264,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, points=None) -> E
         t0 = time.perf_counter()
         block, arg = item
         if block is None:
-            view = filter_view(data, plan.views[arg], plan.starts[arg], plan.step, plan.counts[arg])
+            view = filter_view(data, plan.views[arg], plan.starts[arg], plan.step, plan.counts[arg], plan.rows[arg])
             term = np.zeros(len(reads))
             add_view_terms(term, [view], family, reads)
             out = ("filter_s", (term, view if rasters else None))

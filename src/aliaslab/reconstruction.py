@@ -17,13 +17,14 @@ reconstruction is the weighted view sum
     f_rec(x) = -(dalpha / (2 pi^2)) sum_k F_k(Phi(alpha_k, x)),
 
 with F_k read off the fine grid by cubic interpolation.  The rule holds
-for q outside the data support too, so the fine grid is simply extended
-to cover every query point of the run.
+for q outside the data support too, so F_k is formed on the rows the run
+reads alone, and only g_k's non-zero span enters the correlation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,10 +56,10 @@ __all__ = [
 # 0.17 GB; both presets use 10**6.
 MAX_IMAGE_PIXELS = 2**24
 
-# Grid lengths whose filter plan is kept: every view of a run whose query
-# range covers the data support has the same length, so two entries serve
-# two runs at once.  A plan holds 16 bytes per grid point, so the memo
-# retains at most 128 MiB at the longest grid a run may plan (2**22 points).
+# Filter plans kept, keyed by (the support's lag from the first row read,
+# its length, the rows read): views that read the same rows of the same
+# support share one (every view of crt-demo).  A plan holds 8 bytes per FFT
+# point, so the memo retains at most 128 MiB at the longest grid (2**22).
 _PLAN_CACHE = 2
 
 # Bytes per FFT point of an untouched block made and dropped whenever a
@@ -112,9 +113,10 @@ class FilteredView:
         return cls(alpha, start, step, coeffs)
 
 
-def _fast_length(target: int) -> int:
+def _fast_length(target) -> int:
     """Smallest 5-smooth integer (2**i * 3**j * 5**k) >= target, the real-FFT
-    length scipy.fft.next_fast_len(target, True) picks, for target >= 1."""
+    length scipy.fft.next_fast_len(target, True) picks, for integer target >= 1."""
+    target = operator.index(target)
     best = 1 << (target - 1).bit_length()
     p5 = 1
     while p5 < best:
@@ -129,65 +131,66 @@ def _fast_length(target: int) -> int:
 
 
 @lru_cache(maxsize=_PLAN_CACHE)
-def _filter_plan(n: int) -> tuple[int, np.ndarray]:
-    """What pv_filter_uniform needs of a grid of n points and not of its
-    data: a 5-smooth FFT length of at least 2n - 1, at which lags 0..n - 1
-    of the correlation do not wrap, and the real FFT of the odd kernel
-    1/(j - i) at that length, read-only because every caller of this
-    length shares it."""
-    m = np.arange(1, n, dtype=float)
-    kernel = np.concatenate([-1.0 / m[::-1], [0.0], 1.0 / m])
-    size = _fast_length(2 * n - 1)
+def _filter_plan(lag: int, n_s: int, count: int) -> tuple[int, np.ndarray]:
+    """What pv_filter_uniform needs of a support of n_s points ``lag`` rows
+    after the first of ``count`` rows read: the 5-smooth FFT length of at
+    least n_s + count - 1, at which no lag read wraps, and the real FFT of
+    the rule's odd kernel (1/m, and +-1.5 at m = +-1 for the half-difference)
+    at lags m = r - (n_s - 1 + lag), read-only, as the key's callers share it."""
+    m = np.arange(n_s + count - 1, dtype=float) - (n_s - 1 + lag)
+    kernel = np.divide(np.where(np.abs(m) == 1.0, 1.5, 1.0), m, out=np.zeros_like(m), where=m != 0.0)
+    size = _fast_length(n_s + count - 1)
     spectrum = np.fft.rfft(kernel, size)
     spectrum.flags.writeable = False
     return size, spectrum
 
 
-def pv_filter_uniform(g: np.ndarray, step: float, start: float) -> np.ndarray:
-    """PV Hilbert filter of grid samples g, taken as 0 off the grid, at the
-    same nodes: F_i = sum_{j != i} g_j / (j - i) + (g_{i+1} - g_{i-1}) / 2.
+def pv_filter_uniform(g: np.ndarray, first: int, count: int) -> np.ndarray:
+    """PV Hilbert filter of grid samples g, taken as 0 off the grid, on the
+    rows i = first .. first + count - 1 of the grid (or off it), count >= 1:
+    F_i = sum_{j != i} g_j / (j - i) + (g_{i+1} - g_{i-1}) / 2.
 
     g must vanish at both grid ends (the data support must lie strictly
-    inside).  The rule depends on neither ``step`` nor ``start``.  The
-    correlation is one real FFT of the zero-padded data, a product with
-    the kernel's spectrum (``_filter_plan``) and one inverse real FFT, both
-    transforms writing into this thread's work arrays (``work_array``).
+    inside).  The rule is one correlation of g's non-zero span with one
+    kernel: a real FFT of the span, zero-padded, a product with the kernel's
+    spectrum (``_filter_plan``) and an inverse real FFT, both into this
+    thread's work arrays (``work_array``).
     """
     g = np.asarray(g, dtype=float)
-    n = g.size
-    if n < 4:
-        raise ValueError("need at least 4 samples")
+    n, first, count = g.size, operator.index(first), operator.index(count)
+    if n < 4 or count < 1:
+        raise ValueError("need at least 4 samples and 1 row")
     if g[0] != 0.0 or g[-1] != 0.0:
         raise ValueError("data support reaches the filter grid boundary; extend the grid past it")
-    size, spectrum = _filter_plan(n)
+    j0 = int(np.argmax(g != 0.0))
+    n_s = n - int(np.argmax(g[::-1] != 0.0)) - j0 if g[j0] != 0.0 else 1
+    size, spectrum = _filter_plan(j0 - first, n_s, count)
 
-    # padded holds g, then the correlation at every lag, then the
-    # half-differences.  The two work arrays take 16 bytes per FFT point,
-    # about 2 MB at the fine CRT level (n = 62,164); fresh arrays on every
-    # call took about 270 more page faults per view there, and
-    # crt-fine-profile's CPU time rose from 2.39 to 2.69 s
+    # fresh FFT arrays on every call took about 270 more page faults per
+    # view on the fine CRT level, and crt-fine-profile's CPU time rose from
+    # 2.39 to 2.69 s
     product = work_array("spectrum", size // 2 + 1, complex)
     padded = work_array("fft", size, heap_keep=_HEAP_KEEP)
-    padded[:n] = g
-    padded[n:] = 0.0
+    padded[:n_s] = g[j0 : j0 + n_s]
+    padded[n_s:] = 0.0
     np.fft.rfft(padded, out=product)
     product *= spectrum
     np.fft.irfft(product, size, out=padded)
-    out = np.negative(padded[n - 1 : 2 * n - 1])
-    half = np.subtract(g[2:], g[:-2], out=padded[: n - 2])
-    half *= 0.5
-    out[1:-1] += half
-    out[0] += 0.5 * g[1]
-    out[-1] -= 0.5 * g[-2]
-    return out
+    return np.negative(padded[n_s - 1 : n_s - 1 + count])
 
 
-def filter_view(data, k: int, start: float, step: float, count: int) -> FilteredView:
-    """The FilteredView of view ``k`` of a semi-discrete data object
-    (anything with view_angle and data_smooth_deriv) on the fine grid
-    start + step * arange(count), which must hold the data support."""
-    values = pv_filter_uniform(data.data_smooth_deriv(k, start + step * np.arange(count)), step, start)
-    return FilteredView.from_values(data.view_angle(k), start, step, values)
+def filter_view(data, k: int, start: float, step: float, count: int, rows) -> FilteredView:
+    """The FilteredView of view ``k`` of a SemiDiscreteData on the rows
+    (first, size) = ``rows`` of the fine grid start + step * arange(count),
+    which must hold the data support.  g is sampled on the rows whose
+    windows meet the support, one to spare a side, and is 0 on the rest."""
+    alpha, (first, size) = data.view_angle(k), rows
+    reach = data.scheme.epsilon * data.mollifier.half_width
+    lo, hi = (np.add(data.sampler.support(alpha), (-reach, reach)) - start) / step
+    a, b = max(0, math.floor(lo)), min(count, math.ceil(hi) + 1)
+    g = np.zeros(count)
+    g[a:b] = data.data_smooth_deriv(k, start + step * np.arange(a, b))
+    return FilteredView.from_values(alpha, start + step * first, step, pv_filter_uniform(g, first, size))
 
 
 def _interpolate(view: FilteredView, q: np.ndarray) -> np.ndarray:

@@ -509,6 +509,48 @@ class TestRunPlan:
         q = phi_eval(family, alphas[:, None], np.vstack(reads))
         assert np.all(first[:, None] + 2.0 * plan.step <= q) and np.all(q <= last[:, None] - 2.0 * plan.step)
 
+    @pytest.mark.parametrize(
+        "config, points",
+        [
+            *(
+                (base.with_overrides(artifacts=("profile", *images)), None)
+                for base in (crt_preset().with_overrides(n_views=12), grt_preset().with_overrides(n_views=48))
+                for images in ((), ("roi-image",), ("global-image",), ("roi-image", "global-image"))
+            ),
+            (TINY_CRT.with_overrides(artifacts=("profile",)), [[12.0, -3.0], [0.0, 0.0]]),
+            (TINY_GRT.with_overrides(artifacts=("profile", "roi-image")), [[0.5, -1.5], [2.0, 2.0], [-1.0, 0.3]]),
+            (VERTEX_GRT, None),
+        ],
+        ids=[
+            *(f"{b}-{a}" for b in ("crt", "grt") for a in ("profile", "roi", "global", "all")),
+            "crt-points", "grt-points", "vertex",
+        ],
+    )
+    def test_rows_cover_every_read(self, config, points, monkeypatch):
+        # every Phi(alpha_k, x) a run reads lies at least two steps inside
+        # view k's rows, so the Catmull-Rom cell is never clipped, and the
+        # rows are rows of the view's grid
+        plan = plan_run(config, points)
+        first, size = plan.rows.T
+        assert np.all(first >= 0) and np.all(size >= 5) and np.all(first + size <= plan.counts)
+        scheme = config.build_scheme()
+        index = {scheme.alpha_origin + scheme.delta_alpha * (k + scheme.shift): i for i, k in enumerate(plan.views)}
+        reads, interpolate = {}, reconstruction._interpolate
+
+        def spy(view, q):
+            i = index[view.alpha]
+            assert view.start == plan.starts[i] + plan.step * first[i] and view.n == size[i]
+            pos = (q - view.start) / view.step
+            low, high = reads.get(i, (math.inf, -math.inf))
+            reads[i] = (min(low, pos.min()), max(high, pos.max()))
+            return interpolate(view, q)
+
+        monkeypatch.setattr(reconstruction, "_interpolate", spy)
+        run_experiment(config, threads=2, points=points)
+        assert sorted(reads) == list(range(plan.views.size))
+        low, high = np.array([reads[i] for i in range(plan.views.size)]).T
+        assert np.all(low >= 2.0 - 1e-9) and np.all(high <= size - 3.0 + 1e-9)
+
     def test_grid_pads_the_support(self):
         # a phantom wider than the probe's reach (|q| <= 1.72): view 0's
         # grid is its support padded by eps * half_width = eps and two
@@ -1142,15 +1184,16 @@ class TestDeterminism:
 
 
 def filtered_views(config, points=None) -> tuple[tuple[FilteredView, ...], tuple[np.ndarray, ...]]:
-    """Every view of a run of ``config``, filtered on its planned grid, and
-    each view's filtered grid values."""
+    """Every view of a run of ``config``, filtered on the rows of its grid
+    that the plan reads, and each view's filtered values on those rows,
+    from g sampled on the whole grid."""
     plan, family, phantom = plan_run(config, points), config.build_family(), config.build_phantom()
     data = SemiDiscreteData(config.build_scheme(), SinogramSampler(family, phantom))
     views, values = [], []
-    for k, start, count in zip(plan.views, plan.starts, plan.counts):
-        views.append(filter_view(data, k, start, plan.step, count))
+    for k, start, count, rows in zip(plan.views, plan.starts, plan.counts, plan.rows):
+        views.append(filter_view(data, k, start, plan.step, count, rows))
         grid = start + plan.step * np.arange(count)
-        values.append(pv_filter_uniform(data.data_smooth_deriv(k, grid), plan.step, start))
+        values.append(pv_filter_uniform(data.data_smooth_deriv(k, grid), *rows))
     return tuple(views), tuple(values)
 
 
@@ -1183,10 +1226,14 @@ class TestStreamedProfile:
 
     @pytest.mark.parametrize("base", [TINY_CRT, TINY_GRT], ids=["line", "circle"])
     def test_point_values_match_held_views_bitwise(self, base):
-        # points within the probe's reach leave the grids, and so the
-        # profile, as they are
+        # points whose bounding disk lies well inside the probe's disk
+        # (x0, eps * h_max) leave the grids and every view's rows, and so
+        # the profile, as they are
         config = base.with_overrides(artifacts=("profile",))
-        points = np.array([[0.3, -0.2], [1.5, 2.5], [-3.0, 1.0]])
+        points = np.asarray(config.probe_x0) + np.array([[0.05, -0.04], [-0.06, 0.02], [0.0, 0.07]])
+        assert 0.1 < config.epsilon * config.h_max
+        plan, alone = plan_run(config, points), plan_run(config)
+        assert plan.rows.tobytes() == alone.rows.tobytes() and plan.counts.tobytes() == alone.counts.tobytes()
         result = run_experiment(config, threads=2, points=points)
         views, _ = filtered_views(config, points)
         expected = backproject(views, points, config.build_family(), config.build_scheme())
@@ -1197,17 +1244,23 @@ class TestStreamedProfile:
             run_experiment(config, points=[[0.0, np.nan]])
 
     def test_profile_only_and_raster_runs_write_the_same_profile(self, tmp_path):
-        # h_max = 30 eps reaches past the ROI's corners, so both runs filter
-        # on the same grids
-        rasters = TINY_CRT.with_overrides(h_max=30.0, h_step=2.5)
-        assert rasters.artifacts == ("profile", "report", "roi-image", "global-image")
-        profile_only = rasters.with_overrides(artifacts=("profile",))
+        # h_max = 30 eps reaches past the ROI's corners, so a run with the
+        # ROI filters on the same grids and rows as a profile-only run.  The
+        # global image widens the rows, and with them the filter's FFT
+        # length, so its run's profile is the same to round-off
+        roi = TINY_CRT.with_overrides(h_max=30.0, h_step=2.5, artifacts=("profile", "report", "roi-image"))
+        profile_only = roi.with_overrides(artifacts=("profile",))
+        everything = roi.with_overrides(artifacts=("profile", "report", "roi-image", "global-image"))
+        assert plan_run(roi).rows.tobytes() == plan_run(profile_only).rows.tobytes()
         payloads = []
-        for config in (rasters, profile_only):
+        for config in (roi, profile_only):
             out = tmp_path / "-".join(config.artifacts)
             write_artifacts(run_experiment(config, threads=2), out)
             payloads.append((out / "profile.csv").read_bytes())
         assert payloads[0] == payloads[1]
+        want = run_experiment(profile_only).profile.recon_scaled
+        got = run_experiment(everything, threads=2).profile.recon_scaled
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.ptp(want)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_profile_only_run_leaves_no_view_alive(self, threads):
@@ -1217,10 +1270,10 @@ class TestStreamedProfile:
         assert _live_views() <= before
 
     def test_profile_only_run_holds_no_views(self, monkeypatch):
-        # a small phantom far from the probe: the grid is mostly empty
-        # q-range, so holding the views would dominate the peak
+        # a small phantom far from a long probe: the views' rows are the
+        # probe's q-range alone, so holding the views would dominate the peak
         config = crt_preset().with_overrides(
-            phantom_radius=1.0, epsilon=0.05, n_views=256, h_max=3.0, h_step=0.5, eta=8, artifacts=("profile",)
+            phantom_radius=1.0, epsilon=0.05, n_views=256, h_max=60.0, h_step=10.0, eta=8, artifacts=("profile",)
         )
         run_experiment(config)  # the filter plan and work arrays outlive a run
         filtered = []
@@ -1255,7 +1308,7 @@ class TestStreamedProfile:
         result = run_experiment(config)
         views, _ = filtered_views(config)
         family, scheme = config.build_family(), config.build_scheme()
-        backproject(views, np.zeros((3, 2)), family, scheme)
+        backproject(views, np.tile(config.probe_x0, (3, 1)), family, scheme)
         m = config.h_samples().size + 1
         assert calls == [m, 3]
         # a run that rasters scales the profile and then each raster once

@@ -111,7 +111,7 @@ class TestPVFilter:
         q = start + step * np.arange(n)
         # polynomial window forces exact zeros at both grid ends
         g = (q - q[0]) * (q[-1] - q) * np.sin(1.7 * q + rng.uniform(0, 2 * math.pi))
-        fast = pv_filter_uniform(g, step, start)
+        fast = pv_filter_uniform(g, 0, n)
         brute = _pv_brute(g)
         assert np.max(np.abs(fast - brute)) <= 1e-11 * max(1.0, np.max(np.abs(brute)))
 
@@ -122,7 +122,7 @@ class TestPVFilter:
         step = 2.5 / (n - 1)
         start = -1.25
         q = start + step * np.arange(n)
-        filtered = pv_filter_uniform(w_prime_eval(q), step, start)
+        filtered = pv_filter_uniform(w_prime_eval(q), 0, n)
         exact = _pv_mollifier_derivative_oracle(q)
         err = np.abs(filtered - exact)
         # w'' jumps at the support edges +-1; the trapezoid rule is first
@@ -132,10 +132,10 @@ class TestPVFilter:
         assert np.max(err[~away]) <= 5e-3
 
     def test_planned_lengths_do_not_change_values(self):
-        # the kernel spectrum is planned per grid length and kept for a
-        # few lengths; a value must not depend on which plans earlier calls
-        # left, on their order or on evictions, and it is the whole-line
-        # rule's up to round-off
+        # the kernel spectrum is planned per (lag, support, rows) and kept
+        # for a few keys; a value must not depend on which plans earlier
+        # calls left, on their order or on evictions, and it is the
+        # whole-line rule's up to round-off
         rng = np.random.default_rng(12)
         lengths = [4, 5, 17, 64, 1000, 1001, 4097, 62150]
         assert len(lengths) > reconstruction._PLAN_CACHE
@@ -143,18 +143,17 @@ class TestPVFilter:
         for n in lengths:
             g = rng.standard_normal(n) * (rng.random(n) < 0.7)
             g[0] = g[-1] = 0.0
-            step, start = float(rng.uniform(1e-4, 0.1)), float(rng.uniform(-5.0, 0.0))
             reconstruction._filter_plan.cache_clear()
-            want = pv_filter_uniform(g, step, start)
+            want = pv_filter_uniform(g, 0, n)
             ref = _pv_whole_line_fftconvolve(g)
             assert np.max(np.abs(want - ref)) <= 1e-13 * np.max(np.abs(ref)), n
-            cases.append((g, step, start, want.tobytes()))
+            cases.append((g, want.tobytes()))
         for clear in (False, True):
             if clear:
                 reconstruction._filter_plan.cache_clear()
             for i in np.concatenate([rng.permutation(len(cases)), rng.permutation(len(cases))]):
-                g, step, start, want = cases[i]
-                assert pv_filter_uniform(g, step, start).tobytes() == want, g.size
+                g, want = cases[i]
+                assert pv_filter_uniform(g, 0, g.size).tobytes() == want, g.size
 
     @pytest.mark.parametrize(
         "config",
@@ -171,17 +170,75 @@ class TestPVFilter:
         i = plan.views.size // 2
         n, step, start = int(plan.counts[i]), plan.step, float(plan.starts[i])
         g = data.data_smooth_deriv(plan.views[i], start + step * np.arange(n))
-        new = pv_filter_uniform(g, step, start)
+        new = pv_filter_uniform(g, 0, n)
         scale = np.max(np.abs(new))
         gaps = []
         for pad in (n // 2, n, 2 * n):
             padded = np.concatenate([np.zeros(pad), g, np.zeros(pad)])
-            moved = pv_filter_uniform(padded, step, start - pad * step)[pad : pad + n]
+            moved = pv_filter_uniform(padded, pad, n)
             assert np.max(np.abs(moved - new)) <= 1e-13 * scale, pad
             old = _pv_finite_interval(padded, step, start - pad * step)[pad : pad + n]
             gaps.append(np.max(np.abs(old - new)) / scale)
         assert gaps[0] >= 3.0 * gaps[1] and gaps[1] >= 3.0 * gaps[2], gaps
         assert gaps[2] <= 1e-11, gaps
+
+    @pytest.mark.parametrize("config", [crt_preset(), grt_preset()], ids=["line", "circle"])
+    def test_rows_match_the_whole_grid_rule(self, config):
+        # F on rows inside the support, across each of its ends and wholly
+        # outside it on both sides is the whole grid's F on those rows, to
+        # round-off (the FFT length follows the rows), and padding the grid
+        # with zeros moves no bit: only g's non-zero span enters
+        plan = pipeline.plan_run(config.with_overrides(artifacts=("profile",)))
+        data = SemiDiscreteData(config.build_scheme(), SinogramSampler(config.build_family(), config.build_phantom()))
+        i = plan.views.size // 2
+        n, step, start = int(plan.counts[i]), plan.step, float(plan.starts[i])
+        g = data.data_smooth_deriv(plan.views[i], start + step * np.arange(n))
+        whole = pv_filter_uniform(g, 0, n)
+        scale = np.max(np.abs(whole))
+        j0, j1 = np.flatnonzero(g)[[0, -1]]
+        assert j0 > 100 and j1 < n - 100
+        rows = [(j0 + 100, j1 - j0 - 200), (j0 - 40, 80), (j1 - 40, 80), (0, 60), (n - 60, 60), tuple(plan.rows[i])]
+        for first, count in rows:
+            part = pv_filter_uniform(g, first, count)
+            assert part.shape == (count,)
+            assert np.max(np.abs(part - whole[first : first + count])) <= 1e-13 * scale, (first, count)
+            for pad in (1, 1000):
+                padded = np.concatenate([np.zeros(pad), g, np.zeros(2 * pad)])
+                assert pv_filter_uniform(padded, first + pad, count).tobytes() == part.tobytes(), (first, pad)
+
+    @pytest.mark.parametrize("config", [crt_preset(), grt_preset()], ids=["line", "circle"])
+    def test_view_samples_g_on_the_support_rows_alone(self, config, monkeypatch):
+        # filter_view samples the data on the rows whose windows meet the
+        # support and hands the filter the whole grid's g, bit for bit:
+        # the data are exactly 0 on the rows it does not sample
+        plan = pipeline.plan_run(config.with_overrides(artifacts=("profile",)))
+        data = SemiDiscreteData(config.build_scheme(), SinogramSampler(config.build_family(), config.build_phantom()))
+        filtered, pv_filter = [], reconstruction.pv_filter_uniform
+        monkeypatch.setattr(reconstruction, "pv_filter_uniform", lambda g, *rows: filtered.append(g) or pv_filter(g, *rows))
+
+        class Sampled:
+            """``data`` that records the points it is sampled at."""
+
+            points = []
+
+            def __getattr__(self, name):
+                return getattr(data, name)
+
+            def data_smooth_deriv(self, k, p):
+                self.points.append(p)
+                return data.data_smooth_deriv(k, p)
+
+        for i in (0, plan.views.size // 2, plan.views.size - 1):
+            k, n, step, start = plan.views[i], int(plan.counts[i]), plan.step, plan.starts[i]
+            grid = start + step * np.arange(n)
+            whole = data.data_smooth_deriv(k, grid)
+            filter_view(Sampled(), k, start, step, n, plan.rows[i])
+            p, g = Sampled.points.pop(), filtered.pop()
+            a = int(np.flatnonzero(grid == p[0])[0])
+            assert p.tobytes() == grid[a : a + p.size].tobytes()
+            assert g.tobytes() == whole.tobytes()
+            assert not np.any(whole[:a]) and not np.any(whole[a + p.size :])
+            assert p.size < 0.8 * n
 
     def test_threads_share_no_work_arrays(self):
         # each thread filters and reads views in its own work arrays; with
@@ -194,7 +251,7 @@ class TestPVFilter:
         for n in (300, 301, 1000, 300, 4097, 16001):
             g = rng.standard_normal(n)
             g[0] = g[-1] = 0.0
-            calls.append(lambda g=g: pv_filter_uniform(g, 0.01, -1.0))
+            calls.append(lambda g=g: pv_filter_uniform(g, 0, g.size))
         view = FilteredView.from_values(0.3, -3.0, 0.01, rng.standard_normal(601))
         views = [view, replace(view, alpha=1.9)]
 
@@ -229,20 +286,25 @@ class TestPVFilter:
     def test_fine_crt_views_allocate_little(self):
         # the forward model and the filter work in this thread's arrays:
         # once they exist, ten views of the fine CRT level (62,164 grid
-        # points each) peak below 5 MB of new allocations
+        # points each), filtered on the rows the profile reads, peak below
+        # 3.5 MB of new allocations
         config = crt_preset().with_overrides(epsilon=0.01, n_views=400, eta=32, artifacts=("profile",))
         plan = pipeline.plan_run(config)
         data = SemiDiscreteData(config.build_scheme(), SinogramSampler(line_family(), DiskPhantom((0.0, 0.0), 5.0)))
-        filter_view(data, 0, plan.starts[0], plan.step, plan.counts[0])
+
+        def view(k):
+            return filter_view(data, k, plan.starts[k], plan.step, plan.counts[k], plan.rows[k])
+
+        view(0)
         tracemalloc.start()
         try:
             for k in range(1, 11):
-                view = filter_view(data, 37 * k, plan.starts[37 * k], plan.step, plan.counts[37 * k])
+                view(37 * k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert view.n > 6 * 10**4
-        assert peak < 5_000_000, peak
+        assert np.all(plan.counts[37 * np.arange(1, 11)] > 6 * 10**4)
+        assert peak < 3_500_000, peak
 
     def test_long_work_arrays_are_not_kept(self):
         # a thread keeps a work array only up to geometry._WORK_KEEP bytes:
@@ -250,21 +312,21 @@ class TestPVFilter:
         # small one stays kept for the next short filter (in a new thread,
         # whose arrays no earlier test has grown)
         rng = np.random.default_rng(15)
-        small = reconstruction._filter_plan(1000)[0]
-        assert 8 * reconstruction._filter_plan(600_000)[0] > geometry._WORK_KEEP
+        small = reconstruction._filter_plan(1, 998, 1000)[0]
+        assert 8 * reconstruction._filter_plan(1, 599_998, 600_000)[0] > geometry._WORK_KEEP
         cases = []
         for n in (1000, 600_000, 1000):
             g = rng.standard_normal(n)
             g[0] = g[-1] = 0.0
             reconstruction._filter_plan.cache_clear()
-            want = pv_filter_uniform(g, 0.01, -1.0)
+            want = pv_filter_uniform(g, 0, n)
             ref = _pv_whole_line_fftconvolve(g)
             assert np.max(np.abs(want - ref)) <= 1e-13 * np.max(np.abs(ref)), n
             cases.append((g, want.tobytes()))
 
         def run():
             for g, want in cases:
-                assert pv_filter_uniform(g, 0.01, -1.0).tobytes() == want, g.size
+                assert pv_filter_uniform(g, 0, g.size).tobytes() == want, g.size
                 assert geometry._work.arrays["fft"].size == small, g.size
 
         with ThreadPoolExecutor(max_workers=1) as pool:
@@ -275,6 +337,9 @@ class TestPVFilter:
         # target a grid of up to _MAX_GRID points may ask for
         for t in range(1, 2**16 + 1):
             assert reconstruction._fast_length(t) == next_fast_len(t, True), t
+        # the plan's keys come from intp arrays
+        for t in (np.int64(5), np.intp(62_164), np.int32(97), np.uint64(2**20 + 1)):
+            assert reconstruction._fast_length(t) == next_fast_len(int(t), True), t
         top = 3 * pipeline._MAX_GRID
         smooth = sorted(
             2**i * 3**j * 5**k
@@ -290,13 +355,13 @@ class TestPVFilter:
             assert reconstruction._fast_length(t) == next_fast_len(t, True), t
 
     def test_plan_is_read_only(self):
-        pv_filter_uniform(np.zeros(64), 0.125, -4.0)
-        _, spectrum = reconstruction._filter_plan(64)
+        pv_filter_uniform(np.zeros(64), 0, 64)
+        _, spectrum = reconstruction._filter_plan(0, 1, 64)
         with pytest.raises(ValueError, match="read-only"):
             spectrum[0] = spectrum[-1]
 
     def test_zero_in_zero_out(self):
-        out = pv_filter_uniform(np.zeros(64), 0.125, -4.0)
+        out = pv_filter_uniform(np.zeros(64), 0, 64)
         assert np.all(out == 0.0)
 
     def test_even_data_vanishes_at_center(self):
@@ -305,21 +370,21 @@ class TestPVFilter:
         start = -1.0
         q = start + step * np.arange(n)
         g = w_eval(q / 0.3)
-        out = pv_filter_uniform(g, step, start)
+        out = pv_filter_uniform(g, 0, n)
         assert abs(out[n // 2]) <= 1e-8
 
     def test_rejects_nonzero_endpoints(self):
         g = np.ones(16)
         with pytest.raises(ValueError, match="support"):
-            pv_filter_uniform(g, 0.1, 0.0)
+            pv_filter_uniform(g, 0, 16)
         g = np.zeros(16)
         g[-1] = 1e-14
         with pytest.raises(ValueError, match="support"):
-            pv_filter_uniform(g, 0.1, 0.0)
+            pv_filter_uniform(g, 0, 16)
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError, match="4 samples"):
-            pv_filter_uniform(np.zeros(3), 0.1, 0.0)
+            pv_filter_uniform(np.zeros(3), 0, 3)
 
 
 class TestInterpolation:
@@ -426,7 +491,7 @@ def _build_views(sampler, scheme, q_range, eta=8):
     data = SemiDiscreteData(scheme, sampler)
     step = scheme.epsilon / eta
     count = round((q_range[1] - q_range[0]) / step) + 1
-    return tuple(filter_view(data, k, q_range[0], step, count) for k in scheme.window_view_indices())
+    return tuple(filter_view(data, k, q_range[0], step, count, (0, count)) for k in scheme.window_view_indices())
 
 
 class TestBackprojection:
