@@ -39,7 +39,6 @@ from .special_functions import (
 __all__ = [
     "CriterionResult",
     "AcceptanceContext",
-    "SUITES",
     "select",
     "run_criteria",
     "format_line",
@@ -65,8 +64,9 @@ class CriterionResult:
 def _fidelity_points() -> np.ndarray:
     """Criterion 8's points, read by every line-family run: the center and 16
     on each of six circles inside the radius-5 phantom (the first 97), then 16
-    on the ring 10 eps = 0.2 outside it; all within every such run's reach, so
-    they move no grid and no other value."""
+    on the ring 10 eps = 0.2 outside it.  They widen each view's rows, and so
+    the filter's FFT length, but move no lattice point: the run's other values
+    move by round-off at most."""
     angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     points = [(0.0, 0.0)]
     for rad in (0.5, 1.25, 2.0, 2.75, 3.5, 4.25, 5.0 + 10.0 * 0.02):
@@ -382,7 +382,7 @@ _CRITERIA = (
     (12, "determinism", _c12_determinism),
 )
 
-SUITES = {
+_SUITES = {
     "all": tuple(number for number, _, _ in _CRITERIA),
     "psi-properties": (1, 2, 3, 4, 5),
     "geometry": (6, 7),
@@ -391,12 +391,12 @@ SUITES = {
 
 
 def select(selector: str) -> tuple[int, ...]:
-    if selector in SUITES:
-        return SUITES[selector]
+    if selector in _SUITES:
+        return _SUITES[selector]
     for number, slug, _ in _CRITERIA:
         if selector == slug:
             return (number,)
-    options = sorted(set(SUITES) | {slug for _, slug, _ in _CRITERIA})
+    options = sorted(set(_SUITES) | {slug for _, slug, _ in _CRITERIA})
     raise ValueError(f"unknown suite {selector!r}; choose from {', '.join(options)}")
 
 

@@ -27,9 +27,9 @@ from .outputs import format_floats, write_psi_table_csv
 from .pipeline import MAX_THREADS, plan_run, run_experiment, write_artifacts
 from .special_functions import big_psi
 
-__all__ = ["main", "ENV_OUT"]
+__all__ = ["main"]
 
-ENV_OUT = "ALIASLAB_OUT"
+_ENV_OUT = "ALIASLAB_OUT"
 _FALLBACK_OUT = "aliaslab-out"
 
 
@@ -38,7 +38,7 @@ def _resolve_out(cli_out, config: ExperimentConfig | None) -> str:
         return cli_out
     if config is not None and config.out_dir:
         return config.out_dir
-    return os.environ.get(ENV_OUT) or _FALLBACK_OUT
+    return os.environ.get(_ENV_OUT) or _FALLBACK_OUT
 
 
 def _cmd_demo(args) -> int:

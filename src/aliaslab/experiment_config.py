@@ -18,11 +18,11 @@ import numpy as np
 
 from .geometry import MAX_VIEWS, DiskPhantom, RadonFamily, SamplingScheme, circle_family, line_family
 from .outputs import format_floats
-from .reconstruction import MAX_IMAGE_PIXELS, ImageGrid
+from .reconstruction import ImageGrid
 
 __all__ = [
-    "ConfigError", "ExperimentConfig", "MAX_IMAGE_PIXELS", "MAX_PROFILE_SAMPLES", "MAX_VIEWS", "parse_config_text",
-    "load_config_file", "crt_preset", "grt_preset",
+    "ConfigError", "ExperimentConfig", "MAX_PROFILE_SAMPLES", "parse_config_text", "load_config_file", "crt_preset",
+    "grt_preset",
 ]
 
 _ARTIFACTS = ("profile", "report", "roi-image", "global-image")

@@ -52,7 +52,7 @@ MAX_THREADS = 64
 # is refused.  Filtering one view on all its rows takes about 95 bytes per
 # grid point (an FFT of length n_s + rows - 1 <= 2n; tracemalloc's peak of
 # one filter_view with its plan at 2**20 and 2**21 points, the support on
-# 3/4 of them), so 2**22 take about 0.4 GB; the fine CRT level uses 6.2*10**4.
+# 3/4 of them), so 2**22 take about 0.4 GB; the fine CRT level uses 3.2-4.4*10**4.
 _MAX_GRID = 2**22
 
 # pixel rows per parallel task; fixed so the work split never depends on
@@ -61,8 +61,8 @@ _ROWS_PER_BLOCK = 50
 
 # views per window of a run that rasters.  A run holds the views (their
 # Catmull-Rom tables, 32 bytes per fine-grid point) of two windows, the one
-# it rasters and the one it filters: on crt-demo (24,233 points per view)
-# windows of 8 peaked at about 81 MB and windows of 16 at about 96 MB
+# it rasters and the one it filters: on crt-demo, measured at 24,233 points
+# a view (22,633 now), windows of 8 peaked at about 81 MB and 16 at 96 MB
 _VIEW_WINDOW = 8
 
 
@@ -114,13 +114,13 @@ def _resolve_theta(config: ExperimentConfig, descriptors) -> np.ndarray:
 @dataclass(frozen=True)
 class RunPlan:
     """What a run of one config does, decided before any view is filtered:
-    the window's ``views``; view views[i]'s fine grid starts[i] + step *
-    arange(counts[i]), step = eps/eta, and its rows (first, size) = rows[i]
-    read; the rasters, stage -> (center, half_extent, pixel_size); and the
-    extra (m, 2) ``points`` it reads."""
+    the window's ``views``; view views[i]'s fine grid step * (offsets[i] +
+    arange(counts[i])) on the one lattice step * Z, step = eps/eta, and its
+    rows (first, size) = rows[i] read; the rasters, stage -> (center,
+    half_extent, pixel_size); and the extra (m, 2) ``points`` it reads."""
 
     views: np.ndarray
-    starts: np.ndarray
+    offsets: np.ndarray
     counts: np.ndarray
     rows: np.ndarray
     step: float
@@ -130,80 +130,74 @@ class RunPlan:
 
 def plan_run(config: ExperimentConfig, points=None) -> RunPlan:
     """The plan of a run of ``config`` that also reads the (m, 2) ``points``.
-    A view's grid is its data support between the kinks Phi(alpha_k,
-    center) -+ r, padded by eps*half_width, united with the Phi values of
-    all points within 1 of the farthest one the run reads (probe line,
-    rasters, ``points``), widened by two steps on each side.  A grid over
-    ``_MAX_GRID`` points is a ConfigError naming the key of the farthest
-    read, probe.x0 (probe line, ROI), image.half_extent or points, when
-    the reads set the grid, and else scheme.epsilon.  Every read is a disk
-    (probe line, ROI, global image, the points' bounding disk), so view k's
-    rows span Phi_k(center) -+ radius over them (Phi is 1-Lipschitz), two
-    steps wider a side for Catmull-Rom, clipped at q_lo (0 for circles)."""
+    Every read is a disk (probe line, ROI, global image, the points'
+    bounding disk) and Phi is 1-Lipschitz, so view k's rows span the levels
+    Phi_k(center) -+ radius over the disks (no lower than 0 for circles).
+    Its grid is the hull of those rows and its padded support (kinks -+
+    eps*half_width), both in lattice units rounded outward with two steps
+    to spare a side, so no read moves the lattice.  A grid over
+    ``_MAX_GRID`` points is a ConfigError naming scheme.epsilon when the
+    padded supports alone are at fault, and else the key of the
+    farthest-reaching disk: probe.x0 (probe line, ROI), image.half_extent
+    or points."""
     family, scheme = config.build_family(), config.build_scheme()
-    eps = scheme.epsilon
+    eps, step = scheme.epsilon, scheme.epsilon / config.eta
     x0 = np.asarray(config.probe_x0, dtype=float)
-    norm = float(np.hypot(*x0))
-    reaches = {"probe.x0": norm + eps * config.h_max}
-    rasters, disks = {}, [(x0, eps * config.h_max)]
+    rasters, disks = {}, [("probe.x0", x0, eps * config.h_max)]
     if "global-image" in config.artifacts:
         rasters["global_image_s"] = ((0.0, 0.0), config.image_half_extent, config.image_pixel_size)
-        reaches["image.half_extent"] = config.image_half_extent * np.sqrt(2.0)
-        disks.append((np.zeros(2), reaches["image.half_extent"]))
+        disks.append(("image.half_extent", np.zeros(2), config.image_half_extent * np.sqrt(2.0)))
     if "roi-image" in config.artifacts:
         rasters["roi_image_s"] = (tuple(x0), 20.0 * eps, eps / 4.0)
-        reaches["probe.x0"] = max(reaches["probe.x0"], norm + 20.0 * eps * np.sqrt(2.0))
-        disks.append((x0, 20.0 * eps * np.sqrt(2.0)))
+        disks.append(("probe.x0", x0, 20.0 * eps * np.sqrt(2.0)))
     points = np.zeros((0, 2)) if points is None else np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    with np.errstate(over="ignore"):  # an inf reach is refused by its grid's count
-        reaches["points"] = float(np.hypot(points[:, 0], points[:, 1]).max(initial=0.0))
-    reach, R = max(reaches.values()) + 1.0, family.acquisition_radius
-    q_lo, q_hi = (-reach, reach) if family.kind == "line" else (max(0.0, R - reach), R + reach)
-
-    step = eps / config.eta
-    views = scheme.window_view_indices()
-    sampler = SinogramSampler(family, config.build_phantom())
-    starts, ends = sampler.support(scheme.view_angles()[views])
-    pad = eps * SemiDiscreteData.mollifier.half_width
-    starts = np.minimum(np.subtract(starts, pad, out=starts), q_lo, out=starts)
-    starts -= 2.0 * step
-    ends = np.maximum(np.add(ends, pad, out=ends), q_hi, out=ends)
-    ends += 2.0 * step
-    # count = ceil((hi - lo) / step) + 1, formed in ``ends``; inf on overflow
-    with np.errstate(over="ignore"):
-        counts = np.ceil(np.divide(np.subtract(ends, starts, out=ends), step, out=ends), out=ends)
-    counts += 1.0
-    if counts.size and counts.max() > _MAX_GRID:
-        needs = f"a view needs {counts.max():.6g} fine-grid points of step scheme.epsilon / recon.eta = {step:.3g}"
+    # far points overflow to an inf radius or level, refused by its count
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(points):
+            center = 0.5 * points.min(axis=0) + 0.5 * points.max(axis=0)
+            disks.append(("points", center, float(np.hypot(*(points - center).T).max())))
+        key = max(disks, key=lambda disk: np.hypot(*disk[1]) + disk[2])[0]
+        views = scheme.window_view_indices()
+        alphas = scheme.view_angles()[views]
+        # the rows over the disks, then the padded supports, in lattice
+        # units, one value per view, in place
+        first, last, phi = np.full(views.size, np.inf), np.full(views.size, -np.inf), np.empty(views.size)
+        for _, center, radius in disks:
+            phi_eval(family, alphas, center, phi)
+            np.minimum(first, phi - radius, out=first)
+            np.maximum(last, np.add(phi, radius, out=phi), out=last)
+        if family.kind != "line":
+            np.maximum(first, 0.0, out=first)
+        np.subtract(np.floor(np.divide(first, step, out=first), out=first), 2.0, out=first)
+        np.add(np.ceil(np.divide(last, step, out=last), out=last), 2.0, out=last)
+        lo, hi = SinogramSampler(family, config.build_phantom()).support(alphas)
+        del alphas, phi
+        pad = eps * SemiDiscreteData.mollifier.half_width
+        np.floor(np.divide(np.subtract(lo, pad, out=lo), step, out=lo), out=lo)
+        np.ceil(np.divide(np.add(hi, pad, out=hi), step, out=hi), out=hi)
+        support = np.max(hi - lo, initial=0.0) + 5.0
+        # the grid, the hull of both spans with two steps to spare a side
+        offsets = np.minimum(np.subtract(lo, 2.0, out=lo), first, out=lo)
+        counts = np.maximum(np.add(hi, 2.0, out=hi), last, out=hi)
+        np.add(np.subtract(counts, offsets, out=counts), 1.0, out=counts)
+    most = counts.max(initial=0.0)
+    if not most <= _MAX_GRID:
+        needs = f"a view needs {most:.6g} fine-grid points of step scheme.epsilon / recon.eta = {step:.3g}"
         # the reads are at fault when the padded supports alone would fit
         # and take less than a quarter of the grid; at the sweep's finer
         # levels a probe a few phantom radii out takes about half of it
-        lo, hi = sampler.support(scheme.view_angles()[views])
-        support = (np.max(hi - lo) + 2.0 * pad) / step + 5.0
-        if support > _MAX_GRID or 4.0 * support >= counts.max():
+        if support > _MAX_GRID or 4.0 * support >= most:
             raise ConfigError(f"scheme.epsilon: {needs}, more than {_MAX_GRID}: raise scheme.epsilon or lower recon.eta")
-        key = max(reaches, key=reaches.get)
-        raise ConfigError(
-            f"{key}: {needs} to reach its farthest point, more than {_MAX_GRID}: read nearer the origin"
-        )
-    if len(points):
-        center = 0.5 * (points.min(axis=0) + points.max(axis=0))
-        disks.append((center, float(np.hypot(*(points - center).T).max())))
-    # bounds over the disks, one value per view, in place; no read is below q_lo
-    counts = counts.astype(np.intp)
-    lo, hi = np.full(views.size, np.inf), np.full(views.size, -np.inf)
-    for center, radius in disks:
-        phi = phi_eval(family, scheme.view_angles()[views], center, ends)
-        np.minimum(lo, phi - radius, out=lo)
-        np.maximum(hi, np.add(phi, radius, out=phi), out=hi)
-    np.floor(np.divide(np.subtract(np.maximum(lo, q_lo, out=lo), starts, out=lo), step, out=lo), out=lo)
-    np.ceil(np.divide(np.subtract(hi, starts, out=hi), step, out=hi), out=hi)
+        raise ConfigError(f"{key}: {needs} to reach its farthest point, more than {_MAX_GRID}: read nearer the origin")
+    # step * n is the lattice point only while the index n is exact in a double
+    if not np.max(np.abs(offsets), initial=0.0) <= 2.0**53:
+        raise ConfigError(f"{key}: a grid lies over 2**53 steps of {step:.3g} from the origin: read nearer the origin")
     rows = np.empty((views.size, 2), np.intp)
-    rows[:, 0] = np.maximum(np.subtract(lo, 2.0, out=lo), 0.0, out=lo)
-    rows[:, 1] = np.minimum(np.add(hi, 2.0, out=hi), counts - 1, out=hi) - lo + 1.0
-    return RunPlan(views, starts, counts, rows, step, rasters, points)
+    rows[:, 1] = np.add(np.subtract(last, first, out=last), 1.0, out=last)
+    rows[:, 0] = np.subtract(first, offsets, out=first)
+    return RunPlan(views, offsets.astype(np.intp), counts.astype(np.intp), rows, step, rasters, points)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1, points=None) -> ExperimentResult:
@@ -264,7 +258,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, points=None) -> E
         t0 = time.perf_counter()
         block, arg = item
         if block is None:
-            view = filter_view(data, plan.views[arg], plan.starts[arg], plan.step, plan.counts[arg], plan.rows[arg])
+            view = filter_view(data, plan.views[arg], plan.offsets[arg], plan.step, plan.counts[arg], plan.rows[arg])
             term = np.zeros(len(reads))
             add_view_terms(term, [view], family, reads)
             out = ("filter_s", (term, view if rasters else None))

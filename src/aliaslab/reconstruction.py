@@ -161,7 +161,7 @@ def pv_filter_uniform(g: np.ndarray, first: int, count: int) -> np.ndarray:
     if n < 4 or count < 1:
         raise ValueError("need at least 4 samples and 1 row")
     if g[0] != 0.0 or g[-1] != 0.0:
-        raise ValueError("data support reaches the filter grid boundary; extend the grid past it")
+        raise ValueError("data support meets the filter grid boundary; extend the grid past it")
     j0 = int(np.argmax(g != 0.0))
     n_s = n - int(np.argmax(g[::-1] != 0.0)) - j0 if g[j0] != 0.0 else 1
     size, spectrum = _filter_plan(j0 - first, n_s, count)
@@ -179,18 +179,19 @@ def pv_filter_uniform(g: np.ndarray, first: int, count: int) -> np.ndarray:
     return np.negative(padded[n_s - 1 : n_s - 1 + count])
 
 
-def filter_view(data, k: int, start: float, step: float, count: int, rows) -> FilteredView:
+def filter_view(data, k: int, offset: int, step: float, count: int, rows) -> FilteredView:
     """The FilteredView of view ``k`` of a SemiDiscreteData on the rows
-    (first, size) = ``rows`` of the fine grid start + step * arange(count),
-    which must hold the data support.  g is sampled on the rows whose
-    windows meet the support, one to spare a side, and is 0 on the rest."""
+    (first, size) = ``rows`` of the fine grid step * (offset + arange(count)),
+    which must hold the padded data support.  g is sampled at step * n, from
+    the lattice index n alone, where the windows may meet the support (n from
+    floor to ceil of (support -+ eps*half_width) / step), and is 0 elsewhere."""
     alpha, (first, size) = data.view_angle(k), rows
-    reach = data.scheme.epsilon * data.mollifier.half_width
-    lo, hi = (np.add(data.sampler.support(alpha), (-reach, reach)) - start) / step
-    a, b = max(0, math.floor(lo)), min(count, math.ceil(hi) + 1)
+    pad = data.scheme.epsilon * data.mollifier.half_width
+    lo, hi = data.sampler.support(alpha)
+    a, b = max(offset, math.floor((lo - pad) / step)), min(offset + count, math.ceil((hi + pad) / step) + 1)
     g = np.zeros(count)
-    g[a:b] = data.data_smooth_deriv(k, start + step * np.arange(a, b))
-    return FilteredView.from_values(alpha, start + step * first, step, pv_filter_uniform(g, first, size))
+    g[a - offset : b - offset] = data.data_smooth_deriv(k, step * np.arange(a, b, dtype=float))
+    return FilteredView.from_values(alpha, step * (offset + first), step, pv_filter_uniform(g, first, size))
 
 
 def _interpolate(view: FilteredView, q: np.ndarray) -> np.ndarray:

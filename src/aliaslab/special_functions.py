@@ -323,12 +323,12 @@ def hurwitz_tail(start: int, offset: float = 0.0) -> float:
     two-term form would miss the 1e-6 agreement required against direct
     summation at start = 100, hence the third term.
     """
-    if int(start) != start or start < 1:
-        raise ValueError("start must be a positive integer")
+    if not (math.isfinite(start) and int(start) == start and start >= 1):
+        raise ValueError(f"start must be a positive integer, not {start!r}")
     s = 1.5
     t = float(start) + float(offset)
-    if t <= 0.0:
-        raise ValueError("start + offset must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"offset must make start + offset positive and finite, not {offset!r}")
     return t ** (1.0 - s) / (s - 1.0) + 0.5 * t ** (-s) + (s / 12.0) * t ** (-s - 1.0)
 
 

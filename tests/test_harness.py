@@ -24,9 +24,7 @@ from hypothesis import strategies as st
 import aliaslab
 from aliaslab.cli import _build_parser, main
 from aliaslab.experiment_config import (
-    MAX_IMAGE_PIXELS,
     MAX_PROFILE_SAMPLES,
-    MAX_VIEWS,
     ConfigError,
     ExperimentConfig,
     crt_preset,
@@ -39,7 +37,7 @@ from aliaslab.outputs import (
     write_pgm16,
     write_profile_csv,
 )
-from aliaslab import pipeline, reconstruction
+from aliaslab import cli, pipeline, reconstruction
 from aliaslab.pipeline import (
     _resolve_theta,
     plan_run,
@@ -48,8 +46,9 @@ from aliaslab.pipeline import (
     write_artifacts,
 )
 from aliaslab.forward_model import SemiDiscreteData, SinogramSampler
-from aliaslab.geometry import phi_eval, tangency_enumerate
+from aliaslab.geometry import MAX_VIEWS, phi_eval, tangency_enumerate
 from aliaslab.reconstruction import (
+    MAX_IMAGE_PIXELS,
     AliasProfile,
     FilteredView,
     ImageGrid,
@@ -309,23 +308,35 @@ class TestConfigValidation:
 
 class TestPipelineWiring:
     def test_query_range_by_family(self):
-        # every grid reaches 2 steps past the Phi values of all points
-        # within 1 of the farthest point the run reads: |x| <= 3 on the
-        # probe line (|x0| = 2, eps * h_max = 1), 4 with the extra point
-        # (0, -4); line levels span -|x|..|x|, circle levels R -+ |x| and
-        # never below 0.  The padded supports lie inside, and every number
-        # is dyadic, so the grid ends are exact
+        # every grid is a stretch of the one lattice step * Z, the hull in
+        # lattice units of two spans with two steps to spare a side: the
+        # padded support, floor/ceil of (kinks -+ eps) / step, and the
+        # rows, floor/ceil of the levels Phi_k(c) -+ rho over the disks
+        # read: the probe line ((0, 2), eps * h_max = 1) and the extra
+        # point, of radius 0.  Circle levels are never below 0, and the
+        # extra point (0, -4) widens the hull past the probe's rows
         config = crt_preset().with_overrides(
             phantom_radius=0.5, phantom_center=(0.0, 0.25), probe_x0=(0.0, 2.0), epsilon=0.125, h_max=8.0,
             h_step=2.0, eta=2, n_views=4, artifacts=("profile",),
         )
         circle = config.with_overrides(family="circle", acquisition_radius=5.0)
-        for base, reach, far in ((config, (-4.0, 4.0), (-5.0, 5.0)), (circle, (1.0, 9.0), (0.0, 10.0))):
-            for points, (lo, hi) in ((None, reach), ([[3.0, 0.0]], reach), ([[0.0, -4.0]], far)):
+        for base in (config, circle):
+            family, scheme = base.build_family(), base.build_scheme()
+            alphas = scheme.view_angles()[scheme.window_view_indices()]
+            lo, hi = SinogramSampler(family, base.build_phantom()).support(alphas)
+            support = np.floor((lo - 0.125) / 0.0625) - 2, np.ceil((hi + 0.125) / 0.0625) + 2
+            for points in (None, [[3.0, 0.0]], [[0.0, -4.0]]):
                 plan = plan_run(base, points)
-                assert np.all(plan.starts == lo - 2.0 * plan.step), (base.family, points)
-                last = plan.starts + plan.step * (plan.counts - 1)
-                assert np.all((hi + 2.0 * plan.step <= last) & (last < hi + 3.0 * plan.step)), (base.family, points)
+                assert plan.step == 0.0625 and plan.offsets.dtype == plan.counts.dtype == plan.rows.dtype == np.intp
+                disks = [((0.0, 2.0), 1.0)] + [(point, 0.0) for point in points or ()]
+                levels = [phi_eval(family, alphas, c) + s * r for c, r in disks for s in (-1.0, 1.0)]
+                low = np.min(levels, axis=0) if family.kind == "line" else np.maximum(np.min(levels, axis=0), 0.0)
+                rows = np.floor(low / 0.0625) - 2, np.ceil(np.max(levels, axis=0) / 0.0625) + 2
+                first = plan.offsets + plan.rows[:, 0]
+                assert np.array_equal(first, rows[0]) and np.array_equal(first + plan.rows[:, 1] - 1, rows[1])
+                assert np.array_equal(plan.offsets, np.minimum(support[0], rows[0]))
+                assert np.array_equal(plan.offsets + plan.counts - 1, np.maximum(support[1], rows[1]))
+                assert (points is None) == np.all(plan.rows[:, 1] <= 38), (base.family, points)
 
     def test_resolve_theta_radial_normalizes(self):
         theta = _resolve_theta(TINY_CRT, descriptors=())
@@ -494,7 +505,7 @@ class TestRunPlan:
         family, scheme = config.build_family(), config.build_scheme()
         assert np.array_equal(plan.views, scheme.window_view_indices())
         alphas = scheme.view_angles()[plan.views]
-        first, last = plan.starts, plan.starts + plan.step * (plan.counts - 1)
+        first, last = plan.step * plan.offsets, plan.step * (plan.offsets + plan.counts - 1)
         lo, hi = SinogramSampler(family, config.build_phantom()).support(alphas)
         pad = scheme.epsilon * 1.0
         assert np.all(first <= lo - pad - 2.0 * plan.step) and np.all(hi + pad + 2.0 * plan.step <= last)
@@ -539,7 +550,7 @@ class TestRunPlan:
 
         def spy(view, q):
             i = index[view.alpha]
-            assert view.start == plan.starts[i] + plan.step * first[i] and view.n == size[i]
+            assert view.start == plan.step * (plan.offsets[i] + first[i]) and view.n == size[i]
             pos = (q - view.start) / view.step
             low, high = reads.get(i, (math.inf, -math.inf))
             reads[i] = (min(low, pos.min()), max(high, pos.max()))
@@ -552,20 +563,19 @@ class TestRunPlan:
         assert np.all(low >= 2.0 - 1e-9) and np.all(high <= size - 3.0 + 1e-9)
 
     def test_grid_pads_the_support(self):
-        # a phantom wider than the probe's reach (|q| <= 1.72): view 0's
-        # grid is its support padded by eps * half_width = eps and two
-        # steps, ending within one step past that
+        # a phantom wider than the probe's rows (|q| <= 0.22 in view 0,
+        # alpha = -pi/2): view 0's grid is its support padded by
+        # eps * half_width = eps, in lattice units rounded outward, and
+        # two steps a side
         config = crt_preset().with_overrides(
             phantom_center=(3.0, 0.0), phantom_radius=3.0, probe_x0=(-0.5, 0.0), artifacts=("profile",)
         )
         plan = plan_run(config)
         alpha = config.build_scheme().view_angles()[0]
         slo, shi = SinogramSampler(config.build_family(), config.build_phantom()).support(alpha)
-        pad = 0.02 + 2 * plan.step
-        assert plan.views[0] == 0
-        assert plan.starts[0] == pytest.approx(slo - pad)
-        last = plan.starts[0] + plan.step * (plan.counts[0] - 1)
-        assert shi + pad - 1e-12 <= last < shi + pad + plan.step
+        assert plan.views[0] == 0 and plan.step * (plan.offsets[0] + plan.rows[0, 0]) > slo
+        assert plan.offsets[0] == math.floor((slo - 0.02) / plan.step) - 2
+        assert plan.offsets[0] + plan.counts[0] - 1 == math.ceil((shi + 0.02) / plan.step) + 2
 
     @pytest.mark.parametrize(
         "config",
@@ -584,7 +594,7 @@ class TestRunPlan:
         plan = plan_run(config)
         alphas = config.build_scheme().view_angles()[plan.views]
         lo, _ = SinogramSampler(config.build_family(), config.build_phantom()).support(alphas)
-        assert np.any(plan.starts == (lo - config.epsilon) - 2.0 * plan.step)
+        assert np.any(plan.offsets == np.floor((lo - config.epsilon) / plan.step) - 2)
         result = run_experiment(config, threads=2)
         assert np.all(np.isfinite(result.profile.recon_scaled))
 
@@ -631,6 +641,22 @@ class TestRunPlan:
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: a view needs .* fine-grid points") as info:
             plan_run(config)
         assert not re.search(r"\d{10}", str(info.value))
+
+    def test_a_scene_far_from_the_origin_plans_its_own_lattice_stretch(self):
+        # no grid has to reach the origin: a scene 3000 out plans grids of
+        # its support alone and runs; one whose lattice indices would pass
+        # 2**53, where step * n is no longer exact, is refused by key
+        # without a warning
+        near = crt_preset().with_overrides(
+            phantom_center=(3000.0, 0.0), probe_x0=(3000.0, 7.0), n_views=20, artifacts=("profile",)
+        )
+        assert plan_run(near).counts.max() < 10_000
+        assert np.all(np.isfinite(run_experiment(near).profile.recon_scaled))
+        far = near.with_overrides(phantom_center=(3e16, 0.0), probe_x0=(3e16, 7.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^probe\.x0: a grid lies over 2\*\*53 steps"):
+                plan_run(far)
 
     @pytest.mark.parametrize("point", [[1e308, 1e308], [-1e308, 1e308], [1.7e308, 1.7e308]])
     def test_points_near_the_float_limit_are_refused_without_a_warning(self, point):
@@ -1112,6 +1138,9 @@ class TestPublicSurface:
             assert all(hasattr(module, name) for name in names), module.__name__
             for name in self.REMOVED:
                 assert not hasattr(module, name), (module.__name__, name)
+        # and each public name is listed by one module alone
+        listed = [name for module in modules for name in module.__all__]
+        assert len(set(listed)) == len(listed), sorted(name for name in set(listed) if listed.count(name) > 1)
         assert not hasattr(ImageGrid, "pixel_centers")
 
 
@@ -1147,11 +1176,16 @@ class TestScripts:
         assert out.err.startswith("error: scheme.n_views") and "Traceback" not in out.err
         assert out.out == "" and not (tmp_path / "sweep.csv").exists()
 
-    def test_sweep_refinement_plans_every_level_before_any_run(self, tmp_path, capsys):
-        # level 10 of 11 needs 5,244,507 fine-grid points per view, more
-        # than pipeline._MAX_GRID
+    def test_sweep_refinement_plans_every_level_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # level 11 of 12 needs 7,428,880 fine-grid points per view, more
+        # than pipeline._MAX_GRID; a level admitted by mistake fails at
+        # once instead of running
+        def no_run(*args, **kwargs):
+            raise AssertionError("a level ran before every level was planned")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
         start = time.perf_counter()
-        rc = main(["sweep", "--levels", "11", "--out", str(tmp_path)])
+        rc = main(["sweep", "--levels", "12", "--out", str(tmp_path)])
         assert time.perf_counter() - start < 5.0
         out = capsys.readouterr()
         assert rc == 2
@@ -1190,9 +1224,9 @@ def filtered_views(config, points=None) -> tuple[tuple[FilteredView, ...], tuple
     plan, family, phantom = plan_run(config, points), config.build_family(), config.build_phantom()
     data = SemiDiscreteData(config.build_scheme(), SinogramSampler(family, phantom))
     views, values = [], []
-    for k, start, count, rows in zip(plan.views, plan.starts, plan.counts, plan.rows):
-        views.append(filter_view(data, k, start, plan.step, count, rows))
-        grid = start + plan.step * np.arange(count)
+    for k, offset, count, rows in zip(plan.views, plan.offsets, plan.counts, plan.rows):
+        views.append(filter_view(data, k, offset, plan.step, count, rows))
+        grid = plan.step * np.arange(offset, offset + count, dtype=float)
         values.append(pv_filter_uniform(data.data_smooth_deriv(k, grid), *rows))
     return tuple(views), tuple(values)
 
@@ -1244,23 +1278,35 @@ class TestStreamedProfile:
             run_experiment(config, points=[[0.0, np.nan]])
 
     def test_profile_only_and_raster_runs_write_the_same_profile(self, tmp_path):
-        # h_max = 30 eps reaches past the ROI's corners, so a run with the
-        # ROI filters on the same grids and rows as a profile-only run.  The
-        # global image widens the rows, and with them the filter's FFT
-        # length, so its run's profile is the same to round-off
-        roi = TINY_CRT.with_overrides(h_max=30.0, h_step=2.5, artifacts=("profile", "report", "roi-image"))
-        profile_only = roi.with_overrides(artifacts=("profile",))
-        everything = roi.with_overrides(artifacts=("profile", "report", "roi-image", "global-image"))
-        assert plan_run(roi).rows.tobytes() == plan_run(profile_only).rows.tobytes()
-        payloads = []
-        for config in (roi, profile_only):
-            out = tmp_path / "-".join(config.artifacts)
-            write_artifacts(run_experiment(config, threads=2), out)
-            payloads.append((out / "profile.csv").read_bytes())
-        assert payloads[0] == payloads[1]
-        want = run_experiment(profile_only).profile.recon_scaled
-        got = run_experiment(everything, threads=2).profile.recon_scaled
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.ptp(want)
+        # every view's grid lies on the one lattice step * Z, so the images
+        # change only the rows a view is filtered on, and with them the
+        # filter's FFT length: on both presets and the fine CRT level (with
+        # fewer views, and coarse global images, whose pixel size moves no
+        # row), runs that read the same rows write the same profile.csv,
+        # and any two runs' profiles agree to round-off
+        bases = (
+            crt_preset().with_overrides(n_views=12, image_pixel_size=0.5),
+            grt_preset().with_overrides(n_views=48, image_pixel_size=0.2),
+            crt_preset().with_overrides(epsilon=0.01, n_views=16, eta=32, image_pixel_size=0.5),
+        )
+        sets = [("profile",), ("roi-image",), ("profile", "roi-image"), ("profile", "global-image")]
+        sets.append(("profile", "report", "roi-image", "global-image"))
+        for i, base in enumerate(bases):
+            runs = []
+            for artifacts in sets:
+                config = base.with_overrides(artifacts=artifacts)
+                result = run_experiment(config, threads=2)
+                out = tmp_path / f"{i}-{'-'.join(artifacts)}"
+                write_artifacts(result, out)
+                csv = (out / "profile.csv").read_bytes() if "profile" in artifacts else None
+                runs.append((plan_run(config).rows.tobytes(), csv, result.profile.recon_scaled))
+            rows, csv, want = runs[0]
+            assert runs[1][0] == runs[2][0] and runs[1][2].tobytes() == runs[2][2].tobytes(), base.family
+            assert runs[3][0] != rows, base.family
+            for artifacts, (other_rows, other_csv, got) in zip(sets, runs):
+                if other_rows == rows:
+                    assert got.tobytes() == want.tobytes() and other_csv in (None, csv), (i, artifacts)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.ptp(want), (i, artifacts)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_profile_only_run_leaves_no_view_alive(self, threads):

@@ -37,6 +37,7 @@ from aliaslab.reconstruction import (
     filter_view,
     probe_points,
     pv_filter_uniform,
+    view_sum,
 )
 from aliaslab.special_functions import w_eval, w_prime_eval
 
@@ -161,14 +162,16 @@ class TestPVFilter:
         ids=["crt", "grt", "fine-crt"],
     )
     def test_whole_line_rule_is_the_finite_intervals_limit(self, config):
-        # on a real view's grid padded with n/2, n and 2n zeros a side, the
-        # finite-interval rule comes at least 3x closer to the whole-line
-        # values at each doubling (its end error falls as 1/N^2), while the
-        # whole-line values do not depend on the padding
+        # on a real view's grid, the plan's grid tripled by zeros, padded
+        # with n/2, n and 2n more zeros a side, the finite-interval rule
+        # comes at least 3x closer to the whole-line values at each
+        # doubling (its end error falls as 1/N^2), while the whole-line
+        # values do not depend on the padding
         plan = pipeline.plan_run(config.with_overrides(artifacts=("profile",)))
         data = SemiDiscreteData(config.build_scheme(), SinogramSampler(config.build_family(), config.build_phantom()))
         i = plan.views.size // 2
-        n, step, start = int(plan.counts[i]), plan.step, float(plan.starts[i])
+        n, step = 3 * int(plan.counts[i]), plan.step
+        start = step * (plan.offsets[i] - plan.counts[i])
         g = data.data_smooth_deriv(plan.views[i], start + step * np.arange(n))
         new = pv_filter_uniform(g, 0, n)
         scale = np.max(np.abs(new))
@@ -187,17 +190,20 @@ class TestPVFilter:
         # F on rows inside the support, across each of its ends and wholly
         # outside it on both sides is the whole grid's F on those rows, to
         # round-off (the FFT length follows the rows), and padding the grid
-        # with zeros moves no bit: only g's non-zero span enters
+        # with zeros moves no bit: only g's non-zero span enters.  The
+        # plan's grid, padded with 200 zeros a side, holds rows off the
+        # support on both sides
         plan = pipeline.plan_run(config.with_overrides(artifacts=("profile",)))
         data = SemiDiscreteData(config.build_scheme(), SinogramSampler(config.build_family(), config.build_phantom()))
         i = plan.views.size // 2
-        n, step, start = int(plan.counts[i]), plan.step, float(plan.starts[i])
-        g = data.data_smooth_deriv(plan.views[i], start + step * np.arange(n))
+        offset, n = plan.offsets[i] - 200, int(plan.counts[i]) + 400
+        g = data.data_smooth_deriv(plan.views[i], plan.step * np.arange(offset, offset + n, dtype=float))
         whole = pv_filter_uniform(g, 0, n)
         scale = np.max(np.abs(whole))
         j0, j1 = np.flatnonzero(g)[[0, -1]]
         assert j0 > 100 and j1 < n - 100
-        rows = [(j0 + 100, j1 - j0 - 200), (j0 - 40, 80), (j1 - 40, 80), (0, 60), (n - 60, 60), tuple(plan.rows[i])]
+        rows = [(j0 + 100, j1 - j0 - 200), (j0 - 40, 80), (j1 - 40, 80), (0, 60), (n - 60, 60)]
+        rows.append((plan.rows[i, 0] + 200, plan.rows[i, 1]))
         for first, count in rows:
             part = pv_filter_uniform(g, first, count)
             assert part.shape == (count,)
@@ -228,11 +234,12 @@ class TestPVFilter:
                 self.points.append(p)
                 return data.data_smooth_deriv(k, p)
 
+        # on the plan's grids padded by 1000 steps a side
         for i in (0, plan.views.size // 2, plan.views.size - 1):
-            k, n, step, start = plan.views[i], int(plan.counts[i]), plan.step, plan.starts[i]
-            grid = start + step * np.arange(n)
+            k, offset, n = plan.views[i], plan.offsets[i] - 1000, int(plan.counts[i]) + 2000
+            grid = plan.step * np.arange(offset, offset + n, dtype=float)
             whole = data.data_smooth_deriv(k, grid)
-            filter_view(Sampled(), k, start, step, n, plan.rows[i])
+            filter_view(Sampled(), k, offset, plan.step, n, plan.rows[i] + (1000, 0))
             p, g = Sampled.points.pop(), filtered.pop()
             a = int(np.flatnonzero(grid == p[0])[0])
             assert p.tobytes() == grid[a : a + p.size].tobytes()
@@ -285,15 +292,17 @@ class TestPVFilter:
 
     def test_fine_crt_views_allocate_little(self):
         # the forward model and the filter work in this thread's arrays:
-        # once they exist, ten views of the fine CRT level (62,164 grid
-        # points each), filtered on the rows the profile reads, peak below
-        # 3.5 MB of new allocations
+        # once they exist, ten views of the fine CRT level, on its grids
+        # padded by 15,000 zeros a side to more than 62,000 points each,
+        # filtered on the rows the profile reads, peak below 3.5 MB of new
+        # allocations
         config = crt_preset().with_overrides(epsilon=0.01, n_views=400, eta=32, artifacts=("profile",))
         plan = pipeline.plan_run(config)
         data = SemiDiscreteData(config.build_scheme(), SinogramSampler(line_family(), DiskPhantom((0.0, 0.0), 5.0)))
 
         def view(k):
-            return filter_view(data, k, plan.starts[k], plan.step, plan.counts[k], plan.rows[k])
+            rows = plan.rows[k] + (15_000, 0)
+            return filter_view(data, k, plan.offsets[k] - 15_000, plan.step, plan.counts[k] + 30_000, rows)
 
         view(0)
         tracemalloc.start()
@@ -303,7 +312,7 @@ class TestPVFilter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.all(plan.counts[37 * np.arange(1, 11)] > 6 * 10**4)
+        assert np.all(plan.counts[37 * np.arange(1, 11)] + 30_000 > 6 * 10**4)
         assert peak < 3_500_000, peak
 
     def test_long_work_arrays_are_not_kept(self):
@@ -486,12 +495,13 @@ class _SumSampler:
 
 
 def _build_views(sampler, scheme, q_range, eta=8):
-    """Every view filtered on one grid of step eps/eta from q_range[0] to
-    q_range[1], which holds the padded data support of each."""
+    """Every view filtered on one grid of the lattice of step eps/eta, from
+    the point nearest q_range[0] to about q_range[1], which holds the padded
+    data support of each."""
     data = SemiDiscreteData(scheme, sampler)
     step = scheme.epsilon / eta
-    count = round((q_range[1] - q_range[0]) / step) + 1
-    return tuple(filter_view(data, k, q_range[0], step, count, (0, count)) for k in scheme.window_view_indices())
+    offset, count = round(q_range[0] / step), round((q_range[1] - q_range[0]) / step) + 1
+    return tuple(filter_view(data, k, offset, step, count, (0, count)) for k in scheme.window_view_indices())
 
 
 class TestBackprojection:
@@ -810,6 +820,84 @@ class TestPipelineProperties:
         coarse = _scaled_profile(_build_views(sampler, scheme, (-6.0, 6.0), eta=8), fam, scheme, x0, theta, h)
         fine = _scaled_profile(_build_views(sampler, scheme, (-6.0, 6.0), eta=16), fam, scheme, x0, theta, h)
         assert np.max(np.abs(coarse - fine)) <= 0.01 * np.ptp(fine)
+
+
+_GL64 = np.polynomial.legendre.leggauss(64)
+
+
+def _chord_hilbert(x, r, jump):
+    """HR(s) = PV int R(p) / (p - s) dp of the chord sinogram R(p) =
+    2J sqrt(r^2 - (p - d)^2), at x = s - d: -2 pi J (x - sign(x) sqrt(x^2 -
+    r^2) [|x| > r])."""
+    return -2.0 * math.pi * jump * (x - np.sign(x) * np.sqrt(np.maximum(x * x - r * r, 0.0)))
+
+
+def _line_filtered_oracle(q, d, r, jump, eps):
+    """F(q) = PV int g(p) / (p - q) dp = int w_eps'(t) HR(q - t) dt of the
+    chord sinogram's smoothed data, with no grid: the window |t| < eps is
+    cut at the kinks t = q - d -+ r, each piece halved, and each half
+    integrated after t = end -+ u^2 from its outer end, by 64-node
+    Gauss-Legendre; the arrays q and d broadcast."""
+    x = np.subtract(q, d)
+    cuts = np.sort(np.clip([x - r, x + r], -eps, eps), axis=0)
+    ends = [np.full(x.shape, -eps), cuts[0], cuts[1], np.full(x.shape, eps)]
+    nodes, weights = 0.5 * (_GL64[0] + 1.0), 0.5 * _GL64[1]
+    total = np.zeros(x.shape)
+    for a, b in zip(ends, ends[1:]):
+        live = b > a
+        root = np.sqrt(0.5 * (b[live] - a[live]))[:, None]
+        u = root * nodes
+        for end, sign in ((a[live], 1.0), (b[live], -1.0)):
+            t = end[:, None] + sign * u * u
+            z = t / eps
+            kernel = -3.75 * z * (1.0 - z * z) / eps**2  # w_eps'(t), w = (15/16)(1 - z^2)^2
+            values = kernel * _chord_hilbert(x[live][:, None] - t, r, jump) * (2.0 * u * root * weights)
+            total[live] += values.sum(axis=-1)
+    return total
+
+
+class TestLineOracle:
+    """The line family's filtered views in closed form up to one smooth
+    quadrature, F_k(q) = int w_eps'(t) HR_k(q - t) dt, judge the grid path
+    (forward model, PV filter on the fine grid, interpolation)."""
+
+    def test_chord_hilbert_matches_mpmath(self):
+        # HR depends on x = s - d alone; at 30 digits, on the kinks x = -+r,
+        # inside the support and outside it, near and far
+        mpmath = pytest.importorskip("mpmath")
+        r, jump = 1.25, 1.75
+        with mpmath.workdps(30):
+            chord = lambda p: 2 * jump * mpmath.sqrt(max(r * r - p * p, 0))  # noqa: E731
+            for x in (-7.0, -1.3, -1.25, -0.6, 0.0, 0.45, 1.2, 1.25, 1.2501, 3.0):
+                if -r < x < r:
+                    f = chord(mpmath.mpf(x))
+                    want = mpmath.quad(lambda p: (chord(p) - f) / (p - x), [-r, x, r])
+                    want += f * mpmath.log((r - x) / (x + r))
+                else:
+                    want = mpmath.quad(lambda p: chord(p) / (p - x), [-r, r])
+                assert abs(_chord_hilbert(np.float64(x), r, jump) - float(want)) <= 1e-13 * 2.0 * math.pi * jump * r, x
+
+    @pytest.mark.parametrize("shift", [0.03, 0.2])
+    def test_grid_profile_converges_to_the_oracle(self, shift):
+        # the crt preset's profile from the fine grid is within 5e-4 of
+        # the oracle's peak-to-peak at eta = 16 and at least 4x closer at
+        # eta = 32: the grid error, which criterion 11 bounds, shrinks
+        # with the step (eta = 64 reads 9e-6 and 6e-6, so the oracle's own
+        # error is below 1e-5)
+        config = crt_preset().with_overrides(shift=shift, artifacts=("profile",))
+        scheme, phantom = config.build_scheme(), config.build_phantom()
+        alphas = scheme.view_angles()[scheme.window_view_indices()][:, None]
+        gaps = []
+        for eta in (16, 32):
+            result = pipeline.run_experiment(config.with_overrides(eta=eta), threads=2)
+            if eta == 16:
+                x0, h = config.probe_x0, config.h_samples()
+                q = phi_eval(line_family(), alphas, probe_points(x0, result.theta, h, scheme.epsilon))
+                d = phi_eval(line_family(), alphas, phantom.center_array)
+                sums = _line_filtered_oracle(q, d, phantom.radius, phantom.jump, scheme.epsilon).sum(axis=0)
+                want = difference_profile(view_sum(sums, scheme), scheme.epsilon, result.theta, h).recon_scaled
+            gaps.append(np.max(np.abs(result.profile.recon_scaled - want)) / np.ptp(want))
+        assert gaps[0] <= 5e-4 and gaps[1] <= gaps[0] / 4.0, gaps
 
 
 class TestImageGrid:

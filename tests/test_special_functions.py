@@ -340,6 +340,18 @@ def test_hurwitz_tail_against_direct_summation():
     assert abs(hurwitz_tail(10_000) - _tail_direct_sum(10_000)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((100, math.nan), "offset"), ((100, math.inf), "offset"), ((100, -math.inf), "offset"),
+     ((math.inf,), "start"), ((math.nan,), "start")],
+)
+def test_hurwitz_tail_refuses_non_finite_input(args, name):
+    # nan and inf once passed through (nan, 0.0) or raised an
+    # OverflowError that named no argument
+    with pytest.raises(ValueError, match=rf"^{name} must "):
+        hurwitz_tail(*args)
+
+
 def test_hurwitz_tail_against_frozen_zeta():
     assert abs(hurwitz_tail(100) - ZETA_32_REFERENCE[100.0]) < 1e-9
     assert abs(hurwitz_tail(10_000) - ZETA_32_REFERENCE[10000.0]) < 1e-12
