@@ -190,7 +190,7 @@ class SamplingScheme:
 
     @classmethod
     def full_circle(
-        cls, epsilon: float, n_views: int, window: tuple[float, float] | None = None, shift: float = 0.0
+        cls, epsilon: float, n_views: int, shift: float = 0.0, window: tuple[float, float] | None = None
     ) -> "SamplingScheme":
         """Circle-family grid: the full circle of view angles from 0."""
         return cls(epsilon, n_views, _TWO_PI, 0.0, shift, window)

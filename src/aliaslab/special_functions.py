@@ -9,7 +9,9 @@ boundary produces, per view near tangency, the square-root edge kernel
     psi(q) = (1/2) * int_0^inf w(q + p) p**(-1/2) dp,
 
 which vanishes for q >= 1, equals 2/3 at q = 0 and decays like
-(1/2) * (-q)**(-1/2) as q -> -inf.  An angularly
+(1/2) * (-q)**(-1/2) as q -> -inf.  One rule gives psi exactly at every
+q, and its Taylor moments far from the support: 8-node Gauss-Legendre in
+u = sqrt(p), where the integrand is a polynomial of degree 8.  An angularly
 discretized acquisition samples the kernel on an affine lattice, and the
 aliasing oscillation seen in reconstructions is the lattice sum
 
@@ -24,6 +26,7 @@ The slowly convergent far tail is closed with a Hurwitz zeta asymptotic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,7 +76,8 @@ class PsiEvalConfig:
         ``h / (4 |t|**(3/2))``.
     tail_start
         Lattice index K at which the direct summation in big_psi stops and
-        the Hurwitz zeta tail takes over.
+        the Hurwitz zeta tail takes over: an integer of at least 1000 and
+        below 2**20, the most terms big_psi sums directly.
 
     The tail's decay exponent is fixed at 3/2 by psi's (1/2)|t|^(-1/2)
     decay (see ``hurwitz_tail``).
@@ -85,32 +89,30 @@ class PsiEvalConfig:
     def __post_init__(self) -> None:
         if not self.t_asym >= 10.0:
             raise ValueError("t_asym must be at least 10")
-        if not (self.tail_start >= 1000 and float(self.tail_start).is_integer()):
-            raise ValueError(f"tail_start must be an integer of at least 1000, not {self.tail_start!r}")
+        # compared before float(), which overflows on a huge int
+        if not (1000 <= self.tail_start < _MAX_TERMS and float(self.tail_start).is_integer()):
+            raise ValueError(f"tail_start must be an integer in [1000, 2**20), not {self.tail_start!r}")
 
 
+# Most lattice terms big_psi sums directly (about tail_start + 1/|a|); a
+# larger tail_start or a smaller |a| is refused, not allocated: 2**20 terms
+# take about 140 MB.
+_MAX_TERMS = 2**20
 DEFAULT_MOLLIFIER = MollifierSpec()
 DEFAULT_PSI_CONFIG = PsiEvalConfig()
 
-# Most lattice terms big_psi sums directly (about tail_start + 1/|a|); a
-# smaller |a| is refused, not allocated: 2**20 terms take about 140 MB.
-_MAX_TERMS = 2**20
 # Largest |t| whose shortcut denominator 4 |t|^(3/2) is finite; big_psi refuses
 # |a| (tail_start + 1) above it (|a| > 1.26e201 by default), not sum zeros.
 _MAX_T = (float(np.finfo(float).max) / 4.0) ** (2.0 / 3.0)
 
-# Far-field switch of psi_eval: below -_FAR_FACTOR*half_width the closed
-# polynomial antiderivative cancels catastrophically and a fixed
-# Gauss-Legendre rule on the bounded support is used instead.
-_FAR_FACTOR = 2.0
-_FAR_GL_ORDER = 48
-# Far-field points per (points x nodes) block: 1024 x 48 doubles (384 KiB)
-# stay in cache, where one block over a 10**4-point lattice does not.
-_FAR_BLOCK = 1024
-# Near-field points per block: about ten float arrays of this length (64 KiB
-# each) live at once.  Blocks of 1024 points spend their time in per-block
-# overhead (five polyval calls each); 4096-32768 run about equally fast.
-_NEAR_BLOCK = 8192
+# psi_eval's rule, 8-node Gauss-Legendre in u = sqrt(p): nodes and weights on
+# [-1, 1] correctly rounded from 40-digit values (numpy's leggauss(8) has its
+# outer weights 72 ulp off), and the points it takes per block: each (nodes x
+# points) work array is 8 x 1024 doubles (64 KiB).
+_GL_X = np.array([0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363])
+_GL_W = np.array([0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626])
+_GL_X, _GL_W = np.concatenate((-_GL_X[::-1], _GL_X)), np.concatenate((_GL_W[::-1], _GL_W))
+_BLOCK = 1024
 
 # big_psi sums its lattice points in [-t_asym, -max(_MOMENT_SPLIT, 8a)) as
 # a Taylor series in h of _MOMENT_ORDER terms; the remainder bound that fixes
@@ -124,16 +126,10 @@ _MOMENT_ORDER = 15
 _LATTICE_CACHE = 4
 
 
-# The bump in floats: w's and w''s ascending coefficients, and the matrix B
-# with w(q + u^2) = sum_j (sum_i B[j, i] q**i) * u**(2j), i.e.
-# B[j, i] = c[i + j] * binomial(i + j, j).
+# The bump in floats: w's and w''s ascending coefficients.
 _HALF = DEFAULT_MOLLIFIER.half_width
 _COEFFS = np.array(DEFAULT_MOLLIFIER.coefficients)
 _DERIV_COEFFS = _COEFFS[1:] * np.arange(1, _COEFFS.size, dtype=float)
-_SHIFT_SQUARE = np.array(
-    [[_COEFFS[i + j] * math.comb(i + j, j) if i + j < _COEFFS.size else 0.0 for i in range(_COEFFS.size)]
-     for j in range(_COEFFS.size)]
-)
 
 
 def _scalar_or_array(values: np.ndarray, scalar_input: bool):
@@ -164,25 +160,37 @@ def w_prime_eval(t):
     return _on_support(t, _DERIV_COEFFS)
 
 
-# Far-field rule of psi_eval: nodes tau_i on the support and weights c_i with
-# psi(q) = (1/2) sum_i c_i (tau_i - q)^(-1/2) for q well below the support.
-_FAR_TAU, _FAR_C = np.polynomial.legendre.leggauss(_FAR_GL_ORDER)
-_FAR_TAU, _FAR_C = _HALF * _FAR_TAU, _HALF * _FAR_C * w_eval(_HALF * _FAR_TAU)
+def _rule(q: np.ndarray):
+    """psi_eval's nodes at the points q (a 1-D array of finite q below 1):
+    the terms (L/2) W_i w(tau_i) whose sum over the nodes i is psi(q), and
+    the nodes u_i, each an (8, points) array.
+
+    With p = u^2, psi(q) = int w(q + u^2) du over u_lo < u < u_hi, the u
+    where |q + u^2| < 1; for the quartic bump the integrand is a polynomial
+    of degree 8 in u, which 8 Gauss-Legendre nodes integrate exactly.  The
+    nodes are placed from the lower end, t_lo = max(q, -1) and
+    u_lo = sqrt(t_lo - q), as u_i = u_lo + d_i with d_i = L (x_i + 1)/2 and
+    L = u_hi - u_lo = (1 - t_lo) / (u_hi + u_lo), so that
+    tau_i = q + u_i^2 = t_lo + d_i (2 u_lo + d_i) loses no digits to a
+    large |q|."""
+    t_lo = np.maximum(q, -_HALF)
+    u_lo = np.sqrt(t_lo - q)
+    half = 0.5 * (_HALF - t_lo) / (np.sqrt(_HALF - q) + u_lo)
+    d = half * (_GL_X[:, None] + 1.0)
+    terms = half * _GL_W[:, None] * w_eval(t_lo + d * (2.0 * u_lo + d))
+    return terms, u_lo + d
 
 
 def psi_eval(q):
     """Square-root edge kernel psi(q) = (1/2) int_0^inf w(q+p) p^(-1/2) dp
     of the lab's bump w (``DEFAULT_MOLLIFIER``).
 
-    Exact closed form: substituting p = u^2 turns the integral into
-    int w(q + u^2) du over the u-range where q + u^2 stays inside the
-    support, a polynomial antiderivative.  For q far below the support
-    that antiderivative is evaluated as a difference of huge terms, so a
-    fixed high-order Gauss-Legendre rule on the compact support is used
-    there instead; both branches agree to machine accuracy at the seam.
-    Both branches run over blocks of points (8192 near, 1024 far).  Nothing
-    is memoized here: each value depends only on its own argument, bit for
-    bit, not on the other points of the array or on where blocks fall.
+    Exact for every q up to round-off: with p = u^2 the integrand is a
+    polynomial of degree 8 in u, which 8-node Gauss-Legendre integrates
+    exactly (``_rule``).  The points run in blocks of 1024, and each
+    value sums its nodes in a fixed order, so it depends only on its own
+    argument, bit for bit, not on the other points of the array or on
+    where blocks fall.
 
     Parameters
     ----------
@@ -192,39 +200,19 @@ def psi_eval(q):
     Returns
     -------
     float or ndarray
-        psi(q) >= 0, identically zero for q >= 1, the bump's half width;
-        NaN where q is NaN.
+        psi(q) >= 0, identically zero for q >= 1, the bump's half width,
+        and at -inf; NaN where q is NaN.
     """
     arr = np.asarray(q, dtype=float)
     flat = np.atleast_1d(arr).astype(float).ravel()
     out = np.zeros_like(flat)
     out[np.isnan(flat)] = np.nan
-    s = _HALF
-
-    near = np.flatnonzero((flat < s) & (flat >= -_FAR_FACTOR * s))
-    for i in range(0, near.size, _NEAR_BLOCK):
-        rows = near[i : i + _NEAR_BLOCK]
-        qn = flat[rows]
-        u_hi = np.sqrt(s - qn)
-        u_lo = np.sqrt(np.maximum(-s - qn, 0.0))
-        acc = np.zeros_like(qn)
-        for j, row in enumerate(_SHIFT_SQUARE):
-            aj = np.polynomial.polynomial.polyval(qn, row)
-            acc += aj * (u_hi ** (2 * j + 1) - u_lo ** (2 * j + 1)) / (2 * j + 1)
-        out[rows] = acc
-
-    far = np.flatnonzero(flat < -_FAR_FACTOR * s)
-    if far.size:
-        # one (points x nodes) work array for every block, not three temporaries per block
-        work = np.empty((min(far.size, _FAR_BLOCK), _FAR_TAU.size))
-        for i in range(0, far.size, _FAR_BLOCK):
-            rows = far[i : i + _FAR_BLOCK]
-            terms = work[: rows.size]
-            np.subtract(_FAR_TAU, flat[rows, None], out=terms)
-            np.sqrt(terms, out=terms)
-            np.divide(_FAR_C, terms, out=terms)
-            out[rows] = 0.5 * np.sum(terms, axis=1)
-
+    live = np.flatnonzero((flat < _HALF) & (flat > -np.inf))
+    for i in range(0, live.size, _BLOCK):
+        rows = live[i : i + _BLOCK]
+        terms, _ = _rule(flat[rows])
+        # Python's sum adds the node rows one after another, not pairwise
+        out[rows] = sum(terms)
     return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
 
 
@@ -234,7 +222,7 @@ def psi_eval_quadrature_oracle(q: float) -> float:
     Integrates (1/2) w(q+p) p^(-1/2) with mpmath's double-precision
     tanh-sinh rule (mpmath.fp.quad) over the support of the integrand; the
     integrable p^(-1/2) endpoint is removed by the local substitution
-    p = u^2.  Used as the reference for the closed form; mpmath is imported
+    p = u^2.  Used as the reference for psi_eval; mpmath is imported
     here, so that a run loads numpy alone.  The integrand evaluates w by
     Horner's rule on Python floats, the same operations in the same order
     as w_eval.
@@ -301,8 +289,8 @@ def delta_psi(t, h: float, config: PsiEvalConfig = DEFAULT_PSI_CONFIG):
 
     For t < -config.t_asym the exact difference is replaced by the
     leading asymptotic h / (4 |t|^(3/2)), valid when |h| << |t|.  Above
-    the threshold the exact closed form is used, which in particular
-    returns 0 whenever both t and t + h are past the support.
+    the threshold it is psi_eval(t + h) - psi_eval(t), which in particular
+    is 0 whenever both t and t + h are past the support.
     """
     arr = np.asarray(t, dtype=float)
     asym, denom, te = _split(np.atleast_1d(arr).astype(float).ravel(), config)
@@ -323,8 +311,9 @@ def hurwitz_tail(start: int, offset: float = 0.0) -> float:
     two-term form would miss the 1e-6 agreement required against direct
     summation at start = 100, hence the third term.
     """
-    if not (math.isfinite(start) and int(start) == start and start >= 1):
-        raise ValueError(f"start must be a positive integer, not {start!r}")
+    # compared before any float conversion, which overflows on a huge int
+    if not (1 <= start <= sys.float_info.max and int(start) == start):
+        raise ValueError(f"start must be a positive integer no larger than the largest float, not {start!r}")
     s = 1.5
     t = float(start) + float(offset)
     if not 0.0 < t < math.inf:
@@ -334,31 +323,24 @@ def hurwitz_tail(start: int, offset: float = 0.0) -> float:
 
 def _far_moments(t: np.ndarray, a: float) -> np.ndarray:
     """Taylor moments m_n = sum_k psi^(n)(t_k)/n!, n = 1.._MOMENT_ORDER, of
-    increasing points t below -max(50, 8a), by psi_eval's far-field rule
-    differentiated n times:
-    psi^(n)(t)/n! = (1/2) sum_i c_i binomial(2n, n)/4^n (tau_i - t)^(-n-1/2).
+    increasing points t below -max(50, 8a), by psi_eval's nodes:
+    psi^(n)(t)/n! = binomial(2n, n)/4^n int w(t + u^2) u^(-2n) du, whose
+    integrand is smooth on its short u-range this far below the support.
     Each block of points stops at the first order N with rho^N/(1 - rho)
     <= 1e-17, rho = (a/2)/(-1 - t) at its largest t: at |h| <= a/2 the
     terms it leaves out add up in size to at most 1e-17 of the block's
     first-order term."""
     sums = np.zeros(_MOMENT_ORDER)
-    # two (points x nodes) work arrays for every block: (tau - t)^-1 and the
-    # running c_i (tau_i - t)^(-n-1/2)
-    inv = np.empty((min(t.size, _FAR_BLOCK), _FAR_TAU.size))
-    term = np.empty_like(inv)
-    for i in range(0, t.size, _FAR_BLOCK):
-        block = t[i : i + _FAR_BLOCK, None]
-        rho = 0.5 * a / (-_HALF - block[-1, 0])
+    for i in range(0, t.size, _BLOCK):
+        block = t[i : i + _BLOCK]
+        rho = 0.5 * a / (-_HALF - block[-1])
         order = min(_MOMENT_ORDER, math.ceil(math.log(1e-17 * (1.0 - rho)) / math.log(rho)))
-        x, y = inv[: block.size], term[: block.size]
-        np.subtract(_FAR_TAU, block, out=x)
-        np.sqrt(x, out=y)
-        np.divide(_FAR_C, y, out=y)
-        np.divide(1.0, x, out=x)
+        terms, u = _rule(block)
+        inv = u**-2
         for n in range(order):
-            np.multiply(y, x, out=y)
-            sums[n] += y.sum()
-    return sums * [0.5 * math.comb(2 * n, n) / 4**n for n in range(1, _MOMENT_ORDER + 1)]
+            terms *= inv
+            sums[n] += terms.sum()
+    return sums * [math.comb(2 * n, n) / 4**n for n in range(1, _MOMENT_ORDER + 1)]
 
 
 @lru_cache(maxsize=_LATTICE_CACHE)
@@ -396,10 +378,11 @@ def big_psi(h: float, a: float, r: float, config: PsiEvalConfig = DEFAULT_PSI_CO
     delta_psi's shortcut h / (4 |t|^(3/2)); points at or above
     -max(50, 8a) take the exact difference psi(t + h) - psi(t); the points
     between (none unless t_asym > 50) add sum_{n=1..15} m_n h^n by
-    Horner, with m_n = sum_k psi^(n)(t_k)/n! from psi_eval's far-field
-    rule.  That series is the far-field rule's exact difference up to a
-    remainder of at most 1e-17 |h m_1|: |h| <= a/2 and every node is more
-    than max(50, 8a) - 1 from the points, so the ratio of a point's
+    Horner, with m_n = sum_k psi^(n)(t_k)/n! by psi_eval's nodes
+    (``_far_moments``; each term within about 1e-15 of its exact value,
+    relative).  That series is the exact difference up to a remainder of
+    at most 1e-17 |h m_1|: |h| <= a/2 and the support is more than
+    max(50, 8a) - 1 from the points, so the ratio of a point's
     consecutive terms is at most rho = (a/2) / (max(50, 8a) - 1) in size,
     which peaks at 3.125/49 < 0.064 at a = 6.25, and the terms past the
     15th add at most rho^15 / (1 - rho) < 1e-17 of the first.  Blocks of

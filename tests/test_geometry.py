@@ -173,6 +173,15 @@ class TestSamplingScheme:
                 if window == at_ends:
                     assert expect[0] == i and expect[-1] == j
 
+    def test_factories_take_the_same_positional_order(self):
+        # (epsilon, n_views, shift, window) for both families; full_circle
+        # once took window third, so a positional shift was a TypeError
+        line = SamplingScheme.half_circle(0.01, 60, 0.3, (-1.0, 1.0))
+        circle = SamplingScheme.full_circle(0.01, 60, 0.3, (-1.0, 1.0))
+        for scheme in (line, circle):
+            assert (scheme.shift, scheme.window) == (0.3, (-1.0, 1.0))
+        assert SamplingScheme.full_circle(0.01, 60, 0.3) == SamplingScheme.full_circle(0.01, 60, shift=0.3)
+
     def test_no_window_keeps_all(self):
         s = SamplingScheme.full_circle(0.01, 5)
         assert list(s.window_view_indices()) == [0, 1, 2, 3, 4]

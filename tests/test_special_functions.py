@@ -151,7 +151,7 @@ def test_kernels_on_a_kinked_block_allocate_little():
 
 def test_psi_frozen_reference_values():
     for q, ref in PSI_REFERENCE.items():
-        assert abs(psi_eval(q) - ref) < 5e-14, q
+        assert abs(psi_eval(q) - ref) < 5e-16, q
 
 
 def test_psi_zero_past_support():
@@ -173,40 +173,24 @@ def test_psi_matches_quadrature_oracle_densely():
     assert np.max(np.abs(closed - oracle)) < 1e-10
 
 
-def test_psi_branch_seam_is_smooth():
-    # polynomial antiderivative on one side of -2, Gauss-Legendre on the other;
-    # both must agree with the adaptive oracle at the seam
-    for q in (-2.0 - 1e-9, -2.0, -2.0 + 1e-9):
-        assert abs(psi_eval(q) - psi_eval_quadrature_oracle(q)) < 1e-12
-
-
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), far_share=st.floats(0.0, 1.0))
-def test_far_field_blocks_match_scalar_calls_bitwise(seed, far_share):
-    # psi_eval sums the far field over blocks of points; each value must
-    # depend on its own argument only, so one call over more than three
-    # blocks, near and far points mixed, equals one scalar call per point
+def test_blocks_match_scalar_and_partitioned_calls_bitwise(seed, far_share):
+    # psi_eval runs over blocks of points; each value must depend on its
+    # own argument only, so one call over more than three blocks, points
+    # near and far from the support mixed, equals one scalar call per
+    # point and calls on a random partition of it
     rng = np.random.default_rng(seed)
-    n = 3 * special_functions._FAR_BLOCK + int(rng.integers(1, special_functions._FAR_BLOCK))
+    block = special_functions._BLOCK
+    n = 3 * block + int(rng.integers(1, block))
     far = rng.random(n) < far_share
     q = np.where(far, -(10.0 ** rng.uniform(0.31, 4.5, n)), rng.uniform(-2.0, 1.5, n))
     whole = psi_eval(q)
     one_by_one = np.array([psi_eval(float(x)) for x in q])
     assert one_by_one.tobytes() == whole.tobytes(), np.max(np.abs(one_by_one - whole))
-
-
-@settings(max_examples=5, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_near_field_blocks_match_partitioned_calls_bitwise(seed):
-    # psi_eval runs the near field over blocks of points too; one call over
-    # more than three blocks equals calls on a random partition of it
-    rng = np.random.default_rng(seed)
-    block = special_functions._NEAR_BLOCK
-    q = rng.uniform(-2.0, 1.5, 3 * block + int(rng.integers(1, block)))
-    cuts = np.sort(rng.integers(0, q.size, int(rng.integers(1, 12))))
-    whole = psi_eval(q)
+    cuts = np.sort(rng.integers(0, n, int(rng.integers(1, 12))))
     pieces = np.concatenate([psi_eval(piece) for piece in np.split(q, cuts)])
-    assert np.all(pieces == whole) and pieces.tobytes() == whole.tobytes()
+    assert pieces.tobytes() == whole.tobytes()
 
 
 def test_psi_far_field_asymptotic():
@@ -256,24 +240,80 @@ def test_quadrature_oracle_refuses_a_large_error_estimate(monkeypatch):
             psi_eval_quadrature_oracle(q)
 
 
+def _exact(x):
+    """The float x as an mpmath number, exactly."""
+    import mpmath
+
+    c = Fraction(x)
+    return mpmath.mpf(c.numerator) / c.denominator
+
+
 def _psi_mpmath(q):
     """psi(q) = int w(q + u^2) du over u >= 0 (p = u^2 on the whole support),
     by 30-digit mpmath quadrature of the library's bump, its float
     coefficients read exactly."""
     import mpmath
 
-    def exact(x):
-        c = Fraction(x)
-        return mpmath.mpf(c.numerator) / c.denominator
+    bump = special_functions.DEFAULT_MOLLIFIER
+    with mpmath.workdps(30):
+        q, s = mpmath.mpf(q), _exact(bump.half_width)
+        if q >= s:
+            return 0.0
+        coeffs = [_exact(c) for c in reversed(bump.coefficients)]
+        u_lo, u_hi = mpmath.sqrt(max(0, -s - q)), mpmath.sqrt(s - q)
+        return float(mpmath.quad(lambda u: mpmath.polyval(coeffs, q + u * u), [u_lo, u_hi]))
+
+
+def test_psi_against_30_digit_mpmath():
+    # psi_eval's rule is exact for the quartic bump: within 1e-15 of psi's
+    # scale (1/2) max(1, |q|)^(-1/2) on [-1e6, 1), on a log grid of the
+    # far field, a dense grid of the near field, random points, and where
+    # the integrand's u-range changes shape (-1 and its float neighbours)
+    # or the kernel ends (the last float below 1); -2 and its neighbours
+    # are where an earlier rule switched branches
+    rng = np.random.default_rng(33)
+    edges = [-1.0, np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -2.0), np.nextafter(1.0, 0.0), 0.0, 0.5, 0.999]
+    qs = np.concatenate([
+        -np.logspace(0.0, 6.0, 49), np.linspace(-3.0, 1.0, 41, endpoint=False),
+        -(10.0 ** rng.uniform(-2.0, 6.0, 20)), [-2.0 - 1e-9, -2.0, -2.0 + 1e-9], edges,
+    ])
+    errors = np.abs(psi_eval(qs) - [_psi_mpmath(q) for q in qs.tolist()]) / (0.5 * np.maximum(1.0, np.abs(qs)) ** -0.5)
+    assert errors.max() <= 1e-15, (qs[errors.argmax()], errors.max())
+
+
+def test_psi_rule_nodes_are_correctly_rounded():
+    # the 8 Gauss-Legendre nodes are the roots of P_8 and the weights
+    # 2 / ((1 - x^2) P_8'(x)^2), each the float nearest its 30-digit value
+    import mpmath
+
+    with mpmath.workdps(30):
+        for x, w in zip(special_functions._GL_X.tolist(), special_functions._GL_W.tolist()):
+            root = mpmath.findroot(lambda y: mpmath.legendre(8, y), mpmath.mpf(x))
+            weight = 2 / ((1 - root**2) * mpmath.diff(lambda y: mpmath.legendre(8, y), root) ** 2)
+            assert (float(root), float(weight)) == (x, w)
+
+
+def _far_moment_mpmath(t, n):
+    """psi^(n)(t)/n! = (1/2) binomial(2n, n)/4^n int w(x) (x - t)^(-n-1/2) dx
+    over the support, by 30-digit mpmath quadrature of the library's bump."""
+    import mpmath
 
     bump = special_functions.DEFAULT_MOLLIFIER
     with mpmath.workdps(30):
-        q, s = mpmath.mpf(q), exact(bump.half_width)
-        if q >= s:
-            return 0.0
-        coeffs = [exact(c) for c in reversed(bump.coefficients)]
-        u_lo, u_hi = mpmath.sqrt(max(0, -s - q)), mpmath.sqrt(s - q)
-        return float(mpmath.quad(lambda u: mpmath.polyval(coeffs, q + u * u), [u_lo, u_hi]))
+        coeffs = [_exact(c) for c in reversed(bump.coefficients)]
+        s, t = _exact(bump.half_width), mpmath.mpf(t)
+        integral = mpmath.quad(lambda x: mpmath.polyval(coeffs, x) * (x - t) ** (-n - mpmath.mpf(1) / 2), [-s, s])
+        return float(mpmath.binomial(2 * n, n) / 4**n / 2 * integral)
+
+
+def test_far_moments_against_30_digit_mpmath():
+    # the Taylor moments take psi_eval's nodes too, on a smooth integrand
+    # u^(-2n) w(t + u^2) this far below the support
+    for t in (-50.0, -51.3, -200.0, -5000.0):
+        moments = special_functions._far_moments(np.array([t]), 1.0)
+        for n in (1, 2, 3):
+            ref = _far_moment_mpmath(t, n)
+            assert abs(moments[n - 1] - ref) <= 1e-15 * abs(ref), (t, n)
 
 
 def test_quadrature_oracle_against_30_digit_mpmath():
@@ -293,6 +333,16 @@ def test_psi_config_refuses_a_non_integer_tail_start():
     for bad in (1000.5, 999, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="tail_start"):
             PsiEvalConfig(tail_start=bad)
+
+
+def test_psi_config_refuses_a_tail_start_past_the_term_cap():
+    # 10**400 raised an OverflowError naming nothing, and 2**60 was taken,
+    # after which every big_psi call blamed |a| = 1.0 for being too small
+    for bad in (10**400, 2**60, 2**20):
+        with pytest.raises(ValueError, match=r"^tail_start must be an integer in \[1000, 2\*\*20\)"):
+            PsiEvalConfig(tail_start=bad)
+    top = PsiEvalConfig(tail_start=2**20 - 1)
+    assert math.isfinite(big_psi(0.3, 4.0, 0.2, top))
 
 
 def test_delta_psi_exact_branch_matches_psi():
@@ -343,11 +393,11 @@ def test_hurwitz_tail_against_direct_summation():
 @pytest.mark.parametrize(
     "args, name",
     [((100, math.nan), "offset"), ((100, math.inf), "offset"), ((100, -math.inf), "offset"),
-     ((math.inf,), "start"), ((math.nan,), "start")],
+     ((math.inf,), "start"), ((math.nan,), "start"), ((10**400,), "start")],
 )
 def test_hurwitz_tail_refuses_non_finite_input(args, name):
     # nan and inf once passed through (nan, 0.0) or raised an
-    # OverflowError that named no argument
+    # OverflowError that named no argument, as an int past the floats did
     with pytest.raises(ValueError, match=rf"^{name} must "):
         hurwitz_tail(*args)
 
