@@ -175,7 +175,7 @@ def test_psi_matches_quadrature_oracle_densely():
 
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), far_share=st.floats(0.0, 1.0))
-def test_blocks_match_scalar_and_partitioned_calls_bitwise(seed, far_share):
+def test_far_field_blocks_match_scalar_calls_bitwise(seed, far_share):
     # psi_eval runs over blocks of points; each value must depend on its
     # own argument only, so one call over more than three blocks, points
     # near and far from the support mixed, equals one scalar call per
@@ -191,6 +191,20 @@ def test_blocks_match_scalar_and_partitioned_calls_bitwise(seed, far_share):
     cuts = np.sort(rng.integers(0, n, int(rng.integers(1, 12))))
     pieces = np.concatenate([psi_eval(piece) for piece in np.split(q, cuts)])
     assert pieces.tobytes() == whole.tobytes()
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_near_field_blocks_match_partitioned_calls_bitwise(seed):
+    # points within the support alone: one call over more than three
+    # blocks equals calls on a random partition of it
+    rng = np.random.default_rng(seed)
+    block = special_functions._BLOCK
+    q = rng.uniform(-2.0, 1.5, 3 * block + int(rng.integers(1, block)))
+    cuts = np.sort(rng.integers(0, q.size, int(rng.integers(1, 12))))
+    whole = psi_eval(q)
+    pieces = np.concatenate([psi_eval(piece) for piece in np.split(q, cuts)])
+    assert np.all(pieces == whole) and pieces.tobytes() == whole.tobytes()
 
 
 def test_psi_far_field_asymptotic():
