@@ -28,13 +28,7 @@ from .geometry import (
     tangency_enumerate,
 )
 from .pipeline import run_experiment, write_artifacts
-from .special_functions import (
-    PsiEvalConfig,
-    big_psi,
-    hurwitz_tail,
-    psi_eval,
-    psi_eval_quadrature_oracle,
-)
+from .special_functions import big_psi, hurwitz_zeta, psi_eval, psi_eval_quadrature_oracle
 
 __all__ = [
     "CriterionResult",
@@ -44,12 +38,6 @@ __all__ = [
     "format_line",
     "format_report",
 ]
-
-# the default delta_psi shortcut (t_asym = 50) is too coarse for the
-# small-amplitude decay measurements; this config keeps the shortcut off the
-# whole direct sum at a <= 100, where big_psi sums the exact kernel down to
-# t = -max(50, 8a) and its memoized Taylor moments in h below that
-ACCURATE_PSI = PsiEvalConfig(t_asym=1_000_000.0)
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,7 @@ def _c04_psi_decay(ctx) -> tuple[bool, str, dict]:
     hp = np.linspace(0.0, 1.0, 201)
 
     def sup_amp(a: float) -> float:
-        return max(abs(big_psi(a * h, a, 1.0 / 3.0, config=ACCURATE_PSI)) for h in hp)
+        return max(abs(big_psi(a * h, a, 1.0 / 3.0)) for h in hp)
 
     sups = {a: sup_amp(a) for a in (1.0, 0.5, 0.25, 0.125, 2.0, 4.0)}
     small = [sups[a] for a in (1.0, 0.5, 0.25, 0.125)]
@@ -190,7 +178,7 @@ def _c05_hurwitz_tail(ctx) -> tuple[bool, str, dict]:
     for K, tol in ((100, 1e-6), (10_000, 1e-9)):
         with mpmath.workdps(30):
             ref = float(mpmath.zeta(1.5, K))
-        dev = abs(hurwitz_tail(K, 0.0) - ref)
+        dev = abs(hurwitz_zeta(1.5, K) - ref)
         measured[f"K={K}"] = dev
         passed = passed and dev <= tol
         parts.append(f"dev(K={K})={dev:.2e}")

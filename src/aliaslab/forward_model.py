@@ -19,7 +19,6 @@ singularity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -185,18 +184,17 @@ class SemiDiscreteData:
         pv = np.atleast_1d(np.asarray(p, dtype=float))
         out = np.zeros(pv.shape)
 
-        kinks = np.sort(self.sampler.kinks(alpha))
-        first, last = (kinks[0], kinks[-1]) if kinks.size else (-math.inf, math.inf)
+        # every phantom is a disk: its sinogram has two kinks, first < last,
+        # and is zero outside them
+        first, last = kinks = self.sampler.kinks(alpha)
         lo, hi = pv - eps * _HALF, pv + eps * _HALF
         # windows that miss the support [first, last] integrate zero; skip
         # the sampler there
         dead = (hi <= first) | (lo >= last)
         # dist = |p - nearest kink|, in lo; a window's gap to the nearest kink
         # outside it is dist - eps * half, negative when the window holds one
-        dist = lo
-        dist.fill(math.inf)
-        for kink in kinks:
-            np.minimum(dist, np.abs(np.subtract(pv, kink, out=hi), out=hi), out=dist)
+        dist = np.abs(np.subtract(pv, first, out=lo), out=lo)
+        np.minimum(dist, np.abs(np.subtract(pv, last, out=hi), out=hi), out=dist)
         near = dist < eps * (_HALF + _FAR_GAP)
         kinked = near & ~dead
         if np.any(kinked):
@@ -222,40 +220,38 @@ class SemiDiscreteData:
             return float(out[0])
         return out
 
-    def _kinked(self, alpha: float, p: np.ndarray, kinks: np.ndarray, derivative: bool) -> np.ndarray:
+    def _kinked(self, alpha: float, p: np.ndarray, kinks: tuple[float, float], derivative: bool) -> np.ndarray:
         """Windows with a kink inside or within _FAR_GAP * eps of an end,
-        cut at the sorted kinks into the gaps between consecutive kinks,
-        clipped to the window and added in ascending order.  Each piece is
-        integrated after s = c + sigma * u**2 from the nearer kink c of its
-        gap (sigma = 1 from the left, -1 from the right), which leaves an
+        clipped to the support between the two kinks (left, right); the
+        data vanish outside it, so no window is sampled there.  Each window
+        is integrated after s = c + sigma * u**2 from the nearer kink c
+        (sigma = 1 from the left, -1 from the right), which leaves an
         integrand smooth in u, with the kernel at ((p - c) - sigma * u**2) / eps:
-        no digits lost to the level s.  A piece within _FAR_GAP * eps of both
-        kinks is halved, each half taken from its own kink.  The data vanish
-        outside the first and last kink, so no window is sampled there."""
+        no digits lost to the level s.  A window within _FAR_GAP * eps of both
+        kinks is halved, each half taken from its own kink."""
         eps = self.scheme.epsilon
         w, norm = (w_prime_eval, eps**2) if derivative else (w_eval, eps)
-        lo, hi = p - eps * _HALF, p + eps * _HALF
+        left, right = kinks
+        a, b = np.maximum(p - eps * _HALF, left), np.minimum(p + eps * _HALF, right)
+        live = b > a
+        split = live & (a - left < _FAR_GAP * eps) & (right - b < _FAR_GAP * eps)
+        mid = 0.5 * (a + b)
         total = np.zeros(p.shape)
-        for left, right in zip(kinks[:-1], kinks[1:]):
-            a, b = np.maximum(lo, left), np.minimum(hi, right)
-            live = b > a
-            split = live & (a - left < _FAR_GAP * eps) & (right - b < _FAR_GAP * eps)
-            mid = 0.5 * (a + b)
-            for rows, pa, pb in ((live, a, np.where(split, mid, b)), (split, mid, b)):
-                if not np.any(rows):
-                    continue
-                pr, pa, pb = p[rows, None], pa[rows, None], pb[rows, None]
-                from_left = pa - left <= right - pb
-                # u runs from the root of the near end's distance to the kink to the far end's
-                u_near = np.sqrt(np.where(from_left, pa - left, right - pb))
-                u_far = np.sqrt(np.where(from_left, pb - left, right - pa))
-                u = u_near + 0.5 * (u_far - u_near) * (_NODES + 1.0)
-                c = np.where(from_left, left, right)
-                step = np.where(from_left, 1.0, -1.0) * (u * u)  # s - c
-                samples = self.sampler.value(alpha, c + step)
-                kernel = w(np.divide(np.subtract(pr - c, step, out=step), eps, out=step)) / norm
-                terms = (_WEIGHTS * 2.0) * u * kernel * samples
-                total[rows] += 0.5 * (u_far - u_near)[:, 0] * np.sum(terms, axis=1)
+        for rows, pa, pb in ((live, a, np.where(split, mid, b)), (split, mid, b)):
+            if not np.any(rows):
+                continue
+            pr, pa, pb = p[rows, None], pa[rows, None], pb[rows, None]
+            from_left = pa - left <= right - pb
+            # u runs from the root of the near end's distance to the kink to the far end's
+            u_near = np.sqrt(np.where(from_left, pa - left, right - pb))
+            u_far = np.sqrt(np.where(from_left, pb - left, right - pa))
+            u = u_near + 0.5 * (u_far - u_near) * (_NODES + 1.0)
+            c = np.where(from_left, left, right)
+            step = np.where(from_left, 1.0, -1.0) * (u * u)  # s - c
+            samples = self.sampler.value(alpha, c + step)
+            kernel = w(np.divide(np.subtract(pr - c, step, out=step), eps, out=step)) / norm
+            terms = (_WEIGHTS * 2.0) * u * kernel * samples
+            total[rows] += 0.5 * (u_far - u_near)[:, 0] * np.sum(terms, axis=1)
         return total
 
     def data_smooth(self, k: int, p):

@@ -485,6 +485,8 @@ def tangency_enumerate(
     probe = np.asarray(x0, dtype=float)
     if probe.shape != (2,):
         raise ValueError("x0 must be a 2-vector")
+    if not np.all(np.isfinite(probe)):
+        raise ValueError(f"x0 must be finite, not {tuple(probe.tolist())}")
     sep = math.hypot(*(probe - phantom.center_array))
     if sep == phantom.radius:
         raise ValueError("probe point lies on the phantom boundary")

@@ -315,7 +315,7 @@ class ImageGrid:
             raise ValueError(f"2 * half_extent / pixel_size = {ratio} is not finite")
         m = int(round(ratio))
         if m * m > MAX_IMAGE_PIXELS:
-            raise ValueError(f"a raster of {m} x {m} pixels is more than MAX_IMAGE_PIXELS = {MAX_IMAGE_PIXELS}")
+            raise ValueError(f"a raster of {m:.6g} x {m:.6g} pixels is more than MAX_IMAGE_PIXELS = {MAX_IMAGE_PIXELS}")
         return m
 
     @classmethod

@@ -10,17 +10,18 @@ boundary produces, per view near tangency, the square-root edge kernel
 
 which vanishes for q >= 1, equals 2/3 at q = 0 and decays like
 (1/2) * (-q)**(-1/2) as q -> -inf.  One rule gives psi exactly at every
-q, and its Taylor moments far from the support: 8-node Gauss-Legendre in
-u = sqrt(p), where the integrand is a polynomial of degree 8.  An angularly
-discretized acquisition samples the kernel on an affine lattice, and the
-aliasing oscillation seen in reconstructions is the lattice sum
+q: 8-node Gauss-Legendre in u = sqrt(p), where the integrand is a
+polynomial of degree 8.  An angularly discretized acquisition samples the
+kernel on an affine lattice, and the aliasing oscillation seen in
+reconstructions is the lattice sum
 
     big_psi(h; a, r) = sum_k [psi(a*(k - r) + h) - psi(a*(k - r))],
 
 with spacing ``a``, phase ``r`` and probe offset ``h``.  The sum is
 invariant under r -> r + 1, under (a, r) -> (-a, -r) and under
 h -> h + a, which the evaluator exploits through argument reduction.
-The slowly convergent far tail is closed with a Hurwitz zeta asymptotic.
+Far below the support psi is a series in the bump's even moments, and the
+infinite far lattice is summed in closed form by the Hurwitz zeta function.
 """
 
 from __future__ import annotations
@@ -28,21 +29,20 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 __all__ = [
     "MollifierSpec",
-    "PsiEvalConfig",
     "DEFAULT_MOLLIFIER",
-    "DEFAULT_PSI_CONFIG",
     "w_eval",
     "w_prime_eval",
     "psi_eval",
     "psi_eval_quadrature_oracle",
-    "delta_psi",
-    "hurwitz_tail",
+    "hurwitz_zeta",
     "big_psi",
 ]
 
@@ -66,44 +66,20 @@ class MollifierSpec:
     half_width: float = 1.0
 
 
-@dataclass(frozen=True)
-class PsiEvalConfig:
-    """Accuracy knobs for delta_psi and big_psi.
-
-    t_asym
-        Switch-over point of delta_psi: below ``-t_asym`` the exact kernel
-        difference is replaced by its first-order asymptotic
-        ``h / (4 |t|**(3/2))``.
-    tail_start
-        Lattice index K at which the direct summation in big_psi stops and
-        the Hurwitz zeta tail takes over: an integer of at least 1000 and
-        below 2**20, the most terms big_psi sums directly.
-
-    The tail's decay exponent is fixed at 3/2 by psi's (1/2)|t|^(-1/2)
-    decay (see ``hurwitz_tail``).
-    """
-
-    t_asym: float = 50.0
-    tail_start: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not self.t_asym >= 10.0:
-            raise ValueError("t_asym must be at least 10")
-        # compared before float(), which overflows on a huge int
-        if not (1000 <= self.tail_start < _MAX_TERMS and float(self.tail_start).is_integer()):
-            raise ValueError(f"tail_start must be an integer in [1000, 2**20), not {self.tail_start!r}")
-
-
-# Most lattice terms big_psi sums directly (about tail_start + 1/|a|); a
-# larger tail_start or a smaller |a| is refused, not allocated: 2**20 terms
-# take about 140 MB.
-_MAX_TERMS = 2**20
 DEFAULT_MOLLIFIER = MollifierSpec()
-DEFAULT_PSI_CONFIG = PsiEvalConfig()
 
-# Largest |t| whose shortcut denominator 4 |t|^(3/2) is finite; big_psi refuses
-# |a| (tail_start + 1) above it (|a| > 1.26e201 by default), not sum zeros.
-_MAX_T = (float(np.finfo(float).max) / 4.0) ** (2.0 / 3.0)
+# perfbench's big_psi counter reads DEFAULT_PSI_CONFIG.tail_start on every
+# call; nothing in the library does.  It stays for perfbench until ROADMAP
+# item 1's phase B moves that counter into the library.
+DEFAULT_PSI_CONFIG = SimpleNamespace(tail_start=10_000)
+
+# Most lattice terms big_psi sums directly (about 51/|a|); a smaller |a|
+# is refused, not allocated: 2**20 terms take about 50 MB while summed.
+_MAX_TERMS = 2**20
+
+# Largest |a| big_psi takes: its exact points a*(k - r) + h lie within
+# 9.5 |a| of 0, which stays finite below float max / 16 (about 1.1e307).
+_MAX_A = sys.float_info.max / 16.0
 
 # psi_eval's rule, 8-node Gauss-Legendre in u = sqrt(p): nodes and weights on
 # [-1, 1] correctly rounded from 40-digit values (numpy's leggauss(8) has its
@@ -114,15 +90,9 @@ _GL_W = np.array([0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0
 _GL_X, _GL_W = np.concatenate((-_GL_X[::-1], _GL_X)), np.concatenate((_GL_W[::-1], _GL_W))
 _BLOCK = 1024
 
-# big_psi sums its lattice points in [-t_asym, -max(_MOMENT_SPLIT, 8a)) as
-# a Taylor series in h of _MOMENT_ORDER terms; the remainder bound that fixes
-# the order is in big_psi's docstring (14 terms would leave 2.1e-17).
-_MOMENT_SPLIT = 50.0
-_MOMENT_ORDER = 15
-
 # (a, r) lattices big_psi keeps: enough for a few tangency descriptors
-# interleaved per probe offset; at most 17 bytes per shortcut or exact
-# lattice term plus _MOMENT_ORDER moments.
+# interleaved per probe offset; 16 bytes per exact lattice term plus the
+# far moments.
 _LATTICE_CACHE = 4
 
 
@@ -160,10 +130,10 @@ def w_prime_eval(t):
     return _on_support(t, _DERIV_COEFFS)
 
 
-def _rule(q: np.ndarray):
-    """psi_eval's nodes at the points q (a 1-D array of finite q below 1):
-    the terms (L/2) W_i w(tau_i) whose sum over the nodes i is psi(q), and
-    the nodes u_i, each an (8, points) array.
+def _rule(q: np.ndarray) -> np.ndarray:
+    """psi_eval's terms at the points q (a 1-D array of finite q below 1):
+    an (8, points) array of (L/2) W_i w(tau_i), whose sum over the nodes i
+    is psi(q).
 
     With p = u^2, psi(q) = int w(q + u^2) du over u_lo < u < u_hi, the u
     where |q + u^2| < 1; for the quartic bump the integrand is a polynomial
@@ -177,8 +147,7 @@ def _rule(q: np.ndarray):
     u_lo = np.sqrt(t_lo - q)
     half = 0.5 * (_HALF - t_lo) / (np.sqrt(_HALF - q) + u_lo)
     d = half * (_GL_X[:, None] + 1.0)
-    terms = half * _GL_W[:, None] * w_eval(t_lo + d * (2.0 * u_lo + d))
-    return terms, u_lo + d
+    return half * _GL_W[:, None] * w_eval(t_lo + d * (2.0 * u_lo + d))
 
 
 def psi_eval(q):
@@ -210,9 +179,8 @@ def psi_eval(q):
     live = np.flatnonzero((flat < _HALF) & (flat > -np.inf))
     for i in range(0, live.size, _BLOCK):
         rows = live[i : i + _BLOCK]
-        terms, _ = _rule(flat[rows])
         # Python's sum adds the node rows one after another, not pairwise
-        out[rows] = sum(terms)
+        out[rows] = sum(_rule(flat[rows]))
     return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
 
 
@@ -267,140 +235,132 @@ def psi_eval_quadrature_oracle(q: float) -> float:
     return total
 
 
-def _split(t: np.ndarray, config: PsiEvalConfig):
-    """The h-independent part of delta_psi at the points t: the mask of the
-    points below -config.t_asym, their shortcut denominators 4 |t|^(3/2),
-    and the other (exact) points."""
-    asym = t < -config.t_asym
-    return asym, 4.0 * np.abs(t[asym]) ** 1.5, t[~asym]
+# hurwitz_zeta's Euler-Maclaurin rule: terms summed directly until the
+# offset reaches _ZETA_START, then B_2i / (2i)! for i = 1..10.
+_ZETA_START = 40.0
+_BERNOULLI = (
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+    Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798), Fraction(-174611, 330),
+)
+_EM_COEFFS = [float(b / math.factorial(2 * i + 2)) for i, b in enumerate(_BERNOULLI)]
 
 
-def _differences(h: float, asym, denom, te, psi_te) -> np.ndarray:
-    """psi(t + h) - psi(t) at the points _split took apart, in their order,
-    from psi_te = psi(te)."""
-    out = np.empty(asym.shape)
-    out[asym] = h / denom
-    out[~asym] = psi_eval(te + h) - psi_te
-    return out
+def hurwitz_zeta(s, offset: float):
+    """Hurwitz zeta function zeta(s, offset) = sum_{k>=0} (k + offset)^(-s)
+    for s > 1 (a float or an array) and one offset > 0.
 
+    The terms are summed directly until k + offset reaches N >= 40, and the
+    rest by Euler-Maclaurin (DLMF 25.11.5 with the remainder dropped):
 
-def delta_psi(t, h: float, config: PsiEvalConfig = DEFAULT_PSI_CONFIG):
-    """Kernel difference psi(t + h) - psi(t) with a far-field shortcut.
+        N^(1-s)/(s-1) + N^(-s)/2 + sum_{i=1..10} B_2i/(2i)! (s)_(2i-1) N^(1-s-2i).
 
-    For t < -config.t_asym the exact difference is replaced by the
-    leading asymptotic h / (4 |t|^(3/2)), valid when |h| << |t|.  Above
-    the threshold it is psi_eval(t + h) - psi_eval(t), which in particular
-    is 0 whenever both t and t + h are past the support.
-    """
-    arr = np.asarray(t, dtype=float)
-    asym, denom, te = _split(np.atleast_1d(arr).astype(float).ravel(), config)
-    out = _differences(float(h), asym, denom, te, psi_eval(te))
-    return _scalar_or_array(out.reshape(arr.shape), arr.ndim == 0)
-
-
-def hurwitz_tail(start: int, offset: float = 0.0) -> float:
-    """Asymptotic Hurwitz zeta tail zeta(s, start + offset) = sum_{k>=0} (k + start + offset)^-s
-    at s = 3/2, the decay exponent of the big_psi summand (psi decays like
-    (1/2)|t|^(-1/2), so its differences decay like |t|^(-3/2)).
-
-    Three-term Euler-Maclaurin expansion
-
-        t^(1-s)/(s-1) + t^(-s)/2 + s*t^(-s-1)/12,   t = start + offset,
-
-    with error O(t^(-s-3)), below 1e-10 already for t = 100.  The
-    two-term form would miss the 1e-6 agreement required against direct
-    summation at start = 100, hence the third term.
+    For s <= 25.5 the first term left out is below 1e-17 of the sum.
     """
     # compared before any float conversion, which overflows on a huge int
-    if not (1 <= start <= sys.float_info.max and int(start) == start):
-        raise ValueError(f"start must be a positive integer no larger than the largest float, not {start!r}")
-    s = 1.5
-    t = float(start) + float(offset)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"offset must make start + offset positive and finite, not {offset!r}")
-    return t ** (1.0 - s) / (s - 1.0) + 0.5 * t ** (-s) + (s / 12.0) * t ** (-s - 1.0)
+    if not 0 < offset <= sys.float_info.max:
+        raise ValueError(f"offset must be positive and finite, not {offset!r}")
+    arr = np.asarray(s, dtype=float)
+    if not np.all((arr > 1.0) & (arr < math.inf)):
+        raise ValueError(f"s must be finite and above 1, not {s!r}")
+    # one element or many, the powers take numpy's array loop, whose bits
+    # differ from its scalar one
+    s = np.atleast_1d(arr)
+    q = float(offset)
+    direct = max(0, math.ceil(_ZETA_START - q))
+    total = np.zeros(s.shape)
+    for k in range(direct):
+        total += (q + k) ** -s
+    n = q + direct
+    rising = s / n  # (s)_(2i-1) / n^(2i-1)
+    correction = np.zeros(s.shape)
+    for i, coeff in enumerate(_EM_COEFFS):
+        correction += coeff * rising
+        rising = rising * ((s + 2 * i + 1) * (s + 2 * i + 2) / (n * n))
+    total += n**-s * (n / (s - 1.0) + 0.5 + correction)
+    return _scalar_or_array(total.reshape(arr.shape), arr.ndim == 0)
 
 
-def _far_moments(t: np.ndarray, a: float) -> np.ndarray:
-    """Taylor moments m_n = sum_k psi^(n)(t_k)/n!, n = 1.._MOMENT_ORDER, of
-    increasing points t below -max(50, 8a), by psi_eval's nodes:
-    psi^(n)(t)/n! = binomial(2n, n)/4^n int w(t + u^2) u^(-2n) du, whose
-    integrand is smooth on its short u-range this far below the support.
-    Each block of points stops at the first order N with rho^N/(1 - rho)
-    <= 1e-17, rho = (a/2)/(-1 - t) at its largest t: at |h| <= a/2 the
-    terms it leaves out add up in size to at most 1e-17 of the block's
-    first-order term."""
-    sums = np.zeros(_MOMENT_ORDER)
-    for i in range(0, t.size, _BLOCK):
-        block = t[i : i + _BLOCK]
-        rho = 0.5 * a / (-_HALF - block[-1])
-        order = min(_MOMENT_ORDER, math.ceil(math.log(1e-17 * (1.0 - rho)) / math.log(rho)))
-        terms, u = _rule(block)
-        inv = u**-2
-        for n in range(order):
-            terms *= inv
-            sums[n] += terms.sum()
-    return sums * [math.comb(2 * n, n) / 4**n for n in range(1, _MOMENT_ORDER + 1)]
+# big_psi sums psi's exact differences at the lattice points t >= -max(
+# _SEAM, 8a).  Below that psi(-x) = (1/2) sum_j binomial(-1/2, 2j) mu_2j
+# x^(-s_j), s_j = 1/2 + 2j, with mu_2j the bump's even moments; _FAR_EVEN
+# powers and _FAR_ORDER orders in h leave under 1e-15 of the far part (see
+# big_psi).  _FAR_TABLE[j, n-1] is (1/2) binomial(-1/2, 2j) mu_2j (s_j)_n / n!,
+# correctly rounded from exact rationals, and _FAR_S[j, n-1] = s_j + n.
+_SEAM = 50.0
+_FAR_EVEN = 5
+_FAR_ORDER = 15
+
+
+def _far_table() -> np.ndarray:
+    table = np.empty((_FAR_EVEN, _FAR_ORDER))
+    half = Fraction(_HALF)
+    for j in range(_FAR_EVEN):
+        mu = sum(
+            Fraction(c) * 2 * half ** (m + 2 * j + 1) / (m + 2 * j + 1)
+            for m, c in enumerate(DEFAULT_MOLLIFIER.coefficients)
+            if m % 2 == 0
+        )
+        coeff = Fraction(math.comb(4 * j, 2 * j), 2 * 16**j) * mu
+        for n in range(1, _FAR_ORDER + 1):
+            coeff *= (Fraction(1, 2) + 2 * j + n - 1) / n
+            table[j, n - 1] = coeff
+    return table
+
+
+_FAR_TABLE = _far_table()
+_FAR_POWERS = 0.5 + 2.0 * np.arange(_FAR_EVEN)
+_FAR_S = _FAR_POWERS[:, None] + np.arange(1, _FAR_ORDER + 1)
 
 
 @lru_cache(maxsize=_LATTICE_CACHE)
-def _lattice(a: float, r: float, config: PsiEvalConfig):
-    """The h-independent part of big_psi's lattice t = a*(k - r), k in
-    [-K+1, ceil(r + 1/a)], for a reduced (a > 0, 0 <= r < 1): _split of the
-    points outside [-t_asym, -max(50, 8a)) with psi at their exact points,
-    then the Taylor moments (_far_moments) of the points inside it.  The
-    arrays are read-only because every caller of these arguments shares them."""
-    top = math.ceil(r + _HALF / a)
-    t = a * (np.arange(-config.tail_start + 1, top + 1, dtype=float) - r)
-    # t increases with k, so the moment points are one slice between the
-    # shortcut points and the exact ones (empty when t_asym <= 50)
-    lo, hi = np.searchsorted(t, [-config.t_asym, -max(_MOMENT_SPLIT, 8.0 * a)])
-    hi = max(lo, hi)
-    asym, denom, te = _split(np.concatenate((t[:lo], t[hi:])), config)
-    parts = (asym, denom, te, psi_eval(te), _far_moments(t[lo:hi], a))
+def _lattice(a: float, r: float):
+    """The h-independent part of big_psi for a reduced (a > 0, 0 <= r < 1):
+    the exact points t = a*(k - r), k from ceil(r - max(50, 8a)/a) to
+    ceil(r + 1/a), psi at them, and the far moments g_n, n = 1..15, of the
+    points below: with x = a*(i + q0), i >= 0, and q0 = r - k_lo + 1 the far
+    lattice's first offset,
+
+        g_n = sum_j _FAR_TABLE[j, n-1] a^(-s_j) zeta(s_j + n, q0),
+
+    so that their psi differences add up to sum_n g_n (h/a)^n.  The arrays
+    are read-only because every caller of these arguments shares them."""
+    k_lo = math.ceil(r - max(_SEAM / a, 8.0))
+    t = a * (np.arange(k_lo, math.ceil(r + _HALF / a) + 1, dtype=float) - r)
+    zeta = hurwitz_zeta(_FAR_S, r - k_lo + 1.0)
+    moments = (_FAR_TABLE * a**-_FAR_POWERS[:, None] * zeta).sum(axis=0)
+    parts = (t, psi_eval(t), moments)
     for part in parts:
         part.flags.writeable = False
     return parts
 
 
-def big_psi(h: float, a: float, r: float, config: PsiEvalConfig = DEFAULT_PSI_CONFIG) -> float:
+def big_psi(h: float, a: float, r: float) -> float:
     """Lattice aliasing sum sum_k [psi(a*(k-r) + h) - psi(a*(k-r))] of the
     lab's edge kernel psi (``psi_eval``).
 
     Argument reduction first: sign flip (a, r) -> (-a, -r), then r mod 1,
     then h reduced to the centered period (-a/2, a/2], exploiting the
-    exact symmetries of the sum.  After reduction the direct sum runs
-    over k in [-K+1, ceil(r + 1/a)] with K = config.tail_start, and the
-    infinite far tail is closed by (h / (4 a^(3/2))) * zeta(3/2, K + r);
-    the exponent 3/2 comes from psi's (1/2)|t|^(-1/2) decay.
+    exact symmetries of the sum.  The lattice points t >= -max(50, 8a),
+    about 51/a + 2 of them, take the exact difference psi(t + h) - psi(t).
+    The infinite lattice below adds sum_{n=1..15} g_n (h/a)^n by Horner,
+    with the moments g_n in closed form (``_lattice``): psi(-x) is the
+    series (1/2) sum_j binomial(-1/2, 2j) mu_2j x^(-1/2-2j) for x > 1,
+    each power's difference (x - h)^(-s) - x^(-s) is its Taylor series in
+    h, and each power summed over the lattice is a^(-s) zeta(s, q0)
+    (``hurwitz_zeta``).  Both truncations are bounded by the far points'
+    distance x >= max(50, 8a) with |h| <= a/2: the powers past the fifth
+    (j >= 5) add less than 21 (46.875)^(-10) < 1e-15 of the first power's
+    difference, and the orders past the 15th less than about
+    16^(-15) < 1e-18 of it, since |h|/x <= 1/16.
 
-    The direct sum has three parts.  Points below -config.t_asym take
-    delta_psi's shortcut h / (4 |t|^(3/2)); points at or above
-    -max(50, 8a) take the exact difference psi(t + h) - psi(t); the points
-    between (none unless t_asym > 50) add sum_{n=1..15} m_n h^n by
-    Horner, with m_n = sum_k psi^(n)(t_k)/n! by psi_eval's nodes
-    (``_far_moments``; each term within about 1e-15 of its exact value,
-    relative).  That series is the exact difference up to a remainder of
-    at most 1e-17 |h m_1|: |h| <= a/2 and the support is more than
-    max(50, 8a) - 1 from the points, so the ratio of a point's
-    consecutive terms is at most rho = (a/2) / (max(50, 8a) - 1) in size,
-    which peaks at 3.125/49 < 0.064 at a = 6.25, and the terms past the
-    15th add at most rho^15 / (1 - rho) < 1e-17 of the first.  Blocks of
-    points farther out stop at a lower order by the same bound.
-
-    The h-independent part of the direct sum (the shortcut denominators,
-    psi at the exact points and the moments m_n) is memoized per reduced
-    (a, r, config), for the last 4 such keys.  An entry holds at most
-    17 bytes per shortcut or exact term plus the 15 moments; at the term
-    cap below every term is exact, so the memo retains at most about
-    71 MB (4 x 17 x 2**20 bytes).  An accurate lattice (t_asym = 1e6) of
-    10**4 terms at a = 1 keeps about 1 KB.  A value depends only on the
-    arguments, bit for bit, not on earlier calls.
+    The h-independent part (the exact points, psi at them and the moments)
+    is memoized per reduced (a, r), for the last 4 such keys.  A value
+    depends only on the arguments, bit for bit, not on earlier calls.
 
     a = 0 (continuum limit in the view angle) returns 0 by definition.
-    A nonzero |a| so small that the direct sum would need more than
-    2**20 terms, or so large that |a| (tail_start + 1) passes ``_MAX_T``,
-    raises ValueError before anything is allocated.
+    A nonzero |a| below 51/(2**20 - 2), about 4.86e-5, where the exact
+    points would pass 2**20, or above float max / 16, about 1.1e307, where
+    they would overflow, raises ValueError before anything is allocated.
     """
     hv, av, rv = float(h), float(a), float(r)
     if not (math.isfinite(hv) and math.isfinite(av) and math.isfinite(rv)):
@@ -412,24 +372,21 @@ def big_psi(h: float, a: float, r: float, config: PsiEvalConfig = DEFAULT_PSI_CO
     rv = rv % 1.0
     if rv == 1.0:
         rv = 0.0
-    # centered representative: the truncation error of both far-field
-    # shortcuts scales with |reduced h|, so values just shy of a lattice
-    # point must reduce toward 0, matching the exact zero returned there
+    # centered representative: values just shy of a lattice point reduce
+    # toward 0, matching the exact zero returned there
     hv = hv % av
     if hv > 0.5 * av:
         hv -= av
     if hv == 0.0:
         return 0.0
 
-    K = config.tail_start
-    if K + rv + _HALF / av > _MAX_TERMS:
+    if max(_SEAM / av, 8.0) + _HALF / av + 2.0 > _MAX_TERMS:
         raise ValueError(f"big_psi: |a| = {av!r} is too small; the sum would need more than {_MAX_TERMS} terms")
-    if av * (K + 1) > _MAX_T:
-        raise ValueError(f"big_psi: |a| = {av!r} is too large; its far terms 4 |a k|^(3/2) would overflow")
-    *exact, moments = _lattice(av, rv, config)
+    if av > _MAX_A:
+        raise ValueError(f"big_psi: |a| = {av!r} is too large; its lattice points a (k - r) would overflow")
+    t, psi_t, moments = _lattice(av, rv)
+    hp = hv / av
     far = 0.0
     for m in reversed(moments.tolist()):
-        far = far * hv + m
-    total = float(np.sum(_differences(hv, *exact))) + far * hv
-    total += hv / (4.0 * av**1.5) * hurwitz_tail(K, rv)
-    return total
+        far = far * hp + m
+    return float(np.sum(psi_eval(t + hv) - psi_t)) + far * hp

@@ -359,7 +359,8 @@ class _ConstantSampler:
         return np.full_like(np.asarray(p, dtype=float), self.c)
 
     def kinks(self, alpha):
-        return ()
+        # no kink on the line: the data's two kinks sit at -inf and inf
+        return (-math.inf, math.inf)
 
     def support(self, alpha):
         return (-math.inf, math.inf)
@@ -370,7 +371,8 @@ class _LinearSampler:
         return 2.5 * np.asarray(p, dtype=float) + 1.0
 
     def kinks(self, alpha):
-        return ()
+        # no kink on the line: the data's two kinks sit at -inf and inf
+        return (-math.inf, math.inf)
 
     def support(self, alpha):
         return (-math.inf, math.inf)

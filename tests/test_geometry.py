@@ -292,6 +292,20 @@ class TestCircleTangencies:
             tangency_enumerate(circle_family(GRT_R), GRT_PHANTOM, (3.0, 1.0), grt_scheme())
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["line", "circle"])
+def test_non_finite_probe_is_refused(kind, value):
+    # a line probe (nan, 0) once gave two all-NaN descriptors and (inf, 0)
+    # an infinite mu0; a circle probe raised LinAlgError after a warning
+    if kind == "line":
+        family, phantom, scheme = line_family(), DiskPhantom((0.0, 0.0), 5.0), crt_scheme()
+    else:
+        family, phantom, scheme = circle_family(GRT_R), GRT_PHANTOM, grt_scheme()
+    for probe in ((value, 0.0), (0.0, value)):
+        with pytest.raises(ValueError, match=r"^x0 must be finite"):
+            tangency_enumerate(family, phantom, probe, scheme)
+
+
 def _scan_tangency_angles(family, phantom, x0, n=4096):
     """Independent root inventory: dense sign-change scan plus brentq."""
     x0 = np.asarray(x0, float)

@@ -767,17 +767,17 @@ class TestCli:
 
     def test_psi_table_huge_rate(self, tmp_path):
         with np.errstate(over="raise"):
-            rc = main(["psi-table", "--a", "1e200", "--out", str(tmp_path), "--samples", "5"])
+            rc = main(["psi-table", "--a", "1e300", "--out", str(tmp_path), "--samples", "5"])
         assert rc == 0
         lines = (tmp_path / "psi_table.csv").read_text().splitlines()[1:]
         values = [float(line.split(",")[2]) for line in lines]
         assert len(values) == 5 and all(math.isfinite(v) for v in values) and any(v != 0.0 for v in values)
 
     def test_psi_table_refuses_a_rate_too_large_to_sum(self, tmp_path, capsys):
-        rc = main(["psi-table", "--a", "1e300", "--out", str(tmp_path), "--samples", "3"])
+        rc = main(["psi-table", "--a", "1e308", "--out", str(tmp_path), "--samples", "3"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: big_psi: |a| = 1e+300 is too large")
+        assert err.startswith("error: big_psi: |a| = 1e+308 is too large")
         assert not (tmp_path / "psi_table.csv").exists()
 
     def test_psi_table_refuses_a_rate_too_small_to_sum(self, tmp_path, capsys):

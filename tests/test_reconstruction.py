@@ -18,7 +18,7 @@ from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from aliaslab import geometry, pipeline, reconstruction
-from aliaslab.experiment_config import crt_preset, grt_preset
+from aliaslab.experiment_config import ConfigError, crt_preset, grt_preset
 from aliaslab.forward_model import SemiDiscreteData, SinogramSampler
 from aliaslab.geometry import (
     DiskPhantom,
@@ -471,34 +471,39 @@ class _ZeroSampler:
         return -0.5, 0.5
 
     def kinks(self, alpha):
-        return ()
+        return -0.5, 0.5
 
 
-class _SumSampler:
-    """Pointwise sum of two analytic sinograms (the forward model of two
-    disjoint phantoms)."""
+class _SumData:
+    """Smoothed data of two disjoint disks: the sum of each disk's data
+    (the forward model takes one disk, with its two kinks), supported on
+    the hull of their supports."""
 
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
+    mollifier = SemiDiscreteData.mollifier
 
-    def value(self, alpha, p, out=None):
-        return self.first.value(alpha, p) + self.second.value(alpha, p)
+    def __init__(self, scheme, first, second):
+        self.scheme = scheme
+        self.parts = (SemiDiscreteData(scheme, first), SemiDiscreteData(scheme, second))
+        self.sampler = self
+
+    def view_angle(self, k):
+        return self.parts[0].view_angle(k)
 
     def support(self, alpha):
-        lo1, hi1 = self.first.support(alpha)
-        lo2, hi2 = self.second.support(alpha)
+        (lo1, hi1), (lo2, hi2) = (part.sampler.support(alpha) for part in self.parts)
         return min(lo1, lo2), max(hi1, hi2)
 
-    def kinks(self, alpha):
-        return tuple(sorted((*self.first.kinks(alpha), *self.second.kinks(alpha))))
+    def data_smooth_deriv(self, k, p):
+        return self.parts[0].data_smooth_deriv(k, p) + self.parts[1].data_smooth_deriv(k, p)
 
 
-def _build_views(sampler, scheme, q_range, eta=8):
+def _build_views(sampler, scheme, q_range, eta=8, data=None):
     """Every view filtered on one grid of the lattice of step eps/eta, from
     the point nearest q_range[0] to about q_range[1], which holds the padded
-    data support of each."""
-    data = SemiDiscreteData(scheme, sampler)
+    data support of each; the data are the sampler's unless ``data`` is
+    given."""
+    if data is None:
+        data = SemiDiscreteData(scheme, sampler)
     step = scheme.epsilon / eta
     offset, count = round(q_range[0] / step), round((q_range[1] - q_range[0]) / step) + 1
     return tuple(filter_view(data, k, offset, step, count, (0, count)) for k in scheme.window_view_indices())
@@ -779,7 +784,7 @@ class TestPipelineProperties:
         sampler_b = SinogramSampler(fam, disk_b)
         views_a = _build_views(sampler_a, scheme, q_range)
         views_b = _build_views(sampler_b, scheme, q_range)
-        views_ab = _build_views(_SumSampler(sampler_a, sampler_b), scheme, q_range)
+        views_ab = _build_views(None, scheme, q_range, data=_SumData(scheme, sampler_a, sampler_b))
         rng = np.random.default_rng(3)
         pts = rng.uniform(-5.0, 5.0, (40, 2))
         combined = backproject(views_ab, pts, fam, scheme)
@@ -929,6 +934,15 @@ class TestImageGrid:
         assert ImageGrid.side(side / 2.0, 1.0) == side
         with pytest.raises(ValueError, match="MAX_IMAGE_PIXELS"):
             ImageGrid.from_values((0, 0), (side + 1) / 2.0, 1.0, np.zeros(1))
+
+    def test_oversized_side_is_printed_short(self):
+        # the side once came out as a 301-digit integer, in the config's
+        # image.pixel_size refusal too
+        message = r"^a raster of 2e\+300 x 2e\+300 pixels is more than MAX_IMAGE_PIXELS = \d+$"
+        with pytest.raises(ValueError, match=message):
+            ImageGrid.side(1.0, 1e-300)
+        with pytest.raises(ConfigError, match="^image\\.pixel_size: " + message[1:]):
+            crt_preset().with_overrides(image_half_extent=1.0, image_pixel_size=1e-300)
 
     def test_field_of_view_is_centered(self):
         for axis in ImageGrid.axes((0.0, 0.0), 1.0, 0.25):

@@ -17,20 +17,13 @@ from hypothesis import strategies as st
 
 from aliaslab import special_functions
 from aliaslab.special_functions import (
-    DEFAULT_PSI_CONFIG,
-    PsiEvalConfig,
     big_psi,
-    delta_psi,
-    hurwitz_tail,
+    hurwitz_zeta,
     psi_eval,
     psi_eval_quadrature_oracle,
     w_eval,
     w_prime_eval,
 )
-
-# Accurate configuration: exact kernel differences everywhere in the
-# direct sum, asymptotics only past the zeta tail start.
-ACCURATE = PsiEvalConfig(t_asym=1e6, tail_start=10_000)
 
 # mpmath, 40 digits
 PSI_REFERENCE = {
@@ -52,6 +45,10 @@ ZETA_32_REFERENCE = {
     100.3: 0.2001996723809999892925,
     10000.77: 0.01999972999921779885515,
 }
+
+# mpmath, 40 digits: sqrt(a) * big_psi(0.3 a, a, 0.2) at a = 1e200,
+# -0.92824794577786607872
+HUGE_SPACING_REFERENCE = -0.9282479457778661
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +113,6 @@ def test_kernels_return_nan_at_nan():
         assert np.array_equal(np.isnan(mixed), [False, True, False, False, True, False]), kernel
         finite = kernel(np.array([-5.0, -0.5, 0.25, 3.0]))
         assert mixed[~np.isnan(mixed)].tobytes() == finite.tobytes(), kernel
-    assert math.isnan(delta_psi(-3.0, nan))
-    assert math.isnan(delta_psi(nan, 0.5))
 
 
 def test_kernels_on_a_kinked_block_allocate_little():
@@ -307,29 +302,6 @@ def test_psi_rule_nodes_are_correctly_rounded():
             assert (float(root), float(weight)) == (x, w)
 
 
-def _far_moment_mpmath(t, n):
-    """psi^(n)(t)/n! = (1/2) binomial(2n, n)/4^n int w(x) (x - t)^(-n-1/2) dx
-    over the support, by 30-digit mpmath quadrature of the library's bump."""
-    import mpmath
-
-    bump = special_functions.DEFAULT_MOLLIFIER
-    with mpmath.workdps(30):
-        coeffs = [_exact(c) for c in reversed(bump.coefficients)]
-        s, t = _exact(bump.half_width), mpmath.mpf(t)
-        integral = mpmath.quad(lambda x: mpmath.polyval(coeffs, x) * (x - t) ** (-n - mpmath.mpf(1) / 2), [-s, s])
-        return float(mpmath.binomial(2 * n, n) / 4**n / 2 * integral)
-
-
-def test_far_moments_against_30_digit_mpmath():
-    # the Taylor moments take psi_eval's nodes too, on a smooth integrand
-    # u^(-2n) w(t + u^2) this far below the support
-    for t in (-50.0, -51.3, -200.0, -5000.0):
-        moments = special_functions._far_moments(np.array([t]), 1.0)
-        for n in (1, 2, 3):
-            ref = _far_moment_mpmath(t, n)
-            assert abs(moments[n - 1] - ref) <= 1e-15 * abs(ref), (t, n)
-
-
 def test_quadrature_oracle_against_30_digit_mpmath():
     # the double-precision tanh-sinh oracle is itself judged by a 30-digit
     # quadrature, on criterion 2's interval and at the branch points
@@ -338,56 +310,9 @@ def test_quadrature_oracle_against_30_digit_mpmath():
     assert max(errors.values()) <= 1e-15, max(errors.items(), key=lambda kv: kv[1])
 
 
-# ---------------------------------------------------------------------------
-# kernel difference
-
-
-def test_psi_config_refuses_a_non_integer_tail_start():
-    # 1000.5 used to pass here and fail later in hurwitz_tail, naming no field
-    for bad in (1000.5, 999, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="tail_start"):
-            PsiEvalConfig(tail_start=bad)
-
-
-def test_psi_config_refuses_a_tail_start_past_the_term_cap():
-    # 10**400 raised an OverflowError naming nothing, and 2**60 was taken,
-    # after which every big_psi call blamed |a| = 1.0 for being too small
-    for bad in (10**400, 2**60, 2**20):
-        with pytest.raises(ValueError, match=r"^tail_start must be an integer in \[1000, 2\*\*20\)"):
-            PsiEvalConfig(tail_start=bad)
-    top = PsiEvalConfig(tail_start=2**20 - 1)
-    assert math.isfinite(big_psi(0.3, 4.0, 0.2, top))
-
-
-def test_delta_psi_exact_branch_matches_psi():
-    cfg = PsiEvalConfig(t_asym=1e6)
-    t = np.array([-30.0, -2.0, 0.3, 0.9, 5.0])
-    expect = psi_eval(t + 0.37) - psi_eval(t)
-    np.testing.assert_allclose(delta_psi(t, 0.37, cfg), expect, rtol=0, atol=0)
-
-
-def test_delta_psi_asymptotic_branch_value():
-    # frozen spot value: h / (4 |t|^(3/2)) at t = -1e6, h = 1
-    assert delta_psi(-1e6, 1.0) == pytest.approx(2.5e-10, rel=1e-12)
-
-
-def test_delta_psi_branches_agree_near_switch():
-    # at |t| = 60 the asymptotic is within its O(h^2/|t|^(5/2)) budget
-    t = -60.0
-    exact = delta_psi(t, 0.25, PsiEvalConfig(t_asym=1e6))
-    asym = delta_psi(t, 0.25, PsiEvalConfig(t_asym=50.0))
-    assert asym == 0.25 / (4.0 * 60.0**1.5)
-    assert abs(exact - asym) < 3 * (3 * 0.25**2 / 16) * 60.0**-2.5
-
-
-def test_delta_psi_zero_past_support():
-    assert delta_psi(1.5, 2.0) == 0.0
-    # but not when the shift pulls the argument back into the support
-    assert delta_psi(1.5, -1.2) != 0.0
-
 
 # ---------------------------------------------------------------------------
-# Hurwitz tail
+# Hurwitz zeta
 
 
 def _tail_direct_sum(start: int, offset: float = 0.0, terms: int = 10_000_000) -> float:
@@ -400,80 +325,62 @@ def _tail_direct_sum(start: int, offset: float = 0.0, terms: int = 10_000_000) -
 
 
 def test_hurwitz_tail_against_direct_summation():
-    assert abs(hurwitz_tail(100) - _tail_direct_sum(100)) < 1e-6
-    assert abs(hurwitz_tail(10_000) - _tail_direct_sum(10_000)) < 1e-9
+    # the tail sum_{k >= start} k^(-3/2) is zeta(3/2, start); the oracle
+    # reads 2.8e-17 and 3.5e-18 off it
+    assert abs(hurwitz_zeta(1.5, 100) - _tail_direct_sum(100)) < 1e-15
+    assert abs(hurwitz_zeta(1.5, 10_000) - _tail_direct_sum(10_000)) < 1e-16
 
 
 @pytest.mark.parametrize(
     "args, name",
-    [((100, math.nan), "offset"), ((100, math.inf), "offset"), ((100, -math.inf), "offset"),
-     ((math.inf,), "start"), ((math.nan,), "start"), ((10**400,), "start")],
+    [((1.5, math.nan), "offset"), ((1.5, math.inf), "offset"), ((1.5, -math.inf), "offset"),
+     ((math.inf, 100), "s"), ((math.nan, 100), "s"), ((1.5, 10**400), "offset")],
 )
 def test_hurwitz_tail_refuses_non_finite_input(args, name):
-    # nan and inf once passed through (nan, 0.0) or raised an
-    # OverflowError that named no argument, as an int past the floats did
+    # nan and inf would pass through as nan or 0.0, and an int past the
+    # floats would raise an OverflowError that names no argument
     with pytest.raises(ValueError, match=rf"^{name} must "):
-        hurwitz_tail(*args)
+        hurwitz_zeta(*args)
 
 
 def test_hurwitz_tail_against_frozen_zeta():
-    assert abs(hurwitz_tail(100) - ZETA_32_REFERENCE[100.0]) < 1e-9
-    assert abs(hurwitz_tail(10_000) - ZETA_32_REFERENCE[10000.0]) < 1e-12
-    assert abs(hurwitz_tail(100, 0.3) - ZETA_32_REFERENCE[100.3]) < 1e-9
-    assert abs(hurwitz_tail(10_000, 0.77) - ZETA_32_REFERENCE[10000.77]) < 1e-12
+    for q, ref in ZETA_32_REFERENCE.items():
+        assert abs(hurwitz_zeta(1.5, q) - ref) <= 1e-16 * ref, q
 
 
 def test_hurwitz_tail_against_mpmath():
-    mp = pytest.importorskip("mpmath")
-    for start, offset in [(1000, 0.0), (2345, 0.5), (10_000, 0.99)]:
-        ref = float(mp.zeta(mp.mpf(3) / 2, start + mp.mpf(offset)))
-        assert abs(hurwitz_tail(start, offset) - ref) < 1e-11
+    # the orders big_psi's far moments take (s = 1.5 .. 23.5) at offsets on
+    # both sides of the direct terms' end (40), relative to mpmath's zeta at
+    # enough digits: it loses about s log10(q) of them; an array of s gives
+    # the bits of one call per s
+    import mpmath
+
+    s_values = special_functions._FAR_S.ravel()[::4]
+    for q in (1e-3, 0.5, 8.3, 39.99, 40.0, 400.5, 10_000.99, 1e6 + 0.7):
+        got = hurwitz_zeta(s_values, q)
+        assert got.tobytes() == np.array([hurwitz_zeta(s, q) for s in s_values.tolist()]).tobytes()
+        for s, value in zip(s_values.tolist(), got.tolist()):
+            with mpmath.workdps(30 + int(s * math.log10(max(q, 1.0)))):
+                ref = float(mpmath.zeta(_exact(s), _exact(q)))
+            assert abs(value - ref) <= 1e-15 * ref, (s, q)
 
 
 def test_hurwitz_tail_validation():
-    with pytest.raises(ValueError):
-        hurwitz_tail(0)
-    with pytest.raises(ValueError):
-        hurwitz_tail(100, offset=-200.0)
+    for offset in (0, -200.0):
+        with pytest.raises(ValueError, match="^offset must"):
+            hurwitz_zeta(1.5, offset)
+    for s in (1.0, 0.5, np.array([1.5, 1.0])):
+        with pytest.raises(ValueError, match="^s must"):
+            hurwitz_zeta(s, 100.0)
 
 
 @given(st.integers(min_value=1, max_value=10_000))
 def test_hurwitz_tail_decreasing_in_start(start):
-    assert hurwitz_tail(start + 1) < hurwitz_tail(start)
+    assert hurwitz_zeta(1.5, start + 1) < hurwitz_zeta(1.5, start)
 
 
 # ---------------------------------------------------------------------------
 # lattice aliasing sum
-
-
-def _brute_aliasing_sum(h, a, r, kmin=-2_000_000):
-    """Exact direct summation with the closed-form kernel, far tail closed
-    by the zeta asymptotic at a much deeper index than production uses."""
-    assert a > 0
-    top = math.ceil(r + 1.0 / a)
-    total = 0.0
-    for lo in range(kmin, top + 1, 100_000):
-        k = np.arange(lo, min(lo + 100_000, top + 1), dtype=float)
-        t = a * (k - r)
-        total += float(np.sum(psi_eval(t + h) - psi_eval(t)))
-    total += h / (4.0 * a**1.5) * hurwitz_tail(-kmin, r)
-    return total
-
-
-def test_big_psi_against_brute_force():
-    cases = [(0.5, 1.0, 1 / 3), (1.7, 2.5, 0.25), (0.2, 0.5, 0.8), (0.1, 0.25, 0.6)]
-    for h, a, r in cases:
-        assert big_psi(h, a, r, ACCURATE) == pytest.approx(
-            _brute_aliasing_sum(h, a, r), abs=1e-6
-        )
-
-
-def test_big_psi_default_config_stays_within_budget():
-    # the fast default trades the far lattice for a first-order asymptotic;
-    # documented budget is ~3.5e-4 * h^2 / a absolute
-    for h, a, r in [(0.5, 1.0, 1 / 3), (0.2, 0.5, 0.8)]:
-        err = big_psi(h, a, r) - big_psi(h, a, r, ACCURATE)
-        assert abs(err) < 5e-4 * h * h / a + 1e-8
 
 
 def _reduce(h, a, r):
@@ -489,35 +396,151 @@ def _reduce(h, a, r):
     return h, a, r
 
 
-def _lattice_points(a, r, config):
-    return a * (np.arange(-config.tail_start + 1, math.ceil(r + 1.0 / a) + 1, dtype=float) - r)
+def _big_psi_mpmath(h, a, r, seam=30.0):
+    """Psi(h; a, r) to 30 digits, an mpmath number, built apart from
+    big_psi's closure.  After the same argument reduction the lattice points
+    t >= -(seam + a) take exact kernel differences; below, psi(-x) =
+    (1/2) sum_j binomial(-1/2, 2j) mu_2j x^(-1/2-2j) (16 powers), whose
+    differences over the lattice x = a (i + q0) sum to a^(-s) [zeta(s,
+    q0 - h/a) - zeta(s, q0)] per power s, by mpmath's zeta.  psi is the
+    bump's polynomial integrated exactly in u = sqrt(p) for q >= -40 and
+    the same series below, all at 40 digits."""
+    import mpmath
+
+    h, a, r = _reduce(float(h), float(a), float(r))
+    if h == 0.0:
+        return mpmath.mpf(0)
+    bump = special_functions.DEFAULT_MOLLIFIER
+    with mpmath.workdps(40):
+        c = [_exact(x) for x in bump.coefficients]
+        edge, half = _exact(bump.half_width), mpmath.mpf(1) / 2
+        series = [
+            mpmath.binomial(-half, 2 * j) / 2
+            * sum(cm * 2 * edge ** (m + 2 * j + 1) / (m + 2 * j + 1) for m, cm in enumerate(c) if m % 2 == 0)
+            for j in range(16)
+        ]
+        # w(q + u^2) = sum_i u^(2i) sum_m rows[i] = c_m binomial(m, i) q^(m - i)
+        rows = [[(m - i, cm * math.comb(m, i)) for m, cm in enumerate(c) if m >= i and cm] for i in range(len(c))]
+
+        def psi(q):
+            if q >= edge:
+                return 0
+            if q < -40:
+                return sum(cj * (-q) ** (-half - 2 * j) for j, cj in enumerate(series))
+            u_hi, u_lo = mpmath.sqrt(edge - q), mpmath.sqrt(max(0, -edge - q))
+            return sum(
+                sum(cm * q**power for power, cm in row) * (u_hi ** (2 * i + 1) - u_lo ** (2 * i + 1)) / (2 * i + 1)
+                for i, row in enumerate(rows)
+            )
+
+        H, A, R = _exact(h), _exact(a), _exact(r)
+        k_lo = int(mpmath.ceil(R - (seam + A) / A))
+        near = mpmath.fsum(psi(A * (k - R) + H) - psi(A * (k - R)) for k in range(k_lo, int(mpmath.ceil(R + edge / A)) + 1))
+        q0 = R - k_lo + 1
+        far = mpmath.fsum(
+            cj * A ** (-half - 2 * j) * (mpmath.zeta(half + 2 * j, q0 - H / A) - mpmath.zeta(half + 2 * j, q0))
+            for j, cj in enumerate(series)
+        )
+        return near + far
 
 
-def _direct_big_psi(h, a, r, config):
-    """big_psi as a direct sum: delta_psi over the whole reduced lattice,
-    then the tail."""
+def test_big_psi_against_30_digit_mpmath():
+    # one evaluator for every admitted spacing: within 1e-14 of the 30-digit
+    # reference on a grid of a from 0.01 to 100 and relative 1e-14 at 1e300,
+    # where the first-order shortcut read -7.7e-7 for +1.53e-9 at
+    # (0.003, 0.01, 0.2) and 0.010748310897 (accurate) or 0.01074834 + 1e-8
+    # (default) at (0.5, 1, 1/3); the reference itself moves by less than
+    # 1e-29 when its seam goes from -30 to -60 (a + 30 to a + 60 below 0)
+    cases = [
+        (0.003, 0.01, 0.2), (0.04, 0.125, 0.7), (0.0624, 0.125, 0.05), (0.5, 1.0, 1 / 3), (-0.21, 1.0, 0.999),
+        (7.3, -1.0, 2.4), (-3.1, 6.5, 0.41), (1.3, 6.5, 0.0), (3.9, 8.0, 0.9), (-0.6, 8.0, 0.5),
+        (49.0, 100.0, 0.05), (-17.0, 100.0, 0.77),
+    ]
+    for h, a, r in cases:
+        ref = _big_psi_mpmath(h, a, r)
+        if abs(a) >= 0.1:
+            assert abs(_big_psi_mpmath(h, a, r, seam=60.0) - ref) <= 1e-29, (h, a, r)
+        assert abs(big_psi(h, a, r) - float(ref)) <= 1e-14, (h, a, r)
+    assert float(_big_psi_mpmath(0.5, 1.0, 1 / 3)) == 0.010748342150430727
+    assert abs(float(_big_psi_mpmath(0.003, 0.01, 0.2)) - 1.5294136826e-9) <= 1e-19
+    ref = float(_big_psi_mpmath(0.3e300, 1e300, 0.2))
+    assert abs(big_psi(0.3e300, 1e300, 0.2) - ref) <= 1e-14 * abs(ref)
+
+
+def _far_moment_mpmath(a, r, n):
+    """big_psi's n-th far moment g_n = a^n sum_i psi^(n)(t_i)/n! over the
+    far lattice t_i = -a (i + q0), with psi^(n)(t)/n! = (1/2) binomial(2n, n)
+    4^(-n) int w(y) (y - t)^(-n-1/2) dy: the sum over i under the integral
+    is a^(-n-1/2) zeta(n + 1/2, q0 + y/a), integrated against the bump by
+    30-digit mpmath quadrature, not expanded in its moments."""
+    import mpmath
+
+    bump = special_functions.DEFAULT_MOLLIFIER
+    k_lo = math.ceil(r - max(50.0 / a, 8.0))
+    with mpmath.workdps(30):
+        coeffs = [_exact(c) for c in reversed(bump.coefficients)]
+        s, A, n_half = _exact(bump.half_width), _exact(a), n + mpmath.mpf(1) / 2
+        q0 = _exact(r) - k_lo + 1
+        integral = mpmath.quad(lambda y: mpmath.polyval(coeffs, y) * mpmath.zeta(n_half, q0 + y / A), [-s, 0, s])
+        return float(mpmath.binomial(2 * n, n) / 4**n / 2 * A ** (n - n_half) * integral)
+
+
+def test_far_moments_against_30_digit_mpmath():
+    # the closed-form moments (the bump's even moments times Hurwitz zeta)
+    # against the zeta integrated over the bump, where the far lattice
+    # starts 400 and 8 spacings below the support
+    for a, r in ((0.125, 0.7), (100.0, 0.3)):
+        moments = special_functions._lattice(a, r)[2]
+        for n in (1, 2, 3):
+            ref = _far_moment_mpmath(a, r, n)
+            assert abs(moments[n - 1] - ref) <= 1e-15 * abs(ref), (a, r, n)
+
+
+def _brute_aliasing_sum(h, a, r, kmin=-500_000):
+    """Exact direct summation with psi_eval down to k = kmin, the lattice
+    below closed by the first two orders in h of its leading power,
+    (1/2) [(x - h)^(-1/2) - x^(-1/2)], summed by scipy's Hurwitz zeta from
+    its first point, x = a (1 - kmin + r)."""
+    from scipy.special import zeta
+
+    assert a > 0
+    top = math.ceil(r + 1.0 / a)
+    total = 0.0
+    for lo in range(kmin, top + 1, 100_000):
+        k = np.arange(lo, min(lo + 100_000, top + 1), dtype=float)
+        t = a * (k - r)
+        total += float(np.sum(psi_eval(t + h) - psi_eval(t)))
+    q = 1 - kmin + r
+    return total + h / (4.0 * a**1.5) * float(zeta(1.5, q)) + 3.0 * h * h / (16.0 * a**2.5) * float(zeta(2.5, q))
+
+
+def test_big_psi_against_brute_force():
+    # the oracle reads within 3.1e-15 of the 30-digit reference here
+    cases = [(0.5, 1.0, 1 / 3), (1.7, 2.5, 0.25), (0.2, 0.5, 0.8), (0.1, 0.25, 0.6)]
+    for h, a, r in cases:
+        assert abs(big_psi(h, a, r) - _brute_aliasing_sum(h, a, r)) <= 1e-14, (h, a, r)
+
+
+def test_big_psi_default_config_stays_within_budget():
+    # big_psi has one rule, its default; over a period of h it stays within
+    # 1e-14 of the 30-digit reference, where the first-order shortcut it
+    # replaced was allowed 5e-4 h^2 / a
+    for a, r in ((1.0, 1 / 3), (0.5, 0.8)):
+        for h in np.linspace(-0.5 * a, 0.5 * a, 6).tolist():
+            assert abs(big_psi(h, a, r) - float(_big_psi_mpmath(h, a, r))) <= 1e-14, (h, a, r)
+
+
+def _rebuilt_big_psi(h, a, r):
+    """big_psi from its definition: the same argument reduction, then a
+    lattice built for this call alone (``_lattice`` past its memo)."""
     h, a, r = _reduce(h, a, r)
     if h == 0.0:
         return 0.0
-    total = float(np.sum(delta_psi(_lattice_points(a, r, config), h, config)))
-    return total + h / (4.0 * a**1.5) * hurwitz_tail(config.tail_start, r)
-
-
-def _rebuilt_big_psi(h, a, r, config):
-    """big_psi from its definition: the same argument reduction, then over
-    a lattice built for this call alone delta_psi at the points outside
-    [-t_asym, -max(50, 8a)) and the Taylor series in h of the points
-    inside it, then the tail."""
-    h, a, r = _reduce(h, a, r)
-    if h == 0.0:
-        return 0.0
-    t = _lattice_points(a, r, config)
-    far = (t >= -config.t_asym) & (t < -max(50.0, 8.0 * a))
-    series = 0.0
-    for m in special_functions._far_moments(t[far], a).tolist()[::-1]:
-        series = series * h + m
-    total = float(np.sum(delta_psi(t[~far], h, config))) + series * h
-    return total + h / (4.0 * a**1.5) * hurwitz_tail(config.tail_start, r)
+    t, psi_t, moments = special_functions._lattice.__wrapped__(a, r)
+    far = 0.0
+    for m in moments.tolist()[::-1]:
+        far = far * (h / a) + m
+    return float(np.sum(psi_eval(t + h) - psi_t)) + far * (h / a)
 
 
 def test_big_psi_bits_do_not_depend_on_call_history():
@@ -530,12 +553,7 @@ def test_big_psi_bits_do_not_depend_on_call_history():
         for _ in range(8)
     ]
     lattices = [(a, r) for a, r in lattices if not 0.0 <= r < 1.0] + [(0.125, -0.75), (8.0, 2.5), (-1.0, 1.0)]
-    cases = [
-        (float(rng.uniform(-3.0, 3.0) * abs(a)), a, r, config)
-        for a, r in lattices
-        for config in (DEFAULT_PSI_CONFIG, ACCURATE)
-        for _ in range(3)
-    ]
+    cases = [(float(rng.uniform(-3.0, 3.0) * abs(a)), a, r) for a, r in lattices for _ in range(6)]
     expected = [_rebuilt_big_psi(*case) for case in cases]
     assert any(v != 0.0 for v in expected)
     for clear in (False, True):
@@ -546,27 +564,40 @@ def test_big_psi_bits_do_not_depend_on_call_history():
 
 
 def test_memoized_lattice_is_read_only():
-    # at a = 150 the accurate lattice has shortcut, moment and exact points
-    for a, config in ((0.75, DEFAULT_PSI_CONFIG), (150.0, ACCURATE)):
-        big_psi(0.3, a, 0.2, config)
-        *_, moments = parts = special_functions._lattice(a, 0.2, config)
-        # the default lattice has no moment points, the accurate one has
-        assert np.any(moments != 0.0) == (config is ACCURATE)
+    for a in (0.75, 150.0):
+        big_psi(0.3, a, 0.2)
+        parts = special_functions._lattice(a, 0.2)
+        assert np.any(parts[-1] != 0.0)
         for part in parts:
             assert part.size > 0
             with pytest.raises(ValueError, match="read-only"):
                 part[0] = part[-1]
 
 
+def _direct_big_psi(h, a, r, depth=10_000):
+    """big_psi as a direct sum: exact differences psi(t + h) - psi(t) over
+    the reduced lattice down to k = ceil(r) - depth, and the far moments
+    only of the lattice below that."""
+    h, a, r = _reduce(h, a, r)
+    if h == 0.0:
+        return 0.0
+    k_lo = math.ceil(r) - depth
+    t = a * (np.arange(k_lo, math.ceil(r + 1.0 / a) + 1, dtype=float) - r)
+    zeta = hurwitz_zeta(special_functions._FAR_S, r - k_lo + 1.0)
+    moments = (special_functions._FAR_TABLE * a ** -special_functions._FAR_POWERS[:, None] * zeta).sum(axis=0)
+    far = sum(m * (h / a) ** n for n, m in enumerate(moments.tolist(), start=1))
+    return float(np.sum(psi_eval(t + h) - psi_eval(t))) + far
+
+
 def test_accurate_big_psi_matches_the_direct_sum():
-    # the Taylor moments stand in for exact differences psi(t + h) - psi(t)
+    # the far moments stand in for exact differences psi(t + h) - psi(t)
     # at the far points; the value stays within round-off of the sum of
     # those differences, at the widest reduced |h| and next to h = 0
     for a in (0.125, 0.25, 1.0, 4.0, 8.0):
         for r in (1e-9, 0.01, 0.99, 1.0 - 1e-9):
             for h in (0.5 * a * (1.0 - 1e-12), -0.5 * a * (1.0 - 1e-12), 1e-9 * a, -3e-3 * a):
-                got = big_psi(h, a, r, ACCURATE)
-                assert abs(got - _direct_big_psi(h, a, r, ACCURATE)) <= 1e-14, (h, a, r)
+                got = big_psi(h, a, r)
+                assert abs(got - _direct_big_psi(h, a, r)) <= 1e-14, (h, a, r)
 
 
 def test_big_psi_zero_offset_is_exact_zero():
@@ -577,21 +608,22 @@ def test_big_psi_zero_offset_is_exact_zero():
 
 def test_big_psi_huge_spacing_is_finite():
     # sqrt(a) * Psi(c a; a, r) tends to a constant as a grows; up to the
-    # largest |a| big_psi takes (about 1.26e201) no far term overflows
+    # largest |a| big_psi takes (float max / 16, about 1.1e307) nothing
+    # overflows
     with np.errstate(over="raise"):
         for h, a, r in ((0.3, 1.0, 0.2), (-0.3, -1.0, 0.7)):
             want = math.sqrt(1e100) * big_psi(h * 1e100, a * 1e100, r)
-            for scale in (1e200, 1.2e201):
+            for scale in (1e200, 1e300, 1e307):
                 got = math.sqrt(scale) * big_psi(h * scale, a * scale, r)
                 assert got == pytest.approx(want, rel=1e-14), (h, a, r, scale)
-    assert math.sqrt(1e200) * big_psi(0.3e200, 1e200, 0.2) == pytest.approx(1.00947242432935, rel=1e-14)
+    assert math.sqrt(1e200) * big_psi(0.3e200, 1e200, 0.2) == pytest.approx(HUGE_SPACING_REFERENCE, rel=1e-14)
 
 
 def test_big_psi_refuses_a_spacing_whose_far_terms_overflow():
-    # from |a| (tail_start + 1) of about 1.26e205 on, 4 |a k|^(3/2) would
-    # overflow and the far terms read 0 (the sum 0.3% off at 1e202, 0.0
-    # from about 1e206): refused before anything is allocated
-    for h, a, r in ((0.3e202, 1e202, 0.2), (0.3e300, 1e300, 0.2), (-0.3e300, -1e300, 0.7), (1e307, 1.7e308, 0.0)):
+    # past float max / 16 the exact lattice points a (k - r) + h would
+    # overflow to -inf and drop out of the sum: refused before anything is
+    # allocated
+    for h, a, r in ((0.3e307, 1.2e307, 0.2), (1e307, 1.7e308, 0.0), (-0.3e308, -1.7e308, 0.7)):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"\|a\| = .* too large"):
@@ -607,14 +639,16 @@ def test_big_psi_zero_spacing_defined_as_zero():
 
 
 def test_big_psi_refuses_tiny_spacing_before_allocating():
-    # a = 9e-7 needs just over 2**20 terms and comes first, so that a
-    # missing cap fails there (about 150 MB) before a = 1e-9 asks for ~8 GB
-    for h, a in ((3e-7, 9e-7), (3e-10, 1e-9)):
+    # below 51 / (2**20 - 2), about 4.86e-5, the exact points pass 2**20:
+    # refused before anything is allocated.  4.86e-5 comes first, so that a
+    # missing cap fails there (about 50 MB) before a = 1e-9 asks for ~400 GB;
+    # at a = 1e-5 the first-order tail once returned 0.2553
+    for h, a in ((1e-5, 4.86e-5), (3e-6, 1e-5), (3e-10, 1e-9), (0.0, 1e-300)):
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            with pytest.raises(ValueError, match=r"\|a\|"):
-                big_psi(h, a, 0.2)
+            with pytest.raises(ValueError, match=r"\|a\| = .* too small"):
+                big_psi(h + 0.3 * a, a, 0.2)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -624,9 +658,11 @@ def test_big_psi_refuses_tiny_spacing_before_allocating():
 
 
 def test_big_psi_at_the_term_cap_stays_in_memory_budget():
-    # just under the cap every lattice point is in psi's near field; the
-    # memoized lattice is about 18 MB and blocks keep the rest small
-    a = 1.0 / (2**20 - 10002)
+    # the smallest admitted spacing puts 2**20 - 1 points in the exact sum;
+    # the memoized lattice is about 17 MB, blocks keep the rest small (the
+    # peak reads 51 MB), and Psi stays below 1e-12: it shrinks like a^3.5,
+    # to about 3e-17 here, and the round-off of the long sum leaves 3.6e-13
+    a = 51.0 / (2**20 - 3)
     special_functions._lattice.cache_clear()
     tracemalloc.start()
     try:
@@ -635,7 +671,7 @@ def test_big_psi_at_the_term_cap_stays_in_memory_budget():
     finally:
         tracemalloc.stop()
         special_functions._lattice.cache_clear()
-    assert math.isfinite(value)
+    assert abs(value) < 1e-12
     assert peak <= 80_000_000
 
 
@@ -670,10 +706,10 @@ def test_big_psi_symmetries(h, a, r):
     r=st.floats(min_value=0, max_value=1, exclude_max=True, **FINITE),
 )
 def test_big_psi_continuous_in_offset(h, a, r):
-    # modulus of continuity shrinks with the step; slope is O(1/a); evaluated
-    # with the accurate config since the fast default has a small wrap seam
+    # modulus of continuity shrinks with the step; slope is O(1/a), also
+    # across the wrap h = a/2 of the argument reduction
     step = 1e-6
-    d = big_psi(h + step, a, r, ACCURATE) - big_psi(h, a, r, ACCURATE)
+    d = big_psi(h + step, a, r) - big_psi(h, a, r)
     assert abs(d) < 1e-4
 
 
@@ -681,7 +717,7 @@ def test_big_psi_decay_with_spacing():
     h_prime = np.linspace(0, 1, 101)
     sup = {}
     for a in (1.0, 0.5, 0.25, 0.125):
-        sup[a] = max(abs(big_psi(a * hp, a, 1 / 3, ACCURATE)) for hp in h_prime)
+        sup[a] = max(abs(big_psi(a * hp, a, 1 / 3)) for hp in h_prime)
     assert sup[0.5] < sup[1.0]
     assert sup[0.25] < sup[0.5]
     assert sup[0.125] < sup[0.25]
