@@ -144,7 +144,7 @@ class SinogramSampler:
         """Tangent levels d - r and d + r of the phantom for this view,
         with d = Phi(alpha, center): the sinogram has square-root kinks
         there."""
-        d = phi_eval(self.family, alpha, self.phantom.center_array)
+        d = phi_eval(self.family, alpha, *self.phantom.center)
         r = self.phantom.radius
         return d - r, d + r
 
@@ -175,8 +175,11 @@ class SemiDiscreteData:
     sampler: SinogramSampler
     mollifier: ClassVar[MollifierSpec] = DEFAULT_MOLLIFIER
 
+    def __post_init__(self) -> None:
+        self.sampler.family.check_scheme(self.scheme)
+
     def view_angle(self, k: int) -> float:
-        return self.scheme.alpha_origin + self.scheme.delta_alpha * (k + self.scheme.shift)
+        return self.scheme.view_angle(k)
 
     def _eval(self, k: int, p, derivative: bool):
         eps = self.scheme.epsilon

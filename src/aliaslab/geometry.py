@@ -116,6 +116,11 @@ class RadonFamily:
         R = self.acquisition_radius
         return R is not None and abs(R - math.hypot(*phantom.center)) <= phantom.radius
 
+    def check_scheme(self, scheme: SamplingScheme) -> None:
+        """Refuse a line-family scheme over more than a half circle, where the view sum counts a line twice."""
+        if self.kind == "line" and scheme.grid_span > math.pi + 1e-12:
+            raise ValueError(f"grid_span = {scheme.grid_span:.17g}: a line-family scheme spans at most a half circle, pi")
+
 
 def line_family() -> RadonFamily:
     return RadonFamily("line")
@@ -204,9 +209,12 @@ class SamplingScheme:
         """Ratio of angular step to scalar smoothing width."""
         return self.delta_alpha / self.epsilon
 
-    def view_angles(self) -> np.ndarray:
-        k = np.arange(self.n_views, dtype=float)
+    def view_angle(self, k):
+        """alpha_k = alpha_origin + delta_alpha * (k + shift), k an int or an array."""
         return self.alpha_origin + self.delta_alpha * (k + self.shift)
+
+    def view_angles(self) -> np.ndarray:
+        return self.view_angle(np.arange(self.n_views, dtype=float))
 
     def contains_angle(self, alpha):
         """Whether the view angle ``alpha`` lies in the closed window, i.e.
@@ -220,42 +228,38 @@ class SamplingScheme:
         return np.flatnonzero(self.contains_angle(self.view_angles()))
 
 
-def phi_eval(family: RadonFamily, alpha, x, out=None, scratch=None, norm2=None):
-    """Defining function Phi(alpha, x); its level sets are the curves.  At
-    a circle's vertex Phi is 0, the level of the circle of radius 0.
+def phi_eval(family: RadonFamily, alpha, x, y, out=None, norm2=None):
+    """Defining function Phi(alpha, (x, y)); its level sets are the curves.
+    At a circle's vertex Phi is 0, the level of the circle of radius 0.
 
-    ``x`` has shape (..., 2) and broadcasts against ``alpha``.  A caller
-    that evaluates many views at the same points passes ``out`` and
-    ``scratch``, arrays of the result's shape: the values go to ``out``,
-    ``scratch`` is overwritten, and the operations are the same.  Many
-    views at one point take at most four arrays of their length.
+    ``alpha``, ``x`` and ``y`` broadcast: a raster's x axis and its rows
+    ys[:, None] give every pixel, and the product in y takes y's shape.  A
+    caller that evaluates many views at the same points passes ``out``, an
+    array of the result's shape, for the values.
 
-    A circle's Phi is hypot(x - R u_alpha), or, for a caller that passes
-    ``norm2`` = |x|**2 + R**2 (shaped as x[..., 0]; lines ignore it), the
-    cheaper law of cosines sqrt(max(0, norm2 - 2R (x . u_alpha))).  Its
-    error against hypot is at most 4 ulp(norm2) / q at a distance q >=
-    eps/eta from the vertex R u_alpha (1.5e-11 at the circle preset's step
-    6.25e-4), and at most 2e-7 at the vertex.
+    A circle's Phi is hypot(x - R cos alpha, y - R sin alpha), or, for a
+    caller that passes ``norm2`` = x**2 + y**2 + R**2 (lines ignore it), the
+    cheaper law of cosines sqrt(max(0, norm2 - 2R (x cos alpha + y sin
+    alpha))).  Its error against hypot is at most 4 ulp(norm2) / q at a
+    distance q >= eps/eta from the vertex (1.5e-11 at the circle preset's
+    step 6.25e-4), and at most 2e-7 at the vertex.
     """
-    x = np.asarray(x, dtype=float)
     al = np.asarray(alpha, dtype=float)
     if out is None:
-        out = np.empty(np.broadcast_shapes(al.shape, x.shape[:-1]))
+        out = np.empty(np.broadcast_shapes(al.shape, np.shape(x), np.shape(y)))
     if family.kind == "line":
-        np.multiply(np.cos(al), x[..., 0], out=out)
-        np.add(out, np.multiply(np.sin(al), x[..., 1], out=scratch), out=out)
+        np.multiply(np.cos(al), x, out=out)
+        np.add(out, np.multiply(np.sin(al), y), out=out)
     elif norm2 is not None:
         R2 = 2.0 * family.acquisition_radius
-        np.multiply(x[..., 0], R2 * np.cos(al), out=out)
-        np.add(out, np.multiply(x[..., 1], R2 * np.sin(al), out=scratch), out=out)
+        np.multiply(x, R2 * np.cos(al), out=out)
+        np.add(out, np.multiply(y, R2 * np.sin(al)), out=out)
         np.sqrt(np.maximum(np.subtract(norm2, out, out=out), 0.0, out=out), out=out)
     else:
         R = family.acquisition_radius
-        np.subtract(x[..., 0], R * np.cos(al), out=out)
-        np.hypot(out, np.subtract(x[..., 1], R * np.sin(al), out=scratch), out=out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        np.subtract(x, R * np.cos(al), out=out)
+        np.hypot(out, np.subtract(y, R * np.sin(al)), out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -482,6 +486,7 @@ def tangency_enumerate(
     if it sits exactly on the boundary.  Descriptors are sorted by view
     angle for deterministic downstream iteration.
     """
+    family.check_scheme(scheme)
     probe = np.asarray(x0, dtype=float)
     if probe.shape != (2,):
         raise ValueError("x0 must be a 2-vector")
@@ -514,11 +519,10 @@ def mu0_numeric(
     Richardson extrapolation.  Returns the raw (unflipped) rate for the stated
     branch; descriptors with ``flipped`` set carry the negated value.
     """
-    probe = np.asarray(x0, dtype=float)
 
     def f(alpha: float) -> float:
-        level = phi_eval(family, alpha, phantom.center_array) + branch * phantom.radius
-        return phi_eval(family, alpha, probe) - level
+        level = phi_eval(family, alpha, *phantom.center) + branch * phantom.radius
+        return phi_eval(family, alpha, *x0) - level
 
     def central(dd: float) -> float:
         return (f(alpha_star + dd) - f(alpha_star - dd)) / (2.0 * dd)

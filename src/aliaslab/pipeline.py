@@ -20,7 +20,7 @@ import numpy as np
 
 from .experiment_config import ConfigError, ExperimentConfig
 from .forward_model import SemiDiscreteData, SinogramSampler
-from .geometry import TangencyDescriptor, phi_eval, tangency_enumerate, work_array
+from .geometry import TangencyDescriptor, phi_eval, tangency_enumerate
 from .outputs import format_floats, write_pgm16, write_profile_csv
 from .predictor import ComparisonMetrics, compare, fill_prediction
 from .reconstruction import (
@@ -165,7 +165,7 @@ def plan_run(config: ExperimentConfig, points=None) -> RunPlan:
         # units, one value per view, in place
         first, last, phi = np.full(views.size, np.inf), np.full(views.size, -np.inf), np.empty(views.size)
         for _, center, radius in disks:
-            phi_eval(family, alphas, center, phi)
+            phi_eval(family, alphas, *center, phi)
             np.minimum(first, phi - radius, out=first)
             np.maximum(last, np.add(phi, radius, out=phi), out=last)
         if family.kind != "line":
@@ -238,18 +238,17 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, points=None) -> E
     probes = probe_points(x0, theta, h, scheme.epsilon)
     reads = np.vstack([probes, plan.points])
     # one flat accumulator per raster, added to in blocks of rows; each
-    # block task is (stage, accumulator rows, x axis, y values)
+    # block task is (stage, accumulator rows, x axis, y values as a column)
     rasters, totals, blocks = plan.rasters, {}, []
     for stage, (center, half_extent, pixel_size) in rasters.items():
         xs, ys = ImageGrid.axes(center, half_extent, pixel_size)
         totals[stage] = total = np.zeros(ys.size * xs.size)
         for row in range(0, ys.size, _ROWS_PER_BLOCK):
             rows = slice(row * xs.size, (row + _ROWS_PER_BLOCK) * xs.size)
-            blocks.append((stage, total[rows], xs, ys[row : row + _ROWS_PER_BLOCK]))
+            blocks.append((stage, total[rows], xs, ys[row : row + _ROWS_PER_BLOCK, None]))
 
     # A view task filters the plan's view i, reads it at the probe and
-    # extra points and, when the run rasters, returns it; a block task lays
-    # out its pixel centers row by row in this thread's work array and adds
+    # extra points and, when the run rasters, returns it; a block task adds
     # the terms of one window of views to its rows.  Each map runs one
     # window's view tasks with the previous window's block tasks, so a run
     # holds at most two windows of views, and every pixel adds its views in
@@ -260,14 +259,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, points=None) -> E
         if block is None:
             view = filter_view(data, plan.views[arg], plan.offsets[arg], plan.step, plan.counts[arg], plan.rows[arg])
             term = np.zeros(len(reads))
-            add_view_terms(term, [view], family, reads)
+            add_view_terms(term, [view], family, reads[:, 0], reads[:, 1])
             out = ("filter_s", (term, view if rasters else None))
         else:
             stage, total, xs, ys = block
-            coords = work_array("pixel_coords", 2 * total.size).reshape(2, total.size)
-            coords[0].reshape(ys.size, xs.size)[...] = xs
-            coords[1].reshape(ys.size, xs.size)[...] = ys[:, None]
-            add_view_terms(total, arg, family, coords.T)
+            add_view_terms(total, arg, family, xs, ys)
             out = (stage, None)
         return out, time.perf_counter() - t0
 

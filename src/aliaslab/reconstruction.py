@@ -77,9 +77,9 @@ _HEAP_KEEP = 24
 @dataclass(frozen=True)
 class FilteredView:
     """One view's filtered data, n values on the uniform q-grid start +
-    step * arange(n), held as its Catmull-Rom table: row j of ``coeffs``
-    holds c_j of cells 1..n - 3 (see ``_interpolate``).  It is read-only,
-    so the threads that read the view share it."""
+    step * arange(n), held as its Catmull-Rom table: column i of ``coeffs``
+    holds c_j / 2 of cell i = 1..n - 3 in row j, column 0 is unused (see
+    ``_interpolate``).  Read-only, so the threads that read it share it."""
 
     alpha: float
     start: float
@@ -88,7 +88,7 @@ class FilteredView:
 
     @property
     def n(self) -> int:
-        return self.coeffs.shape[1] + 3
+        return self.coeffs.shape[1] + 2
 
     @classmethod
     def from_values(cls, alpha: float, start: float, step: float, values) -> "FilteredView":
@@ -99,16 +99,17 @@ class FilteredView:
         if not np.all(np.isfinite(f)):
             raise ValueError("filtered view contains non-finite samples")
         # c3 and c2 first, in rows 3 and 2 with row 0 as scratch, so the
-        # table takes no memory beyond its own
+        # table takes no memory beyond its own; c0 / 2 is p1
         p0, p1, p2, p3 = f[:-3], f[1:-2], f[2:-1], f[3:]
-        coeffs = np.empty((4, p0.size))
-        c0, c1, c2, c3 = coeffs
+        coeffs = np.zeros((4, f.size - 2))
+        c0, c1, c2, c3 = coeffs[:, 1:]
         np.subtract(np.multiply(3.0, p1, out=c3), p0, out=c3)
         np.add(np.subtract(c3, np.multiply(3.0, p2, out=c0), out=c3), p3, out=c3)
         np.subtract(np.multiply(2.0, p0, out=c2), np.multiply(5.0, p1, out=c0), out=c2)
         np.subtract(np.add(c2, np.multiply(4.0, p2, out=c0), out=c2), p3, out=c2)
-        np.multiply(2.0, p1, out=c0)
+        np.copyto(c0, p1)
         np.subtract(p2, p0, out=c1)
+        np.multiply(coeffs[1:], 0.5, out=coeffs[1:])
         coeffs.flags.writeable = False
         return cls(alpha, start, step, coeffs)
 
@@ -200,21 +201,22 @@ def _interpolate(view: FilteredView, q: np.ndarray) -> np.ndarray:
     ``"interp_out"``, valid until its next call.
 
     The cell of position pos (in grid steps) is i = clip(floor(pos), 1,
-    n - 3), with the coefficients
+    n - 3), and column i of the view's table holds c_j / 2 of
 
         c0 = 2 p1,  c1 = p2 - p0,  c2 = 2 p0 - 5 p1 + 4 p2 - p3,
-        c3 = 3 p1 - p0 - 3 p2 + p3          (p_j = f[i - 1 + j]),
+        c3 = 3 p1 - p0 - 3 p2 + p3          (p_j = f[i - 1 + j]).
 
-    column i - 1 of the view's table.  The value at s = pos - i is
-    0.5 * (c0 + s * (c1 + s * (c2 + s * c3))), Horner's form, the same
-    operations in the same order for any set of points.
+    The value at s = pos - i is c0/2 + s * (c1/2 + s * (c2/2 + s * c3/2)),
+    Horner's form, the same operations in the same order for any set of
+    points: the bits of 0.5 * (c0 + s * (c1 + s * (c2 + s * c3))), as
+    halving is exact in binary (above the subnormal range).
     """
     m, n = q.size, view.n
     pos = np.subtract(q, view.start, out=q)
     np.divide(pos, view.step, out=pos)
     # min/max settle the common case; NaN fails it and falls through
     # to the pointwise test, which (like any comparison) lets NaN pass
-    low, high = pos.min(), pos.max()
+    low, high = pos.min(initial=np.inf), pos.max(initial=-np.inf)
     if not (low >= -1e-9 and high <= n - 1 + 1e-9) and (np.any(pos < -1e-9) or np.any(pos > n - 1 + 1e-9)):
         raise ValueError(
             "query outside the filtered q-grid; rebuild the views on grids covering the target points"
@@ -226,7 +228,6 @@ def _interpolate(view: FilteredView, q: np.ndarray) -> np.ndarray:
     if not (low >= 1.0 and high < n - 2):
         np.clip(cell, 1, n - 3, out=cell)
     s = np.subtract(pos, cell, out=pos)
-    np.subtract(cell, 1, out=cell)
 
     # the cells index the table: mode="wrap" never wraps, and unlike
     # the default it does not buffer the gather behind ``out``
@@ -235,7 +236,6 @@ def _interpolate(view: FilteredView, q: np.ndarray) -> np.ndarray:
     for c in view.coeffs[2::-1]:
         np.multiply(out, s, out=out)
         np.add(out, np.take(c, cell, out=term, mode="wrap"), out=out)
-    np.multiply(out, 0.5, out=out)
     return out
 
 
@@ -254,34 +254,30 @@ def backproject(views, x, family: RadonFamily, scheme: SamplingScheme):
     sum is scaled once (``view_sum``), so results do not depend on how
     callers partition the points.
     """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
+    single, pts = np.ndim(x) == 1, np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[-1] != 2:
         raise ValueError("points must have shape (..., 2)")
     total = np.zeros(pts.shape[0])
-    if total.size:
-        add_view_terms(total, views, family, pts)
+    add_view_terms(total, views, family, pts[:, 0], pts[:, 1])
     view_sum(total, scheme)
     return float(total[0]) if single else total
 
 
-def add_view_terms(total: np.ndarray, views, family: RadonFamily, points: np.ndarray) -> None:
-    """Add each view's unscaled term F_k(Phi(alpha_k, x)) to ``total`` at
-    the (m, 2) ``points``, in the order of ``views``: the one way a
-    FilteredView is read, ``backproject``'s terms without its scaling.  Phi
-    and the interpolation go into this thread's work arrays
-    (``work_array``); a circle's Phi is taken by the law of cosines from
-    |x|**2 + R**2 = (x*x + y*y) + R*R, formed once (``phi_eval``)."""
-    m = total.size
-    q, scratch = work_array("phi", m), work_array("phi_scratch", m)
-    norm2 = None
+def add_view_terms(total: np.ndarray, views, family: RadonFamily, x, y) -> None:
+    """Add each view's unscaled term F_k(Phi(alpha_k, (x, y))) to the 1-D
+    ``total``, in the order of ``views``: the one way a FilteredView is
+    read, ``backproject``'s terms without its scaling.  ``x`` and ``y``
+    broadcast to total's points in C order (a raster block's x axis and its
+    rows ys[:, None]).  Phi and the interpolation go into this thread's work
+    arrays; a circle's Phi takes the law of cosines from (x*x + y*y) + R*R,
+    formed once (``phi_eval``)."""
+    q = work_array("phi", total.size)
+    phi, norm2 = q.reshape(np.broadcast_shapes(np.shape(x), np.shape(y))), None
     if family.kind != "line":
-        x, y, norm2 = points[:, 0], points[:, 1], work_array("phi_norm2", m)
-        np.add(np.multiply(x, x, out=norm2), np.multiply(y, y, out=scratch), out=norm2)
+        norm2 = np.add(np.multiply(x, x), np.multiply(y, y), out=work_array("phi_norm2", q.size).reshape(phi.shape))
         np.add(norm2, family.acquisition_radius * family.acquisition_radius, out=norm2)
     for view in views:
-        phi_eval(family, view.alpha, points, q, scratch, norm2)
+        phi_eval(family, view.alpha, x, y, phi, norm2)
         total += _interpolate(view, q)
 
 

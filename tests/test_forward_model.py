@@ -338,7 +338,7 @@ class TestSamplerMetadata:
         for family, phantom in ((line_family(), CRT_PHANTOM), (circle_family(GRT_R), GRT_PHANTOM)):
             sampler = SinogramSampler(family, phantom)
             for alpha in np.linspace(-math.pi, math.pi, 2001):
-                d = phi_eval(family, alpha, phantom.center_array)
+                d = phi_eval(family, alpha, *phantom.center)
                 expected = (d - phantom.radius, d + phantom.radius)
                 assert sampler.kinks(alpha) == expected, (family.kind, alpha)
                 assert sampler.support(alpha) == expected, (family.kind, alpha)
@@ -352,6 +352,8 @@ class TestSamplerMetadata:
 
 
 class _ConstantSampler:
+    family = line_family()
+
     def __init__(self, c):
         self.c = c
 
@@ -367,6 +369,8 @@ class _ConstantSampler:
 
 
 class _LinearSampler:
+    family = line_family()
+
     def value(self, alpha, p, out=None):
         return 2.5 * np.asarray(p, dtype=float) + 1.0
 

@@ -24,7 +24,8 @@ from aliaslab.geometry import (
     phi_eval,
     tangency_enumerate,
 )
-from aliaslab.forward_model import SinogramSampler
+from aliaslab.experiment_config import crt_preset, grt_preset
+from aliaslab.forward_model import SemiDiscreteData, SinogramSampler
 
 # GRT demo configuration: acquisition radius 5, phantom center (1,1) radius 2,
 # probe (-1.42, 2.95).  All four tangencies, mpmath at 50 digits.
@@ -83,24 +84,24 @@ class TestFamilies:
 
 class TestPhiEval:
     def test_line_axis_aligned(self):
-        assert phi_eval(line_family(), 0.0, (3.0, 4.0)) == 3.0
+        assert phi_eval(line_family(), 0.0, 3.0, 4.0) == 3.0
 
     def test_circle_at_origin(self):
-        assert phi_eval(circle_family(5.0), math.pi / 2, (0.0, 0.0)) == pytest.approx(5.0, abs=1e-14)
+        assert phi_eval(circle_family(5.0), math.pi / 2, 0.0, 0.0) == pytest.approx(5.0, abs=1e-14)
 
     def test_circle_grt_probe_near_published_value(self):
-        value = phi_eval(circle_family(GRT_R), 0.53 * math.pi, GRT_X0)
+        value = phi_eval(circle_family(GRT_R), 0.53 * math.pi, *GRT_X0)
         assert value == pytest.approx(2.24, abs=0.01)
         assert value == pytest.approx(GRT_RHO_AT_NOMINAL, abs=1e-12)
 
     def test_circle_vertex_is_level_zero(self):
         # the circle of radius 0 about the vertex
-        assert phi_eval(circle_family(5.0), 0.0, (5.0, 0.0)) == 0.0
-        assert np.array_equal(phi_eval(circle_family(5.0), 0.0, np.array([[1.0, 0.0], [5.0, 0.0]])), [4.0, 0.0])
+        assert phi_eval(circle_family(5.0), 0.0, 5.0, 0.0) == 0.0
+        assert np.array_equal(phi_eval(circle_family(5.0), 0.0, np.array([1.0, 5.0]), 0.0), [4.0, 0.0])
 
     def test_vectorized_over_points(self):
         pts = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
-        vals = phi_eval(line_family(), math.pi / 2, pts)
+        vals = phi_eval(line_family(), math.pi / 2, *pts.T)
         np.testing.assert_allclose(vals, [0.0, 2.0, 4.0], atol=1e-15)
 
 
@@ -197,6 +198,40 @@ class TestSamplingScheme:
             SamplingScheme(0.01, 10, 3 * math.pi, 0.0)
         with pytest.raises(ValueError):
             SamplingScheme.full_circle(0.01, 10, window=(1.0, 1.0))
+
+    def test_line_family_spans_at_most_a_half_circle(self):
+        # the view sum's weight -dalpha/(2 pi^2) and the tangencies' view
+        # index count each line once, so a line-family scheme over the full
+        # circle (which read the center of this disk as 2.0, not 1.0) is
+        # refused by the data and by the tangency enumeration
+        disk = DiskPhantom((0.0, 0.0), 5.0)
+        for family, scheme, refused in (
+            (line_family(), SamplingScheme.full_circle(0.05, 240), True),
+            (line_family(), SamplingScheme(0.05, 100, math.pi + 1e-9, -math.pi / 2), True),
+            (line_family(), SamplingScheme.half_circle(0.05, 120), False),
+            (line_family(), SamplingScheme(0.05, 60, math.pi / 2, 0.0), False),
+            (circle_family(8.0), SamplingScheme.full_circle(0.05, 240), False),
+        ):
+            if refused:
+                with pytest.raises(ValueError, match="grid_span"):
+                    SemiDiscreteData(scheme, SinogramSampler(family, disk))
+                with pytest.raises(ValueError, match="grid_span"):
+                    tangency_enumerate(family, disk, (6.0, 0.5), scheme)
+            else:
+                SemiDiscreteData(scheme, SinogramSampler(family, disk))
+                assert tangency_enumerate(family, disk, (6.0, 0.5), scheme)
+
+    @pytest.mark.parametrize("config", [crt_preset(), grt_preset()], ids=["crt", "grt"])
+    def test_view_angle_is_written_once(self, config):
+        # one view, an array of views, the whole grid and the data's view
+        # angle give the same bits for every view
+        scheme = config.build_scheme()
+        data = SemiDiscreteData(scheme, SinogramSampler(config.build_family(), config.build_phantom()))
+        k = np.arange(scheme.n_views)
+        angles = scheme.view_angles()
+        assert angles.tobytes() == scheme.view_angle(k).tobytes()
+        assert angles.tobytes() == np.array([scheme.view_angle(int(i)) for i in k]).tobytes()
+        assert angles.tobytes() == np.array([data.view_angle(int(i)) for i in k]).tobytes()
 
 
 class TestLineTangencies:
@@ -341,10 +376,10 @@ class TestRandomizedInvariants:
         assert math.hypot(*t.u0) == pytest.approx(1.0, abs=1e-12)
         assert math.hypot(*t.theta0) == pytest.approx(1.0, abs=1e-12)
         assert t.curvature_gap > 0
-        assert phi_eval(family, t.alpha_star, np.asarray(x0)) == pytest.approx(t.p_star, abs=1e-10)
+        assert phi_eval(family, t.alpha_star, *x0) == pytest.approx(t.p_star, abs=1e-10)
         lo, hi = SinogramSampler(family, phantom).kinks(t.alpha_star)
         assert (hi if t.branch == 1 else lo) == pytest.approx(t.p_star, abs=1e-10)
-        assert phi_eval(family, t.alpha_star, np.asarray(t.y0)) == pytest.approx(t.p_star, abs=1e-10)
+        assert phi_eval(family, t.alpha_star, *t.y0) == pytest.approx(t.p_star, abs=1e-10)
         # theta0 points into the disk
         inward = np.asarray(t.y0) + 1e-3 * phantom.radius * np.asarray(t.theta0)
         outward = np.asarray(t.y0) - 1e-3 * phantom.radius * np.asarray(t.theta0)

@@ -329,7 +329,7 @@ class TestPipelineWiring:
                 plan = plan_run(base, points)
                 assert plan.step == 0.0625 and plan.offsets.dtype == plan.counts.dtype == plan.rows.dtype == np.intp
                 disks = [((0.0, 2.0), 1.0)] + [(point, 0.0) for point in points or ()]
-                levels = [phi_eval(family, alphas, c) + s * r for c, r in disks for s in (-1.0, 1.0)]
+                levels = [phi_eval(family, alphas, *c) + s * r for c, r in disks for s in (-1.0, 1.0)]
                 low = np.min(levels, axis=0) if family.kind == "line" else np.maximum(np.min(levels, axis=0), 0.0)
                 rows = np.floor(low / 0.0625) - 2, np.ceil(np.max(levels, axis=0) / 0.0625) + 2
                 first = plan.offsets + plan.rows[:, 0]
@@ -517,7 +517,7 @@ class TestRunPlan:
             reads.append(np.asarray(center) + half_extent * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]]))
         assert len(plan.rasters) == sum("image" in artifact for artifact in config.artifacts)
         reads.append(np.zeros((0, 2)) if points is None else np.array(points))
-        q = phi_eval(family, alphas[:, None], np.vstack(reads))
+        q = phi_eval(family, alphas[:, None], *np.vstack(reads).T)
         assert np.all(first[:, None] + 2.0 * plan.step <= q) and np.all(q <= last[:, None] - 2.0 * plan.step)
 
     @pytest.mark.parametrize(
@@ -1449,7 +1449,7 @@ def _reference_view_sum(views, values, family, scheme, points) -> np.ndarray:
     0.5 (c0 + c1 s + c2 s**2 + c3 s**3)."""
     total = np.zeros(len(points))
     for view, f in zip(views, values):
-        pos = (phi_eval(family, view.alpha, points) - view.start) / view.step
+        pos = (phi_eval(family, view.alpha, *points.T) - view.start) / view.step
         i = np.clip(np.floor(pos).astype(int), 1, f.size - 3)
         s = pos - i
         p0, p1, p2, p3 = (f[i + j] for j in (-1, 0, 1, 2))

@@ -262,17 +262,17 @@ class TestPVFilter:
         view = FilteredView.from_values(0.3, -3.0, 0.01, rng.standard_normal(601))
         views = [view, replace(view, alpha=1.9)]
 
-        def read(pts, views):
-            total = np.zeros(len(pts))
-            add_view_terms(total, views, line_family(), pts)
+        def read(x, y, views):
+            total = np.zeros(np.broadcast(x, y).size)
+            add_view_terms(total, views, line_family(), x, y)
             return total
 
         for m in (5, 700):
-            calls.append(lambda pts=rng.uniform(-1.5, 1.5, (m, 2)): read(pts, views[:1]))
+            calls.append(lambda pts=rng.uniform(-1.5, 1.5, (m, 2)): read(*pts.T, views[:1]))
         for rows in (3, 30):
+            # a raster block hands over its x axis and its rows as a column
             xs, ys = np.linspace(-1.5, 1.5, 40), np.linspace(-1.0, 1.0, rows)
-            pixels = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
-            calls.append(lambda pixels=pixels: read(pixels, views))
+            calls.append(lambda xs=xs, ys=ys: read(xs, ys[:, None], views))
         cases = [(call, call().tobytes()) for call in calls]
 
         def worker(offset):
@@ -406,7 +406,7 @@ class TestInterpolation:
         Phi(x) is 1.0*q + 0.0*0 = q exactly."""
         q = np.atleast_1d(np.asarray(q, dtype=float))
         total = np.zeros(q.size)
-        add_view_terms(total, [view], line_family(), np.column_stack([q, np.zeros_like(q)]))
+        add_view_terms(total, [view], line_family(), q, 0.0)
         return total
 
     def test_reproduces_quadratics(self):
@@ -436,6 +436,31 @@ class TestInterpolation:
         assert not np.array_equal(second, kept)
         assert np.array_equal(first, kept)
 
+    def test_table_matches_the_pointwise_formula_bitwise(self):
+        # the halved table read by cell gives the bits of 0.5 * (c0 + s *
+        # (c1 + s * (c2 + s * c3))) from the four neighbours, on values of
+        # both signs, signed zeros and magnitudes from 1e-300 to 1e300, at
+        # interior points, exactly at every node and in both clipped end cells
+        rng = np.random.default_rng(35)
+        n = 64
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        values[rng.choice(n, 12, replace=False)] = rng.choice([-0.0, 0.0], 12)
+        values[20:24] = [0.0, -0.0, -0.0, 0.0]
+        grid = _Grid(0.0, 2.0, 0.25, values)
+        pos = np.concatenate(
+            [
+                rng.uniform(1.0, n - 2.0, 400),
+                np.arange(n, dtype=float),
+                rng.uniform(0.0, 1.0, 50),
+                rng.uniform(n - 2.0, n - 1.0, 50),
+            ]
+        )
+        q = grid.start + grid.step * pos
+        # a total of -0.0 keeps each term's bits, a zero's sign too
+        total = np.full(q.size, -0.0)
+        add_view_terms(total, [FilteredView.from_values(*grid)], line_family(), q, 0.0)
+        assert total.tobytes() == _interpolate_pointwise(grid, q).tobytes()
+
     def test_outside_grid_raises(self):
         view = self._view(np.zeros(8))
         with pytest.raises(ValueError, match="outside"):
@@ -464,6 +489,8 @@ class TestValidation:
 
 
 class _ZeroSampler:
+    family = line_family()
+
     def value(self, alpha, p, out=None):
         return np.zeros(np.shape(p)) if np.ndim(p) else 0.0
 
@@ -524,7 +551,7 @@ class TestBackprojection:
         grid = -6.0 + 0.01 * np.arange(1201)
         view = FilteredView.from_values(alpha, -6.0, 0.01, grid.copy())
         x = np.array([1.3, -2.1])
-        expected = -scheme.delta_alpha / (2.0 * math.pi**2) * phi_eval(family, alpha, x)
+        expected = -scheme.delta_alpha / (2.0 * math.pi**2) * phi_eval(family, alpha, *x)
         assert backproject([view], x, family, scheme) == pytest.approx(expected, rel=1e-12)
 
     def test_point_partition_is_bitwise_stable(self):
@@ -563,7 +590,7 @@ def _phi_view_pointwise(family, alpha, pts):
     the law of cosines sqrt(max(0, (|x|**2 + R**2) - 2R (x . u_alpha))),
     written out point by point."""
     if family.kind == "line":
-        return phi_eval(family, alpha, pts)
+        return phi_eval(family, alpha, *pts.T)
     R2 = 2.0 * family.acquisition_radius
     x, y = pts[:, 0], pts[:, 1]
     norm2 = (x * x + y * y) + family.acquisition_radius * family.acquisition_radius
@@ -605,7 +632,7 @@ class TestBackprojectionEdges:
         return np.column_stack([x, np.zeros_like(x)])
 
     def _positions(self, family, pts):
-        return (phi_eval(family, 0.0, pts) - self.START) / self.STEP
+        return (phi_eval(family, 0.0, *pts.T) - self.START) / self.STEP
 
     @pytest.mark.parametrize("kind", ["line", "circle"])
     def test_grid_ends_are_exact(self, kind):
@@ -617,7 +644,7 @@ class TestBackprojectionEdges:
         assert np.array_equal(pos[1:-1], [0.0, 1.0, n - 3.0, n - 2.0, n - 1.0])
         assert n - 1.0 < pos[-1] <= n - 1.0 + 1e-9
         # the law of cosines is exact on the dyadic points too
-        assert np.array_equal(_phi_view_pointwise(family, 0.0, pts[1:-1]), phi_eval(family, 0.0, pts[1:-1]))
+        assert np.array_equal(_phi_view_pointwise(family, 0.0, pts[1:-1]), phi_eval(family, 0.0, *pts[1:-1].T))
         expected = _backproject_pointwise(grids, pts, family, scheme)
         assert np.array_equal(backproject(views, pts, family, scheme), expected)
         for point, value in zip(pts, expected):
@@ -647,7 +674,7 @@ class TestBackprojectionEdges:
         assert np.array_equal(backproject(views, pts, family, scheme), expected)
         q = _phi_view_pointwise(family, 0.0, pts)
         term = np.zeros(len(pts))
-        add_view_terms(term, views[:1], family, pts)
+        add_view_terms(term, views[:1], family, *pts.T)
         assert np.array_equal(term, _interpolate_pointwise(grids[0], q))
 
     @pytest.mark.parametrize("kind", ["line", "circle"])
@@ -674,7 +701,7 @@ class TestBackprojectionEdges:
         # these grids do not reach; on grids from 0 it reads like any point
         grids, views, family, scheme = self._setup("circle")
         pts = np.array([[4.0, 0.0], [5.0, 0.0]])
-        assert phi_eval(family, 0.0, pts[1]) == 0.0
+        assert phi_eval(family, 0.0, *pts[1]) == 0.0
         with pytest.raises(ValueError, match="outside"):
             backproject(views, pts, family, scheme)
         grids = [grid._replace(start=0.0) for grid in grids]
@@ -711,11 +738,11 @@ class TestViewPathPhi:
             pts = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
             view = FilteredView.from_values(alpha, -0.5, 0.5, np.zeros(40))
             seen.clear()
-            # the probe reads' (m, 2) points and the raster blocks' (2, m) pixel centers
-            add_view_terms(np.zeros(len(pts)), [view], family, pts)
-            add_view_terms(np.zeros(len(pts)), [view], family, np.ascontiguousarray(pts.T).T)
-            assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
-            exact = phi_eval(family, alpha, pts)
+            # the probe reads' points and a raster block's axes
+            add_view_terms(np.zeros(len(pts)), [view], family, *pts.T)
+            add_view_terms(np.zeros(len(pts)), [view], family, xs, ys[:, None])
+            assert len(seen) == 2 and np.array_equal(seen[0], seen[1].ravel())
+            exact = phi_eval(family, alpha, *pts.T)
             norm2 = (pts[:, 0] ** 2 + pts[:, 1] ** 2) + R * R
             far = exact >= step
             assert far.sum() > 0.99 * len(pts)
@@ -762,6 +789,26 @@ class TestBatching:
         for i in rng.choice(m, size=min(m, 3), replace=False):
             value = backproject(views, pts[i], family, scheme)
             assert type(value) is float and value == whole[i]
+
+
+    @pytest.mark.parametrize("kind", ["line", "circle"])
+    @pytest.mark.parametrize(
+        "nx, ny", [(40, 1), (1, 30), (17, 123), (0, 3)], ids=["one-row", "one-column", "short-last-block", "empty"]
+    )
+    def test_block_axes_match_points_bitwise(self, kind, nx, ny):
+        # a raster block hands add_view_terms its x axis and its rows as a
+        # column, in blocks of _ROWS_PER_BLOCK rows (123 rows leave a short
+        # last block); its pixels laid out as points give the same bits
+        views, family, _ = _small_run(kind)
+        rng = np.random.default_rng(nx * ny)
+        xs, ys = np.sort(rng.uniform(-3.0, 3.0, nx)), np.sort(rng.uniform(-3.0, 3.0, ny))
+        pixels = np.column_stack([np.tile(xs, ny), np.repeat(ys, nx)])
+        expected = np.zeros(len(pixels))
+        add_view_terms(expected, views, family, *pixels.T)
+        total, rows = np.zeros(len(pixels)), pipeline._ROWS_PER_BLOCK
+        for row in range(0, ny, rows):
+            add_view_terms(total[row * nx : (row + rows) * nx], views, family, xs, ys[row : row + rows, None])
+        assert total.tobytes() == expected.tobytes()
 
 
 def _scaled_profile(views, family, scheme, x0, theta, h):
@@ -897,8 +944,8 @@ class TestLineOracle:
             result = pipeline.run_experiment(config.with_overrides(eta=eta), threads=2)
             if eta == 16:
                 x0, h = config.probe_x0, config.h_samples()
-                q = phi_eval(line_family(), alphas, probe_points(x0, result.theta, h, scheme.epsilon))
-                d = phi_eval(line_family(), alphas, phantom.center_array)
+                q = phi_eval(line_family(), alphas, *probe_points(x0, result.theta, h, scheme.epsilon).T)
+                d = phi_eval(line_family(), alphas, *phantom.center)
                 sums = _line_filtered_oracle(q, d, phantom.radius, phantom.jump, scheme.epsilon).sum(axis=0)
                 want = difference_profile(view_sum(sums, scheme), scheme.epsilon, result.theta, h).recon_scaled
             gaps.append(np.max(np.abs(result.profile.recon_scaled - want)) / np.ptp(want))
